@@ -18,7 +18,7 @@ from semfuse.evaluation import (
     format_report_table,
     write_report_csv,
 )
-from semfuse.fusion import VARIATIONS, resolve_semantics
+from semfuse.fusion import VARIATIONS
 from semfuse.gen_zsl import (
     ClassifierTrainConfig,
     GanTrainer,
@@ -47,7 +47,7 @@ def run_embed(variation, data, bundles, args):
         variation=variation,
     )
     run = train_embed(train, bundles, cfg)
-    predictor = EmbedPredictor(run.model, run.fusion, variation)
+    predictor = EmbedPredictor(run.model, run.fusion)
     return merge(
         evaluate_run(predictor, test, bundles, "zsl"),
         evaluate_run(predictor, test, bundles, "gzsl"),
@@ -75,9 +75,15 @@ def run_gen(variation, data, bundles, args):
         ),
     )
     trainer.train()
-    resolved = resolve_semantics(bundles, trainer.fusion, variation)
-    unseen = [b for b in resolved if b.class_id in data.unseen_ids]
-    synth = synthesize_set(trainer.gen, unseen, args.synth_per_class, args.seed, data.class_table)
+    synth = synthesize_set(
+        trainer.gen,
+        trainer.fusion,
+        bundles,
+        data.unseen_ids,
+        args.synth_per_class,
+        args.seed,
+        data.class_table,
+    )
     gzsl_clf = train_final_classifier(train, synth, clf_cfg)
     zsl_clf = train_final_classifier(None, synth, clf_cfg)
     return merge(

@@ -4,7 +4,7 @@ and of generated class descriptions, fused by learned affine layers."""
 
 from .autodiff import ParamStore, Tensor, backward, grad_check
 from .datasets import FeatureSet, SplitSpec, SynthConfig, load_features, load_split, synth_dataset
-from .embed_zsl import EmbedTrainConfig, classify, embed_loss, train_embed
+from .embed_zsl import EmbedTrainConfig, embed_loss, train_embed
 from .evaluation import EvalReport, borda_count, evaluate_run, harmonic_mean, per_class_top1
 from .fusion import FusionParams, SemanticBundle, fuse, init_fusion
 from .gen_zsl import GanTrainer, GenTrainConfig, gradient_penalty, synthesize
@@ -23,7 +23,6 @@ __all__ = [
     "load_split",
     "synth_dataset",
     "EmbedTrainConfig",
-    "classify",
     "embed_loss",
     "train_embed",
     "EvalReport",

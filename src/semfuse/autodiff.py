@@ -7,7 +7,7 @@ gradient obtained with ``create_graph=True`` can be differentiated
 again, which the Wasserstein gradient penalty needs.
 
 Scalars are tensors of shape ``()``. Broadcasting is deliberately
-limited to the bias-add; everything else requires exact shapes.
+limited to the bias of `linear`; everything else requires exact shapes.
 """
 
 from __future__ import annotations
@@ -140,12 +140,17 @@ def shift(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data + c, parents=(x,), vjp=lambda g: (g,))
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias add: (n, k) + (k,)."""
-    _require_2d(x, "add_bias")
-    if b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"add_bias shape mismatch: {x.shape} vs {b.shape}")
-    return Tensor(x.data + b.data, parents=(x, b), vjp=lambda g: (g, sum_rows(g)))
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ W.T + b`` as one node: (n, k) rows, (j, k) weights,
+    (j,) bias broadcast over rows."""
+    shapes_ok = x.data.ndim == W.data.ndim == 2 and b.shape == W.shape[:1]
+    if not shapes_ok or x.shape[1] != W.shape[1]:
+        raise ShapeError(f"linear shape mismatch: {x.shape}, {W.shape}, {b.shape}")
+    return Tensor(
+        x.data @ W.data.T + b.data,
+        parents=(x, W, b),
+        vjp=lambda g: (matmul(g, W), transpose(matmul(transpose(x), g)), sum_rows(g)),
+    )
 
 
 def sum_rows(x: Tensor) -> Tensor:
@@ -215,11 +220,6 @@ def sum_sq(x: Tensor) -> Tensor:
     return sum_all(square(x))
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = constant((x.data > 0).astype(np.float64))
-    return Tensor(np.maximum(x.data, 0.0), parents=(x,), vjp=lambda g: (mul(g, mask),))
-
-
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = constant(np.where(x.data > 0, 1.0, slope))
     return Tensor(
@@ -227,33 +227,6 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
         parents=(x,),
         vjp=lambda g: (mul(g, mask),),
     )
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a vector or matrix."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(out_data, parents=(x,))
-
-    if x.data.ndim == 1:
-
-        def vjp(g: Tensor):
-            dot = sum_all(mul(g, out))
-            return (mul(out, sub(g, fill(dot, x.data.shape))),)
-
-    elif x.data.ndim == 2:
-        k = x.shape[1]
-
-        def vjp(g: Tensor):
-            dot = sum_last(mul(g, out))
-            return (mul(out, sub(g, tile_cols(dot, k))),)
-
-    else:
-        raise ShapeError(f"softmax expects 1-d or 2-d input, got shape {x.shape}")
-
-    out.vjp = vjp
-    return out
 
 
 def log(x: Tensor) -> Tensor:
@@ -410,10 +383,13 @@ class ParamStore:
 def backward(loss: Tensor, *stores: ParamStore) -> None:
     """Populate every store's gradients with d(loss)/d(param).
 
-    Parameters the loss does not reach get zero gradients.
+    Parameters the loss does not reach get zero gradients; a non-finite
+    loss is a ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if not np.isfinite(loss.item()):
+        raise ContractError(f"loss is {loss.item()}: training diverged")
     slots = [(s, name, t) for s in stores for name, t in s.items()]
     adjoints = grad(loss, [t for _, _, t in slots])
     for (store, name, t), g in zip(slots, adjoints):

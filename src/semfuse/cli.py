@@ -5,8 +5,10 @@ build-semantics, train (plus train-embed / train-gen aliases),
 synthesize, eval, compare, and sweep-alpha. Runs are deterministic
 given config file plus seed; reports are CSV plus an aligned table.
 
-Exit codes: 0 success, 2 configuration or manifest problems,
-3 malformed data files, 4 transport failures.
+Exit codes: 0 success, 2 configuration or manifest problems (also a
+non-finite training loss, and an eval or synthesize config that differs
+from the run's training config), 3 malformed data files, 4 transport
+failures.
 """
 
 from __future__ import annotations
@@ -232,12 +234,12 @@ def _require(value, message: str):
     return value
 
 
-def _train_features(config: RunConfig, split) -> FeatureSet:
+def _train_features(split) -> FeatureSet:
     path = _require(split.train_features, "split manifest has no train_features")
     return load_features(path, split)
 
 
-def _test_features(config: RunConfig, split) -> FeatureSet:
+def _test_features(split) -> FeatureSet:
     path = _require(split.test_features, "split manifest has no test_features")
     return load_features(path, split)
 
@@ -252,10 +254,9 @@ def run_train(config: RunConfig) -> Path:
     config.validate()
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
-    data = _train_features(config, split)
+    data = _train_features(split)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run.cfg").write_text(config.to_text(), encoding="utf-8")
 
     if config.method == "embed":
         run = train_embed(
@@ -303,12 +304,12 @@ def run_train(config: RunConfig) -> Path:
         ]
         log_header = "step,critic_loss,wasserstein,penalty,gen_loss,cls_term"
 
-    if fusion is not None:
-        stores["fusion"] = fusion.store
-        resolved = resolve_semantics(bundles, fusion, config.variation)
-        export_fused_csv(out_dir / "fused_semantics.csv", resolved)
+    stores["fusion"] = fusion.store
+    if len(fusion.store):
+        export_fused_csv(out_dir / "fused_semantics.csv", resolve_semantics(bundles, fusion))
     ckpt = _ckpt_path(config)
     ad.save_params(ckpt, stores)
+    (out_dir / "run.cfg").write_text(config.to_text(), encoding="utf-8")
     (out_dir / "train_log.csv").write_text(
         log_header + "\n" + "\n".join(log_rows) + "\n", encoding="utf-8"
     )
@@ -331,21 +332,32 @@ def _gen_config(config: RunConfig, steps: int) -> GenTrainConfig:
     )
 
 
-def _restore_artifacts(config: RunConfig, split, bundles, m: int):
-    """Rebuild trained components from the checkpoint for evaluation."""
-    ckpt = _ckpt_path(config)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt} (run train first)")
+# keys that fix what a run's parameters are and mean
+_TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
+
+
+def _restore_artifacts(config: RunConfig, bundles, m: int):
+    """Rebuild trained components from the checkpoint for evaluation,
+    refusing a run trained under different ``_TRAINED_KEYS``."""
+    ckpt, run_cfg = _ckpt_path(config), Path(config.out_dir) / "run.cfg"
+    for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
+        if not path.exists():
+            raise ConfigError(f"{what} not found: {path} (run train first)")
+    trained = load_run_config(run_cfg)
+    for key in _TRAINED_KEYS:
+        if getattr(trained, key) != getattr(config, key):
+            raise ConfigError(
+                f"run {config.out_dir} was trained with {key} = {getattr(trained, key)}, "
+                f"this config has {key} = {getattr(config, key)}"
+            )
     values = ad.load_params(ckpt)
     d = bundles[0].dimension
-    fusion = None
-    if config.variation == "ours":
-        fusion = init_fusion(d, 0, config.alpha)
-        ad.restore_store(fusion.store, values, "fusion")
+    fusion = init_fusion(d, 0, config.alpha, config.variation)
+    ad.restore_store(fusion.store, values, "fusion")
     if config.method == "embed":
         model = init_embed_model(config.q or d, m, d, config.lam, 0)
         ad.restore_store(model.store, values, "embed")
-        return EmbedPredictor(model, fusion, config.variation), fusion
+        return EmbedPredictor(model, fusion), fusion
     gen = init_generator(m, d, config.noise_dim, 0, [config.hidden_mult * m])
     ad.restore_store(gen.store, values, "gen")
     return gen, fusion
@@ -356,18 +368,22 @@ def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
     config.validate()
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
-    test_set = _test_features(config, split)
-    artifacts, fusion = _restore_artifacts(config, split, bundles, test_set.m)
+    test_set = _test_features(split)
+    artifacts, fusion = _restore_artifacts(config, bundles, test_set.m)
 
     if config.method == "embed":
         predictor = artifacts
     else:
-        resolved = resolve_semantics(bundles, fusion, config.variation)
-        unseen = [b for b in resolved if b.class_id in split.unseen_ids]
         synth = synthesize_set(
-            artifacts, unseen, config.synth_per_class, config.seed, split.class_table
+            artifacts,
+            fusion,
+            bundles,
+            split.unseen_ids,
+            config.synth_per_class,
+            config.seed,
+            split.class_table,
         )
-        real_seen = _train_features(config, split) if mode == "gzsl" else None
+        real_seen = _train_features(split) if mode == "gzsl" else None
         classifier = train_final_classifier(
             real_seen,
             synth,
@@ -442,15 +458,15 @@ def cmd_synthesize(args) -> int:
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
-    test_set = _test_features(config, split)
-    gen, fusion = _restore_artifacts(config, split, bundles, test_set.m)
-    resolved = resolve_semantics(bundles, fusion, config.variation)
-    unseen = [b for b in resolved if b.class_id in split.unseen_ids]
+    test_set = _test_features(split)
+    gen, fusion = _restore_artifacts(config, bundles, test_set.m)
     per_class = args.per_class or config.synth_per_class
-    synth = synthesize_set(gen, unseen, per_class, config.seed, split.class_table)
+    synth = synthesize_set(
+        gen, fusion, bundles, split.unseen_ids, per_class, config.seed, split.class_table
+    )
     names = [split.class_table[int(c)] for c in synth.labels]
     write_features_csv(args.out, names, synth.features)
-    print(f"wrote {synth.n} synthetic rows for {len(unseen)} classes to {args.out}")
+    print(f"wrote {synth.n} synthetic rows for {len(synth.unseen_ids)} classes to {args.out}")
     return EXIT_OK
 
 

@@ -15,13 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, check_split_discipline
 from .errors import ContractError, ManifestError, ShapeError
-from .fusion import (
-    FusionParams,
-    SemanticBundle,
-    fuse_graph,
-    init_fusion,
-    resolve_semantics,
-)
+from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion
 
 Batch = list[tuple[np.ndarray, SemanticBundle]]
 
@@ -36,30 +30,14 @@ class EmbedModel:
         self.d = d
         self.lam = lam
 
-    @property
-    def W_z(self) -> ad.Tensor:
-        return self.store["W_z"]
-
-    @property
-    def b_z(self) -> ad.Tensor:
-        return self.store["b_z"]
-
-    @property
-    def W_e(self) -> ad.Tensor:
-        return self.store["W_e"]
-
-    @property
-    def b_e(self) -> ad.Tensor:
-        return self.store["b_e"]
-
     def project_features(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.add_bias(ad.matmul(z, ad.transpose(self.W_z)), self.b_z)
+        return ad.linear(z, self.store["W_z"], self.store["b_z"])
 
     def project_semantics(self, e: ad.Tensor) -> ad.Tensor:
-        return ad.add_bias(ad.matmul(e, ad.transpose(self.W_e)), self.b_e)
+        return ad.linear(e, self.store["W_e"], self.store["b_e"])
 
     def weight_penalty(self) -> ad.Tensor:
-        return ad.add(ad.sum_sq(self.W_z), ad.sum_sq(self.W_e))
+        return ad.add(ad.sum_sq(self.store["W_z"]), ad.sum_sq(self.store["W_e"]))
 
 
 def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedModel:
@@ -76,23 +54,14 @@ def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedMode
     return EmbedModel(store, q, m, d, lam)
 
 
-def _semantic_graph(
-    fusion: FusionParams | None, bundles: list[SemanticBundle]
-) -> ad.Tensor:
-    """Semantic inputs for a list of bundles, fused when trainable."""
-    if fusion is not None:
-        e_c = ad.constant(np.stack([b.e_c for b in bundles]))
-        e_p = ad.constant(np.stack([b.e_p for b in bundles]))
-        return fuse_graph(fusion, e_c, e_p)
-    missing = [b.name for b in bundles if b.e is None]
-    if missing:
-        raise ContractError(f"bundles without fused semantics: {missing[:3]}")
-    return ad.constant(np.stack([b.e for b in bundles]))
+def _semantic_graph(fusion: FusionParams, bundles: list[SemanticBundle]) -> ad.Tensor:
+    """Semantic inputs for a list of bundles, one row per bundle."""
+    e_c = ad.constant(np.stack([b.e_c for b in bundles]))
+    e_p = ad.constant(np.stack([b.e_p for b in bundles]))
+    return fuse_graph(fusion, e_c, e_p)
 
 
-def embed_loss(
-    model: EmbedModel, fusion: FusionParams | None, batch: Batch
-) -> ad.Tensor:
+def embed_loss(model: EmbedModel, fusion: FusionParams, batch: Batch) -> ad.Tensor:
     """Mean squared common-space distance plus the weight penalty."""
     if not batch:
         raise ContractError("empty batch")
@@ -103,9 +72,7 @@ def embed_loss(
     z_proj = model.project_features(ad.constant(z))
     e_proj = model.project_semantics(_semantic_graph(fusion, bundles))
     pair_term = ad.scale(ad.sum_sq(ad.sub(z_proj, e_proj)), 1.0 / len(batch))
-    penalty = model.weight_penalty()
-    if fusion is not None:
-        penalty = ad.add(penalty, fusion.weight_penalty())
+    penalty = ad.add(model.weight_penalty(), fusion.weight_penalty())
     return ad.add(pair_term, ad.scale(penalty, model.lam))
 
 
@@ -127,7 +94,7 @@ class EmbedRun:
     """Training artifacts: both parameter groups plus the loss trace."""
 
     model: EmbedModel
-    fusion: FusionParams | None
+    fusion: FusionParams
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -156,17 +123,8 @@ def train_embed(
         int(s.generate_state(1)[0]) for s in seeds
     )
     model = init_embed_model(q, data.m, d, config.lam, model_seed)
-    fusion = (
-        init_fusion(d, fusion_seed, config.alpha)
-        if config.variation == "ours"
-        else None
-    )
-    if fusion is None:
-        # bake the raw vector of the active side into each bundle
-        bundles = resolve_semantics(bundles, None, config.variation)
-        by_id = {b.class_id: b for b in bundles}
-
-    stores = [model.store] + ([fusion.store] if fusion is not None else [])
+    fusion = init_fusion(d, fusion_seed, config.alpha, config.variation)
+    stores = [model.store, fusion.store]
     states = [ad.AdamState(s) for s in stores]
     rng = np.random.default_rng(shuffle_seed)
     history: list[float] = []
@@ -194,7 +152,7 @@ def train_embed(
 
 
 def _prototype_matrix(
-    model: EmbedModel, fusion: FusionParams | None, candidates: list[SemanticBundle]
+    model: EmbedModel, fusion: FusionParams, candidates: list[SemanticBundle]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected class prototypes, sorted by class id."""
     ordered = sorted(candidates, key=lambda b: b.class_id)
@@ -205,7 +163,7 @@ def _prototype_matrix(
 
 def classify_batch(
     model: EmbedModel,
-    fusion: FusionParams | None,
+    fusion: FusionParams,
     z: np.ndarray,
     candidates: list[SemanticBundle],
 ) -> np.ndarray:
@@ -221,29 +179,15 @@ def classify_batch(
     return ids[np.argmin(d2, axis=1)]
 
 
-def classify(
-    model: EmbedModel,
-    fusion: FusionParams | None,
-    z: np.ndarray,
-    candidates: list[SemanticBundle],
-) -> int:
-    """Class id of the nearest projected prototype for one feature vector."""
-    return int(classify_batch(model, fusion, z, candidates)[0])
-
-
 class EmbedPredictor:
-    """Evaluation adapter bundling the trained branches and variation."""
+    """Evaluation adapter bundling the trained branches and semantics."""
 
-    def __init__(
-        self, model: EmbedModel, fusion: FusionParams | None, variation: str
-    ):
+    def __init__(self, model: EmbedModel, fusion: FusionParams):
         self.model = model
         self.fusion = fusion
-        self.variation = variation
+        self.variation = fusion.variation
 
     def predict_batch(
         self, z: np.ndarray, candidates: list[SemanticBundle]
     ) -> np.ndarray:
-        if self.fusion is None:
-            candidates = resolve_semantics(candidates, None, self.variation)
         return classify_batch(self.model, self.fusion, z, candidates)

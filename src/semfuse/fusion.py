@@ -52,35 +52,26 @@ class SemanticBundle:
 
 
 class FusionParams:
-    """Trainable fusion layers: W_sigma/b_sigma on the class-name side,
-    W_phi/b_phi on the description side, plus the fixed mixing weight."""
+    """The class semantics of one variation. Under "ours" the store holds
+    the fusion layers, W_sigma/b_sigma on the class-name side and
+    W_phi/b_phi on the description side, mixed by ``alpha``; the fixed
+    variations use one raw side and leave the store empty."""
 
-    def __init__(self, store: ad.ParamStore, alpha: float, d: int):
+    def __init__(self, store: ad.ParamStore, alpha: float, d: int, variation: str = "ours"):
+        if variation not in VARIATIONS:
+            raise ContractError(f"unknown variation {variation!r}")
         if not 0.0 <= alpha <= 1.0:
             raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
         self.store = store
         self.alpha = float(alpha)
         self.d = d
-
-    @property
-    def W_sigma(self) -> ad.Tensor:
-        return self.store["W_sigma"]
-
-    @property
-    def b_sigma(self) -> ad.Tensor:
-        return self.store["b_sigma"]
-
-    @property
-    def W_phi(self) -> ad.Tensor:
-        return self.store["W_phi"]
-
-    @property
-    def b_phi(self) -> ad.Tensor:
-        return self.store["b_phi"]
+        self.variation = variation
 
     def weight_penalty(self) -> ad.Tensor:
-        """Sum of squared layer weights (biases excluded)."""
-        return ad.add(ad.sum_sq(self.W_sigma), ad.sum_sq(self.W_phi))
+        """Sum of squared layer weights (biases excluded); 0 without layers."""
+        if not len(self.store):
+            return ad.constant(0.0)
+        return ad.add(ad.sum_sq(self.store["W_sigma"]), ad.sum_sq(self.store["W_phi"]))
 
 
 # scale constant on the Glorot bound; starting the layers small lets
@@ -89,34 +80,45 @@ class FusionParams:
 FUSION_INIT_SCALE = 0.1
 
 
-def init_fusion(d: int, seed: int, alpha: float) -> FusionParams:
+def init_fusion(d: int, seed: int, alpha: float, variation: str = "ours") -> FusionParams:
     """Uniform init with bound FUSION_INIT_SCALE * sqrt(6 / (2 d));
-    biases zero. Deterministic in ``seed``."""
+    biases zero. Deterministic in ``seed``; no layers unless "ours"."""
     if d <= 0:
         raise ContractError("fusion dimension must be positive")
     rng = np.random.default_rng(seed)
     bound = FUSION_INIT_SCALE * np.sqrt(6.0 / (2 * d))
     store = ad.ParamStore()
-    store.add("W_sigma", rng.uniform(-bound, bound, size=(d, d)))
-    store.add("b_sigma", np.zeros(d))
-    store.add("W_phi", rng.uniform(-bound, bound, size=(d, d)))
-    store.add("b_phi", np.zeros(d))
-    return FusionParams(store, alpha, d)
+    if variation == "ours":
+        store.add("W_sigma", rng.uniform(-bound, bound, size=(d, d)))
+        store.add("b_sigma", np.zeros(d))
+        store.add("W_phi", rng.uniform(-bound, bound, size=(d, d)))
+        store.add("b_phi", np.zeros(d))
+    return FusionParams(store, alpha, d, variation)
 
 
 def fuse_graph(params: FusionParams, e_c: ad.Tensor, e_p: ad.Tensor) -> ad.Tensor:
-    """Fused semantics for a batch: rows are classes, (n, d) -> (n, d)."""
+    """Class semantics for a batch, rows are classes, (n, d) -> (n, d).
+
+    The one place a variation picks its vector: only-class-name passes
+    the class-name embedding through, only-chatgpt the description
+    embedding, and ours applies the fusion layers.
+    """
     if e_c.shape != e_p.shape or e_c.data.ndim != 2 or e_c.shape[1] != params.d:
         raise ShapeError(
             f"fuse expects (n, {params.d}) inputs, got {e_c.shape} and {e_p.shape}"
         )
-    name_side = ad.add_bias(ad.matmul(e_c, ad.transpose(params.W_sigma)), params.b_sigma)
-    desc_side = ad.add_bias(ad.matmul(e_p, ad.transpose(params.W_phi)), params.b_phi)
+    if params.variation == "only-class-name":
+        return e_c
+    if params.variation == "only-chatgpt":
+        return e_p
+    s = params.store
+    name_side = ad.linear(e_c, s["W_sigma"], s["b_sigma"])
+    desc_side = ad.linear(e_p, s["W_phi"], s["b_phi"])
     return ad.add(name_side, ad.scale(desc_side, params.alpha))
 
 
 def fuse(params: FusionParams, e_c: np.ndarray, e_p: np.ndarray) -> np.ndarray:
-    """Fused semantics for one class pair of vectors."""
+    """Class semantics for one class pair of vectors."""
     e_c = np.asarray(e_c, dtype=np.float64)
     e_p = np.asarray(e_p, dtype=np.float64)
     if e_c.ndim != 1 or e_c.shape != e_p.shape:
@@ -126,29 +128,13 @@ def fuse(params: FusionParams, e_c: np.ndarray, e_p: np.ndarray) -> np.ndarray:
 
 
 def resolve_semantics(
-    bundles: list[SemanticBundle],
-    fusion: FusionParams | None,
-    variation: str,
+    bundles: list[SemanticBundle], fusion: FusionParams
 ) -> list[SemanticBundle]:
-    """Fill each bundle's fused vector according to the variation.
-
-    only-class-name uses the class-name embedding as-is, only-chatgpt
-    the description embedding, and ours the trained fusion layers.
-    """
-    if variation not in VARIATIONS:
-        raise ContractError(f"unknown variation {variation!r}")
-    out = []
-    for b in bundles:
-        if variation == "only-class-name":
-            e = b.e_c.copy()
-        elif variation == "only-chatgpt":
-            e = b.e_p.copy()
-        else:
-            if fusion is None:
-                raise ContractError("variation 'ours' needs fusion parameters")
-            e = fuse(fusion, b.e_c, b.e_p)
-        out.append(SemanticBundle(b.class_id, b.name, b.e_c, b.e_p, e))
-    return out
+    """Copies of the bundles with the semantic vector ``e`` filled in."""
+    return [
+        SemanticBundle(b.class_id, b.name, b.e_c, b.e_p, fuse(fusion, b.e_c, b.e_p))
+        for b in bundles
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, check_split_discipline
 from .errors import ContractError, ManifestError, ShapeError
-from .fusion import SemanticBundle, fuse_graph, init_fusion, resolve_semantics
+from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion, resolve_semantics
 
 
 class Mlp:
@@ -34,15 +34,10 @@ class Mlp:
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         h = x
         for i in range(self.n_layers):
-            h = ad.add_bias(
-                ad.matmul(h, ad.transpose(self.store[f"l{i}.W"])), self.store[f"l{i}.b"]
-            )
+            h = ad.linear(h, self.store[f"l{i}.W"], self.store[f"l{i}.b"])
             if i < self.n_layers - 1:
                 h = ad.leaky_relu(h, self.slope)
         return h
-
-    def weight_tensors(self) -> list[ad.Tensor]:
-        return [self.store[f"l{i}.W"] for i in range(self.n_layers)]
 
 
 def _init_mlp(sizes: list[int], seed: int, slope: float = 0.2) -> Mlp:
@@ -169,12 +164,8 @@ class SoftmaxClassifier:
         self.m = m
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
-    @property
-    def theta(self) -> ad.Tensor:
-        return self.store["W"]
-
     def logits(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.add_bias(ad.matmul(z, ad.transpose(self.store["W"])), self.store["b"])
+        return ad.linear(z, self.store["W"], self.store["b"])
 
     def predict_ids(self, z: np.ndarray, candidate_ids=None) -> np.ndarray:
         """Argmax labels, optionally restricted to a candidate subset."""
@@ -226,19 +217,6 @@ def cls_loss_batch(
     onehot[np.arange(n), rows] = 1.0
     true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
     return ad.mean_all(ad.sub(lse, true_logit))
-
-
-def cls_loss(classifier: SoftmaxClassifier, z_hat, label: int) -> ad.Tensor:
-    """Negative log-likelihood of one (synthetic) feature vector."""
-    if isinstance(z_hat, ad.Tensor):
-        if z_hat.data.ndim != 2:
-            if z_hat.requires_grad:
-                raise ShapeError("pass a (1, m) tensor to keep gradients flowing")
-            z_hat = ad.constant(z_hat.data[None, :])
-        tensor = z_hat
-    else:
-        tensor = ad.constant(np.atleast_2d(np.asarray(z_hat, dtype=np.float64)))
-    return cls_loss_batch(classifier, tensor, [label])
 
 
 @dataclass
@@ -379,28 +357,17 @@ class GanTrainer:
         g_seed, d_seed, f_seed, batch_seed = (int(s.generate_state(1)[0]) for s in seeds)
         self.gen = init_generator(data.m, d, config.noise_dim, g_seed, hidden)
         self.disc = init_discriminator(data.m, d, d_seed, hidden)
-        self.fusion = (
-            init_fusion(d, f_seed, config.alpha) if config.variation == "ours" else None
-        )
-        if self.fusion is None:
-            bundles = resolve_semantics(bundles, None, config.variation)
-            by_id = {b.class_id: b for b in bundles}
+        self.fusion = init_fusion(d, f_seed, config.alpha, config.variation)
         self._ec = np.stack([by_id[int(c)].e_c for c in data.labels])
         self._ep = np.stack([by_id[int(c)].e_p for c in data.labels])
-        if self.fusion is None:
-            self._e_fixed = np.stack([by_id[int(c)].e for c in data.labels])
         self.rng = np.random.default_rng(batch_seed)
 
-        self._gen_stores = [self.gen.store] + (
-            [self.fusion.store] if self.fusion is not None else []
-        )
+        self._gen_stores = [self.gen.store, self.fusion.store]
         self._gen_states = [ad.AdamState(s) for s in self._gen_stores]
         self._disc_state = ad.AdamState(self.disc.store)
 
     def _semantics_for(self, rows: np.ndarray, graph: bool) -> ad.Tensor:
         """Per-row conditioning vectors; ``graph`` keeps fusion trainable."""
-        if self.fusion is None:
-            return ad.constant(self._e_fixed[rows])
         e = fuse_graph(
             self.fusion, ad.constant(self._ec[rows]), ad.constant(self._ep[rows])
         )
@@ -468,16 +435,20 @@ def synthesize(gen: Generator, bundle: SemanticBundle, n: int, seed: int) -> np.
 
 def synthesize_set(
     gen: Generator,
+    fusion: FusionParams,
     bundles: list[SemanticBundle],
+    unseen_ids,
     per_class: int,
     seed: int,
     class_table: dict[int, str],
 ) -> FeatureSet:
-    """Synthetic unseen-class feature set, one block per bundle."""
-    if not bundles:
+    """Synthetic feature set for the bundles of ``unseen_ids``, one block
+    per class, conditioned on their semantics under ``fusion``."""
+    unseen = resolve_semantics([b for b in bundles if b.class_id in unseen_ids], fusion)
+    if not unseen:
         raise ContractError("no classes to synthesize")
     blocks, labels = [], []
-    for b in sorted(bundles, key=lambda b: b.class_id):
+    for b in sorted(unseen, key=lambda b: b.class_id):
         class_seed = int(np.random.SeedSequence([seed, b.class_id]).generate_state(1)[0])
         blocks.append(synthesize(gen, b, per_class, class_seed))
         labels.extend([b.class_id] * per_class)
@@ -486,7 +457,7 @@ def synthesize_set(
         np.array(labels, dtype=np.int64),
         class_table,
         frozenset(),
-        frozenset(b.class_id for b in bundles),
+        frozenset(b.class_id for b in unseen),
     )
 
 

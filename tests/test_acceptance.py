@@ -16,7 +16,7 @@ from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import (
     EmbedPredictor,
     EmbedTrainConfig,
-    classify,
+    classify_batch,
     embed_loss,
     init_embed_model,
     train_embed,
@@ -27,7 +27,7 @@ from semfuse.evaluation import (
     harmonic_mean,
     per_class_top1,
 )
-from semfuse.fusion import SemanticBundle, fuse_graph, init_fusion, resolve_semantics
+from semfuse.fusion import SemanticBundle, fuse_graph, init_fusion
 from semfuse.gen_zsl import (
     ClassifierTrainConfig,
     GanTrainer,
@@ -222,7 +222,7 @@ def _embed_zsl_accuracy(variation, seed, sigma_c, sigma_p):
         EmbedTrainConfig(lr=0.005, epochs=400, lam=1e-4, alpha=1.0,
                          seed=seed, variation=variation),
     )
-    rep = evaluate_run(EmbedPredictor(run.model, run.fusion, variation),
+    rep = evaluate_run(EmbedPredictor(run.model, run.fusion),
                        test, bundles, "zsl")
     return rep.acc
 
@@ -272,9 +272,8 @@ def test_criterion_5_generative_family_end_to_end():
                        alpha=1.0, variation=variation),
     )
     trainer.train()
-    resolved = resolve_semantics(bundles, trainer.fusion, variation)
-    unseen = [b for b in resolved if b.class_id in data.unseen_ids]
-    synth = synthesize_set(trainer.gen, unseen, 200, seed, data.class_table)
+    synth = synthesize_set(trainer.gen, trainer.fusion, bundles, data.unseen_ids, 200, seed,
+                           data.class_table)
     final = train_final_classifier(train, synth, clf_cfg)
     rep = evaluate_run(GenPredictor(final, variation), test, bundles, "gzsl")
     elapsed = watch.check()
@@ -339,11 +338,12 @@ def test_criterion_7_brute_force_equivalence():
             for c in ids
         ]
         z = rng.normal(size=m)
-        got = classify(model, None, z, candidates)
+        name_only = init_fusion(int(d), seed=0, alpha=0.5, variation="only-class-name")
+        got = classify_batch(model, name_only, z, candidates)[0]
         z_proj = model.project_features(ad.constant(z[None, :])).data[0]
         best_id, best = None, np.inf
         for c in sorted(candidates, key=lambda b: b.class_id):
-            proto = model.project_semantics(ad.constant(c.e[None, :])).data[0]
+            proto = model.project_semantics(ad.constant(c.e_c[None, :])).data[0]
             dist = float(((z_proj - proto) ** 2).sum())
             if dist < best:
                 best_id, best = c.class_id, dist

@@ -18,11 +18,6 @@ def test_matmul_shape_error_names_both_shapes():
         ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0], [3.0]]))
 
 
-def test_relu_definition():
-    out = ad.relu(ad.constant([-1.0, 0.0, 2.0]))
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-
-
 def test_leaky_relu_applies_slope_below_zero():
     out = ad.leaky_relu(ad.constant([-2.0, 0.0, 3.0]), slope=0.1)
     assert np.allclose(out.data, [-0.2, 0.0, 3.0])
@@ -47,20 +42,33 @@ def test_mean_all_value_and_gradient():
 
 
 def test_bias_add_broadcasts_over_rows():
-    out = ad.add_bias(ad.constant([[1.0, 2.0], [3.0, 4.0]]), ad.constant([10.0, 20.0]))
+    eye = ad.constant(np.eye(2))
+    out = ad.linear(ad.constant([[1.0, 2.0], [3.0, 4.0]]), eye, ad.constant([10.0, 20.0]))
     assert np.array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
     with pytest.raises(ShapeError):
-        ad.add_bias(ad.constant([[1.0, 2.0]]), ad.constant([1.0, 2.0, 3.0]))
+        ad.linear(ad.constant([[1.0, 2.0]]), eye, ad.constant([1.0, 2.0, 3.0]))
 
 
-def test_softmax_symmetry():
-    out = ad.softmax(ad.constant([0.0, 0.0]))
-    assert np.allclose(out.data, [0.5, 0.5])
+def test_linear_value_is_the_numpy_affine_map_bit_for_bit():
+    rng = np.random.default_rng(12)
+    x, W, b = rng.normal(size=(7, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)
+    out = ad.linear(ad.constant(x), ad.constant(W), ad.constant(b))
+    assert np.array_equal(out.data, x @ W.T + b)
 
 
-def test_softmax_rows_sum_to_one():
-    out = ad.softmax(ad.constant(np.random.default_rng(0).normal(size=(4, 6))))
-    assert np.allclose(out.data.sum(axis=1), 1.0)
+def test_linear_passes_grad_check():
+    rng = np.random.default_rng(13)
+    store = ad.ParamStore()
+    x = store.add("x", rng.normal(size=(6, 4)))
+    W = store.add("W", rng.normal(size=(3, 4)))
+    b = store.add("b", rng.normal(size=3))
+    assert ad.grad_check(lambda: ad.sum_sq(ad.linear(x, W, b)), store) < 1e-6
+
+
+def test_linear_shape_error_names_all_three_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 5\).*\(3,\)"):
+        ad.linear(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))),
+                  ad.constant(np.ones(3)))
 
 
 def test_backward_sum_of_squares():
@@ -103,6 +111,16 @@ def test_backward_rejects_non_scalar_loss():
         ad.backward(ad.mul(store["x"], store["x"]), store)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_backward_rejects_non_finite_loss_and_names_it(value):
+    store = ad.ParamStore()
+    store.add("x", [1.0])
+    loss = ad.scale(ad.sum_all(store["x"]), value)
+    with pytest.raises(ContractError, match=str(loss.item())):
+        ad.backward(loss, store)
+    assert store.grads == {}
+
+
 def test_grad_check_relu_network_off_kink():
     rng = np.random.default_rng(3)
     store = ad.ParamStore()
@@ -111,7 +129,7 @@ def test_grad_check_relu_network_off_kink():
     x = ad.constant(rng.normal(size=(8, 4)))
 
     def loss_fn():
-        h = ad.relu(ad.add_bias(ad.matmul(x, ad.transpose(store["W"])), store["b"]))
+        h = ad.leaky_relu(ad.linear(x, store["W"], store["b"]), slope=0.0)
         return ad.mean_all(h)
 
     assert ad.grad_check(loss_fn, store) < 1e-4
@@ -205,7 +223,7 @@ def test_gradient_shapes_match_parameters():
     store.add("W", rng.normal(size=(3, 2)))
     store.add("b", rng.normal(size=3))
     x = ad.constant(rng.normal(size=(4, 2)))
-    loss = ad.sum_sq(ad.add_bias(ad.matmul(x, ad.transpose(store["W"])), store["b"]))
+    loss = ad.sum_sq(ad.linear(x, store["W"], store["b"]))
     ad.backward(loss, store)
     for name, t in store.items():
         assert store.grads[name].shape == t.data.shape

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from semfuse.cli import main
 from semfuse.evaluation import read_report_csv
@@ -274,3 +275,59 @@ def test_train_embed_writes_fused_semantics(demo_dir, tmp_path):
     assert main(["train-embed", "--config", str(cfg)]) == 0
     fused = (tmp_path / "fused_run" / "fused_semantics.csv").read_text().splitlines()
     assert len(fused) == 7  # header + six classes
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_training_exits_2_without_checkpoint(demo_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "diverged",
+                       optimizer="sgd", lr="10", epochs="200")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "diverged" / "model.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def ours_run(demo_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("ours_run")
+    cfg = write_config(root / "c.cfg", demo_dir, root / "run")
+    assert main(["train", "--config", str(cfg)]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "override,key,trained,given",
+    [
+        (["--variation", "only-class-name"], "variation", "ours", "only-class-name"),
+        (["--alpha", "0.3"], "alpha", "0.5", "0.3"),
+    ],
+)
+def test_eval_refuses_a_config_the_run_was_not_trained_under(
+    ours_run, tmp_path, capsys, override, key, trained, given
+):
+    out = tmp_path / "report.csv"
+    code = main(["eval", "--config", str(ours_run), "--mode", "zsl", "--out", str(out),
+                 *override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key} = {trained}" in err and f"{key} = {given}" in err
+    assert not out.exists()
+
+
+def test_eval_without_run_config_exits_2(demo_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", epochs="5")
+    assert main(["train", "--config", str(cfg)]) == 0
+    (tmp_path / "run" / "run.cfg").unlink()
+    assert main(["eval", "--config", str(cfg), "--mode", "zsl"]) == 2
+    assert "run config not found" in capsys.readouterr().err
+
+
+def test_only_ours_saves_fusion_layers(demo_dir, tmp_path):
+    for variation in ("only-class-name", "only-chatgpt", "ours"):
+        out_dir = tmp_path / variation
+        cfg = write_config(tmp_path / f"{variation}.cfg", demo_dir, out_dir,
+                           variation=variation, epochs="5")
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = (out_dir / "model.ckpt").read_text().splitlines()
+        has_fusion = any(line.startswith("fusion.") for line in ckpt)
+        assert has_fusion == (variation == "ours"), variation
+        assert (out_dir / "fused_semantics.csv").exists() == (variation == "ours"), variation

@@ -9,7 +9,6 @@ from semfuse.embed_zsl import (
     EmbedModel,
     EmbedPredictor,
     EmbedTrainConfig,
-    classify,
     classify_batch,
     embed_loss,
     init_embed_model,
@@ -31,6 +30,11 @@ def fixed_model(w_z, w_e, lam=0.0) -> EmbedModel:
     return EmbedModel(store, w_z.shape[0], w_z.shape[1], w_e.shape[1], lam)
 
 
+def name_only(d: int) -> FusionParams:
+    """Fixed semantics that pass each bundle's class-name vector through."""
+    return init_fusion(d, seed=0, alpha=0.5, variation="only-class-name")
+
+
 def bundle(cid, e, d=None):
     e = np.asarray(e, dtype=np.float64)
     return SemanticBundle(cid, f"c{cid}", e, np.zeros_like(e), e.copy())
@@ -39,13 +43,13 @@ def bundle(cid, e, d=None):
 def test_loss_zero_when_projections_agree():
     model = fixed_model(np.eye(2), np.eye(2))
     batch = [(np.array([1.0, 2.0]), bundle(0, [1.0, 2.0]))]
-    assert embed_loss(model, None, batch).item() == 0.0
+    assert embed_loss(model, name_only(2), batch).item() == 0.0
 
 
 def test_loss_is_squared_distance():
     model = fixed_model(np.eye(2), np.eye(2))
     batch = [(np.array([1.0, 0.0]), bundle(0, [0.0, 1.0]))]
-    assert embed_loss(model, None, batch).item() == pytest.approx(2.0)
+    assert embed_loss(model, name_only(2), batch).item() == pytest.approx(2.0)
 
 
 def test_loss_weight_penalty_hand_value():
@@ -67,7 +71,7 @@ def test_loss_weight_penalty_hand_value():
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ContractError):
-        embed_loss(fixed_model(np.eye(2), np.eye(2)), None, [])
+        embed_loss(fixed_model(np.eye(2), np.eye(2)), name_only(2), [])
 
 
 def test_loss_gradient_passes_grad_check():
@@ -160,18 +164,18 @@ def test_training_rejects_missing_semantics():
 def test_classify_exact_prototype_match():
     model = fixed_model(np.eye(2), np.eye(2))
     candidates = [bundle(0, [1.0, 0.0]), bundle(1, [0.0, 1.0])]
-    assert classify(model, None, np.array([0.0, 1.0]), candidates) == 1
+    assert classify_batch(model, name_only(2), np.array([0.0, 1.0]), candidates)[0] == 1
 
 
 def test_classify_tie_goes_to_lowest_id():
     model = fixed_model(np.eye(2), np.eye(2))
     candidates = [bundle(4, [1.0, 0.0]), bundle(2, [-1.0, 0.0])]
-    assert classify(model, None, np.array([0.0, 0.0]), candidates) == 2
+    assert classify_batch(model, name_only(2), np.array([0.0, 0.0]), candidates)[0] == 2
 
 
 def test_classify_requires_candidates():
     with pytest.raises(ContractError):
-        classify(fixed_model(np.eye(2), np.eye(2)), None, np.zeros(2), [])
+        classify_batch(fixed_model(np.eye(2), np.eye(2)), name_only(2), np.zeros(2), [])
 
 
 @given(seed=st.integers(0, 200))
@@ -181,7 +185,7 @@ def test_classify_matches_brute_force_and_ignores_order(seed):
     model = fixed_model(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)))
     candidates = [bundle(i, rng.normal(size=5)) for i in range(10)]
     z = rng.normal(size=4)
-    got = classify(model, None, z, candidates)
+    got = classify_batch(model, name_only(5), z, candidates)[0]
     # exhaustive oracle over every candidate, lowest id wins ties
     z_proj = model.project_features(ad.constant(z[None, :])).data[0]
     best_id, best_d2 = None, np.inf
@@ -193,7 +197,7 @@ def test_classify_matches_brute_force_and_ignores_order(seed):
     assert got == best_id
     shuffled = list(candidates)
     rng.shuffle(shuffled)
-    assert classify(model, None, z, shuffled) == got
+    assert classify_batch(model, name_only(5), z, shuffled)[0] == got
 
 
 def test_zsl_and_gzsl_share_the_classifier_code_path():
@@ -201,8 +205,8 @@ def test_zsl_and_gzsl_share_the_classifier_code_path():
     model = fixed_model(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)))
     candidates = [bundle(i, rng.normal(size=5)) for i in range(6)]
     z = rng.normal(size=(5, 4))
-    full = classify_batch(model, None, z, candidates)
-    unseen_only = classify_batch(model, None, z, candidates[3:])
+    full = classify_batch(model, name_only(5), z, candidates)
+    unseen_only = classify_batch(model, name_only(5), z, candidates[3:])
     assert set(full) <= {c.class_id for c in candidates}
     assert set(unseen_only) <= {c.class_id for c in candidates[3:]}
 
@@ -228,6 +232,6 @@ def test_noiseless_synthetic_reaches_perfect_unseen_accuracy():
         EmbedTrainConfig(lr=0.005, epochs=600, lam=0.0, alpha=0.5, seed=1),
     )
     report = evaluate_run(
-        EmbedPredictor(run.model, run.fusion, "ours"), test, bundles, "zsl"
+        EmbedPredictor(run.model, run.fusion), test, bundles, "zsl"
     )
     assert report.acc == 100.0

@@ -60,17 +60,17 @@ def test_init_is_deterministic_in_seed():
     a = init_fusion(8, seed=42, alpha=0.5)
     b = init_fusion(8, seed=42, alpha=0.5)
     c = init_fusion(8, seed=43, alpha=0.5)
-    assert np.array_equal(a.W_sigma.data, b.W_sigma.data)
-    assert np.array_equal(a.W_phi.data, b.W_phi.data)
-    assert not np.array_equal(a.W_sigma.data, c.W_sigma.data)
+    assert np.array_equal(a.store["W_sigma"].data, b.store["W_sigma"].data)
+    assert np.array_equal(a.store["W_phi"].data, b.store["W_phi"].data)
+    assert not np.array_equal(a.store["W_sigma"].data, c.store["W_sigma"].data)
 
 
 def test_init_weight_bound_at_d_300():
     params = init_fusion(300, seed=0, alpha=0.5)
     bound = np.sqrt(6.0 / 600.0)
-    assert np.abs(params.W_sigma.data).max() <= bound
-    assert np.abs(params.W_phi.data).max() <= bound
-    assert np.array_equal(params.b_sigma.data, np.zeros(300))
+    assert np.abs(params.store["W_sigma"].data).max() <= bound
+    assert np.abs(params.store["W_phi"].data).max() <= bound
+    assert np.array_equal(params.store["b_sigma"].data, np.zeros(300))
 
 
 def test_alpha_outside_unit_interval_rejected():
@@ -128,14 +128,24 @@ def test_resolve_semantics_variations():
         SemanticBundle(i, f"class_{i}", rng.normal(size=3), rng.normal(size=3))
         for i in range(3)
     ]
-    by_name = resolve_semantics(bundles, None, "only-class-name")
+    by_name = resolve_semantics(bundles, init_fusion(3, 0, 0.5, "only-class-name"))
     assert all(np.array_equal(b.e, b.e_c) for b in by_name)
-    by_desc = resolve_semantics(bundles, None, "only-chatgpt")
+    by_desc = resolve_semantics(bundles, init_fusion(3, 0, 0.5, "only-chatgpt"))
     assert all(np.array_equal(b.e, b.e_p) for b in by_desc)
-    fused = resolve_semantics(bundles, identity_fusion(3, 1.0), "ours")
+    fused = resolve_semantics(bundles, identity_fusion(3, 1.0))
     assert all(np.allclose(b.e, b.e_c + b.e_p) for b in fused)
     with pytest.raises(ContractError):
-        resolve_semantics(bundles, None, "ours")
+        init_fusion(3, 0, 0.5, "only-glove")
+
+
+def test_fixed_variations_have_no_layers_to_train():
+    for variation in ("only-class-name", "only-chatgpt"):
+        fixed = init_fusion(4, seed=0, alpha=0.5, variation=variation)
+        assert len(fixed.store) == 0
+        assert fixed.weight_penalty().item() == 0.0
+    assert init_fusion(4, seed=0, alpha=0.5).store.names() == [
+        "W_sigma", "b_sigma", "W_phi", "b_phi"
+    ]
 
 
 def test_bundle_file_round_trip(tmp_path):

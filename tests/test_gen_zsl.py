@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from semfuse import autodiff as ad
 from semfuse.datasets import SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError
-from semfuse.fusion import SemanticBundle
+from semfuse.fusion import SemanticBundle, init_fusion
 from semfuse.gen_zsl import (
     ClassifierTrainConfig,
     Discriminator,
@@ -14,7 +14,6 @@ from semfuse.gen_zsl import (
     GenTrainConfig,
     Generator,
     Mlp,
-    cls_loss,
     cls_loss_batch,
     gradient_penalty,
     init_classifier,
@@ -103,7 +102,7 @@ def test_cls_loss_uniform_logits_is_log_k():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1, 2, 3], 3)
-    loss = cls_loss(clf, np.ones(3), label=2)
+    loss = cls_loss_batch(clf, ad.constant(np.ones((1, 3))), [2])
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
 
@@ -114,7 +113,7 @@ def test_cls_loss_confident_correct_logits():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1, 2], 1)
-    loss = cls_loss(clf, np.array([1.0]), label=0)
+    loss = cls_loss_batch(clf, ad.constant([[1.0]]), [0])
     assert loss.item() == pytest.approx(np.log(1 + 2 * np.exp(-10.0)), rel=1e-9)
     assert loss.item() == pytest.approx(9.1e-5, rel=0.01)
 
@@ -126,13 +125,13 @@ def test_cls_loss_goes_to_zero_in_the_confident_limit():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1], 1)
-    assert cls_loss(clf, np.array([1.0]), label=0).item() < 1e-12
+    assert cls_loss_batch(clf, ad.constant([[1.0]]), [0]).item() < 1e-12
 
 
 def test_cls_loss_rejects_unknown_label():
     clf = init_classifier(3, [0, 1], seed=0)
     with pytest.raises(ContractError):
-        cls_loss(clf, np.zeros(3), label=7)
+        cls_loss_batch(clf, ad.constant(np.zeros((1, 3))), [7])
 
 
 def test_cls_loss_gradient_flows_to_generator():
@@ -341,7 +340,9 @@ def test_synthesize_set_builds_unseen_feature_set():
         SemanticBundle(5, "u1", np.ones(3), np.ones(3), np.ones(3)),
         SemanticBundle(6, "u2", -np.ones(3), -np.ones(3), -np.ones(3)),
     ]
-    fs = synthesize_set(gen, bundles, per_class=10, seed=1, class_table={5: "u1", 6: "u2"})
+    name_only = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
+    fs = synthesize_set(gen, name_only, bundles, {5, 6}, per_class=10, seed=1,
+                        class_table={5: "u1", 6: "u2"})
     assert fs.n == 20
     assert set(fs.unseen_ids) == {5, 6}
     assert sorted(np.unique(fs.labels)) == [5, 6]
