@@ -495,41 +495,54 @@ def adam_step(
 
 def save_params(path, stores: dict[str, ParamStore]) -> None:
     """Write ordered (name, shape, values) records as UTF-8 text."""
-    lines = []
-    for prefix, store in stores.items():
-        for name, t in store.items():
-            full = f"{prefix}.{name}" if prefix else name
-            dims = ",".join(str(s) for s in t.data.shape) or "-"
-            vals = " ".join(format(v, ".17g") for v in t.data.reshape(-1))
-            lines.append(f"{full} {dims} {vals}".rstrip())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for prefix, store in stores.items():
+            for name, t in store.items():
+                full = f"{prefix}.{name}" if prefix else name
+                dims = ",".join(str(s) for s in t.data.shape) or "-"
+                flat = t.data.reshape(-1).tolist()
+                vals = " ".join(["%.17g"] * len(flat)) % tuple(flat)
+                handle.write(f"{full} {dims} {vals}".rstrip() + "\n")
+        if not handle.tell():  # no records: one empty line
+            handle.write("\n")
 
 
-def load_params(path) -> dict[str, Array]:
-    """Read a checkpoint back into name -> array."""
+def load_params(path, prefixes=None) -> dict[str, Array]:
+    """Read a checkpoint back into name -> array.
+
+    With ``prefixes``, only records named ``<prefix>.<rest>`` for one of
+    them are kept, and the values of the others are not parsed; record
+    structure (at least a name and a shape, no duplicate name) is still
+    checked on every line.
+    """
     out: dict[str, Array] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise FormatError(f"{path}:{lineno}: malformed checkpoint record")
-        name, dims = fields[0], fields[1]
-        try:
-            shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
-            values = np.array([float(v) for v in fields[2:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        expected = int(np.prod(shape)) if shape else 1
-        if values.size != expected:
-            raise FormatError(
-                f"{path}:{lineno}: {values.size} values for shape {shape}"
-            )
-        if name in out:
-            raise FormatError(f"{path}:{lineno}: duplicate parameter {name!r}")
-        out[name] = values.reshape(shape)
-    if not out:
+    names: set[str] = set()
+    with Path(path).open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            fields = line.split(None, 2)
+            if not fields:
+                continue
+            if len(fields) < 2:
+                raise FormatError(f"{path}:{lineno}: malformed checkpoint record")
+            name, dims, *rest = fields
+            if name in names:
+                raise FormatError(f"{path}:{lineno}: duplicate parameter {name!r}")
+            names.add(name)
+            head, dot, _ = name.partition(".")
+            if prefixes is not None and not (dot and head in prefixes):
+                continue
+            try:
+                shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
+                values = np.array(rest[0].split() if rest else [], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            expected = int(np.prod(shape)) if shape else 1
+            if values.size != expected:
+                raise FormatError(
+                    f"{path}:{lineno}: {values.size} values for shape {shape}"
+                )
+            out[name] = values.reshape(shape)
+    if not names:
         raise FormatError(f"{path}: empty checkpoint")
     return out
 

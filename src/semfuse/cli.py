@@ -6,9 +6,9 @@ synthesize, eval, compare, and sweep-alpha. Runs are deterministic
 given config file plus seed; reports are CSV plus an aligned table.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also a
-non-finite training loss, and an eval or synthesize config that differs
-from the run's training config), 3 malformed data files, 4 transport
-failures.
+non-finite training loss, an eval or synthesize config that differs
+from the run's training config, and eval test features of another width
+than the checkpoint's), 3 malformed data files, 4 transport failures.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .gen_zsl import (
     train_final_classifier,
 )
 from .llm_client import DescriptionCache, EndpointConfig, fetch_all, fetch_description
-from .wordvec import embed_text, load_word_vectors
+from .wordvec import embed_text, load_word_vectors, tokenize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,14 +177,14 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 # bundle construction
 
 
-def build_bundles(split, table, variation: str, cache_dir=None) -> list[SemanticBundle]:
+def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> list[SemanticBundle]:
     """Bundles for every class of a split, honoring the variation.
 
     The side a variation does not use is zeroed; "ours" fills both and
     leaves fusion to training. Description text comes from the cache
-    only; a miss fails like any other offline miss.
+    only; a miss fails like any other offline miss. The word-vector file
+    is loaded filtered to the tokens of the texts the variation embeds.
     """
-    d = table.dimension
     needs_desc = variation in ("only-chatgpt", "ours")
     cache = None
     if needs_desc:
@@ -193,20 +193,27 @@ def build_bundles(split, table, variation: str, cache_dir=None) -> list[Semantic
                 f"variation {variation!r} needs a description cache directory"
             )
         cache = DescriptionCache(cache_dir)
-    bundles = []
-    for name, cid in sorted(split.class_ids.items(), key=lambda kv: kv[1]):
-        e_c = (
-            np.zeros(d)
-            if variation == "only-chatgpt"
-            else embed_text(table, name)
-        )
-        if needs_desc:
-            text = fetch_description(name, cache, None)
-            e_p = embed_text(table, text)
-        else:
-            e_p = np.zeros(d)
-        bundles.append(SemanticBundle(cid, name, e_c, e_p))
-    return bundles
+    classes = sorted(split.class_ids.items(), key=lambda kv: kv[1])
+    # the texts each side embeds; None marks a zeroed side
+    name_texts = [None if variation == "only-chatgpt" else name for name, _ in classes]
+    desc_texts = [
+        fetch_description(name, cache, None) if needs_desc else None for name, _ in classes
+    ]
+    vocabulary = {
+        token
+        for text in name_texts + desc_texts
+        if text is not None
+        for token in tokenize(text)
+    }
+    table = load_word_vectors(word_vectors, vocabulary)
+
+    def side(text):
+        return np.zeros(table.dimension) if text is None else embed_text(table, text)
+
+    return [
+        SemanticBundle(cid, name, side(name_text), side(desc_text))
+        for (name, cid), name_text, desc_text in zip(classes, name_texts, desc_texts)
+    ]
 
 
 def obtain_bundles(config: RunConfig, split) -> list[SemanticBundle]:
@@ -220,8 +227,7 @@ def obtain_bundles(config: RunConfig, split) -> list[SemanticBundle]:
         return bundles
     if config.word_vectors is None:
         raise ConfigError("config needs either 'bundles' or 'word_vectors'")
-    table = load_word_vectors(config.word_vectors)
-    return build_bundles(split, table, config.variation, split.description_dir)
+    return build_bundles(split, config.word_vectors, config.variation, split.description_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +342,11 @@ def _gen_config(config: RunConfig, steps: int) -> GenTrainConfig:
 _TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
 
 
-def _restore_artifacts(config: RunConfig, bundles, m: int):
+def _restore_artifacts(config: RunConfig, bundles):
     """Rebuild trained components from the checkpoint for evaluation,
-    refusing a run trained under different ``_TRAINED_KEYS``."""
+    refusing a run trained under different ``_TRAINED_KEYS``. Returns
+    the model, the semantics object and the feature width ``m``, read
+    from the checkpoint's own records."""
     ckpt, run_cfg = _ckpt_path(config), Path(config.out_dir) / "run.cfg"
     for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
         if not path.exists():
@@ -350,17 +358,22 @@ def _restore_artifacts(config: RunConfig, bundles, m: int):
                 f"run {config.out_dir} was trained with {key} = {getattr(trained, key)}, "
                 f"this config has {key} = {getattr(config, key)}"
             )
-    values = ad.load_params(ckpt)
+    values = ad.load_params(ckpt, ("fusion", config.method))
+    # m is the embedding's input width or the generator's output width
+    key, axis = ("embed.W_z", 1) if config.method == "embed" else ("gen.l1.W", 0)
+    if key not in values or values[key].ndim != 2:
+        raise FormatError(f"{ckpt}: no 2-d parameter {key!r} to read the feature width from")
+    m = values[key].shape[axis]
     d = bundles[0].dimension
     fusion = init_fusion(d, 0, config.alpha, config.variation)
     ad.restore_store(fusion.store, values, "fusion")
     if config.method == "embed":
         model = init_embed_model(config.q or d, m, d, config.lam, 0)
         ad.restore_store(model.store, values, "embed")
-        return EmbedPredictor(model, fusion), fusion
+        return EmbedPredictor(model, fusion), fusion, m
     gen = init_generator(m, d, config.noise_dim, 0, [config.hidden_mult * m])
     ad.restore_store(gen.store, values, "gen")
-    return gen, fusion
+    return gen, fusion, m
 
 
 def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
@@ -369,7 +382,12 @@ def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
     test_set = _test_features(split)
-    artifacts, fusion = _restore_artifacts(config, bundles, test_set.m)
+    artifacts, fusion, m = _restore_artifacts(config, bundles)
+    if test_set.m != m:
+        raise ConfigError(
+            f"test features {split.test_features} have width {test_set.m}, "
+            f"the checkpoint was trained on width {m}"
+        )
 
     if config.method == "embed":
         predictor = artifacts
@@ -424,11 +442,10 @@ def cmd_fetch_descriptions(args) -> int:
 
 def cmd_build_semantics(args) -> int:
     split = load_split(args.split)
-    table = load_word_vectors(args.word_vectors)
     cache_dir = args.cache or split.description_dir
-    bundles = build_bundles(split, table, args.variation, cache_dir)
+    bundles = build_bundles(split, args.word_vectors, args.variation, cache_dir)
     write_bundles(args.out, bundles, args.variation)
-    print(f"wrote {len(bundles)} bundles (d={table.dimension}) to {args.out}")
+    print(f"wrote {len(bundles)} bundles (d={bundles[0].dimension}) to {args.out}")
     return EXIT_OK
 
 
@@ -458,8 +475,7 @@ def cmd_synthesize(args) -> int:
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
-    test_set = _test_features(split)
-    gen, fusion = _restore_artifacts(config, bundles, test_set.m)
+    gen, fusion, _ = _restore_artifacts(config, bundles)
     per_class = args.per_class or config.synth_per_class
     synth = synthesize_set(
         gen, fusion, bundles, split.unseen_ids, per_class, config.seed, split.class_table

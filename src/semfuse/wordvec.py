@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import FormatError, OutOfVocabularyError
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -34,27 +34,36 @@ class WordVectorTable:
         return self.vectors.get(token.lower())
 
 
-def load_word_vectors(path) -> WordVectorTable:
+def load_word_vectors(path, vocabulary=None) -> WordVectorTable:
     """Parse a text file of ``token v1 v2 ... vd`` lines.
 
     An optional first line ``N d`` (two integer fields) is treated as a
     header and skipped. Duplicate tokens keep their first occurrence.
-    Raises FormatError for an empty file, a float that does not parse,
-    or a dimension that changes between lines.
+    Raises FormatError, naming ``path:line``, for an empty file, a float
+    that does not parse, or a dimension that changes between lines.
+
+    With ``vocabulary`` (a set of lowercase tokens) the table holds only
+    the tokens of the vocabulary, and only these lines are parsed and
+    validated: the first data line, which fixes ``dimension``, and every
+    line whose token is in the vocabulary. A malformed line of any other
+    token is skipped unread. ``None`` parses and validates every line.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     with path.open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            fields = raw.split()
-            if not fields:
+            head = raw.split(None, 1)
+            if not head:
                 continue
-            if lineno == 1 and len(fields) == 2 and _all_ints(fields):
+            token = head[0].lower()
+            if dimension is not None and vocabulary is not None and token not in vocabulary:
                 continue
-            token = fields[0].lower()
+            fields = head[1].split() if len(head) > 1 else []
+            if lineno == 1 and len(fields) == 1 and _all_ints(head[:1] + fields):
+                continue
             try:
-                values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                values = np.array(fields, dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if values.size == 0:
@@ -65,7 +74,7 @@ def load_word_vectors(path) -> WordVectorTable:
                 raise FormatError(
                     f"{path}:{lineno}: expected {dimension} values, got {values.size}"
                 )
-            if token not in vectors:
+            if token not in vectors and (vocabulary is None or token in vocabulary):
                 vectors[token] = values
     if dimension is None:
         raise FormatError(f"{path}: no word vectors found")
@@ -83,7 +92,7 @@ def _all_ints(fields: list[str]) -> bool:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on runs of non-alphanumeric characters."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    return _TOKEN.findall(text.lower())
 
 
 def embed_text(table: WordVectorTable, text: str) -> np.ndarray:

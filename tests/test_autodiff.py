@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semfuse import autodiff as ad
 from semfuse.errors import ContractError, FormatError, ShapeError
@@ -259,6 +260,133 @@ def test_checkpoint_rejects_malformed_file(tmp_path):
     path.write_text("W 2,2 1 2 3\n")  # wrong value count
     with pytest.raises(FormatError):
         ad.load_params(path)
+
+
+def _reference_checkpoint(stores) -> bytes:
+    """Checkpoint bytes with one ``format(v, ".17g")`` call per value."""
+    lines = []
+    for prefix, store in stores.items():
+        for name, t in store.items():
+            full = f"{prefix}.{name}" if prefix else name
+            dims = ",".join(str(s) for s in t.data.shape) or "-"
+            vals = " ".join(format(v, ".17g") for v in t.data.reshape(-1))
+            lines.append(f"{full} {dims} {vals}".rstrip())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _store(arrays: dict) -> ad.ParamStore:
+    """A store holding ``arrays`` as they are; ``add`` refuses non-finite
+    values, so they are put in place after it."""
+    store = ad.ParamStore()
+    for name, value in arrays.items():
+        value = np.asarray(value, dtype=np.float64)
+        store.add(name, np.zeros(value.shape)).data = value
+    return store
+
+
+def _assert_bitwise_round_trip(path, stores):
+    values = ad.load_params(path)
+    for prefix, store in stores.items():
+        for name, t in store.items():
+            got = values[f"{prefix}.{name}" if prefix else name]
+            assert got.shape == t.data.shape and got.tobytes() == t.data.tobytes(), name
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3, np.nan, np.inf, -np.inf]
+
+
+def test_checkpoint_bytes_match_per_value_format_on_edge_values(tmp_path):
+    store = _store({
+        "edges": EDGE_VALUES,
+        "grid": np.reshape(EDGE_VALUES[:10], (2, 5)),
+        "neg_zero": -0.0,
+        "tiny": 5e-324,
+        "nan": np.nan,
+        "empty": np.zeros(0),
+        "empty_rows": np.zeros((2, 0)),
+    })
+    stores = {"net": store, "": _store({"bare": [0.1, -0.0, -np.inf]})}
+    path = tmp_path / "edges.ckpt"
+    ad.save_params(path, stores)
+    assert path.read_bytes() == _reference_checkpoint(stores)
+    _assert_bitwise_round_trip(path, stores)
+
+
+def test_checkpoint_of_empty_stores_is_one_empty_line(tmp_path):
+    path = tmp_path / "none.ckpt"
+    stores = {"net": ad.ParamStore()}
+    ad.save_params(path, stores)
+    assert path.read_bytes() == _reference_checkpoint(stores) == b"\n"
+    with pytest.raises(FormatError, match="empty checkpoint"):
+        ad.load_params(path)
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+@given(
+    arrays=st.lists(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+            elements=st.floats(allow_nan=False, width=64),  # text keeps no NaN sign or payload
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_bytes_and_round_trip_on_random_arrays(ckpt_dir, arrays):
+    stores = {"net": _store({f"p{i}": a for i, a in enumerate(arrays)})}
+    path = ckpt_dir / "random.ckpt"
+    ad.save_params(path, stores)
+    assert path.read_bytes() == _reference_checkpoint(stores)
+    _assert_bitwise_round_trip(path, stores)
+
+
+def test_load_params_keeps_only_requested_prefixes(tmp_path):
+    rng = np.random.default_rng(2)
+    stores = {p: ad.ParamStore() for p in ("gen", "disc", "fusion", "")}
+    for p, store in stores.items():
+        store.add("W", rng.normal(size=(2, 3)))
+        store.add("b", rng.normal(size=3))
+    path = tmp_path / "m.ckpt"
+    ad.save_params(path, stores)
+    values = ad.load_params(path, ("gen", "fusion"))
+    assert sorted(values) == ["fusion.W", "fusion.b", "gen.W", "gen.b"]
+    for name, array in values.items():
+        prefix, _, key = name.partition(".")
+        assert array.tobytes() == stores[prefix][key].data.tobytes()
+    assert ad.load_params(path, ("cls",)) == {}
+
+
+def test_load_params_does_not_parse_skipped_records(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_text("gen.W 2 1 2\ndisc.W 2 oops 1\ncls.W 3,3 1\ngen.b - 5\n")
+    values = ad.load_params(path, ("gen",))
+    assert sorted(values) == ["gen.W", "gen.b"]
+    with pytest.raises(FormatError, match="m.ckpt:2: could not convert string to float"):
+        ad.load_params(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("gen.W 1 1\ndisc.W 1 2\ndisc.W 1 3\n", ":3: duplicate parameter 'disc.W'"),
+        ("gen.W 1 1\ndisc.W 1 2\ngen.W 1 3\n", ":3: duplicate parameter 'gen.W'"),
+        ("gen.W 1 1\n\ndisc.W\n", ":3: malformed checkpoint record"),
+        ("gen.W 1 oops\ndisc.W 1 2\n", ":1: could not convert string to float"),
+        ("gen.W 2 1\n", ":1: 1 values for shape \\(2,\\)"),
+    ],
+)
+def test_load_params_checks_every_record_structure(tmp_path, text, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="bad.ckpt" + message):
+        ad.load_params(path, ("gen",))
 
 
 def test_second_order_gradients_through_first_backward():

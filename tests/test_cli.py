@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -331,3 +333,99 @@ def test_only_ours_saves_fusion_layers(demo_dir, tmp_path):
         has_fusion = any(line.startswith("fusion.") for line in ckpt)
         assert has_fusion == (variation == "ours"), variation
         assert (out_dir / "fused_semantics.csv").exists() == (variation == "ours"), variation
+
+
+def _write_split(path, demo_dir, **features):
+    """A copy of the demo split with its feature files replaced; a None
+    value leaves that key out."""
+    paths = {"train_features": demo_dir / "train.csv", "test_features": demo_dir / "test.csv"}
+    paths.update(features)
+    lines = [line for line in (demo_dir / "split.cfg").read_text().splitlines()
+             if not line.startswith(("train_features", "test_features"))]
+    lines += [f"{key} = {value}" for key, value in paths.items() if value is not None]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def gen_run(demo_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("gen_run")
+    cfg = write_config(root / "g.cfg", demo_dir, root / "run", method="gen", epochs="5",
+                       lr="0.001", noise_dim="4", classifier_epochs="20",
+                       synth_per_class="10")
+    assert main(["train", "--config", str(cfg)]) == 0
+    return root, cfg
+
+
+def test_synthesize_needs_no_test_features(demo_dir, gen_run):
+    root, cfg = gen_run
+    assert main(["synthesize", "--config", str(cfg), "--out", str(root / "a.csv")]) == 0
+    split = _write_split(root / "no_test.cfg", demo_dir, test_features=None)
+    cfg_b = write_config(root / "b.cfg", demo_dir, root / "run", method="gen",
+                         noise_dim="4", synth_per_class="10", split=split)
+    assert main(["synthesize", "--config", str(cfg_b), "--out", str(root / "b.csv")]) == 0
+    assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["embed", "gen"])
+def test_eval_refuses_test_features_of_another_width(
+    demo_dir, gen_run, ours_run, tmp_path, capsys, method
+):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("".join(
+        line.split(",", 1)[0] + ",0.5,0.25,1.0\n"
+        for line in (demo_dir / "test.csv").read_text().splitlines()
+    ))
+    split = _write_split(tmp_path / "narrow.cfg", demo_dir, test_features=narrow)
+    run_cfg = gen_run[1] if method == "gen" else ours_run
+    cfg = tmp_path / "narrow_run.cfg"
+    cfg.write_text(run_cfg.read_text().replace(f"split = {demo_dir / 'split.cfg'}",
+                                               f"split = {split}"))
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--config", str(cfg), "--mode", "zsl", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "width 3" in err and "width 12" in err
+    assert not out.exists()
+
+
+def test_gen_eval_reads_no_critic_or_classifier_values(gen_run):
+    root, cfg = gen_run
+    assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
+                 "--out", str(root / "intact.csv")]) == 0
+    ckpt = root / "run" / "model.ckpt"
+    intact = ckpt.read_text()
+    lines = intact.splitlines()
+    assert any(line.startswith("disc.") for line in lines)
+    assert any(line.startswith("cls.") for line in lines)
+    ckpt.write_text("".join(
+        " ".join(line.split()[:2] + ["unparseable"]) + "\n"
+        if line.startswith(("disc.", "cls.")) else line + "\n"
+        for line in lines
+    ))
+    try:
+        assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
+                     "--out", str(root / "damaged.csv")]) == 0
+    finally:
+        ckpt.write_text(intact)
+    assert (root / "intact.csv").read_bytes() == (root / "damaged.csv").read_bytes()
+
+
+def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, capsys):
+    bad = tmp_path / "bad_vectors.txt"
+    bad.write_text("bed 1.0 2.0\nchair 1.0 2.0\ndesk 1.0\n")
+    code = main(["build-semantics", "--split", str(demo_dir / "split.cfg"),
+                 "--word-vectors", str(bad), "--variation", "only-class-name",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "bad_vectors.txt:3: expected 2 values, got 1" in capsys.readouterr().err
+
+
+def test_eval_of_a_checkpoint_without_its_width_record_exits_3(ours_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ours_run.parent / "run", run)
+    ckpt = run / "model.ckpt"
+    kept = [line for line in ckpt.read_text().splitlines() if not line.startswith("embed.W_z ")]
+    ckpt.write_text("\n".join(kept) + "\n")
+    code = main(["eval", "--config", str(ours_run), "--mode", "zsl", "--out-dir", str(run)])
+    assert code == 3
+    assert "'embed.W_z'" in capsys.readouterr().err
