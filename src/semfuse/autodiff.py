@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A small tape-free graph engine: every operation returns a new `Tensor`
-holding its value, its parents, and a vector-Jacobian rule written in
-terms of the same operations. Because the rules build graph nodes, a
-gradient obtained with ``create_graph=True`` can be differentiated
-again, which the Wasserstein gradient penalty needs.
+holding its value, its parents, and one vector-Jacobian rule per parent
+written in terms of the same operations. `grad` walks only the nodes
+that lie on a path from its output to one of its inputs, and calls a
+rule only for a parent on such a path, so adjoints nobody asked for are
+never computed. With ``create_graph=True`` the rules build graph nodes,
+so the gradient can be differentiated again, which the Wasserstein
+gradient penalty needs; without it they build plain constants (no
+parents, no rules), and the adjoints hold values only.
 
 Scalars are tensors of shape ``()``. Broadcasting is deliberately
 limited to the bias of `linear`; everything else requires exact shapes.
@@ -24,22 +28,33 @@ Array = np.ndarray
 # floor for denominators in backward rules; only reached at kink points
 _TINY = 1e-150
 
+# False while grad(..., create_graph=False) runs a rule: ops then build
+# plain constants instead of graph nodes. Module state, so one thread at
+# a time may build graphs or take gradients.
+_record = True
+
 
 class Tensor:
-    """Node of the computation graph wrapping a float64 ndarray."""
+    """Node of the computation graph wrapping a float64 ndarray.
 
-    __slots__ = ("data", "parents", "vjp", "requires_grad")
+    ``vjps`` holds one rule per parent, mapping the node's adjoint to
+    that parent's share of it.
+    """
+
+    __slots__ = ("data", "parents", "vjps", "requires_grad")
 
     def __init__(
         self,
         data,
         parents: tuple["Tensor", ...] = (),
-        vjp: Callable[["Tensor"], tuple["Tensor | None", ...]] | None = None,
+        vjps: tuple[Callable[["Tensor"], "Tensor"], ...] | None = None,
         requires_grad: bool = False,
     ):
         self.data = np.asarray(data, dtype=np.float64)
+        if parents and not _record:
+            parents, vjps = (), None
         self.parents = parents
-        self.vjp = vjp
+        self.vjps = vjps
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
 
     @property
@@ -92,52 +107,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(
         a.data @ b.data,
-        parents=(a, b),
-        vjp=lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
+        (a, b),
+        (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)),
     )
 
 
 def transpose(x: Tensor) -> Tensor:
     _require_2d(x, "transpose")
-    return Tensor(x.data.T, parents=(x,), vjp=lambda g: (transpose(g),))
+    return Tensor(x.data.T, (x,), (transpose,))
+
+
+def _identity(g: Tensor) -> Tensor:
+    return g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
-    return Tensor(a.data + b.data, parents=(a, b), vjp=lambda g: (g, g))
+    return Tensor(a.data + b.data, (a, b), (_identity, _identity))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, parents=(a, b), vjp=lambda g: (g, neg(g)))
+    return Tensor(a.data - b.data, (a, b), (_identity, neg))
 
 
 def neg(x: Tensor) -> Tensor:
-    return Tensor(-x.data, parents=(x,), vjp=lambda g: (neg(g),))
+    return Tensor(-x.data, (x,), (neg,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
-    return Tensor(a.data * b.data, parents=(a, b), vjp=lambda g: (mul(g, b), mul(g, a)))
+    return Tensor(a.data * b.data, (a, b), (lambda g: mul(g, b), lambda g: mul(g, a)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "div")
     return Tensor(
         a.data / b.data,
-        parents=(a, b),
-        vjp=lambda g: (div(g, b), neg(div(mul(g, a), mul(b, b)))),
+        (a, b),
+        (lambda g: div(g, b), lambda g: neg(div(mul(g, a), mul(b, b)))),
     )
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python float constant."""
-    return Tensor(x.data * c, parents=(x,), vjp=lambda g: (scale(g, c),))
+    return Tensor(x.data * c, (x,), (lambda g: scale(g, c),))
 
 
 def shift(x: Tensor, c: float) -> Tensor:
     """Add a python float constant elementwise."""
-    return Tensor(x.data + c, parents=(x,), vjp=lambda g: (g,))
+    return Tensor(x.data + c, (x,), (_identity,))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -148,8 +167,12 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear shape mismatch: {x.shape}, {W.shape}, {b.shape}")
     return Tensor(
         x.data @ W.data.T + b.data,
-        parents=(x, W, b),
-        vjp=lambda g: (matmul(g, W), transpose(matmul(transpose(x), g)), sum_rows(g)),
+        (x, W, b),
+        (
+            lambda g: matmul(g, W),
+            lambda g: transpose(matmul(transpose(x), g)),
+            sum_rows,
+        ),
     )
 
 
@@ -157,18 +180,14 @@ def sum_rows(x: Tensor) -> Tensor:
     """(n, k) -> (k,), summing over rows."""
     _require_2d(x, "sum_rows")
     n = x.shape[0]
-    return Tensor(x.data.sum(axis=0), parents=(x,), vjp=lambda g: (tile_rows(g, n),))
+    return Tensor(x.data.sum(axis=0), (x,), (lambda g: tile_rows(g, n),))
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:
     """(k,) -> (n, k), repeating the vector as rows."""
     if v.data.ndim != 1:
         raise ShapeError(f"tile_rows expects a vector, got shape {v.shape}")
-    return Tensor(
-        np.broadcast_to(v.data, (n, v.shape[0])).copy(),
-        parents=(v,),
-        vjp=lambda g: (sum_rows(g),),
-    )
+    return Tensor(np.broadcast_to(v.data, (n, v.shape[0])).copy(), (v,), (sum_rows,))
 
 
 def sum_last(x: Tensor) -> Tensor:
@@ -176,7 +195,7 @@ def sum_last(x: Tensor) -> Tensor:
     _require_2d(x, "sum_last")
     k = x.shape[1]
     return Tensor(
-        x.data.sum(axis=1, keepdims=True), parents=(x,), vjp=lambda g: (tile_cols(g, k),)
+        x.data.sum(axis=1, keepdims=True), (x,), (lambda g: tile_cols(g, k),)
     )
 
 
@@ -184,26 +203,20 @@ def tile_cols(v: Tensor, k: int) -> Tensor:
     """(n, 1) -> (n, k), repeating the column."""
     if v.data.ndim != 2 or v.shape[1] != 1:
         raise ShapeError(f"tile_cols expects shape (n, 1), got {v.shape}")
-    return Tensor(
-        np.broadcast_to(v.data, (v.shape[0], k)).copy(),
-        parents=(v,),
-        vjp=lambda g: (sum_last(g),),
-    )
+    return Tensor(np.broadcast_to(v.data, (v.shape[0], k)).copy(), (v,), (sum_last,))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries as a scalar tensor."""
     shape = x.data.shape
-    return Tensor(x.data.sum(), parents=(x,), vjp=lambda g: (fill(g, shape),))
+    return Tensor(x.data.sum(), (x,), (lambda g: fill(g, shape),))
 
 
 def fill(s: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Broadcast a scalar tensor to a full tensor of ``shape``."""
     if s.data.size != 1:
         raise ShapeError(f"fill expects a scalar, got shape {s.shape}")
-    return Tensor(
-        np.full(shape, s.data.reshape(())), parents=(s,), vjp=lambda g: (sum_all(g),)
-    )
+    return Tensor(np.full(shape, s.data.reshape(())), (s,), (sum_all,))
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -220,35 +233,59 @@ def sum_sq(x: Tensor) -> Tensor:
     return sum_all(square(x))
 
 
+def softmax_xent(logits: Tensor, onehot) -> Tensor:
+    """Mean over rows of ``logsumexp(row) - <row, onehot row>``: softmax
+    cross-entropy of (n, k) logits against a constant (n, k) target.
+
+    One node. The value is the stable log-sum-exp with a constant per-row
+    max shift; the rule rebuilds that chain's adjoint from graph ops on
+    ``logits``, so second-order gradients flow through it as well.
+    """
+    _require_2d(logits, "softmax_xent")
+    onehot = np.asarray(onehot, dtype=np.float64)
+    if onehot.shape != logits.shape:
+        raise ShapeError(f"softmax_xent shape mismatch: {logits.shape} vs {onehot.shape}")
+    n, k = logits.shape
+    z = logits.data
+    row_max = z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z - row_max).sum(axis=1, keepdims=True)) + row_max
+    loss = (lse - (z * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+
+    def rule(g: Tensor) -> Tensor:
+        a = fill(scale(g, 1.0 / n), (n, 1))
+        e = exp(sub(logits, tile_cols(constant(row_max), k)))
+        via_lse = mul(tile_cols(div(a, sum_last(e)), k), e)
+        via_target = mul(tile_cols(neg(a), k), constant(onehot))
+        return add(via_lse, via_target)
+
+    return Tensor(loss, (logits,), (rule,))
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = constant(np.where(x.data > 0, 1.0, slope))
-    return Tensor(
-        np.where(x.data > 0, x.data, slope * x.data),
-        parents=(x,),
-        vjp=lambda g: (mul(g, mask),),
-    )
+    return Tensor(x.data * mask.data, (x,), (lambda g: mul(g, mask),))
 
 
 def log(x: Tensor) -> Tensor:
-    return Tensor(np.log(x.data), parents=(x,), vjp=lambda g: (div(g, x),))
+    return Tensor(np.log(x.data), (x,), (lambda g: div(g, x),))
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), parents=(x,))
-    out.vjp = lambda g: (mul(g, out),)
+    out = Tensor(np.exp(x.data), (x,), (lambda g: mul(g, out),))
     return out
 
 
 def sqrt(x: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(x.data), parents=(x,))
     # denominator floored so the rule stays finite at exactly zero
-    out.vjp = lambda g: (div(scale(g, 0.5), clamp_min(out, _TINY)),)
+    out = Tensor(
+        np.sqrt(x.data), (x,), (lambda g: div(scale(g, 0.5), clamp_min(out, _TINY)),)
+    )
     return out
 
 
 def clamp_min(x: Tensor, c: float) -> Tensor:
     mask = constant((x.data > c).astype(np.float64))
-    return Tensor(np.maximum(x.data, c), parents=(x,), vjp=lambda g: (mul(g, mask),))
+    return Tensor(np.maximum(x.data, c), (x,), (lambda g: mul(g, mask),))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -260,8 +297,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     ka, kb = a.shape[-1], b.shape[-1]
     return Tensor(
         np.concatenate([a.data, b.data], axis=-1),
-        parents=(a, b),
-        vjp=lambda g: (slice_cols(g, 0, ka), slice_cols(g, ka, ka + kb)),
+        (a, b),
+        (lambda g: slice_cols(g, 0, ka), lambda g: slice_cols(g, ka, ka + kb)),
     )
 
 
@@ -272,8 +309,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {x.shape}")
     return Tensor(
         x.data[..., start:stop].copy(),
-        parents=(x,),
-        vjp=lambda g: (pad_cols(g, start, total - stop),),
+        (x,),
+        (lambda g: pad_cols(g, start, total - stop),),
     )
 
 
@@ -282,9 +319,7 @@ def pad_cols(x: Tensor, before: int, after: int) -> Tensor:
     width = [(0, 0)] * (x.data.ndim - 1) + [(before, after)]
     k = x.shape[-1]
     return Tensor(
-        np.pad(x.data, width),
-        parents=(x,),
-        vjp=lambda g: (slice_cols(g, before, before + k),),
+        np.pad(x.data, width), (x,), (lambda g: slice_cols(g, before, before + k),)
     )
 
 
@@ -317,24 +352,37 @@ def grad(
     """Adjoints of a scalar ``output`` for each tensor in ``inputs``.
 
     Entries are ``None`` where the output does not depend on the input.
-    With ``create_graph`` the adjoints stay connected to the graph and
-    can be differentiated again.
+    Only nodes on a path from ``output`` to an input are walked, and a
+    node's rule runs only for parents on such a path. With
+    ``create_graph`` the adjoints stay connected to the graph and can be
+    differentiated again; without it they are constants.
     """
+    global _record
     if output.data.size != 1:
         raise ContractError(f"grad of non-scalar output, shape {output.shape}")
     adjoint: dict[int, Tensor] = {id(output): constant(np.ones_like(output.data))}
     if output.requires_grad:
-        for node in reversed(_toposort(output)):
-            g = adjoint.get(id(node))
-            if g is None or node.vjp is None:
-                continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None or not parent.requires_grad:
+        order = _toposort(output)  # parents before children
+        live = {id(t) for t in inputs if t.requires_grad}
+        for node in order:
+            if any(id(p) in live for p in node.parents):
+                live.add(id(node))
+        saved, _record = _record, create_graph
+        try:
+            for node in reversed(order):
+                g = adjoint.get(id(node))
+                if g is None or node.vjps is None:
                     continue
-                if not create_graph:
-                    pg = pg.detach()
-                prev = adjoint.get(id(parent))
-                adjoint[id(parent)] = pg if prev is None else add(prev, pg)
+                for parent, rule in zip(node.parents, node.vjps):
+                    if id(parent) not in live:
+                        continue
+                    pg = rule(g)
+                    prev = adjoint.get(id(parent))
+                    if prev is not None:
+                        pg = add(prev, pg) if create_graph else Tensor(prev.data + pg.data)
+                    adjoint[id(parent)] = pg
+        finally:
+            _record = saved
     return [adjoint.get(id(t)) for t in inputs]
 
 
@@ -401,7 +449,9 @@ def backward(loss: Tensor, *stores: ParamStore) -> None:
                     f"gradient for {name!r} has shape {g.data.shape}, "
                     f"expected {t.data.shape}"
                 )
-            store.grads[name] = g.data
+            # linear's weight adjoint is a transposed view; Adam runs
+            # faster on C-ordered arrays like its moments and parameters
+            store.grads[name] = np.ascontiguousarray(g.data)
 
 
 def grad_check(

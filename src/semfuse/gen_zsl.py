@@ -200,23 +200,17 @@ def cls_loss_batch(
     ``z_hat`` may be a generator output, in which case the gradient
     flows back into the generator.
     """
-    rows = []
-    for label in np.atleast_1d(np.asarray(labels)):
-        if int(label) not in classifier._row:
-            raise ContractError(f"label {int(label)} outside the classifier's classes")
-        rows.append(classifier._row[int(label)])
+    try:
+        rows = [classifier._row[label] for label in np.atleast_1d(labels).tolist()]
+    except KeyError as exc:
+        raise ContractError(f"label {exc.args[0]} outside the classifier's classes") from None
     logits = classifier.logits(z_hat)
     n, k = logits.shape
     if len(rows) != n:
         raise ContractError(f"{len(rows)} labels for {n} rows")
-    # stable log-sum-exp with a constant per-row shift
-    shift_const = ad.constant(logits.data.max(axis=1, keepdims=True))
-    shifted = ad.sub(logits, ad.tile_cols(shift_const, k))
-    lse = ad.add(ad.log(ad.sum_last(ad.exp(shifted))), shift_const)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), rows] = 1.0
-    true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
-    return ad.mean_all(ad.sub(lse, true_logit))
+    return ad.softmax_xent(logits, onehot)
 
 
 @dataclass

@@ -398,3 +398,137 @@ def test_second_order_gradients_through_first_backward():
     assert np.allclose(g.data, [12.0])
     ad.backward(ad.sum_all(g), store)
     assert np.allclose(store.grads["x"], [12.0])
+
+
+def test_leaky_relu_value_is_the_two_branch_where_bit_for_bit():
+    x = np.array([-3.5, -0.0, 0.0, 1e-300, -1e-300, 2.25, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):  # -inf * 0.0
+        for slope in (0.2, 0.0, 1.0):
+            out = ad.leaky_relu(ad.constant(x), slope=slope)
+            assert out.data.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+
+
+def test_first_order_adjoints_are_plain_constants():
+    rng = np.random.default_rng(21)
+    x = ad.leaf(rng.normal(size=(3, 2)))
+    W = ad.leaf(rng.normal(size=(4, 2)))
+    b = ad.leaf(rng.normal(size=4))
+    loss = ad.sum_sq(ad.leaky_relu(ad.linear(x, W, b)))
+    for g in ad.grad(loss, [x, W, b]):
+        assert g.parents == () and g.vjps is None and not g.requires_grad
+    # a second-order request keeps its adjoints in the graph
+    (g,) = ad.grad(loss, [x], create_graph=True)
+    assert g.parents and g.requires_grad
+    assert ad.mul(x, x).parents == (x, x)
+
+
+def test_grad_restores_graph_building_when_a_rule_raises():
+    x = ad.leaf([1.0, 2.0])
+
+    def broken(g):
+        raise RuntimeError("rule failed")
+
+    y = ad.Tensor(x.data * 2.0, (x,), (broken,))
+    with pytest.raises(RuntimeError, match="rule failed"):
+        ad.grad(ad.sum_all(y), [x])
+    assert ad.mul(x, x).parents == (x, x)
+
+
+def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
+    rng = np.random.default_rng(22)
+    x = ad.leaf(rng.normal(size=(3, 2)))
+    W = ad.leaf(rng.normal(size=(4, 2)))
+    b = ad.leaf(rng.normal(size=4))
+    loss = ad.sum_sq(ad.linear(x, W, b))
+    called = []
+    for node in ad._toposort(loss):
+        if node.vjps is not None:
+            node.vjps = tuple(
+                (lambda p, rule: lambda g: called.append(p) or rule(g))(p, rule)
+                for p, rule in zip(node.parents, node.vjps)
+            )
+    (gx,) = ad.grad(loss, [x])
+    assert any(p is x for p in called)
+    assert not any(p is W or p is b for p in called)
+    expected = 2.0 * (x.data @ W.data.T + b.data) @ W.data
+    assert np.allclose(gx.data, expected)
+
+
+def test_grad_of_a_constant_input_is_none():
+    x = ad.leaf([1.0, 2.0])
+    c = ad.constant([3.0, 4.0])
+    assert ad.grad(ad.sum_all(ad.mul(x, c)), [c, x])[0] is None
+
+
+def test_backward_stores_c_ordered_gradients():
+    rng = np.random.default_rng(23)
+    store = ad.ParamStore()
+    store.add("W", rng.normal(size=(4, 3)))
+    store.add("b", rng.normal(size=4))
+    x = ad.constant(rng.normal(size=(5, 3)))
+    ad.backward(ad.sum_sq(ad.linear(x, store["W"], store["b"])), store)
+    assert all(g.flags.c_contiguous for g in store.grads.values())
+
+
+def _xent_as_op_chain(logits, onehot):
+    """Softmax cross-entropy spelled out in primitive ops."""
+    n, k = logits.shape
+    shift = ad.constant(logits.data.max(axis=1, keepdims=True))
+    shifted = ad.sub(logits, ad.tile_cols(shift, k))
+    lse = ad.add(ad.log(ad.sum_last(ad.exp(shifted))), shift)
+    true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
+    return ad.mean_all(ad.sub(lse, true_logit))
+
+
+def _onehot(rows, k):
+    onehot = np.zeros((len(rows), k))
+    onehot[np.arange(len(rows)), rows] = 1.0
+    return onehot
+
+
+@given(
+    logits=st.integers(1, 6).flatmap(
+        lambda n: st.integers(2, 5).flatmap(
+            lambda k: hnp.arrays(np.float64, (n, k), elements=st.floats(-60, 60))
+        )
+    ),
+    seed=st.integers(0, 2**16),
+    weight=st.floats(-3, 3, allow_nan=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_softmax_xent_matches_the_op_chain_bit_for_bit(logits, seed, weight):
+    n, k = logits.shape
+    onehot = _onehot(np.random.default_rng(seed).integers(0, k, size=n), k)
+    fused, chain = ad.leaf(logits), ad.leaf(logits)
+    new = ad.softmax_xent(fused, onehot)
+    old = _xent_as_op_chain(chain, onehot)
+    assert new.data.tobytes() == old.data.tobytes()
+    (g_new,) = ad.grad(ad.scale(new, weight), [fused])
+    (g_old,) = ad.grad(ad.scale(old, weight), [chain])
+    assert g_new.data.tobytes() == g_old.data.tobytes()
+
+
+def test_softmax_xent_passes_grad_check():
+    rng = np.random.default_rng(24)
+    store = ad.ParamStore()
+    z = store.add("z", rng.normal(size=(5, 4)) * 3.0)
+    onehot = _onehot([0, 3, 1, 1, 2], 4)
+    assert ad.grad_check(lambda: ad.softmax_xent(z, onehot), store) < 1e-6
+
+
+def test_softmax_xent_second_order_matches_finite_differences():
+    rng = np.random.default_rng(25)
+    store = ad.ParamStore()
+    z = store.add("z", rng.normal(size=(3, 4)))
+    onehot = _onehot([2, 0, 3], 4)
+
+    def grad_norm_sq():
+        (g,) = ad.grad(ad.softmax_xent(z, onehot), [z], create_graph=True)
+        return ad.sum_sq(g)
+
+    assert ad.grad_check(grad_norm_sq, store) < 1e-6
+
+
+def test_softmax_xent_shape_error_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+        ad.softmax_xent(ad.constant(np.zeros((2, 3))), np.zeros((2, 4)))

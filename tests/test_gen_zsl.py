@@ -346,3 +346,100 @@ def test_synthesize_set_builds_unseen_feature_set():
     assert fs.n == 20
     assert set(fs.unseen_ids) == {5, 6}
     assert sorted(np.unique(fs.labels)) == [5, 6]
+
+
+def _unpruned_grad(output, inputs, create_graph=False):
+    """Reference walk without pruning: every rule of every node runs and
+    builds graph nodes; first-order adjoints are detached afterwards."""
+    adjoint = {id(output): ad.constant(np.ones_like(output.data))}
+    for node in reversed(ad._toposort(output)):
+        g = adjoint.get(id(node))
+        if g is None or node.vjps is None:
+            continue
+        for parent, rule in zip(node.parents, node.vjps):
+            pg = rule(g)
+            if not parent.requires_grad:
+                continue
+            if not create_graph:
+                pg = pg.detach()
+            prev = adjoint.get(id(parent))
+            adjoint[id(parent)] = pg if prev is None else ad.add(prev, pg)
+    return [adjoint.get(id(t)) for t in inputs]
+
+
+def _gradients_of_two_gan_cycles(monkeypatch):
+    """Bytes of every gradient that backward stores during two wgan_step
+    cycles (critic losses with the penalty, then generator losses)."""
+    fs, bundles, train, pre, gcfg = gan_fixture(steps=2)
+    gcfg.variation = "ours"  # the generator loss then reaches fusion layers too
+    trainer = GanTrainer(train, bundles, pre, gcfg)
+    stored = []
+    backward = ad.backward
+
+    def recording_backward(loss, *stores):
+        backward(loss, *stores)
+        stored.append([s.grads[n].tobytes() for s in stores for n in s.names()])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "backward", recording_backward)
+        trainer.train()
+    return stored
+
+
+def test_pruned_grad_equals_the_unpruned_walk_bit_for_bit(monkeypatch):
+    pruned = _gradients_of_two_gan_cycles(monkeypatch)
+    monkeypatch.setattr(ad, "grad", _unpruned_grad)  # also the penalty's inner grad
+    unpruned = _gradients_of_two_gan_cycles(monkeypatch)
+    assert len(pruned) == 2 * (2 + 1)  # n_critic critic updates + 1 generator update
+    assert pruned == unpruned
+
+
+def _parents_whose_rules_run(output, run):
+    """Call ``run()`` with every rule under ``output`` wrapped to record
+    the parent it computes an adjoint for."""
+    called = []
+    for node in ad._toposort(output):
+        if node.vjps is not None:
+            node.vjps = tuple(
+                (lambda p, rule: lambda g: called.append(p) or rule(g))(p, rule)
+                for p, rule in zip(node.parents, node.vjps)
+            )
+    run()
+    return called
+
+
+def test_penalty_input_gradient_runs_no_weight_gradient_rule():
+    rng = np.random.default_rng(31)
+    critic = init_discriminator(4, 2, seed=31, hidden=[8])
+    z_tilde = ad.leaf(rng.normal(size=(5, 4)))
+    score_sum = ad.sum_all(critic.forward(z_tilde, ad.constant(rng.normal(size=(5, 2)))))
+    called = _parents_whose_rules_run(
+        score_sum, lambda: ad.grad(score_sum, [z_tilde], create_graph=True)
+    )
+    weights = [t for _, t in critic.store.items()]
+    assert any(p is z_tilde for p in called)
+    assert not any(p is w for p in called for w in weights)
+
+
+def test_generator_update_runs_no_critic_or_classifier_rule():
+    fs, bundles, train, pre, gcfg = gan_fixture(steps=1)
+    gcfg.variation = "ours"
+    trainer = GanTrainer(train, bundles, pre, gcfg)
+    rows = trainer._draw_rows()
+    fake, e = trainer._fake_batch(rows, graph=True)
+    score = ad.mean_all(trainer.disc.forward(fake, e))
+    cls_term = cls_loss_batch(trainer.classifier, fake, trainer.data.labels[rows])
+    gen_loss = ad.add(ad.neg(score), ad.scale(cls_term, gcfg.cls_weight))
+    called = _parents_whose_rules_run(
+        gen_loss, lambda: ad.backward(gen_loss, trainer.gen.store, trainer.fusion.store)
+    )
+    frozen = [t for s in (trainer.disc.store, pre.store) for _, t in s.items()]
+    trained = [t for s in (trainer.gen.store, trainer.fusion.store) for _, t in s.items()]
+    assert all(any(p is t for p in called) for t in trained)
+    assert not any(p is t for p in called for t in frozen)
+
+
+def test_cls_loss_names_the_first_unknown_label():
+    clf = init_classifier(3, [0, 1], seed=0)
+    with pytest.raises(ContractError, match=r"^label 7 outside the classifier's classes$"):
+        cls_loss_batch(clf, ad.constant(np.zeros((3, 3))), np.array([1, 7, 9]))
