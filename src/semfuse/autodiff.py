@@ -378,9 +378,7 @@ def grad(
                         continue
                     pg = rule(g)
                     prev = adjoint.get(id(parent))
-                    if prev is not None:
-                        pg = add(prev, pg) if create_graph else Tensor(prev.data + pg.data)
-                    adjoint[id(parent)] = pg
+                    adjoint[id(parent)] = pg if prev is None else add(prev, pg)
         finally:
             _record = saved
     return [adjoint.get(id(t)) for t in inputs]

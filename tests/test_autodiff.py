@@ -434,6 +434,18 @@ def test_grad_restores_graph_building_when_a_rule_raises():
     assert ad.mul(x, x).parents == (x, x)
 
 
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_grad_accumulates_adjoints_through_add(create_graph):
+    x = ad.leaf([1.0, 2.0, 3.0])
+    (g,) = ad.grad(ad.sum_all(ad.mul(x, x)), [x], create_graph=create_graph)
+    assert np.array_equal(g.data, 2.0 * x.data)
+    assert bool(g.parents) is create_graph
+    # a rule returning a broadcastable adjoint of the wrong shape is refused
+    y = ad.Tensor(x.data, (x, x), (lambda g: g, lambda g: ad.constant([1.0])))
+    with pytest.raises(ShapeError, match=r"add shape mismatch: \(3,\) vs \(1,\)"):
+        ad.grad(ad.sum_all(y), [x], create_graph=create_graph)
+
+
 def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
     rng = np.random.default_rng(22)
     x = ad.leaf(rng.normal(size=(3, 2)))
