@@ -233,6 +233,18 @@ def sum_sq(x: Tensor) -> Tensor:
     return sum_all(square(x))
 
 
+def _xent_value(z: Array, onehot: Array) -> tuple[float, Array, Array, Array]:
+    """Mean over rows of ``logsumexp(row) - <row, onehot row>``, by the
+    stable log-sum-exp with a per-row max shift. Also returns that
+    shift, the shifted exponentials and their row sums."""
+    row_max = z.max(axis=1, keepdims=True)
+    e = np.exp(z - row_max)
+    s = e.sum(axis=1, keepdims=True)
+    lse = np.log(s) + row_max
+    loss = (lse - (z * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / z.shape[0])
+    return loss, row_max, e, s
+
+
 def softmax_xent(logits: Tensor, onehot) -> Tensor:
     """Mean over rows of ``logsumexp(row) - <row, onehot row>``: softmax
     cross-entropy of (n, k) logits against a constant (n, k) target.
@@ -246,10 +258,7 @@ def softmax_xent(logits: Tensor, onehot) -> Tensor:
     if onehot.shape != logits.shape:
         raise ShapeError(f"softmax_xent shape mismatch: {logits.shape} vs {onehot.shape}")
     n, k = logits.shape
-    z = logits.data
-    row_max = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - row_max).sum(axis=1, keepdims=True)) + row_max
-    loss = (lse - (z * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+    loss, row_max, _, _ = _xent_value(logits.data, onehot)
 
     def rule(g: Tensor) -> Tensor:
         a = fill(scale(g, 1.0 / n), (n, 1))
@@ -261,13 +270,19 @@ def softmax_xent(logits: Tensor, onehot) -> Tensor:
     return Tensor(loss, (logits,), (rule,))
 
 
+def softmax_xent_grad(logits: Array, onehot: Array) -> tuple[float, Array]:
+    """`softmax_xent`'s value and its logits adjoint for a unit output
+    adjoint, as plain arrays and with no graph: bit for bit what the
+    node's value and first-order rule give, from the same array ops in
+    the same order."""
+    loss, _, e, s = _xent_value(logits, onehot)
+    a = 1.0 / logits.shape[0]
+    return float(loss), (a / s) * e + (-a) * onehot
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = constant(np.where(x.data > 0, 1.0, slope))
     return Tensor(x.data * mask.data, (x,), (lambda g: mul(g, mask),))
-
-
-def log(x: Tensor) -> Tensor:
-    return Tensor(np.log(x.data), (x,), (lambda g: div(g, x),))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -426,6 +441,12 @@ class ParamStore:
         t.data = value.copy()
 
 
+def require_finite_loss(loss: float) -> None:
+    """A non-finite loss is a ContractError: training diverged."""
+    if not np.isfinite(loss):
+        raise ContractError(f"loss is {loss}: training diverged")
+
+
 def backward(loss: Tensor, *stores: ParamStore) -> None:
     """Populate every store's gradients with d(loss)/d(param).
 
@@ -434,8 +455,7 @@ def backward(loss: Tensor, *stores: ParamStore) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if not np.isfinite(loss.item()):
-        raise ContractError(f"loss is {loss.item()}: training diverged")
+    require_finite_loss(loss.item())
     slots = [(s, name, t) for s in stores for name, t in s.items()]
     adjoints = grad(loss, [t for _, _, t in slots])
     for (store, name, t), g in zip(slots, adjoints):

@@ -17,8 +17,6 @@ from .datasets import FeatureSet, check_split_discipline
 from .errors import ContractError, ManifestError, ShapeError
 from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion
 
-Batch = list[tuple[np.ndarray, SemanticBundle]]
-
 
 class EmbedModel:
     """Two projection branches into a shared q-dimensional space."""
@@ -61,17 +59,29 @@ def _semantic_graph(fusion: FusionParams, bundles: list[SemanticBundle]) -> ad.T
     return fuse_graph(fusion, e_c, e_p)
 
 
-def embed_loss(model: EmbedModel, fusion: FusionParams, batch: Batch) -> ad.Tensor:
-    """Mean squared common-space distance plus the weight penalty."""
-    if not batch:
+def embed_loss(
+    model: EmbedModel,
+    fusion: FusionParams,
+    z: np.ndarray,
+    e_c: np.ndarray,
+    e_p: np.ndarray,
+) -> ad.Tensor:
+    """Mean squared common-space distance plus the weight penalty, for
+    feature rows ``z`` paired with the class-name and description
+    vectors ``e_c`` and ``e_p`` of their classes, one row each."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[0] == 0:
         raise ContractError("empty batch")
-    z = np.stack([np.asarray(z_i, dtype=np.float64) for z_i, _ in batch])
-    if z.shape[1] != model.m:
-        raise ShapeError(f"features have dimension {z.shape[1]}, expected {model.m}")
-    bundles = [b for _, b in batch]
+    if z.ndim != 2 or z.shape[1] != model.m:
+        raise ShapeError(f"features have shape {z.shape}, expected (n, {model.m})")
+    if len(e_c) != z.shape[0] or len(e_p) != z.shape[0]:
+        raise ShapeError(
+            f"{z.shape[0]} feature rows for {len(e_c)} and {len(e_p)} semantic rows"
+        )
     z_proj = model.project_features(ad.constant(z))
-    e_proj = model.project_semantics(_semantic_graph(fusion, bundles))
-    pair_term = ad.scale(ad.sum_sq(ad.sub(z_proj, e_proj)), 1.0 / len(batch))
+    e = fuse_graph(fusion, ad.constant(e_c), ad.constant(e_p))
+    e_proj = model.project_semantics(e)
+    pair_term = ad.scale(ad.sum_sq(ad.sub(z_proj, e_proj)), 1.0 / z.shape[0])
     penalty = ad.add(model.weight_penalty(), fusion.weight_penalty())
     return ad.add(pair_term, ad.scale(penalty, model.lam))
 
@@ -127,6 +137,11 @@ def train_embed(
     stores = [model.store, fusion.store]
     states = [ad.AdamState(s) for s in stores]
     rng = np.random.default_rng(shuffle_seed)
+    # one semantic row per class; a batch picks its rows by label
+    classes = sorted(by_id)
+    e_c = np.stack([by_id[c].e_c for c in classes])
+    e_p = np.stack([by_id[c].e_p for c in classes])
+    class_rows = np.searchsorted(classes, data.labels)
     history: list[float] = []
 
     for _ in range(config.epochs):
@@ -136,8 +151,8 @@ def train_embed(
         epoch_losses = []
         for start in range(0, data.n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            batch = [(data.features[i], by_id[int(data.labels[i])]) for i in rows]
-            loss = embed_loss(model, fusion, batch)
+            sem = class_rows[rows]
+            loss = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
             ad.backward(loss, *stores)
             for store, state in zip(stores, states):
                 if config.optimizer == "adam":

@@ -167,6 +167,19 @@ class SoftmaxClassifier:
     def logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.linear(z, self.store["W"], self.store["b"])
 
+    def rows_of(self, labels) -> np.ndarray:
+        """Row of each label in ``W`` and ``b``; an unknown label is a
+        ContractError naming the first one."""
+        try:
+            return np.array(
+                [self._row[label] for label in np.atleast_1d(labels).tolist()],
+                dtype=np.int64,
+            )
+        except KeyError as exc:
+            raise ContractError(
+                f"label {exc.args[0]} outside the classifier's classes"
+            ) from None
+
     def predict_ids(self, z: np.ndarray, candidate_ids=None) -> np.ndarray:
         """Argmax labels, optionally restricted to a candidate subset."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
@@ -200,10 +213,7 @@ def cls_loss_batch(
     ``z_hat`` may be a generator output, in which case the gradient
     flows back into the generator.
     """
-    try:
-        rows = [classifier._row[label] for label in np.atleast_1d(labels).tolist()]
-    except KeyError as exc:
-        raise ContractError(f"label {exc.args[0]} outside the classifier's classes") from None
+    rows = classifier.rows_of(labels)
     logits = classifier.logits(z_hat)
     n, k = logits.shape
     if len(rows) != n:
@@ -227,18 +237,34 @@ def _train_softmax(
     class_ids: list[int],
     config: ClassifierTrainConfig,
 ) -> SoftmaxClassifier:
+    """Minibatch Adam on the mean softmax cross-entropy of ``labels``.
+
+    Each batch's loss and gradients are plain arrays, with no graph:
+    `ad.softmax_xent_grad` gives the logits adjoint, and `ad.linear`'s
+    weight and bias rules carry it to ``W`` and ``b``. The parameters
+    come out bit for bit as ``backward(cls_loss_batch(...))`` followed
+    by `ad.adam_step` leaves them, and a non-finite loss is the same
+    ContractError as in `ad.backward`.
+    """
     clf = init_classifier(features.shape[1], class_ids, config.seed)
     state = ad.AdamState(clf.store)
     rng = np.random.default_rng(config.seed)
     n = features.shape[0]
+    targets = np.zeros((n, len(class_ids)))
+    targets[np.arange(n), clf.rows_of(labels)] = 1.0
+    W, b = clf.store["W"], clf.store["b"]
     for _ in range(config.epochs):
         order = np.arange(n)
         if n > config.batch_size:
             rng.shuffle(order)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            loss = cls_loss_batch(clf, ad.constant(features[rows]), labels[rows])
-            ad.backward(loss, clf.store)
+            x = features[rows]
+            loss, g = ad.softmax_xent_grad(x @ W.data.T + b.data, targets[rows])
+            ad.require_finite_loss(loss)
+            # C-ordered, as backward stores linear's transposed weight adjoint
+            clf.store.grads["W"] = np.ascontiguousarray((x.T @ g).T)
+            clf.store.grads["b"] = g.sum(axis=0)
             ad.adam_step(clf.store, state, config.lr)
     return clf
 

@@ -116,12 +116,10 @@ def test_criterion_2_gradient_checks():
         # embedding objective through the fusion layers
         model = init_embed_model(q, m, d, lam=0.01, seed=point)
         fusion = init_fusion(d, seed=point + 1, alpha=0.7)
-        batch = [
-            (rng.normal(size=m),
-             SemanticBundle(i, f"c{i}", rng.normal(size=d), rng.normal(size=d)))
-            for i in range(n)
-        ]
-        err = ad.grad_check(lambda: embed_loss(model, fusion, batch),
+        pairs = [(rng.normal(size=m), rng.normal(size=d), rng.normal(size=d))
+                 for _ in range(n)]
+        z, e_c, e_p = (np.stack(col) for col in zip(*pairs))
+        err = ad.grad_check(lambda: embed_loss(model, fusion, z, e_c, e_p),
                             model.store, fusion.store)
         worst["embed"] = max(worst["embed"], err)
 

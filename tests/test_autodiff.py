@@ -24,15 +24,6 @@ def test_leaky_relu_applies_slope_below_zero():
     assert np.allclose(out.data, [-0.2, 0.0, 3.0])
 
 
-def test_log_and_exp_are_inverse_with_correct_gradients():
-    store = ad.ParamStore()
-    store.add("x", [0.5, 2.0])
-    back = ad.log(ad.exp(store["x"]))
-    assert np.allclose(back.data, [0.5, 2.0])
-    ad.backward(ad.sum_all(back), store)
-    assert np.allclose(store.grads["x"], [1.0, 1.0])
-
-
 def test_mean_all_value_and_gradient():
     store = ad.ParamStore()
     store.add("x", [[1.0, 2.0], [3.0, 6.0]])
@@ -482,12 +473,17 @@ def test_backward_stores_c_ordered_gradients():
     assert all(g.flags.c_contiguous for g in store.grads.values())
 
 
+def _log(x):
+    """Elementwise natural log as a graph op."""
+    return ad.Tensor(np.log(x.data), (x,), (lambda g: ad.div(g, x),))
+
+
 def _xent_as_op_chain(logits, onehot):
     """Softmax cross-entropy spelled out in primitive ops."""
     n, k = logits.shape
     shift = ad.constant(logits.data.max(axis=1, keepdims=True))
     shifted = ad.sub(logits, ad.tile_cols(shift, k))
-    lse = ad.add(ad.log(ad.sum_last(ad.exp(shifted))), shift)
+    lse = ad.add(_log(ad.sum_last(ad.exp(shifted))), shift)
     true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
     return ad.mean_all(ad.sub(lse, true_logit))
 
@@ -518,6 +514,27 @@ def test_softmax_xent_matches_the_op_chain_bit_for_bit(logits, seed, weight):
     (g_new,) = ad.grad(ad.scale(new, weight), [fused])
     (g_old,) = ad.grad(ad.scale(old, weight), [chain])
     assert g_new.data.tobytes() == g_old.data.tobytes()
+
+
+@given(
+    logits=st.integers(1, 6).flatmap(
+        lambda n: st.integers(2, 5).flatmap(
+            lambda k: hnp.arrays(np.float64, (n, k), elements=st.floats(-60, 60))
+        )
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_softmax_xent_grad_is_the_graph_rule_bit_for_bit(logits, seed):
+    n, k = logits.shape
+    onehot = _onehot(np.random.default_rng(seed).integers(0, k, size=n), k)
+    z = ad.leaf(logits)
+    node = ad.softmax_xent(z, onehot)
+    (g_graph,) = ad.grad(node, [z])
+    loss, g = ad.softmax_xent_grad(logits, onehot)
+    assert type(loss) is float
+    assert np.float64(loss).tobytes() == node.data.tobytes()
+    assert g.tobytes() == g_graph.data.tobytes()
 
 
 def test_softmax_xent_passes_grad_check():

@@ -429,3 +429,17 @@ def test_eval_of_a_checkpoint_without_its_width_record_exits_3(ours_run, tmp_pat
     code = main(["eval", "--config", str(ours_run), "--mode", "zsl", "--out-dir", str(run)])
     assert code == 3
     assert "'embed.W_z'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_eval_whose_final_classifier_diverges_exits_2_without_report(
+    demo_dir, gen_run, tmp_path, capsys
+):
+    root, cfg = gen_run
+    huge = tmp_path / "huge_rate.cfg"
+    huge.write_text(cfg.read_text() + "classifier_lr = 1e308\n")
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--config", str(huge), "--mode", "gzsl", "--out", str(out)]) == 2
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()

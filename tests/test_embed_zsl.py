@@ -14,7 +14,7 @@ from semfuse.embed_zsl import (
     init_embed_model,
     train_embed,
 )
-from semfuse.errors import ContractError, ManifestError
+from semfuse.errors import ContractError, ManifestError, ShapeError
 from semfuse.evaluation import evaluate_run
 from semfuse.fusion import FusionParams, SemanticBundle, init_fusion
 
@@ -40,16 +40,23 @@ def bundle(cid, e, d=None):
     return SemanticBundle(cid, f"c{cid}", e, np.zeros_like(e), e.copy())
 
 
+def batch_arrays(*pairs):
+    """Feature, class-name and description rows of (feature, bundle) pairs."""
+    return tuple(
+        np.stack(col) for col in zip(*((np.asarray(z), b.e_c, b.e_p) for z, b in pairs))
+    )
+
+
 def test_loss_zero_when_projections_agree():
     model = fixed_model(np.eye(2), np.eye(2))
-    batch = [(np.array([1.0, 2.0]), bundle(0, [1.0, 2.0]))]
-    assert embed_loss(model, name_only(2), batch).item() == 0.0
+    batch = batch_arrays((np.array([1.0, 2.0]), bundle(0, [1.0, 2.0])))
+    assert embed_loss(model, name_only(2), *batch).item() == 0.0
 
 
 def test_loss_is_squared_distance():
     model = fixed_model(np.eye(2), np.eye(2))
-    batch = [(np.array([1.0, 0.0]), bundle(0, [0.0, 1.0]))]
-    assert embed_loss(model, name_only(2), batch).item() == pytest.approx(2.0)
+    batch = batch_arrays((np.array([1.0, 0.0]), bundle(0, [0.0, 1.0])))
+    assert embed_loss(model, name_only(2), *batch).item() == pytest.approx(2.0)
 
 
 def test_loss_weight_penalty_hand_value():
@@ -63,28 +70,35 @@ def test_loss_weight_penalty_hand_value():
     store.add("b_phi", np.zeros(2))
     fusion = FusionParams(store, 0.5, 2)
     z = np.array([1.0, 1.0])
-    batch = [(z, SemanticBundle(0, "c0", np.ones(2), np.ones(2)))]
+    batch = batch_arrays((z, SemanticBundle(0, "c0", np.ones(2), np.ones(2))))
     # zero fusion maps give e = 0, so the pair term is ||W_z z||^2
     pair = float((np.ones((2, 2)) @ z) @ (np.ones((2, 2)) @ z))
-    assert embed_loss(model, fusion, batch).item() == pytest.approx(pair + 0.01 * 8)
+    assert embed_loss(model, fusion, *batch).item() == pytest.approx(pair + 0.01 * 8)
 
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ContractError):
-        embed_loss(fixed_model(np.eye(2), np.eye(2)), name_only(2), [])
+        embed_loss(fixed_model(np.eye(2), np.eye(2)), name_only(2),
+                   np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_loss_rejects_semantic_rows_that_do_not_pair_with_features():
+    z, e_c, e_p = batch_arrays(*((np.ones(2), bundle(i, [1.0, 0.0])) for i in range(3)))
+    with pytest.raises(ShapeError, match=r"^3 feature rows for 3 and 2 semantic rows$"):
+        embed_loss(fixed_model(np.eye(2), np.eye(2)), name_only(2), z, e_c, e_p[:2])
 
 
 def test_loss_gradient_passes_grad_check():
     rng = np.random.default_rng(0)
     model = init_embed_model(q=3, m=4, d=3, lam=0.01, seed=0)
     fusion = init_fusion(3, seed=1, alpha=0.5)
-    batch = [
+    batch = batch_arrays(*(
         (rng.normal(size=4), SemanticBundle(i, f"c{i}", rng.normal(size=3), rng.normal(size=3)))
         for i in range(5)
-    ]
+    ))
 
     def loss_fn():
-        return embed_loss(model, fusion, batch)
+        return embed_loss(model, fusion, *batch)
 
     assert ad.grad_check(loss_fn, model.store, fusion.store) < 1e-4
 

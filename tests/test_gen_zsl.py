@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
-from semfuse.datasets import SynthConfig, synth_dataset
+from semfuse.datasets import FeatureSet, SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError
 from semfuse.fusion import SemanticBundle, init_fusion
 from semfuse.gen_zsl import (
@@ -443,3 +443,115 @@ def test_cls_loss_names_the_first_unknown_label():
     clf = init_classifier(3, [0, 1], seed=0)
     with pytest.raises(ContractError, match=r"^label 7 outside the classifier's classes$"):
         cls_loss_batch(clf, ad.constant(np.zeros((3, 3))), np.array([1, 7, 9]))
+
+
+def _graph_fit(features, labels, class_ids, config):
+    """The classifier fit as a graph loop: backward through
+    cls_loss_batch, then Adam, on the same shuffled minibatches."""
+    clf = init_classifier(features.shape[1], class_ids, config.seed)
+    state = ad.AdamState(clf.store)
+    rng = np.random.default_rng(config.seed)
+    n = features.shape[0]
+    for _ in range(config.epochs):
+        order = np.arange(n)
+        if n > config.batch_size:
+            rng.shuffle(order)
+        for start in range(0, n, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            loss = cls_loss_batch(clf, ad.constant(features[rows]), labels[rows])
+            ad.backward(loss, clf.store)
+            ad.adam_step(clf.store, state, config.lr)
+    return clf
+
+
+def _labelled_set(rng, n, class_ids, m, seen):
+    """n rows over ``class_ids`` (each at least once when n allows),
+    features spread around a per-class center."""
+    labels = np.array(class_ids * (n // len(class_ids) + 1))[:n]
+    rng.shuffle(labels)
+    centers = {c: 3.0 * rng.normal(size=m) for c in class_ids}
+    features = np.stack([centers[c] for c in labels]) + rng.normal(size=(n, m))
+    table = {c: f"c{c}" for c in range(20)}
+    role = frozenset(class_ids)
+    return FeatureSet(features, labels, table, role if seen else frozenset(),
+                      frozenset() if seen else role)
+
+
+@given(
+    n=st.integers(2, 40),
+    k=st.integers(2, 5),
+    m=st.sampled_from([1, 3, 8, 64]),
+    batch_size=st.sampled_from([4, 7, 64]),
+    epochs=st.integers(1, 3),
+    lr=st.sampled_from([0.05, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=5, k=2, m=3, batch_size=64, epochs=2, lr=0.05, seed=0)  # n < batch
+@example(n=23, k=2, m=8, batch_size=7, epochs=3, lr=0.05, seed=1)  # n % batch != 0
+@settings(max_examples=40, deadline=None)
+def test_classifier_fits_match_the_graph_loop_bit_for_bit(n, k, m, batch_size, epochs, lr, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ClassifierTrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+    seen = _labelled_set(rng, max(n, 2), list(range(2)), m, seen=True)
+    synth = _labelled_set(rng, max(n, k), list(range(10, 10 + k)), m, seen=False)
+
+    def same_bits(clf, features, labels, class_ids):
+        ref = _graph_fit(features, labels, class_ids, cfg)
+        assert clf.class_ids == ref.class_ids
+        for name in ("W", "b"):
+            assert clf.store[name].data.tobytes() == ref.store[name].data.tobytes()
+
+    same_bits(pretrain_classifier(seen, cfg), seen.features, seen.labels, [0, 1])
+    same_bits(train_final_classifier(None, synth, cfg),
+              synth.features, synth.labels, sorted(set(synth.labels.tolist())))
+    same_bits(train_final_classifier(seen, synth, cfg),
+              np.vstack([seen.features, synth.features]),
+              np.concatenate([seen.labels, synth.labels]),
+              [0, 1] + sorted(set(synth.labels.tolist())))
+
+
+def _tensors_built_by(fit):
+    """Number of Tensor constructions while ``fit()`` runs."""
+    count = 0
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad.Tensor, "__init__", counting)
+        fit()
+    return count
+
+
+def test_classifier_fit_builds_no_graph():
+    features, labels = toy_classifier_data()
+    synth = FeatureSet(
+        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
+    )
+    counts = {
+        (epochs, batch_size): _tensors_built_by(lambda: train_final_classifier(
+            None, synth, ClassifierTrainConfig(epochs=epochs, batch_size=batch_size)))
+        for epochs, batch_size in [(1, 64), (1, 5), (6, 64), (6, 5)]
+    }
+    # the parameter leaves only, however many batches the fit takes
+    assert set(counts.values()) == {2}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_classifier_fit_at_a_huge_rate_fails_as_diverged():
+    features, labels = toy_classifier_data()
+    synth = FeatureSet(
+        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
+    )
+    with pytest.raises(ContractError, match=r"^loss is (nan|inf): training diverged$"):
+        train_final_classifier(None, synth, ClassifierTrainConfig(lr=1e308, epochs=5))
+
+
+def test_rows_of_maps_labels_to_classifier_rows():
+    clf = init_classifier(3, [4, 1, 9], seed=0)
+    assert clf.rows_of(np.array([9, 4, 4, 1])).tolist() == [2, 0, 0, 1]
+    assert clf.rows_of(1).tolist() == [1]
