@@ -416,9 +416,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -427,9 +424,6 @@ class ParamStore:
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
-
-    def clear_grads(self) -> None:
-        self.grads = {}
 
     def set_value(self, name: str, value: Array) -> None:
         t = self._params[name]

@@ -14,14 +14,14 @@ than the checkpoint's), 3 malformed data files, 4 transport failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import pipeline
 from .datasets import (
     FeatureSet,
     load_features,
@@ -29,13 +29,12 @@ from .datasets import (
     read_kv_file,
     write_features_csv,
 )
-from .embed_zsl import EmbedPredictor, EmbedTrainConfig, init_embed_model, train_embed
 from .errors import ConfigError, ContractError, FormatError, TransportError
 from .evaluation import (
     EvalReport,
     borda_count,
-    evaluate_run,
     format_report_table,
+    merge_modes,
     read_report_csv,
     write_report_csv,
 )
@@ -44,80 +43,19 @@ from .fusion import (
     VARIATIONS,
     SemanticBundle,
     export_fused_csv,
-    init_fusion,
     read_bundles,
     resolve_semantics,
     write_bundles,
 )
-from .gen_zsl import (
-    ClassifierTrainConfig,
-    GanTrainer,
-    GenPredictor,
-    GenTrainConfig,
-    init_generator,
-    pretrain_classifier,
-    synthesize_set,
-    train_final_classifier,
-)
+from .gen_zsl import synthesize_set
 from .llm_client import DescriptionCache, EndpointConfig, fetch_all, fetch_description
+from .pipeline import RunConfig
 from .wordvec import embed_text, load_word_vectors, tokenize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_TRANSPORT = 4
-
-
-@dataclass
-class RunConfig:
-    """One experiment's inputs and hyperparameters."""
-
-    split: Path | None = None
-    word_vectors: Path | None = None
-    bundles: Path | None = None
-    variation: str = "ours"
-    alpha: float = 0.5
-    alpha_set: tuple[float, ...] = ALPHA_SWEEP
-    method: str = "embed"  # "embed" | "gen"
-    lr: float = 1e-3
-    epochs: int = 1000
-    lam: float = 1e-3
-    q: int | None = None
-    batch_size: int = 64
-    optimizer: str = "adam"
-    noise_dim: int = 16
-    hidden_mult: int = 4
-    eta: float = 10.0
-    cls_weight: float = 0.01
-    n_critic: int = 5
-    synth_per_class: int = 200
-    classifier_lr: float = 0.05
-    classifier_epochs: int = 100
-    seed: int = 0
-    out_dir: Path = Path("runs/out")
-
-    def validate(self) -> None:
-        if self.variation not in VARIATIONS:
-            raise ConfigError(f"unknown variation {self.variation!r}")
-        if self.method not in ("embed", "gen"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.variation == "ours" and not any(
-            math.isclose(self.alpha, a) for a in self.alpha_set
-        ):
-            raise ConfigError(
-                f"alpha {self.alpha} is not in the sweep set {list(self.alpha_set)}"
-            )
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(repr(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 _PATH_KEYS = {"split", "word_vectors", "bundles", "out_dir"}
@@ -257,123 +195,46 @@ def _ckpt_path(config: RunConfig) -> Path:
 def run_train(config: RunConfig) -> Path:
     """Train per the config and write checkpoint plus logs; returns the
     checkpoint path."""
-    config.validate()
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
     data = _train_features(split)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if config.method == "embed":
-        run = train_embed(
-            data,
-            bundles,
-            EmbedTrainConfig(
-                q=config.q,
-                lr=config.lr,
-                epochs=config.epochs,
-                lam=config.lam,
-                alpha=config.alpha,
-                seed=config.seed,
-                batch_size=config.batch_size,
-                optimizer=config.optimizer,
-                variation=config.variation,
-            ),
-        )
-        stores = {"embed": run.model.store}
-        fusion = run.fusion
-        log_rows = [f"{i},{loss:.17g}" for i, loss in enumerate(run.loss_history)]
-        log_header = "epoch,loss"
-    else:
-        classifier = pretrain_classifier(
-            data,
-            ClassifierTrainConfig(
-                lr=config.classifier_lr,
-                epochs=config.classifier_epochs,
-                batch_size=config.batch_size,
-                seed=config.seed,
-            ),
-        )
-        steps = config.epochs * max(1, math.ceil(data.n / config.batch_size))
-        trainer = GanTrainer(data, bundles, classifier, _gen_config(config, steps))
-        records = trainer.train()
-        stores = {
-            "gen": trainer.gen.store,
-            "disc": trainer.disc.store,
-            "cls": classifier.store,
-        }
-        fusion = trainer.fusion
-        log_rows = [
-            f"{i},{r.critic_loss:.17g},{r.wasserstein:.17g},{r.penalty:.17g},"
-            f"{r.gen_loss:.17g},{r.cls_term:.17g}"
-            for i, r in enumerate(records)
-        ]
-        log_header = "step,critic_loss,wasserstein,penalty,gen_loss,cls_term"
-
-    stores["fusion"] = fusion.store
-    if len(fusion.store):
-        export_fused_csv(out_dir / "fused_semantics.csv", resolve_semantics(bundles, fusion))
+    trained = pipeline.train(config, data, bundles)
+    if len(trained.fusion.store):
+        fused = resolve_semantics(bundles, trained.fusion)
+        export_fused_csv(out_dir / "fused_semantics.csv", fused)
     ckpt = _ckpt_path(config)
-    ad.save_params(ckpt, stores)
+    ad.save_params(ckpt, trained.stores)
     (out_dir / "run.cfg").write_text(config.to_text(), encoding="utf-8")
-    (out_dir / "train_log.csv").write_text(
-        log_header + "\n" + "\n".join(log_rows) + "\n", encoding="utf-8"
-    )
+    (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
     return ckpt
-
-
-def _gen_config(config: RunConfig, steps: int) -> GenTrainConfig:
-    return GenTrainConfig(
-        noise_dim=config.noise_dim,
-        hidden_mult=config.hidden_mult,
-        eta=config.eta,
-        cls_weight=config.cls_weight,
-        n_critic=config.n_critic,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        steps=steps,
-        seed=config.seed,
-        alpha=config.alpha,
-        variation=config.variation,
-    )
 
 
 # keys that fix what a run's parameters are and mean
 _TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
 
 
-def _restore_artifacts(config: RunConfig, bundles):
-    """Rebuild trained components from the checkpoint for evaluation,
-    refusing a run trained under different ``_TRAINED_KEYS``. Returns
-    the model, the semantics object and the feature width ``m``, read
-    from the checkpoint's own records."""
+def _restore(config: RunConfig, bundles) -> tuple[pipeline.Trained, int]:
+    """Read a trained run back for evaluation, refusing one trained
+    under different ``_TRAINED_KEYS``; returns it with the feature width
+    ``m`` read from the checkpoint's own records."""
     ckpt, run_cfg = _ckpt_path(config), Path(config.out_dir) / "run.cfg"
     for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
         if not path.exists():
             raise ConfigError(f"{what} not found: {path} (run train first)")
-    trained = load_run_config(run_cfg)
+    saved = load_run_config(run_cfg)
     for key in _TRAINED_KEYS:
-        if getattr(trained, key) != getattr(config, key):
+        if getattr(saved, key) != getattr(config, key):
             raise ConfigError(
-                f"run {config.out_dir} was trained with {key} = {getattr(trained, key)}, "
+                f"run {config.out_dir} was trained with {key} = {getattr(saved, key)}, "
                 f"this config has {key} = {getattr(config, key)}"
             )
     values = ad.load_params(ckpt, ("fusion", config.method))
-    # m is the embedding's input width or the generator's output width
-    key, axis = ("embed.W_z", 1) if config.method == "embed" else ("gen.l1.W", 0)
-    if key not in values or values[key].ndim != 2:
-        raise FormatError(f"{ckpt}: no 2-d parameter {key!r} to read the feature width from")
-    m = values[key].shape[axis]
-    d = bundles[0].dimension
-    fusion = init_fusion(d, 0, config.alpha, config.variation)
-    ad.restore_store(fusion.store, values, "fusion")
-    if config.method == "embed":
-        model = init_embed_model(config.q or d, m, d, config.lam, 0)
-        ad.restore_store(model.store, values, "embed")
-        return EmbedPredictor(model, fusion), fusion, m
-    gen = init_generator(m, d, config.noise_dim, 0, [config.hidden_mult * m])
-    ad.restore_store(gen.store, values, "gen")
-    return gen, fusion, m
+    try:
+        return pipeline.restore(config, values, bundles[0].dimension)
+    except FormatError as exc:
+        raise FormatError(f"{ckpt}: {exc}") from None
 
 
 def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
@@ -382,38 +243,16 @@ def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
     test_set = _test_features(split)
-    artifacts, fusion, m = _restore_artifacts(config, bundles)
+    trained, m = _restore(config, bundles)
     if test_set.m != m:
         raise ConfigError(
             f"test features {split.test_features} have width {test_set.m}, "
             f"the checkpoint was trained on width {m}"
         )
-
-    if config.method == "embed":
-        predictor = artifacts
-    else:
-        synth = synthesize_set(
-            artifacts,
-            fusion,
-            bundles,
-            split.unseen_ids,
-            config.synth_per_class,
-            config.seed,
-            split.class_table,
-        )
-        real_seen = _train_features(split) if mode == "gzsl" else None
-        classifier = train_final_classifier(
-            real_seen,
-            synth,
-            ClassifierTrainConfig(
-                lr=config.classifier_lr,
-                epochs=config.classifier_epochs,
-                batch_size=config.batch_size,
-                seed=config.seed,
-            ),
-        )
-        predictor = GenPredictor(classifier, config.variation)
-    return evaluate_run(predictor, test_set, bundles, mode, micro)
+    seen_set = None
+    if config.method == "gen" and mode == "gzsl":  # real seen rows join synthetic ones
+        seen_set = _train_features(split)
+    return pipeline.evaluate(trained, config, test_set, bundles, mode, seen_set, micro)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +314,8 @@ def cmd_synthesize(args) -> int:
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
-    gen, fusion, _ = _restore_artifacts(config, bundles)
+    trained, _ = _restore(config, bundles)
+    gen, fusion = trained.model, trained.fusion
     per_class = args.per_class or config.synth_per_class
     synth = synthesize_set(
         gen, fusion, bundles, split.unseen_ids, per_class, config.seed, split.class_table
@@ -484,27 +324,6 @@ def cmd_synthesize(args) -> int:
     write_features_csv(args.out, names, synth.features)
     print(f"wrote {synth.n} synthetic rows for {len(synth.unseen_ids)} classes to {args.out}")
     return EXIT_OK
-
-
-def _merge_block(reports: list[EvalReport]) -> EvalReport:
-    """Collapse one variation's zsl/gzsl rows into a single metric row."""
-    merged: dict[str, float] = {}
-    for r in reports:
-        for name, value in r.metrics().items():
-            if name in merged and merged[name] != value:
-                raise ContractError(
-                    f"conflicting {name} values for variation {r.variation!r}"
-                )
-            merged[name] = value
-    return EvalReport(
-        reports[0].variation,
-        "combined",
-        reports[0].averaging,
-        acc=merged.get("acc"),
-        acc_s=merged.get("acc_s"),
-        acc_u=merged.get("acc_u"),
-        hm=merged.get("hm"),
-    )
 
 
 def cmd_compare(args) -> int:
@@ -518,12 +337,12 @@ def cmd_compare(args) -> int:
             variations = {r.variation for r in rows}
             if len(variations) != 1:
                 raise ConfigError(f"{path}: more than one variation in a report file")
-            blocks.append(_merge_block(rows))
+            blocks.append(merge_modes(rows))
     elif args.configs:
         for path in args.configs:
             config = _apply_overrides(load_run_config(path), args)
             run_train(config)
-            blocks.append(_merge_block([run_eval(config, mode) for mode in modes]))
+            blocks.append(merge_modes([run_eval(config, mode) for mode in modes]))
     else:
         raise ConfigError("compare needs --reports or --configs")
     points = borda_count(blocks)

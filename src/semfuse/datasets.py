@@ -74,6 +74,30 @@ def check_split_discipline(seen_ids, unseen_ids) -> None:
         raise SplitViolationError(f"classes {sorted(overlap)} are both seen and unseen")
 
 
+def training_semantics(
+    data: FeatureSet, bundles: list[SemanticBundle], role: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that training features hold seen classes only, each with
+    semantics; ``role`` names the features in the error.
+
+    Returns the class-name and description vectors of the bundles, one
+    row per class in id order, and each sample's row in them.
+    """
+    check_split_discipline(data.seen_ids, data.unseen_ids)
+    present = set(int(c) for c in np.unique(data.labels))
+    outside = present - set(data.seen_ids)
+    if outside:
+        raise ManifestError(f"{role} contain non-seen classes {sorted(outside)}")
+    by_id = {b.class_id: b for b in bundles}
+    missing = sorted(present - set(by_id))
+    if missing:
+        raise ManifestError(f"classes without semantics: {missing}")
+    classes = sorted(by_id)
+    e_c = np.stack([by_id[c].e_c for c in classes])
+    e_p = np.stack([by_id[c].e_p for c in classes])
+    return e_c, e_p, np.searchsorted(classes, data.labels)
+
+
 @dataclass
 class SplitSpec:
     """Named dataset split: class lists plus locations of its files.

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, check_split_discipline
-from .errors import ContractError, ManifestError, ShapeError
+from .datasets import FeatureSet, training_semantics
+from .errors import ContractError, ShapeError
 from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion
 
 
@@ -117,15 +117,8 @@ def train_embed(
     mini-batches. Deterministic given config and seed; epochs=0 returns
     the freshly initialized parameters.
     """
-    check_split_discipline(data.seen_ids, data.unseen_ids)
-    outside = set(int(c) for c in np.unique(data.labels)) - set(data.seen_ids)
-    if outside:
-        raise ManifestError(f"training features contain non-seen classes {sorted(outside)}")
-    by_id = {b.class_id: b for b in bundles}
-    missing = sorted(set(int(c) for c in np.unique(data.labels)) - set(by_id))
-    if missing:
-        raise ManifestError(f"classes without semantics: {missing}")
-
+    # one semantic row per class; a batch picks its rows by label
+    e_c, e_p, class_rows = training_semantics(data, bundles, "training features")
     d = bundles[0].dimension
     q = config.q if config.q is not None else d
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -137,11 +130,6 @@ def train_embed(
     stores = [model.store, fusion.store]
     states = [ad.AdamState(s) for s in stores]
     rng = np.random.default_rng(shuffle_seed)
-    # one semantic row per class; a batch picks its rows by label
-    classes = sorted(by_id)
-    e_c = np.stack([by_id[c].e_c for c in classes])
-    e_p = np.stack([by_id[c].e_p for c in classes])
-    class_rows = np.searchsorted(classes, data.labels)
     history: list[float] = []
 
     for _ in range(config.epochs):

@@ -115,6 +115,27 @@ def borda_count(reports) -> dict[str, int]:
     return points
 
 
+def merge_modes(reports: list[EvalReport]) -> EvalReport:
+    """Collapse one variation's zsl/gzsl rows into a single metric row."""
+    merged: dict[str, float] = {}
+    for r in reports:
+        for name, value in r.metrics().items():
+            if name in merged and merged[name] != value:
+                raise ContractError(
+                    f"conflicting {name} values for variation {r.variation!r}"
+                )
+            merged[name] = value
+    return EvalReport(
+        reports[0].variation,
+        "combined",
+        reports[0].averaging,
+        acc=merged.get("acc"),
+        acc_s=merged.get("acc_s"),
+        acc_u=merged.get("acc_u"),
+        hm=merged.get("hm"),
+    )
+
+
 class Predictor(Protocol):
     variation: str
 

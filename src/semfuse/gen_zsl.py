@@ -14,18 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, check_split_discipline
+from .datasets import FeatureSet, training_semantics
 from .errors import ContractError, ManifestError, ShapeError
 from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion, resolve_semantics
 
 
-class Mlp:
-    """Dense layers with leaky-relu between them, linear at the end."""
+BETA1, BETA2 = 0.5, 0.9  # Adam moment decays of the critic and generator
 
-    def __init__(self, store: ad.ParamStore, sizes: list[int], slope: float = 0.2):
+
+class Mlp:
+    """Dense layers with leaky-relu (`ad.leaky_relu`'s slope 0.2) between
+    them, linear at the end."""
+
+    def __init__(self, store: ad.ParamStore, sizes: list[int]):
         self.store = store
         self.sizes = sizes
-        self.slope = slope
 
     @property
     def n_layers(self) -> int:
@@ -36,18 +39,18 @@ class Mlp:
         for i in range(self.n_layers):
             h = ad.linear(h, self.store[f"l{i}.W"], self.store[f"l{i}.b"])
             if i < self.n_layers - 1:
-                h = ad.leaky_relu(h, self.slope)
+                h = ad.leaky_relu(h)
         return h
 
 
-def _init_mlp(sizes: list[int], seed: int, slope: float = 0.2) -> Mlp:
+def _init_mlp(sizes: list[int], seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         store.add(f"l{i}.W", rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         store.add(f"l{i}.b", np.zeros(fan_out))
-    return Mlp(store, sizes, slope)
+    return Mlp(store, sizes)
 
 
 class Generator:
@@ -321,8 +324,6 @@ class GenTrainConfig:
     cls_weight: float = 0.01
     n_critic: int = 5
     lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.9
     batch_size: int = 64
     steps: int = 2000  # generator update cycles
     seed: int = 0
@@ -355,18 +356,12 @@ class GanTrainer:
         classifier: SoftmaxClassifier,
         config: GenTrainConfig,
     ):
-        check_split_discipline(data.seen_ids, data.unseen_ids)
+        # one semantic row per class; a batch picks its rows by label
+        self._ec, self._ep, self._class_rows = training_semantics(
+            data, bundles, "generator training features"
+        )
         if config.eta <= 0:
             raise ContractError("penalty coefficient must be positive")
-        outside = set(int(c) for c in np.unique(data.labels)) - set(data.seen_ids)
-        if outside:
-            raise ManifestError(
-                f"generator training features contain non-seen classes {sorted(outside)}"
-            )
-        by_id = {b.class_id: b for b in bundles}
-        missing = sorted(set(int(c) for c in np.unique(data.labels)) - set(by_id))
-        if missing:
-            raise ManifestError(f"classes without semantics: {missing}")
 
         self.data = data
         self.config = config
@@ -378,8 +373,6 @@ class GanTrainer:
         self.gen = init_generator(data.m, d, config.noise_dim, g_seed, hidden)
         self.disc = init_discriminator(data.m, d, d_seed, hidden)
         self.fusion = init_fusion(d, f_seed, config.alpha, config.variation)
-        self._ec = np.stack([by_id[int(c)].e_c for c in data.labels])
-        self._ep = np.stack([by_id[int(c)].e_p for c in data.labels])
         self.rng = np.random.default_rng(batch_seed)
 
         self._gen_stores = [self.gen.store, self.fusion.store]
@@ -388,9 +381,8 @@ class GanTrainer:
 
     def _semantics_for(self, rows: np.ndarray, graph: bool) -> ad.Tensor:
         """Per-row conditioning vectors; ``graph`` keeps fusion trainable."""
-        e = fuse_graph(
-            self.fusion, ad.constant(self._ec[rows]), ad.constant(self._ep[rows])
-        )
+        sem = self._class_rows[rows]
+        e = fuse_graph(self.fusion, ad.constant(self._ec[sem]), ad.constant(self._ep[sem]))
         return e if graph else e.detach()
 
     def _draw_rows(self) -> np.ndarray:
@@ -418,9 +410,7 @@ class GanTrainer:
             gp = gradient_penalty(self.disc, z_real, z_fake.data, e.data, beta)
             loss = ad.add(ad.sub(score_fake, score_real), ad.scale(gp, cfg.eta))
             ad.backward(loss, self.disc.store)
-            ad.adam_step(
-                self.disc.store, self._disc_state, cfg.lr, cfg.beta1, cfg.beta2
-            )
+            ad.adam_step(self.disc.store, self._disc_state, cfg.lr, BETA1, BETA2)
             critic_loss = loss.item()
             wasserstein = score_real.item() - score_fake.item()
             penalty = gp.item()
@@ -432,7 +422,7 @@ class GanTrainer:
         gen_loss = ad.add(ad.neg(score), ad.scale(cls_term, cfg.cls_weight))
         ad.backward(gen_loss, *self._gen_stores)
         for store, state in zip(self._gen_stores, self._gen_states):
-            ad.adam_step(store, state, cfg.lr, cfg.beta1, cfg.beta2)
+            ad.adam_step(store, state, cfg.lr, BETA1, BETA2)
         return StepRecord(
             critic_loss, wasserstein, penalty, gen_loss.item(), cls_term.item()
         )

@@ -11,36 +11,18 @@ import numpy as np
 import pytest
 
 from semfuse import autodiff as ad
+from semfuse import pipeline
 from semfuse.cli import main
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
-from semfuse.embed_zsl import (
-    EmbedPredictor,
-    EmbedTrainConfig,
-    classify_batch,
-    embed_loss,
-    init_embed_model,
-    train_embed,
-)
-from semfuse.evaluation import (
-    borda_count,
-    evaluate_run,
-    harmonic_mean,
-    per_class_top1,
-)
+from semfuse.embed_zsl import classify_batch, embed_loss, init_embed_model
+from semfuse.evaluation import borda_count, harmonic_mean, per_class_top1
 from semfuse.fusion import SemanticBundle, fuse_graph, init_fusion
 from semfuse.gen_zsl import (
-    ClassifierTrainConfig,
-    GanTrainer,
-    GenPredictor,
-    GenTrainConfig,
     cls_loss_batch,
     gradient_penalty,
     init_classifier,
     init_discriminator,
     init_generator,
-    pretrain_classifier,
-    synthesize_set,
-    train_final_classifier,
 )
 from semfuse.gen_zsl import Discriminator, Mlp
 
@@ -214,15 +196,10 @@ def _embed_zsl_accuracy(variation, seed, sigma_c, sigma_p):
     )
     data, bundles = synth_dataset(cfg)
     train, test = split_for_eval(data, seed=seed)
-    run = train_embed(
-        train,
-        bundles,
-        EmbedTrainConfig(lr=0.005, epochs=400, lam=1e-4, alpha=1.0,
-                         seed=seed, variation=variation),
-    )
-    rep = evaluate_run(EmbedPredictor(run.model, run.fusion),
-                       test, bundles, "zsl")
-    return rep.acc
+    run_cfg = pipeline.RunConfig(method="embed", variation=variation, alpha=1.0,
+                                 lr=0.005, epochs=400, lam=1e-4, seed=seed)
+    trained = pipeline.train(run_cfg, train, bundles)
+    return pipeline.evaluate(trained, run_cfg, test, bundles, "zsl").acc
 
 
 def test_criterion_4_embedding_family_end_to_end():
@@ -259,21 +236,12 @@ def test_criterion_5_generative_family_end_to_end():
     )
     data, bundles = synth_dataset(cfg)
     train, test = split_for_eval(data, seed=seed)
-    clf_cfg = ClassifierTrainConfig(lr=0.05, epochs=100, seed=seed)
-    frozen = pretrain_classifier(train, clf_cfg)
-    trainer = GanTrainer(
-        train,
-        bundles,
-        frozen,
-        GenTrainConfig(noise_dim=8, eta=10.0, cls_weight=0.1, n_critic=5,
-                       lr=2e-4, batch_size=64, steps=300, seed=seed,
-                       alpha=1.0, variation=variation),
-    )
-    trainer.train()
-    synth = synthesize_set(trainer.gen, trainer.fusion, bundles, data.unseen_ids, 200, seed,
-                           data.class_table)
-    final = train_final_classifier(train, synth, clf_cfg)
-    rep = evaluate_run(GenPredictor(final, variation), test, bundles, "gzsl")
+    # 100 epochs of the 140-row training half at batch 64: 300 GAN cycles
+    run_cfg = pipeline.RunConfig(method="gen", variation=variation, alpha=1.0,
+                                 noise_dim=8, cls_weight=0.1, lr=2e-4, epochs=100,
+                                 synth_per_class=200, seed=seed)
+    trained = pipeline.train(run_cfg, train, bundles)
+    rep = pipeline.evaluate(trained, run_cfg, test, bundles, "gzsl", seen_set=train)
     elapsed = watch.check()
     report("criterion 5 (generative family)", rep.hm >= 40.0,
            f"HM {rep.hm:.1f} (s {rep.acc_s:.1f} / u {rep.acc_u:.1f}) in {elapsed:.0f}s")

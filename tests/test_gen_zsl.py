@@ -290,6 +290,13 @@ def test_gan_rejects_unseen_training_features():
         GanTrainer(fs, bundles, pre, gcfg)  # fs still contains unseen rows
 
 
+def test_gan_rejects_missing_semantics():
+    fs, bundles, train, pre, gcfg = gan_fixture()
+    without_class_0 = [b for b in bundles if b.class_id != 0]
+    with pytest.raises(ManifestError, match=r"classes without semantics: \[0\]"):
+        GanTrainer(train, without_class_0, pre, gcfg)
+
+
 def test_gan_requires_positive_penalty_coefficient():
     fs, bundles, train, pre, gcfg = gan_fixture()
     gcfg.eta = 0.0
