@@ -41,10 +41,7 @@ def run_variation(family, variation, data, bundles, args):
     )
     trained = pipeline.train(cfg, train, bundles)
     return merge_modes(
-        [
-            pipeline.evaluate(trained, cfg, test, bundles, mode, seen_set=train)
-            for mode in ("zsl", "gzsl")
-        ]
+        pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
     )
 
 

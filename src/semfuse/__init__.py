@@ -3,11 +3,20 @@ features, with class semantics built from word vectors of class names
 and of generated class descriptions, fused by learned affine layers."""
 
 from .autodiff import ParamStore, Tensor, backward, grad_check
-from .datasets import FeatureSet, SplitSpec, SynthConfig, load_features, load_split, synth_dataset
-from .embed_zsl import EmbedTrainConfig, embed_loss, train_embed
+from .datasets import (
+    FeatureSet,
+    RunConfig,
+    SplitSpec,
+    SynthConfig,
+    load_features,
+    load_run_config,
+    load_split,
+    synth_dataset,
+)
+from .embed_zsl import embed_loss, train_embed
 from .evaluation import EvalReport, borda_count, evaluate_run, harmonic_mean, per_class_top1
 from .fusion import FusionParams, SemanticBundle, fuse, init_fusion
-from .gen_zsl import GanTrainer, GenTrainConfig, gradient_penalty, synthesize
+from .gen_zsl import GanTrainer, gradient_penalty, synthesize
 from .llm_client import DescriptionCache, EndpointConfig, build_prompt, fetch_description
 from .wordvec import WordVectorTable, embed_text, load_word_vectors
 
@@ -17,12 +26,13 @@ __all__ = [
     "backward",
     "grad_check",
     "FeatureSet",
+    "RunConfig",
     "SplitSpec",
     "SynthConfig",
     "load_features",
+    "load_run_config",
     "load_split",
     "synth_dataset",
-    "EmbedTrainConfig",
     "embed_loss",
     "train_embed",
     "EvalReport",
@@ -35,7 +45,6 @@ __all__ = [
     "fuse",
     "init_fusion",
     "GanTrainer",
-    "GenTrainConfig",
     "gradient_penalty",
     "synthesize",
     "DescriptionCache",

@@ -554,6 +554,9 @@ def adam_step(
 # One record per line: <name> <d0,d1,...|-> <values...>, floats as %.17g
 # so doubles round-trip exactly. "-" marks a 0-d (scalar) parameter.
 
+# values formatted at a time, so a record's text is never held whole
+SAVE_CHUNK = 16384
+
 
 def save_params(path, stores: dict[str, ParamStore]) -> None:
     """Write ordered (name, shape, values) records as UTF-8 text."""
@@ -562,9 +565,12 @@ def save_params(path, stores: dict[str, ParamStore]) -> None:
             for name, t in store.items():
                 full = f"{prefix}.{name}" if prefix else name
                 dims = ",".join(str(s) for s in t.data.shape) or "-"
-                flat = t.data.reshape(-1).tolist()
-                vals = " ".join(["%.17g"] * len(flat)) % tuple(flat)
-                handle.write(f"{full} {dims} {vals}".rstrip() + "\n")
+                handle.write(f"{full} {dims}")
+                flat = t.data.reshape(-1)
+                for start in range(0, flat.size, SAVE_CHUNK):
+                    chunk = flat[start : start + SAVE_CHUNK].tolist()
+                    handle.write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
+                handle.write("\n")
         if not handle.tell():  # no records: one empty line
             handle.write("\n")
 

@@ -17,6 +17,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from . import autodiff as ad
 from . import pipeline
 from .datasets import (
     FeatureSet,
+    RunConfig,
     load_features,
+    load_run_config,
     load_split,
-    read_kv_file,
     write_features_csv,
 )
 from .errors import ConfigError, ContractError, FormatError, TransportError
@@ -49,55 +51,12 @@ from .fusion import (
 )
 from .gen_zsl import synthesize_set
 from .llm_client import DescriptionCache, EndpointConfig, fetch_all, fetch_description
-from .pipeline import RunConfig
 from .wordvec import embed_text, load_word_vectors, tokenize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_TRANSPORT = 4
-
-
-_PATH_KEYS = {"split", "word_vectors", "bundles", "out_dir"}
-_INT_KEYS = {
-    "epochs",
-    "q",
-    "batch_size",
-    "noise_dim",
-    "hidden_mult",
-    "n_critic",
-    "synth_per_class",
-    "classifier_epochs",
-    "seed",
-}
-_FLOAT_KEYS = {"alpha", "lr", "lam", "eta", "cls_weight", "classifier_lr"}
-_STR_KEYS = {"variation", "method", "optimizer"}
-
-
-def load_run_config(path) -> RunConfig:
-    """Parse a key = value config file; paths resolve against the file."""
-    path = Path(path)
-    kv = read_kv_file(path)
-    config = RunConfig()
-    for key, raw in kv.items():
-        try:
-            if key in _PATH_KEYS:
-                p = Path(raw)
-                value = p if p.is_absolute() else path.parent / p
-            elif key in _INT_KEYS:
-                value = int(raw)
-            elif key in _FLOAT_KEYS:
-                value = float(raw)
-            elif key in _STR_KEYS:
-                value = raw
-            elif key == "alpha_set":
-                value = tuple(float(v) for v in raw.split(",") if v.strip())
-            else:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
-        config = replace(config, **{key: value})
-    return config
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
@@ -237,8 +196,9 @@ def _restore(config: RunConfig, bundles) -> tuple[pipeline.Trained, int]:
         raise FormatError(f"{ckpt}: {exc}") from None
 
 
-def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
-    """Evaluate a trained run; deterministic given config and seed."""
+def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> list[EvalReport]:
+    """Evaluate a trained run in each of ``modes``, one report per mode;
+    deterministic given config and seed."""
     config.validate()
     split = load_split(_require(config.split, "config needs a split manifest"))
     bundles = obtain_bundles(config, split)
@@ -250,9 +210,9 @@ def run_eval(config: RunConfig, mode: str, micro: bool = False) -> EvalReport:
             f"the checkpoint was trained on width {m}"
         )
     seen_set = None
-    if config.method == "gen" and mode == "gzsl":  # real seen rows join synthetic ones
+    if config.method == "gen" and "gzsl" in modes:  # real seen rows join synthetic ones
         seen_set = _train_features(split)
-    return pipeline.evaluate(trained, config, test_set, bundles, mode, seen_set, micro)
+    return pipeline.evaluate(trained, config, test_set, bundles, modes, seen_set, micro)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +250,6 @@ def cmd_build_semantics(args) -> int:
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
-    if args.force_method:
-        config = replace(config, method=args.force_method)
     ckpt = run_train(config)
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK
@@ -299,7 +257,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
-    report = run_eval(config, args.mode, args.micro)
+    (report,) = run_eval(config, (args.mode,), args.micro)
     out = Path(args.out) if args.out else Path(config.out_dir) / f"report_{args.mode}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(out, [report])
@@ -342,7 +300,7 @@ def cmd_compare(args) -> int:
         for path in args.configs:
             config = _apply_overrides(load_run_config(path), args)
             run_train(config)
-            blocks.append(merge_modes([run_eval(config, mode) for mode in modes]))
+            blocks.append(merge_modes(run_eval(config, modes)))
     else:
         raise ConfigError("compare needs --reports or --configs")
     points = borda_count(blocks)
@@ -372,8 +330,7 @@ def cmd_sweep_alpha(args) -> int:
             out_dir=base_out / f"alpha_{alpha:g}",
         )
         run_train(run_config)
-        for mode in modes:
-            report = run_eval(run_config, mode)
+        for report in run_eval(run_config, modes):
             report.variation = f"alpha={alpha:g}"
             reports.append(report)
     out = args.out or base_out / "alpha_sweep.csv"
@@ -426,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_config_options(p)
         if forced is None:
             p.add_argument("--method", choices=("embed", "gen"), default=None)
-        p.set_defaults(func=cmd_train, force_method=forced)
+        # an alias's method overrides the config's like --method does
+        p.set_defaults(func=cmd_train, method=forced)
 
     p = sub.add_parser("eval", help="evaluate a trained run")
     add_config_options(p, with_mode=True)

@@ -1,21 +1,26 @@
-"""Feature ingestion, split manifests, and seeded synthetic data.
+"""Feature ingestion, split manifests, run configs, and seeded
+synthetic data.
 
 Features come precomputed from upstream extractors; this module only
 reads them (CSV or a small binary layout) and tags each class as seen
-or unseen according to a split manifest. A synthetic generator provides
-desk-scale datasets with controllable semantic and feature noise.
+or unseen according to a split manifest. `RunConfig` describes one run
+and is read from and written to ``key = value`` text here. A synthetic
+generator provides desk-scale datasets with controllable semantic and
+feature noise.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ManifestError, SplitViolationError
-from .fusion import SemanticBundle
+from .errors import ConfigError, ContractError, FormatError, ManifestError, SplitViolationError
+from .fusion import ALPHA_SWEEP, VARIATIONS, SemanticBundle
 
 _BINARY_MAGIC = b"FSET"
 
@@ -188,6 +193,101 @@ def load_split(path) -> SplitSpec:
     if kv:
         raise ManifestError(f"{path}: unknown manifest keys {sorted(kv)}")
     return spec
+
+
+# ---------------------------------------------------------------------------
+# run configs
+
+
+@dataclass
+class RunConfig:
+    """One run's inputs and hyperparameters: what every trainer reads,
+    and what ``run.cfg`` records. ``optimizer`` applies to the embedding
+    family only; the GAN and the softmax classifiers step with Adam."""
+
+    split: Path | None = None
+    word_vectors: Path | None = None
+    bundles: Path | None = None
+    variation: str = "ours"
+    alpha: float = 0.5
+    alpha_set: tuple[float, ...] = ALPHA_SWEEP
+    method: str = "embed"  # "embed" | "gen"
+    lr: float = 1e-3
+    epochs: int = 1000
+    lam: float = 1e-3
+    q: int | None = None  # common-space dimension, defaults to d
+    batch_size: int = 64
+    optimizer: str = "adam"  # "adam" | "sgd"
+    noise_dim: int = 16
+    hidden_mult: int = 4  # GAN hidden width = hidden_mult * m
+    eta: float = 10.0  # gradient-penalty coefficient
+    cls_weight: float = 0.01
+    n_critic: int = 5
+    synth_per_class: int = 200
+    classifier_lr: float = 0.05
+    classifier_epochs: int = 100
+    seed: int = 0
+    out_dir: Path = Path("runs/out")
+
+    def validate(self) -> None:
+        if self.variation not in VARIATIONS:
+            raise ConfigError(f"unknown variation {self.variation!r}")
+        if self.method not in ("embed", "gen"):
+            raise ConfigError(f"unknown method {self.method!r}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.method == "gen" and self.optimizer != "adam":
+            raise ConfigError(f"method gen trains with adam only, not {self.optimizer!r}")
+        if self.variation == "ours" and not any(
+            math.isclose(self.alpha, a) for a in self.alpha_set
+        ):
+            raise ConfigError(
+                f"alpha {self.alpha} is not in the sweep set {list(self.alpha_set)}"
+            )
+
+    def to_text(self) -> str:
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                value = ",".join(repr(v) for v in value)
+            lines.append(f"{f.name} = {value}")
+        return "\n".join(lines) + "\n"
+
+
+# each field's type, resolved once: resolving takes longer than a parse
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def load_run_config(path) -> RunConfig:
+    """Parse a key = value run config. Each value takes the type of its
+    `RunConfig` field; paths resolve against the file."""
+    path = Path(path)
+    values = {}
+    for key, raw in read_kv_file(path).items():
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(_FIELD_TYPES[key], raw, path.parent)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
+    return RunConfig(**values)
+
+
+def _parse_value(kind, raw: str, base: Path):
+    """``raw`` as a value of type ``kind``: an optional type parses as
+    the type it wraps, a tuple as a comma list of its item type, and a
+    relative path resolves against ``base``."""
+    if type(None) in get_args(kind):
+        (kind,) = (k for k in get_args(kind) if k is not type(None))
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(v) for v in raw.split(",") if v.strip())
+    if kind is Path:
+        return base / raw  # an absolute raw path replaces base
+    return kind(raw)
 
 
 # ---------------------------------------------------------------------------

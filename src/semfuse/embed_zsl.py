@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, training_semantics
+from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ShapeError
 from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion
 
@@ -87,19 +87,6 @@ def embed_loss(
 
 
 @dataclass
-class EmbedTrainConfig:
-    q: int | None = None  # common-space dimension, defaults to d
-    lr: float = 1e-3
-    epochs: int = 1000
-    lam: float = 1e-3
-    alpha: float = 0.5
-    seed: int = 0
-    batch_size: int = 64
-    optimizer: str = "adam"  # "adam" | "sgd"
-    variation: str = "ours"
-
-
-@dataclass
 class EmbedRun:
     """Training artifacts: both parameter groups plus the loss trace."""
 
@@ -109,46 +96,49 @@ class EmbedRun:
 
 
 def train_embed(
-    data: FeatureSet, bundles: list[SemanticBundle], config: EmbedTrainConfig
+    data: FeatureSet, bundles: list[SemanticBundle], cfg: RunConfig
 ) -> EmbedRun:
-    """Gradient-descent training on seen-class features.
+    """Gradient-descent training on seen-class features, with the
+    ``q``, ``lam``, ``alpha``, ``variation``, ``optimizer``, ``lr``,
+    ``epochs``, ``batch_size`` and ``seed`` of ``cfg``.
 
     Full batch when the dataset fits in one batch, otherwise shuffled
     mini-batches. Deterministic given config and seed; epochs=0 returns
     the freshly initialized parameters.
     """
+    step = {
+        "adam": lambda store, state: ad.adam_step(store, state, cfg.lr),
+        "sgd": lambda store, state: ad.sgd_step(store, cfg.lr),
+    }.get(cfg.optimizer)
+    if step is None:
+        raise ContractError(f"unknown optimizer {cfg.optimizer!r}")
     # one semantic row per class; a batch picks its rows by label
     e_c, e_p, class_rows = training_semantics(data, bundles, "training features")
     d = bundles[0].dimension
-    q = config.q if config.q is not None else d
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    q = cfg.q if cfg.q is not None else d
+    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     model_seed, fusion_seed, shuffle_seed = (
         int(s.generate_state(1)[0]) for s in seeds
     )
-    model = init_embed_model(q, data.m, d, config.lam, model_seed)
-    fusion = init_fusion(d, fusion_seed, config.alpha, config.variation)
+    model = init_embed_model(q, data.m, d, cfg.lam, model_seed)
+    fusion = init_fusion(d, fusion_seed, cfg.alpha, cfg.variation)
     stores = [model.store, fusion.store]
     states = [ad.AdamState(s) for s in stores]
     rng = np.random.default_rng(shuffle_seed)
     history: list[float] = []
 
-    for _ in range(config.epochs):
+    for _ in range(cfg.epochs):
         order = np.arange(data.n)
-        if data.n > config.batch_size:
+        if data.n > cfg.batch_size:
             rng.shuffle(order)
         epoch_losses = []
-        for start in range(0, data.n, config.batch_size):
-            rows = order[start : start + config.batch_size]
+        for start in range(0, data.n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
             sem = class_rows[rows]
             loss = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
             ad.backward(loss, *stores)
             for store, state in zip(stores, states):
-                if config.optimizer == "adam":
-                    ad.adam_step(store, state, config.lr)
-                elif config.optimizer == "sgd":
-                    ad.sgd_step(store, config.lr)
-                else:
-                    raise ContractError(f"unknown optimizer {config.optimizer!r}")
+                step(store, state)
             epoch_losses.append(loss.item())
         history.append(float(np.mean(epoch_losses)))
     return EmbedRun(model, fusion, history)

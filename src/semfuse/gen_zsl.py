@@ -9,12 +9,13 @@ synthetic unseen features performs the actual ZSL/GZSL prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, training_semantics
+from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ManifestError, ShapeError
 from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion, resolve_semantics
 
@@ -226,21 +227,15 @@ def cls_loss_batch(
     return ad.softmax_xent(logits, onehot)
 
 
-@dataclass
-class ClassifierTrainConfig:
-    lr: float = 0.05
-    epochs: int = 100
-    batch_size: int = 64
-    seed: int = 0
-
-
 def _train_softmax(
     features: np.ndarray,
     labels: np.ndarray,
     class_ids: list[int],
-    config: ClassifierTrainConfig,
+    cfg: RunConfig,
 ) -> SoftmaxClassifier:
-    """Minibatch Adam on the mean softmax cross-entropy of ``labels``.
+    """Minibatch Adam on the mean softmax cross-entropy of ``labels``,
+    with the ``classifier_lr``, ``classifier_epochs``, ``batch_size``
+    and ``seed`` of ``cfg``.
 
     Each batch's loss and gradients are plain arrays, with no graph:
     `ad.softmax_xent_grad` gives the logits adjoint, and `ad.linear`'s
@@ -249,32 +244,30 @@ def _train_softmax(
     by `ad.adam_step` leaves them, and a non-finite loss is the same
     ContractError as in `ad.backward`.
     """
-    clf = init_classifier(features.shape[1], class_ids, config.seed)
+    clf = init_classifier(features.shape[1], class_ids, cfg.seed)
     state = ad.AdamState(clf.store)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     n = features.shape[0]
     targets = np.zeros((n, len(class_ids)))
     targets[np.arange(n), clf.rows_of(labels)] = 1.0
     W, b = clf.store["W"], clf.store["b"]
-    for _ in range(config.epochs):
+    for _ in range(cfg.classifier_epochs):
         order = np.arange(n)
-        if n > config.batch_size:
+        if n > cfg.batch_size:
             rng.shuffle(order)
-        for start in range(0, n, config.batch_size):
-            rows = order[start : start + config.batch_size]
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
             x = features[rows]
             loss, g = ad.softmax_xent_grad(x @ W.data.T + b.data, targets[rows])
             ad.require_finite_loss(loss)
             # C-ordered, as backward stores linear's transposed weight adjoint
             clf.store.grads["W"] = np.ascontiguousarray((x.T @ g).T)
             clf.store.grads["b"] = g.sum(axis=0)
-            ad.adam_step(clf.store, state, config.lr)
+            ad.adam_step(clf.store, state, cfg.classifier_lr)
     return clf
 
 
-def pretrain_classifier(
-    seen_data: FeatureSet, config: ClassifierTrainConfig
-) -> SoftmaxClassifier:
+def pretrain_classifier(seen_data: FeatureSet, cfg: RunConfig) -> SoftmaxClassifier:
     """Train the frozen regularizer classifier on real seen features."""
     present = sorted(int(c) for c in np.unique(seen_data.labels))
     outside = set(present) - set(seen_data.seen_ids)
@@ -282,13 +275,13 @@ def pretrain_classifier(
         raise ManifestError(f"pretraining features contain non-seen classes {sorted(outside)}")
     if len(present) < 2:
         raise ContractError("need at least 2 classes to pretrain the classifier")
-    return _train_softmax(seen_data.features, seen_data.labels, present, config)
+    return _train_softmax(seen_data.features, seen_data.labels, present, cfg)
 
 
 def train_final_classifier(
     real_seen: FeatureSet | None,
     synth_unseen: FeatureSet,
-    config: ClassifierTrainConfig,
+    cfg: RunConfig,
 ) -> SoftmaxClassifier:
     """Final-stage classifier: union of classes when real seen features
     are given (GZSL), synthetic unseen classes only otherwise (ZSL)."""
@@ -309,26 +302,11 @@ def train_final_classifier(
         class_ids = sorted(synth_classes)
     if len(class_ids) < 2:
         raise ContractError("need at least 2 classes to train a classifier")
-    return _train_softmax(features, labels, class_ids, config)
+    return _train_softmax(features, labels, class_ids, cfg)
 
 
 # ---------------------------------------------------------------------------
 # adversarial training
-
-
-@dataclass
-class GenTrainConfig:
-    noise_dim: int = 16
-    hidden_mult: int = 4  # hidden width = hidden_mult * m
-    eta: float = 10.0  # gradient-penalty coefficient
-    cls_weight: float = 0.01
-    n_critic: int = 5
-    lr: float = 1e-4
-    batch_size: int = 64
-    steps: int = 2000  # generator update cycles
-    seed: int = 0
-    alpha: float = 0.5
-    variation: str = "ours"
 
 
 @dataclass
@@ -346,7 +324,8 @@ class GanTrainer:
     The generator (and, for the fused variation, the fusion layers)
     update once per cycle after ``n_critic`` critic updates; the
     semantics are treated as constants inside critic updates so the
-    critic never trains them.
+    critic never trains them. `train` runs ``epochs × ceil(n /
+    batch_size)`` cycles of ``cfg``.
     """
 
     def __init__(
@@ -354,25 +333,25 @@ class GanTrainer:
         data: FeatureSet,
         bundles: list[SemanticBundle],
         classifier: SoftmaxClassifier,
-        config: GenTrainConfig,
+        cfg: RunConfig,
     ):
         # one semantic row per class; a batch picks its rows by label
         self._ec, self._ep, self._class_rows = training_semantics(
             data, bundles, "generator training features"
         )
-        if config.eta <= 0:
+        if cfg.eta <= 0:
             raise ContractError("penalty coefficient must be positive")
 
         self.data = data
-        self.config = config
+        self.config = cfg
         self.classifier = classifier
         d = bundles[0].dimension
-        hidden = [config.hidden_mult * data.m]
-        seeds = np.random.SeedSequence(config.seed).spawn(4)
+        hidden = [cfg.hidden_mult * data.m]
+        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         g_seed, d_seed, f_seed, batch_seed = (int(s.generate_state(1)[0]) for s in seeds)
-        self.gen = init_generator(data.m, d, config.noise_dim, g_seed, hidden)
+        self.gen = init_generator(data.m, d, cfg.noise_dim, g_seed, hidden)
         self.disc = init_discriminator(data.m, d, d_seed, hidden)
-        self.fusion = init_fusion(d, f_seed, config.alpha, config.variation)
+        self.fusion = init_fusion(d, f_seed, cfg.alpha, cfg.variation)
         self.rng = np.random.default_rng(batch_seed)
 
         self._gen_stores = [self.gen.store, self.fusion.store]
@@ -428,7 +407,9 @@ class GanTrainer:
         )
 
     def train(self) -> list[StepRecord]:
-        return [self.wgan_step() for _ in range(self.config.steps)]
+        cfg = self.config
+        cycles = cfg.epochs * max(1, math.ceil(self.data.n / cfg.batch_size))
+        return [self.wgan_step() for _ in range(cycles)]
 
 
 def synthesize(gen: Generator, bundle: SemanticBundle, n: int, seed: int) -> np.ndarray:

@@ -304,6 +304,16 @@ def test_checkpoint_bytes_match_per_value_format_on_edge_values(tmp_path):
     _assert_bitwise_round_trip(path, stores)
 
 
+def test_checkpoint_record_longer_than_three_chunks_matches_one_shot_format(tmp_path):
+    values = np.random.default_rng(5).normal(size=3 * ad.SAVE_CHUNK + 7)
+    values[ad.SAVE_CHUNK - 1 : ad.SAVE_CHUNK + 1] = [-0.0, 5e-324]  # across a boundary
+    stores = {"net": _store({"long": values, "scalar": 0.5, "empty": np.zeros(0)})}
+    path = tmp_path / "long.ckpt"
+    ad.save_params(path, stores)
+    assert path.read_bytes() == _reference_checkpoint(stores)
+    _assert_bitwise_round_trip(path, stores)
+
+
 def test_checkpoint_of_empty_stores_is_one_empty_line(tmp_path):
     path = tmp_path / "none.ckpt"
     stores = {"net": ad.ParamStore()}

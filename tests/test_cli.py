@@ -3,6 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
+from semfuse import pipeline
 from semfuse.cli import main
 from semfuse.evaluation import read_report_csv
 from semfuse.fusion import read_bundles
@@ -272,6 +273,26 @@ def test_gen_pipeline_train_eval_synthesize(demo_dir, tmp_path):
     assert {line.split(",")[0] for line in lines} == {"table", "toilet"}
 
 
+def test_compare_configs_synthesizes_each_generative_run_once(demo_dir, tmp_path, monkeypatch):
+    calls = []
+    synthesize_set = pipeline.synthesize_set
+    monkeypatch.setattr(pipeline, "synthesize_set",
+                        lambda *args: calls.append(args) or synthesize_set(*args))
+    configs = [
+        str(write_config(tmp_path / f"{v}.cfg", demo_dir, tmp_path / v, method="gen",
+                         variation=v, epochs="3", noise_dim="4", classifier_epochs="10",
+                         synth_per_class="10"))
+        for v in ("only-class-name", "ours")
+    ]
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--configs", *configs, "--modes", "zsl,gzsl",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 2
+    rows = read_report_csv(out)
+    assert [r.variation for r in rows] == ["only-class-name", "ours"]
+    assert all(r.acc is not None and r.hm is not None for r in rows)
+
+
 def test_train_embed_writes_fused_semantics(demo_dir, tmp_path):
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "fused_run", epochs="10")
     assert main(["train-embed", "--config", str(cfg)]) == 0
@@ -286,6 +307,27 @@ def test_diverging_training_exits_2_without_checkpoint(demo_dir, tmp_path, capsy
     assert main(["train", "--config", str(cfg)]) == 2
     assert "training diverged" in capsys.readouterr().err
     assert not (tmp_path / "diverged" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "command,method,optimizer,epochs,message",
+    [
+        ("train", "gen", "nonsense", "2", "unknown optimizer 'nonsense'"),
+        ("train", "embed", "nonsense", "0", "unknown optimizer 'nonsense'"),
+        ("train", "embed", "nonsense", "3", "unknown optimizer 'nonsense'"),
+        ("train", "gen", "sgd", "2", "method gen trains with adam only, not 'sgd'"),
+        ("train-gen", "embed", "sgd", "2", "method gen trains with adam only, not 'sgd'"),
+    ],
+)
+def test_unusable_optimizer_exits_2_before_reading_inputs(
+    demo_dir, tmp_path, capsys, command, method, optimizer, epochs, message
+):
+    # the split does not exist: refusing the config must come first
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", method=method,
+                       optimizer=optimizer, split=tmp_path / "absent.cfg")
+    assert main([command, "--config", str(cfg), "--epochs", epochs]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")

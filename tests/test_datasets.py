@@ -1,11 +1,16 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semfuse.datasets import (
     FeatureSet,
+    RunConfig,
     SplitSpec,
     SynthConfig,
     load_features,
+    load_run_config,
     load_split,
     read_kv_file,
     split_for_eval,
@@ -14,6 +19,7 @@ from semfuse.datasets import (
     write_features_csv,
 )
 from semfuse.errors import (
+    ConfigError,
     ContractError,
     FormatError,
     ManifestError,
@@ -71,6 +77,62 @@ def test_kv_file_comments_and_duplicates(tmp_path):
     path.write_text("key = a\nkey = b\n")
     with pytest.raises(FormatError):
         read_kv_file(path)
+
+
+def test_run_config_text_round_trips_every_field(tmp_path):
+    cfg = RunConfig(
+        split=tmp_path / "split.cfg",
+        word_vectors=tmp_path / "vectors.txt",
+        bundles=tmp_path / "bundles.txt",
+        variation="only-chatgpt",
+        alpha=0.3,
+        alpha_set=(0.3, 0.9),
+        method="gen",
+        lr=2.5e-4,
+        epochs=7,
+        lam=1 / 3,
+        q=5,
+        batch_size=16,
+        optimizer="sgd",
+        noise_dim=3,
+        hidden_mult=2,
+        eta=5.5,
+        cls_weight=0.1,
+        n_critic=2,
+        synth_per_class=9,
+        classifier_lr=0.125,
+        classifier_epochs=11,
+        seed=42,
+        out_dir=tmp_path / "out",
+    )
+    default = RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg.to_text(), encoding="utf-8")
+    assert load_run_config(path) == cfg
+
+
+def test_run_config_relative_paths_resolve_against_the_file(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("split = data/split.cfg\nout_dir = /abs/out\n")
+    cfg = load_run_config(path)
+    assert (cfg.split, cfg.out_dir) == (tmp_path / "data" / "split.cfg", Path("/abs/out"))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("turbo = yes", "unknown config key 'turbo'"),
+        ("epochs = many", "bad value for 'epochs': invalid literal for int() with base 10: 'many'"),
+        ("alpha_set = 0.5,x", "bad value for 'alpha_set': could not convert string to float: 'x'"),
+    ],
+)
+def test_run_config_errors_name_the_file_and_key(tmp_path, line, message):
+    path = tmp_path / "c.cfg"
+    path.write_text("seed = 1\n" + line + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_load_csv_features(tmp_path, split):

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
-from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
+from semfuse.datasets import RunConfig, SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import (
     EmbedModel,
     EmbedPredictor,
-    EmbedTrainConfig,
     classify_batch,
     embed_loss,
     init_embed_model,
@@ -122,14 +121,14 @@ def smoke_data(seed=3):
 
 def test_training_reduces_loss_to_under_ten_percent():
     train, _, bundles = smoke_data()
-    cfg = EmbedTrainConfig(lr=0.005, epochs=500, lam=1e-4, alpha=0.5, seed=3)
+    cfg = RunConfig(lr=0.005, epochs=500, lam=1e-4, alpha=0.5, seed=3)
     run = train_embed(train, bundles, cfg)
     assert run.loss_history[-1] < 0.1 * run.loss_history[0]
 
 
 def test_loss_non_increasing_over_50_epoch_windows():
     train, _, bundles = smoke_data()
-    cfg = EmbedTrainConfig(
+    cfg = RunConfig(
         lr=0.002, epochs=300, lam=1e-4, alpha=0.5, seed=3, batch_size=10_000
     )
     history = train_embed(train, bundles, cfg).loss_history
@@ -138,7 +137,7 @@ def test_loss_non_increasing_over_50_epoch_windows():
 
 def test_zero_epochs_returns_initialized_parameters():
     train, _, bundles = smoke_data()
-    cfg = EmbedTrainConfig(lr=0.01, epochs=0, lam=1e-3, alpha=0.5, seed=9)
+    cfg = RunConfig(lr=0.01, epochs=0, lam=1e-3, alpha=0.5, seed=9)
     run = train_embed(train, bundles, cfg)
     fresh = init_embed_model(
         q=bundles[0].dimension, m=train.m, d=bundles[0].dimension, lam=1e-3, seed=0
@@ -151,7 +150,7 @@ def test_zero_epochs_returns_initialized_parameters():
 
 def test_training_is_deterministic():
     train, _, bundles = smoke_data()
-    cfg = EmbedTrainConfig(lr=0.01, epochs=40, lam=1e-4, alpha=0.5, seed=5)
+    cfg = RunConfig(lr=0.01, epochs=40, lam=1e-4, alpha=0.5, seed=5)
     a = train_embed(train, bundles, cfg)
     b = train_embed(train, bundles, cfg)
     assert a.loss_history == b.loss_history
@@ -163,14 +162,14 @@ def test_training_is_deterministic():
 
 def test_training_rejects_unseen_features():
     _, test, bundles = smoke_data()
-    cfg = EmbedTrainConfig(epochs=1)
+    cfg = RunConfig(epochs=1)
     with pytest.raises(ManifestError):
         train_embed(test, bundles, cfg)  # test rows include unseen classes
 
 
 def test_training_rejects_missing_semantics():
     train, _, bundles = smoke_data()
-    cfg = EmbedTrainConfig(epochs=1)
+    cfg = RunConfig(epochs=1)
     with pytest.raises(ManifestError):
         train_embed(train, bundles[:2], cfg)
 
@@ -243,7 +242,7 @@ def test_noiseless_synthetic_reaches_perfect_unseen_accuracy():
     run = train_embed(
         train,
         bundles,
-        EmbedTrainConfig(lr=0.005, epochs=600, lam=0.0, alpha=0.5, seed=1),
+        RunConfig(lr=0.005, epochs=600, lam=0.0, alpha=0.5, seed=1),
     )
     report = evaluate_run(
         EmbedPredictor(run.model, run.fusion), test, bundles, "zsl"

@@ -4,14 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
-from semfuse.datasets import FeatureSet, SynthConfig, synth_dataset
+from semfuse.datasets import FeatureSet, RunConfig, SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError
 from semfuse.fusion import SemanticBundle, init_fusion
 from semfuse.gen_zsl import (
-    ClassifierTrainConfig,
     Discriminator,
     GanTrainer,
-    GenTrainConfig,
     Generator,
     Mlp,
     cls_loss_batch,
@@ -194,7 +192,7 @@ def test_final_classifier_separable_toy_reaches_full_train_accuracy():
         features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
     )
     clf = train_final_classifier(
-        None, synth, ClassifierTrainConfig(lr=0.05, epochs=120, seed=0)
+        None, synth, RunConfig(classifier_lr=0.05, classifier_epochs=120, seed=0)
     )
     preds = clf.predict_ids(features)
     assert (preds == labels).all()
@@ -207,7 +205,7 @@ def test_final_classifier_rejects_single_class():
         np.ones((4, 2)), [1, 1, 1, 1], {1: "a"}, frozenset(), frozenset({1})
     )
     with pytest.raises(ContractError):
-        train_final_classifier(None, synth, ClassifierTrainConfig(epochs=1))
+        train_final_classifier(None, synth, RunConfig(classifier_epochs=1))
 
 
 def test_final_classifier_rejects_class_overlap():
@@ -217,7 +215,7 @@ def test_final_classifier_rejects_class_overlap():
     seen = FeatureSet(np.ones((2, 2)), [0, 1], table, frozenset({0, 1}), frozenset({2}))
     synth = FeatureSet(np.ones((2, 2)), [1, 2], table, frozenset({0}), frozenset({1, 2}))
     with pytest.raises(ManifestError):
-        train_final_classifier(seen, synth, ClassifierTrainConfig(epochs=1))
+        train_final_classifier(seen, synth, RunConfig(classifier_epochs=1))
 
 
 def test_final_classifier_deterministic():
@@ -227,13 +225,13 @@ def test_final_classifier_deterministic():
     synth = FeatureSet(
         features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
     )
-    cfg = ClassifierTrainConfig(lr=0.05, epochs=30, seed=7)
+    cfg = RunConfig(classifier_lr=0.05, classifier_epochs=30, seed=7)
     a = train_final_classifier(None, synth, cfg)
     b = train_final_classifier(None, synth, cfg)
     assert np.array_equal(a.store["W"].data, b.store["W"].data)
 
 
-def gan_fixture(seed=7, steps=3, lr=5e-4):
+def gan_fixture(seed=7, lr=5e-4):
     cfg = SynthConfig(
         seen=3,
         unseen=2,
@@ -247,24 +245,27 @@ def gan_fixture(seed=7, steps=3, lr=5e-4):
     )
     fs, bundles = synth_dataset(cfg)
     train = fs.rows_for(fs.seen_ids)
-    pre = pretrain_classifier(train, ClassifierTrainConfig(lr=0.05, epochs=30, seed=seed))
-    gcfg = GenTrainConfig(
+    # batch 16 over the 36 training rows: 3 GAN cycles per epoch
+    gcfg = RunConfig(
+        method="gen",
         noise_dim=3,
         eta=10.0,
         cls_weight=0.01,
         n_critic=2,
         lr=lr,
         batch_size=16,
-        steps=steps,
+        epochs=1,
         seed=seed,
         alpha=0.5,
         variation="only-class-name",
+        classifier_epochs=30,
     )
+    pre = pretrain_classifier(train, gcfg)
     return fs, bundles, train, pre, gcfg
 
 
 def test_wgan_step_with_zero_lr_keeps_parameters():
-    fs, bundles, train, pre, gcfg = gan_fixture(lr=0.0, steps=1)
+    fs, bundles, train, pre, gcfg = gan_fixture(lr=0.0)
     trainer = GanTrainer(train, bundles, pre, gcfg)
     before = {n: t.data.copy() for n, t in trainer.gen.store.items()}
     before.update({f"d.{n}": t.data.copy() for n, t in trainer.disc.store.items()})
@@ -277,9 +278,10 @@ def test_wgan_step_with_zero_lr_keeps_parameters():
 
 
 def test_gan_training_is_deterministic():
-    fs, bundles, train, pre, gcfg = gan_fixture(steps=4)
+    fs, bundles, train, pre, gcfg = gan_fixture()
     rec_a = GanTrainer(train, bundles, pre, gcfg).train()
     rec_b = GanTrainer(train, bundles, pre, gcfg).train()
+    assert len(rec_a) == 3
     assert [r.critic_loss for r in rec_a] == [r.critic_loss for r in rec_b]
     assert [r.gen_loss for r in rec_a] == [r.gen_loss for r in rec_b]
 
@@ -320,20 +322,24 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
     )
     fs, bundles = synth_dataset(cfg)
     train = fs.rows_for(fs.seen_ids)
-    pre = pretrain_classifier(train, ClassifierTrainConfig(lr=0.05, epochs=80, seed=7))
-    gcfg = GenTrainConfig(
+    # 750 epochs of the 120 training rows at batch 64: 1500 GAN cycles
+    gcfg = RunConfig(
+        method="gen",
         noise_dim=4,
         eta=10.0,
         cls_weight=0.01,
         n_critic=5,
         lr=1e-3,
         batch_size=64,
-        steps=1500,
+        epochs=750,
         seed=7,
         alpha=0.5,
         variation="only-class-name",
+        classifier_epochs=80,
     )
+    pre = pretrain_classifier(train, gcfg)
     records = GanTrainer(train, bundles, pre, gcfg).train()
+    assert len(records) == 1500
     w = np.array([r.wasserstein for r in records])
     mid = np.abs(w[400:700]).mean()
     late = np.abs(w[-100:]).mean()
@@ -377,7 +383,7 @@ def _unpruned_grad(output, inputs, create_graph=False):
 def _gradients_of_two_gan_cycles(monkeypatch):
     """Bytes of every gradient that backward stores during two wgan_step
     cycles (critic losses with the penalty, then generator losses)."""
-    fs, bundles, train, pre, gcfg = gan_fixture(steps=2)
+    fs, bundles, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"  # the generator loss then reaches fusion layers too
     trainer = GanTrainer(train, bundles, pre, gcfg)
     stored = []
@@ -389,7 +395,8 @@ def _gradients_of_two_gan_cycles(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ad, "backward", recording_backward)
-        trainer.train()
+        for _ in range(2):
+            trainer.wgan_step()
     return stored
 
 
@@ -429,7 +436,7 @@ def test_penalty_input_gradient_runs_no_weight_gradient_rule():
 
 
 def test_generator_update_runs_no_critic_or_classifier_rule():
-    fs, bundles, train, pre, gcfg = gan_fixture(steps=1)
+    fs, bundles, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"
     trainer = GanTrainer(train, bundles, pre, gcfg)
     rows = trainer._draw_rows()
@@ -452,22 +459,22 @@ def test_cls_loss_names_the_first_unknown_label():
         cls_loss_batch(clf, ad.constant(np.zeros((3, 3))), np.array([1, 7, 9]))
 
 
-def _graph_fit(features, labels, class_ids, config):
+def _graph_fit(features, labels, class_ids, cfg):
     """The classifier fit as a graph loop: backward through
     cls_loss_batch, then Adam, on the same shuffled minibatches."""
-    clf = init_classifier(features.shape[1], class_ids, config.seed)
+    clf = init_classifier(features.shape[1], class_ids, cfg.seed)
     state = ad.AdamState(clf.store)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     n = features.shape[0]
-    for _ in range(config.epochs):
+    for _ in range(cfg.classifier_epochs):
         order = np.arange(n)
-        if n > config.batch_size:
+        if n > cfg.batch_size:
             rng.shuffle(order)
-        for start in range(0, n, config.batch_size):
-            rows = order[start : start + config.batch_size]
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
             loss = cls_loss_batch(clf, ad.constant(features[rows]), labels[rows])
             ad.backward(loss, clf.store)
-            ad.adam_step(clf.store, state, config.lr)
+            ad.adam_step(clf.store, state, cfg.classifier_lr)
     return clf
 
 
@@ -498,7 +505,7 @@ def _labelled_set(rng, n, class_ids, m, seen):
 @settings(max_examples=40, deadline=None)
 def test_classifier_fits_match_the_graph_loop_bit_for_bit(n, k, m, batch_size, epochs, lr, seed):
     rng = np.random.default_rng(seed)
-    cfg = ClassifierTrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+    cfg = RunConfig(classifier_lr=lr, classifier_epochs=epochs, batch_size=batch_size, seed=seed)
     seen = _labelled_set(rng, max(n, 2), list(range(2)), m, seen=True)
     synth = _labelled_set(rng, max(n, k), list(range(10, 10 + k)), m, seen=False)
 
@@ -540,7 +547,7 @@ def test_classifier_fit_builds_no_graph():
     )
     counts = {
         (epochs, batch_size): _tensors_built_by(lambda: train_final_classifier(
-            None, synth, ClassifierTrainConfig(epochs=epochs, batch_size=batch_size)))
+            None, synth, RunConfig(classifier_epochs=epochs, batch_size=batch_size)))
         for epochs, batch_size in [(1, 64), (1, 5), (6, 64), (6, 5)]
     }
     # the parameter leaves only, however many batches the fit takes
@@ -555,7 +562,7 @@ def test_classifier_fit_at_a_huge_rate_fails_as_diverged():
         features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
     )
     with pytest.raises(ContractError, match=r"^loss is (nan|inf): training diverged$"):
-        train_final_classifier(None, synth, ClassifierTrainConfig(lr=1e308, epochs=5))
+        train_final_classifier(None, synth, RunConfig(classifier_lr=1e308, classifier_epochs=5))
 
 
 def test_rows_of_maps_labels_to_classifier_rows():

@@ -9,14 +9,9 @@ import pytest
 from semfuse import autodiff as ad
 from semfuse import pipeline
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
-from semfuse.embed_zsl import EmbedTrainConfig, train_embed
+from semfuse.embed_zsl import train_embed
 from semfuse.errors import ContractError
-from semfuse.gen_zsl import (
-    ClassifierTrainConfig,
-    GanTrainer,
-    GenTrainConfig,
-    pretrain_classifier,
-)
+from semfuse.gen_zsl import GanTrainer, pretrain_classifier
 from conftest import REPO_ROOT
 
 
@@ -48,54 +43,15 @@ def small_config(method, variation="ours"):
 
 
 def reference_stores(cfg, train_set, bundles):
-    """The trainers called directly, with the RunConfig mapping the CLI
-    spelled out before the pipeline existed."""
+    """The trainers called directly on the RunConfig, with the GAN's
+    ``epochs × ceil(n / batch_size)`` cycles run by hand."""
     if cfg.method == "embed":
-        run = train_embed(
-            train_set,
-            bundles,
-            EmbedTrainConfig(
-                q=cfg.q,
-                lr=cfg.lr,
-                epochs=cfg.epochs,
-                lam=cfg.lam,
-                alpha=cfg.alpha,
-                seed=cfg.seed,
-                batch_size=cfg.batch_size,
-                optimizer=cfg.optimizer,
-                variation=cfg.variation,
-            ),
-        )
+        run = train_embed(train_set, bundles, cfg)
         return {"embed": run.model.store, "fusion": run.fusion.store}
-    classifier = pretrain_classifier(
-        train_set,
-        ClassifierTrainConfig(
-            lr=cfg.classifier_lr,
-            epochs=cfg.classifier_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        ),
-    )
-    steps = cfg.epochs * max(1, math.ceil(train_set.n / cfg.batch_size))
-    trainer = GanTrainer(
-        train_set,
-        bundles,
-        classifier,
-        GenTrainConfig(
-            noise_dim=cfg.noise_dim,
-            hidden_mult=cfg.hidden_mult,
-            eta=cfg.eta,
-            cls_weight=cfg.cls_weight,
-            n_critic=cfg.n_critic,
-            lr=cfg.lr,
-            batch_size=cfg.batch_size,
-            steps=steps,
-            seed=cfg.seed,
-            alpha=cfg.alpha,
-            variation=cfg.variation,
-        ),
-    )
-    trainer.train()
+    classifier = pretrain_classifier(train_set, cfg)
+    trainer = GanTrainer(train_set, bundles, classifier, cfg)
+    for _ in range(cfg.epochs * math.ceil(train_set.n / cfg.batch_size)):
+        trainer.wgan_step()
     return {
         "gen": trainer.gen.store,
         "disc": trainer.disc.store,
@@ -135,12 +91,33 @@ def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
     values = ad.load_params(ckpt, ("fusion", method))
     restored, m = pipeline.restore(cfg, values, bundles[0].dimension)
     assert m == train.m
-    for mode in ("zsl", "gzsl"):
-        reports = [
-            pipeline.evaluate(run, cfg, test, bundles, mode, seen_set=train)
-            for run in (trained, restored)
-        ]
-        assert reports[0] == reports[1], mode
+    reports = [
+        pipeline.evaluate(run, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
+        for run in (trained, restored)
+    ]
+    assert [r.mode for r in reports[0]] == ["zsl", "gzsl"]
+    assert reports[0] == reports[1]
+
+
+def test_generative_evaluate_synthesizes_once_for_all_modes(monkeypatch):
+    train, test, bundles = small_data()
+    cfg = small_config("gen")
+    trained = pipeline.train(cfg, train, bundles)
+    one_mode = [
+        pipeline.evaluate(trained, cfg, test, bundles, (mode,), seen_set=train)[0]
+        for mode in ("zsl", "gzsl")
+    ]
+    calls = []
+    synthesize_set = pipeline.synthesize_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return synthesize_set(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synthesize_set", counting)
+    both = pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
+    assert len(calls) == 1
+    assert both == one_mode
 
 
 def test_generative_gzsl_without_seen_features_is_refused():
@@ -148,8 +125,9 @@ def test_generative_gzsl_without_seen_features_is_refused():
     cfg = small_config("gen")
     trained = pipeline.train(cfg, train, bundles)
     with pytest.raises(ContractError, match="seen-class features"):
-        pipeline.evaluate(trained, cfg, test, bundles, "gzsl")
-    assert pipeline.evaluate(trained, cfg, test, bundles, "zsl").acc is not None
+        pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"))
+    (report,) = pipeline.evaluate(trained, cfg, test, bundles, ("zsl",))
+    assert report.acc is not None
 
 
 def test_synthetic_benchmark_script_writes_both_comparisons(tmp_path, capsys):
