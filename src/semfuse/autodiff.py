@@ -250,44 +250,35 @@ def softmax_xent(logits: Tensor, onehot) -> Tensor:
     cross-entropy of (n, k) logits against a constant (n, k) target.
 
     One node. The value is the stable log-sum-exp with a constant per-row
-    max shift; the rule rebuilds that chain's adjoint from graph ops on
-    ``logits``, so second-order gradients flow through it as well.
+    max shift; the rule returns `softmax_xent_grad`'s array as a
+    constant, so there is no second-order rule: a graph-building `grad`
+    through it is a ContractError.
     """
     _require_2d(logits, "softmax_xent")
     onehot = np.asarray(onehot, dtype=np.float64)
     if onehot.shape != logits.shape:
         raise ShapeError(f"softmax_xent shape mismatch: {logits.shape} vs {onehot.shape}")
-    n, k = logits.shape
-    loss, row_max, _, _ = _xent_value(logits.data, onehot)
+    loss, _, _, _ = _xent_value(logits.data, onehot)
 
     def rule(g: Tensor) -> Tensor:
-        a = fill(scale(g, 1.0 / n), (n, 1))
-        e = exp(sub(logits, tile_cols(constant(row_max), k)))
-        via_lse = mul(tile_cols(div(a, sum_last(e)), k), e)
-        via_target = mul(tile_cols(neg(a), k), constant(onehot))
-        return add(via_lse, via_target)
+        if _record:
+            raise ContractError("softmax_xent has no second-order rule")
+        return constant(softmax_xent_grad(logits.data, onehot, g.data)[1])
 
     return Tensor(loss, (logits,), (rule,))
 
 
-def softmax_xent_grad(logits: Array, onehot: Array) -> tuple[float, Array]:
-    """`softmax_xent`'s value and its logits adjoint for a unit output
-    adjoint, as plain arrays and with no graph: bit for bit what the
-    node's value and first-order rule give, from the same array ops in
-    the same order."""
+def softmax_xent_grad(logits: Array, onehot: Array, g=1.0) -> tuple[float, Array]:
+    """`softmax_xent`'s value and its logits adjoint for the output
+    adjoint ``g``, as plain arrays and with no graph."""
     loss, _, e, s = _xent_value(logits, onehot)
-    a = 1.0 / logits.shape[0]
+    a = g * (1.0 / logits.shape[0])
     return float(loss), (a / s) * e + (-a) * onehot
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = constant(np.where(x.data > 0, 1.0, slope))
     return Tensor(x.data * mask.data, (x,), (lambda g: mul(g, mask),))
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), (x,), (lambda g: mul(g, out),))
-    return out
 
 
 def sqrt(x: Tensor) -> Tensor:

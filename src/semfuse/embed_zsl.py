@@ -171,16 +171,3 @@ def classify_batch(
     d2 = ((z_proj[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
     return ids[np.argmin(d2, axis=1)]
 
-
-class EmbedPredictor:
-    """Evaluation adapter bundling the trained branches and semantics."""
-
-    def __init__(self, model: EmbedModel, fusion: FusionParams):
-        self.model = model
-        self.fusion = fusion
-        self.variation = fusion.variation
-
-    def predict_batch(
-        self, z: np.ndarray, candidates: list[SemanticBundle]
-    ) -> np.ndarray:
-        return classify_batch(self.model, self.fusion, z, candidates)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,22 +136,17 @@ def merge_modes(reports: list[EvalReport]) -> EvalReport:
     )
 
 
-class Predictor(Protocol):
-    variation: str
-
-    def predict_batch(
-        self, z: np.ndarray, candidates: list[SemanticBundle]
-    ) -> np.ndarray: ...
-
-
 def evaluate_run(
-    artifacts: Predictor,
+    predict: Callable[[np.ndarray, list[SemanticBundle]], np.ndarray],
+    variation: str,
     test_set: FeatureSet,
     bundles: list[SemanticBundle],
     mode: str,
     micro: bool = False,
 ) -> EvalReport:
-    """Score a trained model on a test set.
+    """Score a trained model on a test set; ``predict(z, candidates)``
+    gives the class id of each feature row ``z`` among the candidate
+    bundles.
 
     ZSL restricts both the samples and the candidate classes to unseen
     ones; GZSL predicts every sample over the union and reports seen
@@ -167,9 +162,9 @@ def evaluate_run(
         subset = test_set.rows_for(test_set.unseen_ids)
         if subset.n == 0:
             raise ManifestError("no unseen-class samples in the test set")
-        preds = artifacts.predict_batch(subset.features, candidates)
+        preds = predict(subset.features, candidates)
         acc = per_class_top1(preds, subset.labels, test_set.unseen_ids, micro)
-        return EvalReport(artifacts.variation, mode, averaging, acc=acc)
+        return EvalReport(variation, mode, averaging, acc=acc)
 
     candidates = _candidates(
         by_id, test_set.seen_ids | test_set.unseen_ids, test_set
@@ -179,19 +174,19 @@ def evaluate_run(
     if seen_rows.n == 0 or unseen_rows.n == 0:
         raise ManifestError("gzsl test set needs both seen and unseen samples")
     acc_s = per_class_top1(
-        artifacts.predict_batch(seen_rows.features, candidates),
+        predict(seen_rows.features, candidates),
         seen_rows.labels,
         test_set.seen_ids,
         micro,
     )
     acc_u = per_class_top1(
-        artifacts.predict_batch(unseen_rows.features, candidates),
+        predict(unseen_rows.features, candidates),
         unseen_rows.labels,
         test_set.unseen_ids,
         micro,
     )
     return EvalReport(
-        artifacts.variation,
+        variation,
         mode,
         averaging,
         acc_s=acc_s,

@@ -24,92 +24,63 @@ BETA1, BETA2 = 0.5, 0.9  # Adam moment decays of the critic and generator
 
 
 class Mlp:
-    """Dense layers with leaky-relu (`ad.leaky_relu`'s slope 0.2) between
-    them, linear at the end."""
+    """Conditional network over ``concat(x, e)``: dense layers with
+    leaky-relu (`ad.leaky_relu`'s slope 0.2) between them, linear at the
+    end. ``d`` is the semantic width of ``e``; ``x`` takes the rest of
+    the first layer's input. The generator maps (noise, semantics) to a
+    feature vector, the Wasserstein critic (features, semantics) to a
+    score."""
 
-    def __init__(self, store: ad.ParamStore, sizes: list[int]):
+    def __init__(self, store: ad.ParamStore, sizes: list[int], d: int):
         self.store = store
         self.sizes = sizes
+        self.d = d
 
     @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
+    def x_dim(self) -> int:
+        return self.sizes[0] - self.d
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        h = x
-        for i in range(self.n_layers):
+    def forward(self, x: ad.Tensor, e: ad.Tensor) -> ad.Tensor:
+        if x.shape[-1] != self.x_dim or e.shape[-1] != self.d:
+            raise ShapeError(
+                f"inputs {x.shape}, {e.shape} do not match "
+                f"(x width {self.x_dim}, d={self.d})"
+            )
+        h = ad.concat_cols(x, e)
+        n_layers = len(self.sizes) - 1
+        for i in range(n_layers):
             h = ad.linear(h, self.store[f"l{i}.W"], self.store[f"l{i}.b"])
-            if i < self.n_layers - 1:
+            if i < n_layers - 1:
                 h = ad.leaky_relu(h)
         return h
 
 
-def _init_mlp(sizes: list[int], seed: int) -> Mlp:
+def _init_mlp(sizes: list[int], d: int, seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         store.add(f"l{i}.W", rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         store.add(f"l{i}.b", np.zeros(fan_out))
-    return Mlp(store, sizes)
-
-
-class Generator:
-    """Maps (noise, semantics) to a synthetic feature vector."""
-
-    def __init__(self, mlp: Mlp, noise_dim: int, d: int, m: int):
-        if noise_dim <= 0:
-            raise ContractError("noise dimension must be positive")
-        self.mlp = mlp
-        self.noise_dim = noise_dim
-        self.d = d
-        self.m = m
-
-    @property
-    def store(self) -> ad.ParamStore:
-        return self.mlp.store
-
-    def forward(self, h: ad.Tensor, e: ad.Tensor) -> ad.Tensor:
-        if h.shape[-1] != self.noise_dim or e.shape[-1] != self.d:
-            raise ShapeError(
-                f"generator inputs {h.shape}, {e.shape} do not match "
-                f"(noise_dim={self.noise_dim}, d={self.d})"
-            )
-        return self.mlp.forward(ad.concat_cols(h, e))
-
-
-class Discriminator:
-    """Scalar-scoring Wasserstein critic conditioned on semantics."""
-
-    def __init__(self, mlp: Mlp, m: int, d: int):
-        self.mlp = mlp
-        self.m = m
-        self.d = d
-
-    @property
-    def store(self) -> ad.ParamStore:
-        return self.mlp.store
-
-    def forward(self, z: ad.Tensor, e: ad.Tensor) -> ad.Tensor:
-        if z.shape[-1] != self.m or e.shape[-1] != self.d:
-            raise ShapeError(
-                f"critic inputs {z.shape}, {e.shape} do not match (m={self.m}, d={self.d})"
-            )
-        return self.mlp.forward(ad.concat_cols(z, e))
+    return Mlp(store, sizes, d)
 
 
 def init_generator(
     m: int, d: int, noise_dim: int, seed: int, hidden: list[int] | None = None
-) -> Generator:
+) -> Mlp:
+    """Generator: (noise, semantics) to an m-wide feature vector."""
+    if noise_dim <= 0:
+        raise ContractError("noise dimension must be positive")
     sizes = [noise_dim + d] + (hidden if hidden is not None else [4 * m]) + [m]
-    return Generator(_init_mlp(sizes, seed), noise_dim, d, m)
+    return _init_mlp(sizes, d, seed)
 
 
 def init_discriminator(
     m: int, d: int, seed: int, hidden: list[int] | None = None
-) -> Discriminator:
+) -> Mlp:
+    """Critic: (m-wide features, semantics) to a scalar score."""
     sizes = [m + d] + (hidden if hidden is not None else [4 * m]) + [1]
-    return Discriminator(_init_mlp(sizes, seed), m, d)
+    return _init_mlp(sizes, d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +88,7 @@ def init_discriminator(
 
 
 def gradient_penalty(
-    disc: Discriminator,
+    disc: Mlp,
     z_real: np.ndarray,
     z_fake: np.ndarray,
     e: np.ndarray,
@@ -412,20 +383,20 @@ class GanTrainer:
         return [self.wgan_step() for _ in range(cycles)]
 
 
-def synthesize(gen: Generator, bundle: SemanticBundle, n: int, seed: int) -> np.ndarray:
+def synthesize(gen: Mlp, bundle: SemanticBundle, n: int, seed: int) -> np.ndarray:
     """Draw n synthetic feature vectors for one class; seed-deterministic."""
     if n <= 0:
         raise ContractError("need a positive sample count")
     if bundle.e is None:
         raise ContractError(f"bundle {bundle.name!r} has no fused semantics")
     rng = np.random.default_rng(seed)
-    h = rng.normal(size=(n, gen.noise_dim))
+    h = rng.normal(size=(n, gen.x_dim))
     e = np.broadcast_to(bundle.e, (n, bundle.dimension))
     return gen.forward(ad.constant(h), ad.constant(e.copy())).data
 
 
 def synthesize_set(
-    gen: Generator,
+    gen: Mlp,
     fusion: FusionParams,
     bundles: list[SemanticBundle],
     unseen_ids,
@@ -451,15 +422,3 @@ def synthesize_set(
         frozenset(b.class_id for b in unseen),
     )
 
-
-class GenPredictor:
-    """Evaluation adapter around the final softmax classifier."""
-
-    def __init__(self, classifier: SoftmaxClassifier, variation: str):
-        self.classifier = classifier
-        self.variation = variation
-
-    def predict_batch(
-        self, z: np.ndarray, candidates: list[SemanticBundle]
-    ) -> np.ndarray:
-        return self.classifier.predict_ids(z, [b.class_id for b in candidates])

@@ -71,9 +71,6 @@ class DescriptionCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.path_for(class_name), text)
 
-    def classes(self) -> list[str]:
-        return sorted(p.stem for p in self.directory.glob("*.txt") if p.stem != "meta")
-
     def write_meta(self, endpoint: EndpointConfig) -> None:
         meta = (
             f"model = {endpoint.model}\n"

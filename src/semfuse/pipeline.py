@@ -8,18 +8,18 @@ callers: the CLI, the synthetic benchmark script and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig
-from .embed_zsl import EmbedPredictor, init_embed_model, train_embed
+from .embed_zsl import EmbedModel, classify_batch, init_embed_model, train_embed
 from .errors import ContractError, FormatError
 from .evaluation import EvalReport, evaluate_run
 from .fusion import FusionParams, SemanticBundle, init_fusion
 from .gen_zsl import (
     GanTrainer,
-    Generator,
-    GenPredictor,
+    Mlp,
     init_generator,
     pretrain_classifier,
     synthesize_set,
@@ -31,12 +31,12 @@ from .gen_zsl import (
 class Trained:
     """A trained run: parameter stores by checkpoint group in write order
     (``embed, fusion`` or ``gen, disc, cls, fusion``; a restored run has
-    only what evaluation reads), the `EmbedPredictor` or `Generator`,
+    only what evaluation reads), the `EmbedModel` or the generator `Mlp`,
     and the text of ``train_log.csv`` (empty when restored)."""
 
     stores: dict[str, ad.ParamStore]
     fusion: FusionParams
-    model: EmbedPredictor | Generator
+    model: EmbedModel | Mlp
     train_log: str = ""
 
 
@@ -49,7 +49,7 @@ def train(cfg: RunConfig, train_set: FeatureSet, bundles: list[SemanticBundle]) 
         return Trained(
             {"embed": run.model.store, "fusion": run.fusion.store},
             run.fusion,
-            EmbedPredictor(run.model, run.fusion),
+            run.model,
             "epoch,loss\n" + "\n".join(log_rows) + "\n",
         )
 
@@ -89,7 +89,7 @@ def restore(cfg: RunConfig, checkpoint_values: dict, d: int) -> tuple[Trained, i
     if cfg.method == "embed":
         embed = init_embed_model(cfg.q or d, m, d, cfg.lam, 0)
         ad.restore_store(embed.store, checkpoint_values, "embed")
-        stores, model = {"embed": embed.store}, EmbedPredictor(embed, fusion)
+        stores, model = {"embed": embed.store}, embed
     else:
         gen = init_generator(m, d, cfg.noise_dim, 0, [cfg.hidden_mult * m])
         ad.restore_store(gen.store, checkpoint_values, "gen")
@@ -115,7 +115,11 @@ def evaluate(
     seen-class features ``seen_set``.
     """
     if cfg.method == "embed":
-        return [evaluate_run(trained.model, test_set, bundles, mode, micro) for mode in modes]
+        predict = partial(classify_batch, trained.model, trained.fusion)
+        return [
+            evaluate_run(predict, cfg.variation, test_set, bundles, mode, micro)
+            for mode in modes
+        ]
     if "gzsl" in modes and seen_set is None:
         raise ContractError("generative gzsl needs the real seen-class features")
     synth = synthesize_set(
@@ -130,6 +134,9 @@ def evaluate(
     reports = []
     for mode in modes:
         classifier = train_final_classifier(seen_set if mode == "gzsl" else None, synth, cfg)
-        predictor = GenPredictor(classifier, cfg.variation)
-        reports.append(evaluate_run(predictor, test_set, bundles, mode, micro))
+
+        def predict(z, candidates):
+            return classifier.predict_ids(z, [b.class_id for b in candidates])
+
+        reports.append(evaluate_run(predict, cfg.variation, test_set, bundles, mode, micro))
     return reports

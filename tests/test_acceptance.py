@@ -24,7 +24,7 @@ from semfuse.gen_zsl import (
     init_discriminator,
     init_generator,
 )
-from semfuse.gen_zsl import Discriminator, Mlp
+from semfuse.gen_zsl import Mlp
 
 from _reference_tables import block_metric_tables, gzsl_rows
 
@@ -172,7 +172,7 @@ def test_criterion_3_analytic_gradient_penalty():
         store = ad.ParamStore()
         store.add("l0.W", weights)
         store.add("l0.b", np.zeros(1))
-        critic = Discriminator(Mlp(store, [m + d, 1]), m, d)
+        critic = Mlp(store, [m + d, 1], d)
         gp = gradient_penalty(
             critic,
             rng.normal(size=(5, m)),

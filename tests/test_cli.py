@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +329,63 @@ def test_unusable_optimizer_exits_2_before_reading_inputs(
     assert main([command, "--config", str(cfg), "--epochs", epochs]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command,method,key,value,message",
+    [
+        ("train", "embed", "batch_size", "0", "batch_size = 0 is below its minimum 1"),
+        ("train", "embed", "batch_size", "-5", "batch_size = -5 is below its minimum 1"),
+        ("train", "embed", "epochs", "-1", "epochs = -1 is below its minimum 0"),
+        ("train", "gen", "classifier_epochs", "-1", "classifier_epochs = -1 is below its minimum 0"),
+        ("train", "gen", "n_critic", "0", "n_critic = 0 is below its minimum 1"),
+        ("train", "gen", "synth_per_class", "0", "synth_per_class = 0 is below its minimum 1"),
+        ("train", "gen", "noise_dim", "0", "noise_dim = 0 is below its minimum 1"),
+        ("train", "gen", "hidden_mult", "0", "hidden_mult = 0 is below its minimum 1"),
+        ("train", "embed", "q", "0", "q = 0 is below its minimum 1"),
+        ("train", "embed", "lr", "-0.01", "lr = -0.01 is below its minimum 0.0"),
+        ("train", "gen", "classifier_lr", "-1", "classifier_lr = -1.0 is below its minimum 0.0"),
+        ("train", "gen", "eta", "0", "eta = 0.0 must be positive"),
+        ("eval", "embed", "batch_size", "0", "batch_size = 0 is below its minimum 1"),
+        ("synthesize", "gen", "n_critic", "0", "n_critic = 0 is below its minimum 1"),
+    ],
+)
+def test_out_of_range_count_exits_2_before_reading_inputs(
+    demo_dir, tmp_path, capsys, command, method, key, value, message
+):
+    # the split does not exist: refusing the config must come first
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", method=method,
+                       split=tmp_path / "absent.cfg", **{key: value})
+    extra = ["--out", str(tmp_path / "synth.csv")] if command == "synthesize" else []
+    assert main([command, "--config", str(cfg), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_epochs_flag_out_of_range_exits_2(demo_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
+    assert main(["train", "--config", str(cfg), "--epochs", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: epochs = -1 is below its minimum 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_cfg_of_a_relative_config_reads_back(demo_dir, tmp_path, monkeypatch):
+    # paths in the config are relative to it, and it is named relative
+    # to the working directory; run.cfg must resolve to the same files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo").symlink_to(demo_dir)
+    (tmp_path / "cfg").mkdir()
+    write_config(tmp_path / "cfg" / "c.cfg", demo_dir, "../runs/unused",
+                 split="../demo/split.cfg", word_vectors="../demo/word_vectors.txt")
+    assert main(["train", "--config", "cfg/c.cfg", "--out-dir", "runs/a"]) == 0
+    run_cfg = "runs/a/run.cfg"
+    assert main(["eval", "--config", "cfg/c.cfg", "--out-dir", "runs/a", "--mode", "zsl",
+                 "--out", "first.csv"]) == 0
+    assert main(["eval", "--config", run_cfg, "--mode", "zsl", "--out", "second.csv"]) == 0
+    assert Path("first.csv").read_bytes() == Path("second.csv").read_bytes()
+    assert main(["train", "--config", run_cfg, "--out-dir", "runs/b"]) == 0
+    for name in ("model.ckpt", "train_log.csv"):
+        assert Path("runs/a", name).read_bytes() == Path("runs/b", name).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from semfuse import autodiff as ad
 from semfuse.datasets import RunConfig, SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import (
     EmbedModel,
-    EmbedPredictor,
     classify_batch,
     embed_loss,
     init_embed_model,
@@ -245,6 +246,6 @@ def test_noiseless_synthetic_reaches_perfect_unseen_accuracy():
         RunConfig(lr=0.005, epochs=600, lam=0.0, alpha=0.5, seed=1),
     )
     report = evaluate_run(
-        EmbedPredictor(run.model, run.fusion), test, bundles, "zsl"
+        partial(classify_batch, run.model, run.fusion), "ours", test, bundles, "zsl"
     )
     assert report.acc == 100.0

@@ -124,18 +124,19 @@ def test_borda_needs_two_variations():
         borda_count({"a": {"acc": 1.0}})
 
 
-class StubPredictor:
-    def __init__(self, mapping, variation="ours"):
-        self.mapping = mapping
-        self.variation = variation
+def stub(mapping):
+    """A predict function: ``mapping(row)`` for each row when that id is
+    a candidate, the lowest candidate id otherwise."""
 
-    def predict_batch(self, z, candidates):
+    def predict(z, candidates):
         allowed = {c.class_id for c in candidates}
         out = []
         for row in np.atleast_2d(z):
-            want = self.mapping(row)
+            want = mapping(row)
             out.append(want if want in allowed else min(allowed))
         return np.array(out)
+
+    return predict
 
 
 def eval_fixture():
@@ -154,31 +155,31 @@ def eval_fixture():
 
 def test_evaluate_run_perfect_stub():
     fs, bundles = eval_fixture()
-    perfect = StubPredictor(lambda row: int(row[0]))
-    zsl = evaluate_run(perfect, fs, bundles, "zsl")
-    assert zsl.acc == 100.0 and zsl.acc_s is None
-    gzsl = evaluate_run(perfect, fs, bundles, "gzsl")
+    perfect = stub(lambda row: int(row[0]))
+    zsl = evaluate_run(perfect, "ours", fs, bundles, "zsl")
+    assert zsl.acc == 100.0 and zsl.acc_s is None and zsl.variation == "ours"
+    gzsl = evaluate_run(perfect, "ours", fs, bundles, "gzsl")
     assert (gzsl.acc_s, gzsl.acc_u, gzsl.hm) == (100.0, 100.0, 100.0)
 
 
 def test_evaluate_run_seen_biased_stub_has_zero_hm():
     fs, bundles = eval_fixture()
-    always_seen = StubPredictor(lambda row: 0)
-    gzsl = evaluate_run(always_seen, fs, bundles, "gzsl")
+    always_seen = stub(lambda row: 0)
+    gzsl = evaluate_run(always_seen, "ours", fs, bundles, "gzsl")
     assert gzsl.acc_u == 0.0 and gzsl.hm == 0.0
 
 
 def test_evaluate_run_matches_prediction_log_retally():
     fs, bundles = eval_fixture()
     rng = np.random.default_rng(3)
-    noisy = StubPredictor(lambda row: int(rng.integers(0, 4)))
-    report = evaluate_run(noisy, fs, bundles, "gzsl")
+    noisy = stub(lambda row: int(rng.integers(0, 4)))
+    report = evaluate_run(noisy, "ours", fs, bundles, "gzsl")
     # re-tally from an explicit prediction log with a fresh rng stream
     rng = np.random.default_rng(3)
     log = []
     for subset_ids in (fs.seen_ids, fs.unseen_ids):
         rows = fs.rows_for(subset_ids)
-        preds = noisy.predict_batch(rows.features, bundles)
+        preds = noisy(rows.features, bundles)
         log.append((preds, rows.labels, subset_ids))
     acc_s = per_class_top1(*log[0])
     acc_u = per_class_top1(*log[1])
@@ -190,14 +191,14 @@ def test_evaluate_run_matches_prediction_log_retally():
 def test_evaluate_run_missing_semantics_is_manifest_error():
     fs, bundles = eval_fixture()
     with pytest.raises(ManifestError):
-        evaluate_run(StubPredictor(lambda r: 0), fs, bundles[:2], "zsl")
+        evaluate_run(stub(lambda r: 0), "ours", fs, bundles[:2], "zsl")
 
 
 def test_evaluate_run_records_averaging_choice():
     fs, bundles = eval_fixture()
-    stub = StubPredictor(lambda row: int(row[0]))
-    assert evaluate_run(stub, fs, bundles, "zsl").averaging == "macro"
-    assert evaluate_run(stub, fs, bundles, "zsl", micro=True).averaging == "micro"
+    exact = stub(lambda row: int(row[0]))
+    assert evaluate_run(exact, "ours", fs, bundles, "zsl").averaging == "macro"
+    assert evaluate_run(exact, "ours", fs, bundles, "zsl", micro=True).averaging == "micro"
 
 
 def test_report_requires_hm_only_with_both_sides():

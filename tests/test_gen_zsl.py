@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
 from semfuse.datasets import FeatureSet, RunConfig, SynthConfig, synth_dataset
-from semfuse.errors import ContractError, ManifestError
+from semfuse.errors import ContractError, ManifestError, ShapeError
 from semfuse.fusion import SemanticBundle, init_fusion
 from semfuse.gen_zsl import (
-    Discriminator,
     GanTrainer,
-    Generator,
     Mlp,
     cls_loss_batch,
     gradient_penalty,
@@ -26,13 +24,13 @@ from semfuse.gen_zsl import (
 RNG = np.random.default_rng(123)
 
 
-def linear_critic(w_z: np.ndarray, m: int, d: int) -> Discriminator:
+def linear_critic(w_z: np.ndarray, m: int, d: int) -> Mlp:
     store = ad.ParamStore()
     weights = np.zeros((1, m + d))
     weights[0, :m] = w_z
     store.add("l0.W", weights)
     store.add("l0.b", np.zeros(1))
-    return Discriminator(Mlp(store, [m + d, 1]), m, d)
+    return Mlp(store, [m + d, 1], d)
 
 
 @pytest.mark.parametrize("norm,expected", [(0.0, 1.0), (1.0, 0.0), (3.0, 4.0)])
@@ -169,11 +167,28 @@ def test_identity_like_generator_stub_copies_semantics():
     weights[:, noise_dim : noise_dim + m] = np.eye(m)
     store.add("l0.W", weights)
     store.add("l0.b", np.zeros(m))
-    gen = Generator(Mlp(store, [noise_dim + d, m]), noise_dim, d, m)
+    gen = Mlp(store, [noise_dim + d, m], d)
     e = np.array([0.5, -1.5, 9.0])
     bundle = SemanticBundle(0, "c0", e, e, e)
     out = synthesize(gen, bundle, 7, seed=3)
     assert np.allclose(out, np.broadcast_to(e[:m], (7, m)))
+
+
+@pytest.mark.parametrize(
+    "net,x_width",
+    [
+        (init_generator(m=4, d=3, noise_dim=2, seed=0, hidden=[5]), 2),
+        (init_discriminator(m=4, d=3, seed=0, hidden=[5]), 4),
+    ],
+    ids=["generator", "critic"],
+)
+@pytest.mark.parametrize("wrong", ["x", "e"])
+def test_conditional_mlp_refuses_wrong_input_widths(net, x_width, wrong):
+    x = ad.constant(np.zeros((2, x_width + (wrong == "x"))))
+    e = ad.constant(np.zeros((2, 3 + (wrong == "e"))))
+    with pytest.raises(ShapeError) as err:
+        net.forward(x, e)
+    assert str(x.shape) in str(err.value) and str(e.shape) in str(err.value)
 
 
 def toy_classifier_data():
@@ -362,21 +377,23 @@ def test_synthesize_set_builds_unseen_feature_set():
 
 
 def _unpruned_grad(output, inputs, create_graph=False):
-    """Reference walk without pruning: every rule of every node runs and
-    builds graph nodes; first-order adjoints are detached afterwards."""
+    """Reference walk without pruning: every rule of every node runs,
+    building graph nodes only for ``create_graph``, as in `ad.grad`."""
     adjoint = {id(output): ad.constant(np.ones_like(output.data))}
-    for node in reversed(ad._toposort(output)):
-        g = adjoint.get(id(node))
-        if g is None or node.vjps is None:
-            continue
-        for parent, rule in zip(node.parents, node.vjps):
-            pg = rule(g)
-            if not parent.requires_grad:
+    saved, ad._record = ad._record, create_graph
+    try:
+        for node in reversed(ad._toposort(output)):
+            g = adjoint.get(id(node))
+            if g is None or node.vjps is None:
                 continue
-            if not create_graph:
-                pg = pg.detach()
-            prev = adjoint.get(id(parent))
-            adjoint[id(parent)] = pg if prev is None else ad.add(prev, pg)
+            for parent, rule in zip(node.parents, node.vjps):
+                pg = rule(g)
+                if not parent.requires_grad:
+                    continue
+                prev = adjoint.get(id(parent))
+                adjoint[id(parent)] = pg if prev is None else ad.add(prev, pg)
+    finally:
+        ad._record = saved
     return [adjoint.get(id(t)) for t in inputs]
 
 
