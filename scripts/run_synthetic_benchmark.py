@@ -27,7 +27,7 @@ FAMILIES = {
 }
 
 
-def run_variation(family, variation, data, bundles, args):
+def run_variation(family, variation, data, semantics, args):
     train, test = split_for_eval(data, seed=args.seed)
     cfg = pipeline.RunConfig(
         method=family,
@@ -39,9 +39,9 @@ def run_variation(family, variation, data, bundles, args):
         seed=args.seed,
         **FAMILIES[family],
     )
-    trained = pipeline.train(cfg, train, bundles)
+    trained = pipeline.train(cfg, train, semantics)
     return merge_modes(
-        pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
+        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
     )
 
 
@@ -59,7 +59,7 @@ def main(argv=None):
     parser.add_argument("--out-dir", default="runs/synthetic")
     args = parser.parse_args(argv)
 
-    data, bundles = synth_dataset(
+    data, semantics = synth_dataset(
         SynthConfig(
             seen=7,
             unseen=3,
@@ -78,7 +78,7 @@ def main(argv=None):
 
     for family in FAMILIES:
         blocks = [
-            run_variation(family, variation, data, bundles, args) for variation in VARIATIONS
+            run_variation(family, variation, data, semantics, args) for variation in VARIATIONS
         ]
         points = borda_count(blocks)
         for block in blocks:

@@ -15,7 +15,7 @@ from .datasets import (
 )
 from .embed_zsl import embed_loss, train_embed
 from .evaluation import EvalReport, borda_count, evaluate_run, harmonic_mean, per_class_top1
-from .fusion import FusionParams, SemanticBundle, fuse, init_fusion
+from .fusion import ClassSemantics, FusionParams, init_fusion
 from .gen_zsl import GanTrainer, gradient_penalty, synthesize
 from .llm_client import DescriptionCache, EndpointConfig, build_prompt, fetch_description
 from .wordvec import WordVectorTable, embed_text, load_word_vectors
@@ -40,9 +40,8 @@ __all__ = [
     "evaluate_run",
     "harmonic_mean",
     "per_class_top1",
+    "ClassSemantics",
     "FusionParams",
-    "SemanticBundle",
-    "fuse",
     "init_fusion",
     "GanTrainer",
     "gradient_penalty",

@@ -43,7 +43,7 @@ from .evaluation import (
 from .fusion import (
     ALPHA_SWEEP,
     VARIATIONS,
-    SemanticBundle,
+    ClassSemantics,
     export_fused_csv,
     read_bundles,
     resolve_semantics,
@@ -74,8 +74,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 # bundle construction
 
 
-def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> list[SemanticBundle]:
-    """Bundles for every class of a split, honoring the variation.
+def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> ClassSemantics:
+    """Semantics of every class of a split, honoring the variation.
 
     The side a variation does not use is zeroed; "ours" fills both and
     leaves fusion to training. Description text comes from the cache
@@ -90,11 +90,11 @@ def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> list[S
                 f"variation {variation!r} needs a description cache directory"
             )
         cache = DescriptionCache(cache_dir)
-    classes = sorted(split.class_ids.items(), key=lambda kv: kv[1])
+    names = split.seen + split.unseen  # a class id is its position here
     # the texts each side embeds; None marks a zeroed side
-    name_texts = [None if variation == "only-chatgpt" else name for name, _ in classes]
+    name_texts = [None if variation == "only-chatgpt" else name for name in names]
     desc_texts = [
-        fetch_description(name, cache, None) if needs_desc else None for name, _ in classes
+        fetch_description(name, cache, None) if needs_desc else None for name in names
     ]
     vocabulary = {
         token
@@ -104,24 +104,22 @@ def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> list[S
     }
     table = load_word_vectors(word_vectors, vocabulary)
 
-    def side(text):
-        return np.zeros(table.dimension) if text is None else embed_text(table, text)
+    def side(texts):
+        zeros = np.zeros(table.dimension)
+        return [zeros if text is None else embed_text(table, text) for text in texts]
 
-    return [
-        SemanticBundle(cid, name, side(name_text), side(desc_text))
-        for (name, cid), name_text, desc_text in zip(classes, name_texts, desc_texts)
-    ]
+    return ClassSemantics(np.arange(len(names)), names, side(name_texts), side(desc_texts))
 
 
-def obtain_bundles(config: RunConfig, split) -> list[SemanticBundle]:
+def obtain_bundles(config: RunConfig, split) -> ClassSemantics:
     if config.bundles is not None:
-        bundles, variation = read_bundles(config.bundles)
+        semantics, variation = read_bundles(config.bundles)
         if variation != config.variation:
             raise ConfigError(
                 f"bundle file was built for variation {variation!r}, "
                 f"config says {config.variation!r}"
             )
-        return bundles
+        return semantics
     if config.word_vectors is None:
         raise ConfigError("config needs either 'bundles' or 'word_vectors'")
     return build_bundles(split, config.word_vectors, config.variation, split.description_dir)
@@ -155,14 +153,13 @@ def run_train(config: RunConfig) -> Path:
     """Train per the config and write checkpoint plus logs; returns the
     checkpoint path."""
     split = load_split(_require(config.split, "config needs a split manifest"))
-    bundles = obtain_bundles(config, split)
-    data = _train_features(split)
+    semantics = obtain_bundles(config, split)
+    trained = pipeline.train(config, _train_features(split), semantics)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trained = pipeline.train(config, data, bundles)
     if len(trained.fusion.store):
-        fused = resolve_semantics(bundles, trained.fusion)
-        export_fused_csv(out_dir / "fused_semantics.csv", fused)
+        fused = resolve_semantics(semantics, trained.fusion)
+        export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
     ckpt = _ckpt_path(config)
     ad.save_params(ckpt, trained.stores)
     (out_dir / "run.cfg").write_text(config.to_text(), encoding="utf-8")
@@ -174,7 +171,7 @@ def run_train(config: RunConfig) -> Path:
 _TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
 
 
-def _restore(config: RunConfig, bundles) -> tuple[pipeline.Trained, int]:
+def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
     """Read a trained run back for evaluation, refusing one trained
     under different ``_TRAINED_KEYS``; returns it with the feature width
     ``m`` read from the checkpoint's own records."""
@@ -191,7 +188,7 @@ def _restore(config: RunConfig, bundles) -> tuple[pipeline.Trained, int]:
             )
     values = ad.load_params(ckpt, ("fusion", config.method))
     try:
-        return pipeline.restore(config, values, bundles[0].dimension)
+        return pipeline.restore(config, values, d)
     except FormatError as exc:
         raise FormatError(f"{ckpt}: {exc}") from None
 
@@ -201,9 +198,9 @@ def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> li
     deterministic given config and seed."""
     config.validate()
     split = load_split(_require(config.split, "config needs a split manifest"))
-    bundles = obtain_bundles(config, split)
+    semantics = obtain_bundles(config, split)
     test_set = _test_features(split)
-    trained, m = _restore(config, bundles)
+    trained, m = _restore(config, semantics.d)
     if test_set.m != m:
         raise ConfigError(
             f"test features {split.test_features} have width {test_set.m}, "
@@ -212,7 +209,7 @@ def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> li
     seen_set = None
     if config.method == "gen" and "gzsl" in modes:  # real seen rows join synthetic ones
         seen_set = _train_features(split)
-    return pipeline.evaluate(trained, config, test_set, bundles, modes, seen_set, micro)
+    return pipeline.evaluate(trained, config, test_set, semantics, modes, seen_set, micro)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +239,9 @@ def cmd_fetch_descriptions(args) -> int:
 def cmd_build_semantics(args) -> int:
     split = load_split(args.split)
     cache_dir = args.cache or split.description_dir
-    bundles = build_bundles(split, args.word_vectors, args.variation, cache_dir)
-    write_bundles(args.out, bundles, args.variation)
-    print(f"wrote {len(bundles)} bundles (d={bundles[0].dimension}) to {args.out}")
+    semantics = build_bundles(split, args.word_vectors, args.variation, cache_dir)
+    write_bundles(args.out, semantics, args.variation)
+    print(f"wrote {len(semantics.ids)} bundles (d={semantics.d}) to {args.out}")
     return EXIT_OK
 
 
@@ -271,12 +268,12 @@ def cmd_synthesize(args) -> int:
     if config.method != "gen":
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
-    bundles = obtain_bundles(config, split)
-    trained, _ = _restore(config, bundles)
+    semantics = obtain_bundles(config, split)
+    trained, _ = _restore(config, semantics.d)
     gen, fusion = trained.model, trained.fusion
     per_class = args.per_class or config.synth_per_class
     synth = synthesize_set(
-        gen, fusion, bundles, split.unseen_ids, per_class, config.seed, split.class_table
+        gen, fusion, semantics, split.unseen_ids, per_class, config.seed, split.class_table
     )
     names = [split.class_table[int(c)] for c in synth.labels]
     write_features_csv(args.out, names, synth.features)
@@ -284,8 +281,17 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _parse_modes(text: str) -> list[str]:
+    modes = [m.strip() for m in text.split(",") if m.strip()]
+    for mode in modes:
+        if mode not in ("zsl", "gzsl"):
+            raise ConfigError(f"--modes: unknown mode {mode!r}")
+    if not modes:
+        raise ConfigError("--modes names no mode")
+    return modes
+
+
 def cmd_compare(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     blocks: list[EvalReport] = []
     if args.reports:
         for path in args.reports:
@@ -297,8 +303,9 @@ def cmd_compare(args) -> int:
                 raise ConfigError(f"{path}: more than one variation in a report file")
             blocks.append(merge_modes(rows))
     elif args.configs:
-        for path in args.configs:
-            config = _apply_overrides(load_run_config(path), args)
+        modes = _parse_modes(args.modes)
+        configs = [_apply_overrides(load_run_config(path), args) for path in args.configs]
+        for config in configs:
             run_train(config)
             blocks.append(merge_modes(run_eval(config, modes)))
     else:
@@ -315,20 +322,20 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
-    config = replace(config, variation="ours")
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--alphas: {exc}") from None
     if not alphas:
         raise ContractError("alpha sweep set is empty")
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    modes = _parse_modes(args.modes)
+    # the runs differ only in an alpha from the set, so one check covers all
+    config = replace(config, variation="ours", alpha=alphas[0], alpha_set=tuple(alphas))
+    config.validate()
     reports: list[EvalReport] = []
     base_out = Path(config.out_dir)
     for alpha in alphas:
-        run_config = replace(
-            config,
-            alpha=alpha,
-            alpha_set=tuple(alphas),
-            out_dir=base_out / f"alpha_{alpha:g}",
-        )
+        run_config = replace(config, alpha=alpha, out_dir=base_out / f"alpha_{alpha:g}")
         run_train(run_config)
         for report in run_eval(run_config, modes):
             report.variation = f"alpha={alpha:g}"

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, ManifestError, SplitViolationError
-from .fusion import ALPHA_SWEEP, VARIATIONS, SemanticBundle
+from .fusion import ALPHA_SWEEP, VARIATIONS, ClassSemantics
 
 _BINARY_MAGIC = b"FSET"
 
@@ -79,27 +79,15 @@ def check_split_discipline(seen_ids, unseen_ids) -> None:
         raise SplitViolationError(f"classes {sorted(overlap)} are both seen and unseen")
 
 
-def training_semantics(
-    data: FeatureSet, bundles: list[SemanticBundle], role: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check that training features hold seen classes only, each with
-    semantics; ``role`` names the features in the error.
-
-    Returns the class-name and description vectors of the bundles, one
-    row per class in id order, and each sample's row in them.
-    """
+def training_semantics(data: FeatureSet, semantics: ClassSemantics, role: str) -> np.ndarray:
+    """Each sample's row in ``semantics``, after checking that training
+    features hold seen classes only; ``role`` names the features in the
+    error."""
     present = set(int(c) for c in np.unique(data.labels))
     outside = present - set(data.seen_ids)
     if outside:
         raise ManifestError(f"{role} contain non-seen classes {sorted(outside)}")
-    by_id = {b.class_id: b for b in bundles}
-    missing = sorted(present - set(by_id))
-    if missing:
-        raise ManifestError(f"classes without semantics: {missing}")
-    classes = sorted(by_id)
-    e_c = np.stack([by_id[c].e_c for c in classes])
-    e_p = np.stack([by_id[c].e_p for c in classes])
-    return e_c, e_p, np.searchsorted(classes, data.labels)
+    return semantics.rows(data.labels)
 
 
 @dataclass
@@ -235,6 +223,10 @@ class RunConfig:
                 raise ConfigError(f"{key} = {value} is below its minimum {low}")
         if not self.eta > 0:
             raise ConfigError(f"eta = {self.eta} must be positive")
+        for key, values in (("alpha", [self.alpha]), ("alpha_set", self.alpha_set)):
+            for value in values:
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigError(f"{key} value {value} lies outside [0, 1]")
         if self.variation not in VARIATIONS:
             raise ConfigError(f"unknown variation {self.variation!r}")
         if self.method not in ("embed", "gen"):
@@ -266,7 +258,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-# the smallest usable value of each count and rate; q may be unset
+# the smallest usable value of each count, rate and weight; q may be unset
 _MINIMUMS = {
     "batch_size": 1,
     "epochs": 0,
@@ -278,6 +270,8 @@ _MINIMUMS = {
     "q": 1,
     "lr": 0.0,
     "classifier_lr": 0.0,
+    "lam": 0.0,
+    "cls_weight": 0.0,
 }
 
 # each field's type, resolved once: resolving takes longer than a parse
@@ -453,7 +447,7 @@ class SynthConfig:
     seed: int = 0
 
 
-def synth_dataset(config: SynthConfig) -> tuple[FeatureSet, list[SemanticBundle]]:
+def synth_dataset(config: SynthConfig) -> tuple[FeatureSet, ClassSemantics]:
     """Seeded synthetic (features, semantics); deterministic in the seed."""
     if config.seen < 2 or config.unseen < 2:
         raise ContractError("need at least 2 seen and 2 unseen classes")
@@ -469,11 +463,11 @@ def synth_dataset(config: SynthConfig) -> tuple[FeatureSet, list[SemanticBundle]
         latents = rng.normal(size=(total, config.d))
     mixing = rng.normal(size=(config.m, config.d)) / np.sqrt(config.d)
 
-    bundles = []
-    for cid in range(total):
-        e_c = latents[cid] + config.sigma_c * rng.normal(size=config.d)
-        e_p = latents[cid] + config.sigma_p * rng.normal(size=config.d)
-        bundles.append(SemanticBundle(cid, f"class_{cid:02d}", e_c, e_p))
+    names = [f"class_{cid:02d}" for cid in range(total)]
+    e_c, e_p = np.empty((total, config.d)), np.empty((total, config.d))
+    for cid in range(total):  # per class: its e_c draw, then its e_p draw
+        e_c[cid] = latents[cid] + config.sigma_c * rng.normal(size=config.d)
+        e_p[cid] = latents[cid] + config.sigma_p * rng.normal(size=config.d)
 
     n = total * config.per_class
     labels = np.repeat(np.arange(total), config.per_class)
@@ -483,11 +477,11 @@ def synth_dataset(config: SynthConfig) -> tuple[FeatureSet, list[SemanticBundle]
     fs = FeatureSet(
         features,
         labels,
-        {cid: f"class_{cid:02d}" for cid in range(total)},
+        dict(enumerate(names)),
         frozenset(range(config.seen)),
         frozenset(range(config.seen, total)),
     )
-    return fs, bundles
+    return fs, ClassSemantics(np.arange(total), names, e_c, e_p)
 
 
 def split_for_eval(

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ShapeError
-from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion
+from .fusion import ClassSemantics, FusionParams, fuse_graph, init_fusion
 
 
 class EmbedModel:
@@ -50,13 +50,6 @@ def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedMode
     store.add("W_e", rng.uniform(-1, 1, size=(q, d)) * np.sqrt(6.0 / (q + d)))
     store.add("b_e", np.zeros(q))
     return EmbedModel(store, q, m, d, lam)
-
-
-def _semantic_graph(fusion: FusionParams, bundles: list[SemanticBundle]) -> ad.Tensor:
-    """Semantic inputs for a list of bundles, one row per bundle."""
-    e_c = ad.constant(np.stack([b.e_c for b in bundles]))
-    e_p = ad.constant(np.stack([b.e_p for b in bundles]))
-    return fuse_graph(fusion, e_c, e_p)
 
 
 def embed_loss(
@@ -95,9 +88,7 @@ class EmbedRun:
     loss_history: list[float] = field(default_factory=list)
 
 
-def train_embed(
-    data: FeatureSet, bundles: list[SemanticBundle], cfg: RunConfig
-) -> EmbedRun:
+def train_embed(data: FeatureSet, semantics: ClassSemantics, cfg: RunConfig) -> EmbedRun:
     """Gradient-descent training on seen-class features, with the
     ``q``, ``lam``, ``alpha``, ``variation``, ``optimizer``, ``lr``,
     ``epochs``, ``batch_size`` and ``seed`` of ``cfg``.
@@ -112,9 +103,9 @@ def train_embed(
     }.get(cfg.optimizer)
     if step is None:
         raise ContractError(f"unknown optimizer {cfg.optimizer!r}")
-    # one semantic row per class; a batch picks its rows by label
-    e_c, e_p, class_rows = training_semantics(data, bundles, "training features")
-    d = bundles[0].dimension
+    # a batch picks its semantic rows by label
+    class_rows = training_semantics(data, semantics, "training features")
+    e_c, e_p, d = semantics.e_c, semantics.e_p, semantics.d
     q = cfg.q if cfg.q is not None else d
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     model_seed, fusion_seed, shuffle_seed = (
@@ -144,30 +135,24 @@ def train_embed(
     return EmbedRun(model, fusion, history)
 
 
-def _prototype_matrix(
-    model: EmbedModel, fusion: FusionParams, candidates: list[SemanticBundle]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projected class prototypes, sorted by class id."""
-    ordered = sorted(candidates, key=lambda b: b.class_id)
-    protos = model.project_semantics(_semantic_graph(fusion, ordered)).data
-    ids = np.array([b.class_id for b in ordered], dtype=np.int64)
-    return protos, ids
-
-
 def classify_batch(
     model: EmbedModel,
     fusion: FusionParams,
+    semantics: ClassSemantics,
     z: np.ndarray,
-    candidates: list[SemanticBundle],
+    candidate_ids,
 ) -> np.ndarray:
-    """Nearest-prototype labels for feature rows; ties go to the lowest id."""
-    if not candidates:
+    """Nearest-prototype labels for feature rows among the classes
+    ``candidate_ids``; ties go to the lowest id."""
+    ids = np.unique(np.asarray(candidate_ids, dtype=np.int64))
+    if not ids.size:
         raise ContractError("no candidate classes")
+    rows = semantics.rows(ids)
+    e = fuse_graph(fusion, ad.constant(semantics.e_c[rows]), ad.constant(semantics.e_p[rows]))
+    protos = model.project_semantics(e).data
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    protos, ids = _prototype_matrix(model, fusion, candidates)
     z_proj = model.project_features(ad.constant(z)).data
     # squared distances (n_samples, n_candidates); argmin hits the first
     # minimum, i.e. the lowest class id because prototypes are id-sorted
     d2 = ((z_proj[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
     return ids[np.argmin(d2, axis=1)]
-

@@ -12,7 +12,6 @@ import numpy as np
 
 from .datasets import FeatureSet
 from .errors import ContractError, ManifestError
-from .fusion import SemanticBundle
 
 METRIC_ORDER = ("acc", "acc_s", "acc_u", "hm")
 
@@ -137,16 +136,16 @@ def merge_modes(reports: list[EvalReport]) -> EvalReport:
 
 
 def evaluate_run(
-    predict: Callable[[np.ndarray, list[SemanticBundle]], np.ndarray],
+    predict: Callable[[np.ndarray, list[int]], np.ndarray],
     variation: str,
     test_set: FeatureSet,
-    bundles: list[SemanticBundle],
+    semantic_ids,
     mode: str,
     micro: bool = False,
 ) -> EvalReport:
-    """Score a trained model on a test set; ``predict(z, candidates)``
+    """Score a trained model on a test set; ``predict(z, candidate_ids)``
     gives the class id of each feature row ``z`` among the candidate
-    bundles.
+    classes, those of the mode that are in ``semantic_ids``, ascending.
 
     ZSL restricts both the samples and the candidate classes to unseen
     ones; GZSL predicts every sample over the union and reports seen
@@ -154,11 +153,10 @@ def evaluate_run(
     """
     if mode not in ("zsl", "gzsl"):
         raise ContractError(f"unknown mode {mode!r}")
-    by_id = {b.class_id: b for b in bundles}
     averaging = "micro" if micro else "macro"
 
     if mode == "zsl":
-        candidates = _candidates(by_id, test_set.unseen_ids, test_set)
+        candidates = _candidates(semantic_ids, test_set.unseen_ids, test_set)
         subset = test_set.rows_for(test_set.unseen_ids)
         if subset.n == 0:
             raise ManifestError("no unseen-class samples in the test set")
@@ -166,9 +164,7 @@ def evaluate_run(
         acc = per_class_top1(preds, subset.labels, test_set.unseen_ids, micro)
         return EvalReport(variation, mode, averaging, acc=acc)
 
-    candidates = _candidates(
-        by_id, test_set.seen_ids | test_set.unseen_ids, test_set
-    )
+    candidates = _candidates(semantic_ids, test_set.seen_ids | test_set.unseen_ids, test_set)
     seen_rows = test_set.rows_for(test_set.seen_ids)
     unseen_rows = test_set.rows_for(test_set.unseen_ids)
     if seen_rows.n == 0 or unseen_rows.n == 0:
@@ -195,12 +191,13 @@ def evaluate_run(
     )
 
 
-def _candidates(by_id, wanted_ids, test_set: FeatureSet) -> list[SemanticBundle]:
+def _candidates(semantic_ids, wanted_ids, test_set: FeatureSet) -> list[int]:
     present = set(int(c) for c in np.unique(test_set.labels))
-    missing = sorted((set(wanted_ids) & present) - set(by_id))
+    known = set(int(c) for c in semantic_ids)
+    missing = sorted((set(wanted_ids) & present) - known)
     if missing:
         raise ManifestError(f"test classes without semantics: {missing}")
-    out = [by_id[c] for c in sorted(wanted_ids) if c in by_id]
+    out = sorted(set(wanted_ids) & known)
     if not out:
         raise ManifestError("no candidate classes with semantics")
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, ManifestError, ShapeError
 
 VARIATIONS = ("only-class-name", "only-chatgpt", "ours")
 
@@ -24,31 +24,44 @@ ALPHA_SWEEP = (0.1, 0.3, 0.5, 0.7, 1.0)
 
 
 @dataclass
-class SemanticBundle:
-    """Per-class semantic vectors: class-name side, description side,
-    and the fused output once it has been computed."""
+class ClassSemantics:
+    """Semantic inputs of a set of classes, one row per class in
+    ascending id order: the class-name vectors ``e_c`` and the
+    description vectors ``e_p``, both (k, d)."""
 
-    class_id: int
-    name: str
+    ids: np.ndarray
+    names: list[str]
     e_c: np.ndarray
     e_p: np.ndarray
-    e: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.e_c = np.asarray(self.e_c, dtype=np.float64)
-        self.e_p = np.asarray(self.e_p, dtype=np.float64)
-        if self.e_c.shape != self.e_p.shape or self.e_c.ndim != 1:
-            raise ShapeError(
-                f"bundle {self.name!r}: e_c {self.e_c.shape} vs e_p {self.e_p.shape}"
-            )
-        if self.e is not None:
-            self.e = np.asarray(self.e, dtype=np.float64)
-            if self.e.shape != self.e_c.shape:
-                raise ShapeError(f"bundle {self.name!r}: fused shape {self.e.shape}")
+        ids = np.asarray(self.ids, dtype=np.int64)
+        e_c = np.asarray(self.e_c, dtype=np.float64)
+        e_p = np.asarray(self.e_p, dtype=np.float64)
+        if ids.ndim != 1 or len(ids) == 0 or len(self.names) != len(ids):
+            raise ContractError(f"class ids {ids.tolist()} for {len(self.names)} names")
+        if e_c.ndim != 2 or e_c.shape != e_p.shape or len(e_c) != len(ids):
+            raise ShapeError(f"{len(ids)} classes with e_c {e_c.shape} and e_p {e_p.shape}")
+        order = np.argsort(ids, kind="stable")
+        self.ids, self.e_c, self.e_p = ids[order], e_c[order], e_p[order]
+        self.names = [self.names[i] for i in order]
+        if np.any(self.ids[1:] == self.ids[:-1]):
+            raise ContractError(f"duplicate class ids in {self.ids.tolist()}")
 
     @property
-    def dimension(self) -> int:
-        return self.e_c.shape[0]
+    def d(self) -> int:
+        return self.e_c.shape[1]
+
+    def rows(self, class_ids) -> np.ndarray:
+        """Row of each of ``class_ids``; a ManifestError names the ids
+        that have no row."""
+        class_ids = np.asarray(class_ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, class_ids)
+        found = self.ids[np.minimum(rows, len(self.ids) - 1)] == class_ids
+        if not found.all():
+            missing = sorted(set(class_ids[~found].tolist()))
+            raise ManifestError(f"classes without semantics: {missing}")
+        return rows
 
 
 class FusionParams:
@@ -117,24 +130,19 @@ def fuse_graph(params: FusionParams, e_c: ad.Tensor, e_p: ad.Tensor) -> ad.Tenso
     return ad.add(name_side, ad.scale(desc_side, params.alpha))
 
 
-def fuse(params: FusionParams, e_c: np.ndarray, e_p: np.ndarray) -> np.ndarray:
-    """Class semantics for one class pair of vectors."""
-    e_c = np.asarray(e_c, dtype=np.float64)
-    e_p = np.asarray(e_p, dtype=np.float64)
-    if e_c.ndim != 1 or e_c.shape != e_p.shape:
-        raise ShapeError(f"fuse expects equal vectors, got {e_c.shape} and {e_p.shape}")
-    out = fuse_graph(params, ad.constant(e_c[None, :]), ad.constant(e_p[None, :]))
-    return out.data[0]
+def resolve_semantics(semantics: ClassSemantics, fusion: FusionParams) -> np.ndarray:
+    """The (k, d) semantic vectors of every class under ``fusion``.
 
-
-def resolve_semantics(
-    bundles: list[SemanticBundle], fusion: FusionParams
-) -> list[SemanticBundle]:
-    """Copies of the bundles with the semantic vector ``e`` filled in."""
-    return [
-        SemanticBundle(b.class_id, b.name, b.e_c, b.e_p, fuse(fusion, b.e_c, b.e_p))
-        for b in bundles
-    ]
+    Each row is fused on its own: a one-row product can differ in its
+    last bits from the same row of a batched one, and the vectors that
+    condition synthesis and fill ``fused_semantics.csv`` are the
+    one-row ones.
+    """
+    e_c, e_p = semantics.e_c, semantics.e_p
+    return np.vstack([
+        fuse_graph(fusion, ad.constant(e_c[i : i + 1]), ad.constant(e_p[i : i + 1])).data
+        for i in range(len(e_c))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +152,24 @@ def resolve_semantics(
 # header, then one row per class: id, name, ec_0..ec_{d-1}, ep_0..ep_{d-1}.
 
 
-def write_bundles(path, bundles: list[SemanticBundle], variation: str) -> None:
+def write_bundles(path, semantics: ClassSemantics, variation: str) -> None:
     if variation not in VARIATIONS:
         raise ContractError(f"unknown variation {variation!r}")
-    if not bundles:
-        raise ContractError("no bundles to write")
-    d = bundles[0].dimension
+    d = semantics.d
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(f"# bundles variation={variation} d={d}\n")
         writer = csv.writer(handle)
         header = ["class_id", "name"]
         header += [f"ec_{i}" for i in range(d)] + [f"ep_{i}" for i in range(d)]
         writer.writerow(header)
-        for b in sorted(bundles, key=lambda b: b.class_id):
-            row = [str(b.class_id), b.name]
-            row += [format(v, ".17g") for v in b.e_c]
-            row += [format(v, ".17g") for v in b.e_p]
+        for i, cid in enumerate(semantics.ids):
+            row = [str(cid), semantics.names[i]]
+            row += [format(v, ".17g") for v in semantics.e_c[i]]
+            row += [format(v, ".17g") for v in semantics.e_p[i]]
             writer.writerow(row)
 
 
-def read_bundles(path) -> tuple[list[SemanticBundle], str]:
+def read_bundles(path) -> tuple[ClassSemantics, str]:
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
         first = handle.readline()
@@ -181,32 +187,31 @@ def read_bundles(path) -> tuple[list[SemanticBundle], str]:
             raise FormatError(f"{path}: unknown variation {variation!r}")
         reader = csv.reader(handle)
         next(reader, None)  # column header
-        bundles = []
+        ids, names, values = [], [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 2 + 2 * d:
                 raise FormatError(f"{path}: row for {row[:2]} has {len(row)} fields")
             try:
-                class_id = int(row[0])
-                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                ids.append(int(row[0]))
+                values.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
-            bundles.append(SemanticBundle(class_id, row[1], values[:d], values[d:]))
-    if not bundles:
+            names.append(row[1])
+    if not ids:
         raise FormatError(f"{path}: no bundle rows")
-    return bundles, variation
+    values = np.array(values, dtype=np.float64)
+    try:
+        return ClassSemantics(ids, names, values[:, :d], values[:, d:]), variation
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def export_fused_csv(path, bundles: list[SemanticBundle]) -> None:
+def export_fused_csv(path, ids, rows: np.ndarray) -> None:
     """Write fused vectors (class id + d values per row) for plotting."""
-    if not bundles:
-        raise ContractError("no bundles to export")
-    if any(b.e is None for b in bundles):
-        raise ContractError("bundles must be resolved before export")
-    d = bundles[0].dimension
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["class_id"] + [f"v{i}" for i in range(d)])
-        for b in sorted(bundles, key=lambda b: b.class_id):
-            writer.writerow([str(b.class_id)] + [format(v, ".17g") for v in b.e])
+        writer.writerow(["class_id"] + [f"v{i}" for i in range(rows.shape[1])])
+        for cid, row in zip(ids, rows):
+            writer.writerow([str(cid)] + [format(v, ".17g") for v in row])

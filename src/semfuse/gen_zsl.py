@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ManifestError, ShapeError
-from .fusion import FusionParams, SemanticBundle, fuse_graph, init_fusion, resolve_semantics
+from .fusion import ClassSemantics, FusionParams, fuse_graph, init_fusion, resolve_semantics
 
 
 BETA1, BETA2 = 0.5, 0.9  # Adam moment decays of the critic and generator
@@ -302,21 +302,20 @@ class GanTrainer:
     def __init__(
         self,
         data: FeatureSet,
-        bundles: list[SemanticBundle],
+        semantics: ClassSemantics,
         classifier: SoftmaxClassifier,
         cfg: RunConfig,
     ):
-        # one semantic row per class; a batch picks its rows by label
-        self._ec, self._ep, self._class_rows = training_semantics(
-            data, bundles, "generator training features"
-        )
+        # a batch picks its semantic rows by label
+        self._class_rows = training_semantics(data, semantics, "generator training features")
+        self._ec, self._ep = semantics.e_c, semantics.e_p
         if cfg.eta <= 0:
             raise ContractError("penalty coefficient must be positive")
 
         self.data = data
         self.config = cfg
         self.classifier = classifier
-        d = bundles[0].dimension
+        d = semantics.d
         hidden = [cfg.hidden_mult * data.m]
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         g_seed, d_seed, f_seed, batch_seed = (int(s.generate_state(1)[0]) for s in seeds)
@@ -383,42 +382,41 @@ class GanTrainer:
         return [self.wgan_step() for _ in range(cycles)]
 
 
-def synthesize(gen: Mlp, bundle: SemanticBundle, n: int, seed: int) -> np.ndarray:
-    """Draw n synthetic feature vectors for one class; seed-deterministic."""
+def synthesize(gen: Mlp, e: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draw n synthetic feature vectors for the class with semantic
+    vector ``e``; seed-deterministic."""
     if n <= 0:
         raise ContractError("need a positive sample count")
-    if bundle.e is None:
-        raise ContractError(f"bundle {bundle.name!r} has no fused semantics")
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, gen.x_dim))
-    e = np.broadcast_to(bundle.e, (n, bundle.dimension))
+    e = np.broadcast_to(e, (n, len(e)))
     return gen.forward(ad.constant(h), ad.constant(e.copy())).data
 
 
 def synthesize_set(
     gen: Mlp,
     fusion: FusionParams,
-    bundles: list[SemanticBundle],
+    semantics: ClassSemantics,
     unseen_ids,
     per_class: int,
     seed: int,
     class_table: dict[int, str],
 ) -> FeatureSet:
-    """Synthetic feature set for the bundles of ``unseen_ids``, one block
-    per class, conditioned on their semantics under ``fusion``."""
-    unseen = resolve_semantics([b for b in bundles if b.class_id in unseen_ids], fusion)
-    if not unseen:
+    """Synthetic feature set for the classes of ``unseen_ids`` that have
+    semantics, one block per class in id order, conditioned on their
+    semantics under ``fusion``."""
+    unseen = np.isin(semantics.ids, list(unseen_ids))
+    if not unseen.any():
         raise ContractError("no classes to synthesize")
-    blocks, labels = [], []
-    for b in sorted(unseen, key=lambda b: b.class_id):
-        class_seed = int(np.random.SeedSequence([seed, b.class_id]).generate_state(1)[0])
-        blocks.append(synthesize(gen, b, per_class, class_seed))
-        labels.extend([b.class_id] * per_class)
+    ids, fused = semantics.ids[unseen], resolve_semantics(semantics, fusion)[unseen]
+    blocks = []
+    for cid, e in zip(ids.tolist(), fused):
+        class_seed = int(np.random.SeedSequence([seed, cid]).generate_state(1)[0])
+        blocks.append(synthesize(gen, e, per_class, class_seed))
     return FeatureSet(
         np.vstack(blocks),
-        np.array(labels, dtype=np.int64),
+        np.repeat(ids, per_class),
         class_table,
         frozenset(),
-        frozenset(b.class_id for b in unseen),
+        frozenset(ids.tolist()),
     )
-

@@ -16,7 +16,7 @@ from .datasets import FeatureSet, RunConfig
 from .embed_zsl import EmbedModel, classify_batch, init_embed_model, train_embed
 from .errors import ContractError, FormatError
 from .evaluation import EvalReport, evaluate_run
-from .fusion import FusionParams, SemanticBundle, init_fusion
+from .fusion import ClassSemantics, FusionParams, init_fusion
 from .gen_zsl import (
     GanTrainer,
     Mlp,
@@ -40,11 +40,11 @@ class Trained:
     train_log: str = ""
 
 
-def train(cfg: RunConfig, train_set: FeatureSet, bundles: list[SemanticBundle]) -> Trained:
+def train(cfg: RunConfig, train_set: FeatureSet, semantics: ClassSemantics) -> Trained:
     """Train the family ``cfg.method`` names on seen-class features."""
     cfg.validate()
     if cfg.method == "embed":
-        run = train_embed(train_set, bundles, cfg)
+        run = train_embed(train_set, semantics, cfg)
         log_rows = [f"{i},{loss:.17g}" for i, loss in enumerate(run.loss_history)]
         return Trained(
             {"embed": run.model.store, "fusion": run.fusion.store},
@@ -54,7 +54,7 @@ def train(cfg: RunConfig, train_set: FeatureSet, bundles: list[SemanticBundle]) 
         )
 
     classifier = pretrain_classifier(train_set, cfg)
-    trainer = GanTrainer(train_set, bundles, classifier, cfg)
+    trainer = GanTrainer(train_set, semantics, classifier, cfg)
     log_rows = [
         f"{i},{r.critic_loss:.17g},{r.wasserstein:.17g},{r.penalty:.17g},"
         f"{r.gen_loss:.17g},{r.cls_term:.17g}"
@@ -101,7 +101,7 @@ def evaluate(
     trained: Trained,
     cfg: RunConfig,
     test_set: FeatureSet,
-    bundles: list[SemanticBundle],
+    semantics: ClassSemantics,
     modes: Sequence[str],
     seen_set: FeatureSet | None = None,
     micro: bool = False,
@@ -115,9 +115,9 @@ def evaluate(
     seen-class features ``seen_set``.
     """
     if cfg.method == "embed":
-        predict = partial(classify_batch, trained.model, trained.fusion)
+        predict = partial(classify_batch, trained.model, trained.fusion, semantics)
         return [
-            evaluate_run(predict, cfg.variation, test_set, bundles, mode, micro)
+            evaluate_run(predict, cfg.variation, test_set, semantics.ids, mode, micro)
             for mode in modes
         ]
     if "gzsl" in modes and seen_set is None:
@@ -125,7 +125,7 @@ def evaluate(
     synth = synthesize_set(
         trained.model,
         trained.fusion,
-        bundles,
+        semantics,
         test_set.unseen_ids,
         cfg.synth_per_class,
         cfg.seed,
@@ -134,9 +134,8 @@ def evaluate(
     reports = []
     for mode in modes:
         classifier = train_final_classifier(seen_set if mode == "gzsl" else None, synth, cfg)
-
-        def predict(z, candidates):
-            return classifier.predict_ids(z, [b.class_id for b in candidates])
-
-        reports.append(evaluate_run(predict, cfg.variation, test_set, bundles, mode, micro))
+        predict = classifier.predict_ids
+        reports.append(
+            evaluate_run(predict, cfg.variation, test_set, semantics.ids, mode, micro)
+        )
     return reports

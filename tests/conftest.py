@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semfuse.fusion import ClassSemantics
 from semfuse.wordvec import tokenize
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +20,17 @@ DESCRIPTION_DIR = REPO_ROOT / "data" / "descriptions"
 
 SEEN = ["bed", "chair", "desk", "sofa"]
 UNSEEN = ["table", "toilet"]
+
+
+def keep_classes(semantics: ClassSemantics, keep) -> ClassSemantics:
+    """The rows of ``semantics`` whose class id is in ``keep``."""
+    rows = [i for i, cid in enumerate(semantics.ids) if cid in keep]
+    return ClassSemantics(
+        semantics.ids[rows],
+        [semantics.names[i] for i in rows],
+        semantics.e_c[rows],
+        semantics.e_p[rows],
+    )
 
 
 def _read_description(name: str) -> str:

@@ -16,7 +16,7 @@ from semfuse.cli import main
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import classify_batch, embed_loss, init_embed_model
 from semfuse.evaluation import borda_count, harmonic_mean, per_class_top1
-from semfuse.fusion import SemanticBundle, fuse_graph, init_fusion
+from semfuse.fusion import ClassSemantics, fuse_graph, init_fusion
 from semfuse.gen_zsl import (
     cls_loss_batch,
     gradient_penalty,
@@ -194,12 +194,12 @@ def _embed_zsl_accuracy(variation, seed, sigma_c, sigma_p):
         sigma_c=sigma_c, sigma_p=sigma_p, sigma_z=0.05,
         latent_rank=6, seed=seed,
     )
-    data, bundles = synth_dataset(cfg)
+    data, semantics = synth_dataset(cfg)
     train, test = split_for_eval(data, seed=seed)
     run_cfg = pipeline.RunConfig(method="embed", variation=variation, alpha=1.0,
                                  lr=0.005, epochs=400, lam=1e-4, seed=seed)
-    trained = pipeline.train(run_cfg, train, bundles)
-    (report,) = pipeline.evaluate(trained, run_cfg, test, bundles, ("zsl",))
+    trained = pipeline.train(run_cfg, train, semantics)
+    (report,) = pipeline.evaluate(trained, run_cfg, test, semantics, ("zsl",))
     return report.acc
 
 
@@ -235,14 +235,14 @@ def test_criterion_5_generative_family_end_to_end():
         seen=7, unseen=3, m=32, d=16, per_class=40,
         sigma_c=0.02, sigma_p=0.02, sigma_z=0.05, latent_rank=6, seed=seed,
     )
-    data, bundles = synth_dataset(cfg)
+    data, semantics = synth_dataset(cfg)
     train, test = split_for_eval(data, seed=seed)
     # 100 epochs of the 140-row training half at batch 64: 300 GAN cycles
     run_cfg = pipeline.RunConfig(method="gen", variation=variation, alpha=1.0,
                                  noise_dim=8, cls_weight=0.1, lr=2e-4, epochs=100,
                                  synth_per_class=200, seed=seed)
-    trained = pipeline.train(run_cfg, train, bundles)
-    (rep,) = pipeline.evaluate(trained, run_cfg, test, bundles, ("gzsl",), seen_set=train)
+    trained = pipeline.train(run_cfg, train, semantics)
+    (rep,) = pipeline.evaluate(trained, run_cfg, test, semantics, ("gzsl",), seen_set=train)
     elapsed = watch.check()
     report("criterion 5 (generative family)", rep.hm >= 40.0,
            f"HM {rep.hm:.1f} (s {rep.acc_s:.1f} / u {rep.acc_u:.1f}) in {elapsed:.0f}s")
@@ -299,21 +299,18 @@ def test_criterion_7_brute_force_equivalence():
         model = init_embed_model(int(q), int(m), int(d), lam=0.0,
                                  seed=int(rng.integers(0, 10_000)))
         ids = rng.permutation(20)[: rng.integers(2, 8)]
-        candidates = [
-            SemanticBundle(int(c), f"c{c}", rng.normal(size=d), np.zeros(d),
-                           rng.normal(size=d))
-            for c in ids
-        ]
+        semantics = ClassSemantics(ids, [f"c{c}" for c in ids],
+                                   rng.normal(size=(len(ids), d)), np.zeros((len(ids), d)))
         z = rng.normal(size=m)
         name_only = init_fusion(int(d), seed=0, alpha=0.5, variation="only-class-name")
-        got = classify_batch(model, name_only, z, candidates)[0]
+        got = classify_batch(model, name_only, semantics, z, ids)[0]
         z_proj = model.project_features(ad.constant(z[None, :])).data[0]
         best_id, best = None, np.inf
-        for c in sorted(candidates, key=lambda b: b.class_id):
-            proto = model.project_semantics(ad.constant(c.e_c[None, :])).data[0]
+        for cid, e_c in zip(semantics.ids, semantics.e_c):  # ascending ids
+            proto = model.project_semantics(ad.constant(e_c[None, :])).data[0]
             dist = float(((z_proj - proto) ** 2).sum())
             if dist < best:
-                best_id, best = c.class_id, dist
+                best_id, best = cid, dist
         assert got == best_id
 
     for _ in range(100):

@@ -115,13 +115,12 @@ def test_build_semantics_zeroes_the_unused_side(demo_dir, tmp_path):
             )
             == 0
         )
-        bundles, got = read_bundles(out)
-        assert got == variation and len(bundles) == 6
-        for b in bundles:
-            zeroed = b.e_p if zero_side == "e_p" else b.e_c
-            kept = b.e_c if zero_side == "e_p" else b.e_p
-            assert np.array_equal(zeroed, np.zeros_like(zeroed))
-            assert np.abs(kept).max() > 0
+        semantics, got = read_bundles(out)
+        assert got == variation and len(semantics.ids) == 6
+        zeroed = semantics.e_p if zero_side == "e_p" else semantics.e_c
+        kept = semantics.e_c if zero_side == "e_p" else semantics.e_p
+        assert np.array_equal(zeroed, np.zeros_like(zeroed))
+        assert np.abs(kept).max(axis=1).min() > 0
 
 
 def test_build_semantics_ours_fills_both_sides(demo_dir, tmp_path):
@@ -139,8 +138,9 @@ def test_build_semantics_ours_fills_both_sides(demo_dir, tmp_path):
             str(out),
         ]
     )
-    bundles, _ = read_bundles(out)
-    assert all(np.abs(b.e_c).max() > 0 and np.abs(b.e_p).max() > 0 for b in bundles)
+    semantics, _ = read_bundles(out)
+    assert np.abs(semantics.e_c).max(axis=1).min() > 0
+    assert np.abs(semantics.e_p).max(axis=1).min() > 0
 
 
 def test_train_and_eval_reports_are_byte_identical(demo_dir, tmp_path):
@@ -308,6 +308,7 @@ def test_diverging_training_exits_2_without_checkpoint(demo_dir, tmp_path, capsy
     assert main(["train", "--config", str(cfg)]) == 2
     assert "training diverged" in capsys.readouterr().err
     assert not (tmp_path / "diverged" / "model.ckpt").exists()
+    assert not (tmp_path / "diverged").exists()
 
 
 @pytest.mark.parametrize(
@@ -346,6 +347,11 @@ def test_unusable_optimizer_exits_2_before_reading_inputs(
         ("train", "embed", "lr", "-0.01", "lr = -0.01 is below its minimum 0.0"),
         ("train", "gen", "classifier_lr", "-1", "classifier_lr = -1.0 is below its minimum 0.0"),
         ("train", "gen", "eta", "0", "eta = 0.0 must be positive"),
+        ("train", "embed", "lam", "-1", "lam = -1.0 is below its minimum 0.0"),
+        ("train", "embed", "lam", "nan", "lam = nan is below its minimum 0.0"),
+        ("train", "gen", "cls_weight", "-5", "cls_weight = -5.0 is below its minimum 0.0"),
+        ("train", "embed", "alpha", "5", "alpha value 5.0 lies outside [0, 1]"),
+        ("train", "gen", "alpha_set", "0.5,5", "alpha_set value 5.0 lies outside [0, 1]"),
         ("eval", "embed", "batch_size", "0", "batch_size = 0 is below its minimum 1"),
         ("synthesize", "gen", "n_critic", "0", "n_critic = 0 is below its minimum 1"),
     ],
@@ -367,6 +373,34 @@ def test_epochs_flag_out_of_range_exits_2(demo_dir, tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--epochs", "-1"]) == 2
     assert capsys.readouterr().err == "config error: epochs = -1 is below its minimum 0\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--alphas", "0.1,abc"], "--alphas: could not convert string to float: 'abc'"),
+        (["--alphas", "0.5,5"], "alpha_set value 5.0 lies outside [0, 1]"),
+        (["--alphas", "0.5", "--modes", "zsl,foo"], "--modes: unknown mode 'foo'"),
+    ],
+)
+def test_sweep_alpha_refuses_its_flags_before_training(
+    demo_dir, tmp_path, capsys, flags, message
+):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", epochs=2)
+    assert main(["sweep-alpha", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_compare_configs_refuses_an_unknown_mode_before_training(demo_dir, tmp_path, capsys):
+    cfgs = [
+        write_config(tmp_path / f"{v}.cfg", demo_dir, tmp_path / v, variation=v, epochs=2)
+        for v in ("only-class-name", "ours")
+    ]
+    argv = ["compare", "--configs", *map(str, cfgs), "--modes", "zsl,foo"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: --modes: unknown mode 'foo'\n"
+    assert not (tmp_path / "only-class-name").exists() and not (tmp_path / "ours").exists()
 
 
 def test_run_cfg_of_a_relative_config_reads_back(demo_dir, tmp_path, monkeypatch):

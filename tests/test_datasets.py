@@ -193,13 +193,10 @@ def test_feature_set_rejects_unknown_label():
 
 def test_synth_dataset_is_deterministic():
     cfg = SynthConfig(seen=3, unseen=2, m=6, d=4, per_class=5, seed=99)
-    fs_a, bundles_a = synth_dataset(cfg)
-    fs_b, bundles_b = synth_dataset(cfg)
+    fs_a, sem_a = synth_dataset(cfg)
+    fs_b, sem_b = synth_dataset(cfg)
     assert np.array_equal(fs_a.features, fs_b.features)
-    assert all(
-        np.array_equal(x.e_c, y.e_c) and np.array_equal(x.e_p, y.e_p)
-        for x, y in zip(bundles_a, bundles_b)
-    )
+    assert np.array_equal(sem_a.e_c, sem_b.e_c) and np.array_equal(sem_a.e_p, sem_b.e_p)
 
 
 def test_synth_noiseless_features_identical_within_class():

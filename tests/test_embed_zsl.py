@@ -16,7 +16,9 @@ from semfuse.embed_zsl import (
 )
 from semfuse.errors import ContractError, ManifestError, ShapeError
 from semfuse.evaluation import evaluate_run
-from semfuse.fusion import FusionParams, SemanticBundle, init_fusion
+from semfuse.fusion import ClassSemantics, FusionParams, init_fusion
+
+from conftest import keep_classes
 
 
 def fixed_model(w_z, w_e, lam=0.0) -> EmbedModel:
@@ -35,27 +37,26 @@ def name_only(d: int) -> FusionParams:
     return init_fusion(d, seed=0, alpha=0.5, variation="only-class-name")
 
 
-def bundle(cid, e, d=None):
-    e = np.asarray(e, dtype=np.float64)
-    return SemanticBundle(cid, f"c{cid}", e, np.zeros_like(e), e.copy())
+def name_semantics(vectors: dict) -> ClassSemantics:
+    """Class-name vectors by class id, zero description vectors."""
+    e_c = np.array([vectors[c] for c in vectors], dtype=np.float64)
+    return ClassSemantics(list(vectors), [f"c{c}" for c in vectors], e_c, np.zeros_like(e_c))
 
 
-def batch_arrays(*pairs):
-    """Feature, class-name and description rows of (feature, bundle) pairs."""
-    return tuple(
-        np.stack(col) for col in zip(*((np.asarray(z), b.e_c, b.e_p) for z, b in pairs))
-    )
+def batch_arrays(*rows):
+    """Feature, class-name and description rows of (z, e_c, e_p) triples."""
+    return tuple(np.stack([np.asarray(v, dtype=np.float64) for v in col]) for col in zip(*rows))
 
 
 def test_loss_zero_when_projections_agree():
     model = fixed_model(np.eye(2), np.eye(2))
-    batch = batch_arrays((np.array([1.0, 2.0]), bundle(0, [1.0, 2.0])))
+    batch = batch_arrays(([1.0, 2.0], [1.0, 2.0], [0.0, 0.0]))
     assert embed_loss(model, name_only(2), *batch).item() == 0.0
 
 
 def test_loss_is_squared_distance():
     model = fixed_model(np.eye(2), np.eye(2))
-    batch = batch_arrays((np.array([1.0, 0.0]), bundle(0, [0.0, 1.0])))
+    batch = batch_arrays(([1.0, 0.0], [0.0, 1.0], [0.0, 0.0]))
     assert embed_loss(model, name_only(2), *batch).item() == pytest.approx(2.0)
 
 
@@ -70,7 +71,7 @@ def test_loss_weight_penalty_hand_value():
     store.add("b_phi", np.zeros(2))
     fusion = FusionParams(store, 0.5, 2)
     z = np.array([1.0, 1.0])
-    batch = batch_arrays((z, SemanticBundle(0, "c0", np.ones(2), np.ones(2))))
+    batch = batch_arrays((z, np.ones(2), np.ones(2)))
     # zero fusion maps give e = 0, so the pair term is ||W_z z||^2
     pair = float((np.ones((2, 2)) @ z) @ (np.ones((2, 2)) @ z))
     assert embed_loss(model, fusion, *batch).item() == pytest.approx(pair + 0.01 * 8)
@@ -83,7 +84,7 @@ def test_loss_rejects_empty_batch():
 
 
 def test_loss_rejects_semantic_rows_that_do_not_pair_with_features():
-    z, e_c, e_p = batch_arrays(*((np.ones(2), bundle(i, [1.0, 0.0])) for i in range(3)))
+    z, e_c, e_p = batch_arrays(*(([1.0, 1.0], [1.0, 0.0], [0.0, 0.0]) for _ in range(3)))
     with pytest.raises(ShapeError, match=r"^3 feature rows for 3 and 2 semantic rows$"):
         embed_loss(fixed_model(np.eye(2), np.eye(2)), name_only(2), z, e_c, e_p[:2])
 
@@ -93,8 +94,7 @@ def test_loss_gradient_passes_grad_check():
     model = init_embed_model(q=3, m=4, d=3, lam=0.01, seed=0)
     fusion = init_fusion(3, seed=1, alpha=0.5)
     batch = batch_arrays(*(
-        (rng.normal(size=4), SemanticBundle(i, f"c{i}", rng.normal(size=3), rng.normal(size=3)))
-        for i in range(5)
+        (rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)) for _ in range(5)
     ))
 
     def loss_fn():
@@ -116,33 +116,31 @@ def smoke_data(seed=3):
         latent_rank=4,
         seed=seed,
     )
-    fs, bundles = synth_dataset(cfg)
-    return split_for_eval(fs, seed=seed) + (bundles,)
+    fs, semantics = synth_dataset(cfg)
+    return split_for_eval(fs, seed=seed) + (semantics,)
 
 
 def test_training_reduces_loss_to_under_ten_percent():
-    train, _, bundles = smoke_data()
+    train, _, semantics = smoke_data()
     cfg = RunConfig(lr=0.005, epochs=500, lam=1e-4, alpha=0.5, seed=3)
-    run = train_embed(train, bundles, cfg)
+    run = train_embed(train, semantics, cfg)
     assert run.loss_history[-1] < 0.1 * run.loss_history[0]
 
 
 def test_loss_non_increasing_over_50_epoch_windows():
-    train, _, bundles = smoke_data()
+    train, _, semantics = smoke_data()
     cfg = RunConfig(
         lr=0.002, epochs=300, lam=1e-4, alpha=0.5, seed=3, batch_size=10_000
     )
-    history = train_embed(train, bundles, cfg).loss_history
+    history = train_embed(train, semantics, cfg).loss_history
     assert all(history[i] <= history[i - 50] for i in range(50, len(history)))
 
 
 def test_zero_epochs_returns_initialized_parameters():
-    train, _, bundles = smoke_data()
+    train, _, semantics = smoke_data()
     cfg = RunConfig(lr=0.01, epochs=0, lam=1e-3, alpha=0.5, seed=9)
-    run = train_embed(train, bundles, cfg)
-    fresh = init_embed_model(
-        q=bundles[0].dimension, m=train.m, d=bundles[0].dimension, lam=1e-3, seed=0
-    )
+    run = train_embed(train, semantics, cfg)
+    fresh = init_embed_model(q=semantics.d, m=train.m, d=semantics.d, lam=1e-3, seed=0)
     assert run.loss_history == []
     # same shapes, untouched by any update step: gradients never computed
     assert run.model.store.grads == {}
@@ -150,10 +148,10 @@ def test_zero_epochs_returns_initialized_parameters():
 
 
 def test_training_is_deterministic():
-    train, _, bundles = smoke_data()
+    train, _, semantics = smoke_data()
     cfg = RunConfig(lr=0.01, epochs=40, lam=1e-4, alpha=0.5, seed=5)
-    a = train_embed(train, bundles, cfg)
-    b = train_embed(train, bundles, cfg)
+    a = train_embed(train, semantics, cfg)
+    b = train_embed(train, semantics, cfg)
     assert a.loss_history == b.loss_history
     for name, t in a.model.store.items():
         assert np.array_equal(t.data, b.model.store[name].data)
@@ -162,34 +160,41 @@ def test_training_is_deterministic():
 
 
 def test_training_rejects_unseen_features():
-    _, test, bundles = smoke_data()
+    _, test, semantics = smoke_data()
     cfg = RunConfig(epochs=1)
     with pytest.raises(ManifestError):
-        train_embed(test, bundles, cfg)  # test rows include unseen classes
+        train_embed(test, semantics, cfg)  # test rows include unseen classes
 
 
 def test_training_rejects_missing_semantics():
-    train, _, bundles = smoke_data()
+    train, _, semantics = smoke_data()
     cfg = RunConfig(epochs=1)
     with pytest.raises(ManifestError):
-        train_embed(train, bundles[:2], cfg)
+        train_embed(train, keep_classes(semantics, {0, 1}), cfg)
 
 
 def test_classify_exact_prototype_match():
     model = fixed_model(np.eye(2), np.eye(2))
-    candidates = [bundle(0, [1.0, 0.0]), bundle(1, [0.0, 1.0])]
-    assert classify_batch(model, name_only(2), np.array([0.0, 1.0]), candidates)[0] == 1
+    sem = name_semantics({0: [1.0, 0.0], 1: [0.0, 1.0]})
+    assert classify_batch(model, name_only(2), sem, np.array([0.0, 1.0]), [0, 1])[0] == 1
 
 
 def test_classify_tie_goes_to_lowest_id():
     model = fixed_model(np.eye(2), np.eye(2))
-    candidates = [bundle(4, [1.0, 0.0]), bundle(2, [-1.0, 0.0])]
-    assert classify_batch(model, name_only(2), np.array([0.0, 0.0]), candidates)[0] == 2
+    sem = name_semantics({4: [1.0, 0.0], 2: [-1.0, 0.0]})
+    assert classify_batch(model, name_only(2), sem, np.array([0.0, 0.0]), [4, 2])[0] == 2
 
 
 def test_classify_requires_candidates():
+    sem = name_semantics({0: [1.0, 0.0]})
     with pytest.raises(ContractError):
-        classify_batch(fixed_model(np.eye(2), np.eye(2)), name_only(2), np.zeros(2), [])
+        classify_batch(fixed_model(np.eye(2), np.eye(2)), name_only(2), sem, np.zeros(2), [])
+
+
+def test_classify_refuses_a_candidate_without_semantics():
+    sem = name_semantics({0: [1.0, 0.0], 1: [0.0, 1.0]})
+    with pytest.raises(ManifestError, match=r"classes without semantics: \[3\]"):
+        classify_batch(fixed_model(np.eye(2), np.eye(2)), name_only(2), sem, np.zeros(2), [0, 3])
 
 
 @given(seed=st.integers(0, 200))
@@ -197,32 +202,33 @@ def test_classify_requires_candidates():
 def test_classify_matches_brute_force_and_ignores_order(seed):
     rng = np.random.default_rng(seed)
     model = fixed_model(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)))
-    candidates = [bundle(i, rng.normal(size=5)) for i in range(10)]
+    sem = name_semantics({i: rng.normal(size=5) for i in range(10)})
+    candidates = list(range(10))
     z = rng.normal(size=4)
-    got = classify_batch(model, name_only(5), z, candidates)[0]
+    got = classify_batch(model, name_only(5), sem, z, candidates)[0]
     # exhaustive oracle over every candidate, lowest id wins ties
     z_proj = model.project_features(ad.constant(z[None, :])).data[0]
     best_id, best_d2 = None, np.inf
-    for c in sorted(candidates, key=lambda b: b.class_id):
-        proto = model.project_semantics(ad.constant(c.e[None, :])).data[0]
+    for cid, e in zip(sem.ids, sem.e_c):
+        proto = model.project_semantics(ad.constant(e[None, :])).data[0]
         d2 = float(((z_proj - proto) ** 2).sum())
         if d2 < best_d2:
-            best_id, best_d2 = c.class_id, d2
+            best_id, best_d2 = cid, d2
     assert got == best_id
     shuffled = list(candidates)
     rng.shuffle(shuffled)
-    assert classify_batch(model, name_only(5), z, shuffled)[0] == got
+    assert classify_batch(model, name_only(5), sem, z, shuffled)[0] == got
 
 
 def test_zsl_and_gzsl_share_the_classifier_code_path():
     rng = np.random.default_rng(1)
     model = fixed_model(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)))
-    candidates = [bundle(i, rng.normal(size=5)) for i in range(6)]
+    sem = name_semantics({i: rng.normal(size=5) for i in range(6)})
     z = rng.normal(size=(5, 4))
-    full = classify_batch(model, name_only(5), z, candidates)
-    unseen_only = classify_batch(model, name_only(5), z, candidates[3:])
-    assert set(full) <= {c.class_id for c in candidates}
-    assert set(unseen_only) <= {c.class_id for c in candidates[3:]}
+    full = classify_batch(model, name_only(5), sem, z, list(range(6)))
+    unseen_only = classify_batch(model, name_only(5), sem, z, [3, 4, 5])
+    assert set(full) <= set(range(6))
+    assert set(unseen_only) <= {3, 4, 5}
 
 
 def test_noiseless_synthetic_reaches_perfect_unseen_accuracy():
@@ -238,14 +244,13 @@ def test_noiseless_synthetic_reaches_perfect_unseen_accuracy():
         latent_rank=4,
         seed=1,
     )
-    fs, bundles = synth_dataset(cfg)
+    fs, semantics = synth_dataset(cfg)
     train, test = split_for_eval(fs, seed=1)
     run = train_embed(
         train,
-        bundles,
+        semantics,
         RunConfig(lr=0.005, epochs=600, lam=0.0, alpha=0.5, seed=1),
     )
-    report = evaluate_run(
-        partial(classify_batch, run.model, run.fusion), "ours", test, bundles, "zsl"
-    )
+    predict = partial(classify_batch, run.model, run.fusion, semantics)
+    report = evaluate_run(predict, "ours", test, semantics.ids, "zsl")
     assert report.acc == 100.0

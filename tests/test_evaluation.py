@@ -15,7 +15,6 @@ from semfuse.evaluation import (
     read_report_csv,
     write_report_csv,
 )
-from semfuse.fusion import SemanticBundle
 
 from _reference_tables import block_metric_tables
 
@@ -128,8 +127,8 @@ def stub(mapping):
     """A predict function: ``mapping(row)`` for each row when that id is
     a candidate, the lowest candidate id otherwise."""
 
-    def predict(z, candidates):
-        allowed = {c.class_id for c in candidates}
+    def predict(z, candidate_ids):
+        allowed = set(candidate_ids)
         out = []
         for row in np.atleast_2d(z):
             want = mapping(row)
@@ -140,46 +139,54 @@ def stub(mapping):
 
 
 def eval_fixture():
-    rng = np.random.default_rng(0)
     features = np.vstack([np.full((4, 2), float(c)) for c in range(4)])
     labels = np.repeat([0, 1, 2, 3], 4)
     fs = FeatureSet(
         features, labels, {c: f"c{c}" for c in range(4)}, {0, 1}, {2, 3}
     )
-    bundles = [
-        SemanticBundle(c, f"c{c}", rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        for c in range(4)
-    ]
-    return fs, bundles
+    return fs, np.arange(4)
 
 
 def test_evaluate_run_perfect_stub():
-    fs, bundles = eval_fixture()
+    fs, semantic_ids = eval_fixture()
     perfect = stub(lambda row: int(row[0]))
-    zsl = evaluate_run(perfect, "ours", fs, bundles, "zsl")
+    zsl = evaluate_run(perfect, "ours", fs, semantic_ids, "zsl")
     assert zsl.acc == 100.0 and zsl.acc_s is None and zsl.variation == "ours"
-    gzsl = evaluate_run(perfect, "ours", fs, bundles, "gzsl")
+    gzsl = evaluate_run(perfect, "ours", fs, semantic_ids, "gzsl")
     assert (gzsl.acc_s, gzsl.acc_u, gzsl.hm) == (100.0, 100.0, 100.0)
 
 
+def test_evaluate_run_passes_ascending_candidate_ids():
+    fs, semantic_ids = eval_fixture()
+    calls = []
+
+    def recording(z, candidate_ids):
+        calls.append(list(candidate_ids))
+        return np.full(len(z), candidate_ids[0])
+
+    evaluate_run(recording, "ours", fs, semantic_ids[::-1], "zsl")
+    evaluate_run(recording, "ours", fs, semantic_ids[::-1], "gzsl")
+    assert calls == [[2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+
+
 def test_evaluate_run_seen_biased_stub_has_zero_hm():
-    fs, bundles = eval_fixture()
+    fs, semantic_ids = eval_fixture()
     always_seen = stub(lambda row: 0)
-    gzsl = evaluate_run(always_seen, "ours", fs, bundles, "gzsl")
+    gzsl = evaluate_run(always_seen, "ours", fs, semantic_ids, "gzsl")
     assert gzsl.acc_u == 0.0 and gzsl.hm == 0.0
 
 
 def test_evaluate_run_matches_prediction_log_retally():
-    fs, bundles = eval_fixture()
+    fs, semantic_ids = eval_fixture()
     rng = np.random.default_rng(3)
     noisy = stub(lambda row: int(rng.integers(0, 4)))
-    report = evaluate_run(noisy, "ours", fs, bundles, "gzsl")
+    report = evaluate_run(noisy, "ours", fs, semantic_ids, "gzsl")
     # re-tally from an explicit prediction log with a fresh rng stream
     rng = np.random.default_rng(3)
     log = []
     for subset_ids in (fs.seen_ids, fs.unseen_ids):
         rows = fs.rows_for(subset_ids)
-        preds = noisy(rows.features, bundles)
+        preds = noisy(rows.features, semantic_ids)
         log.append((preds, rows.labels, subset_ids))
     acc_s = per_class_top1(*log[0])
     acc_u = per_class_top1(*log[1])
@@ -189,16 +196,16 @@ def test_evaluate_run_matches_prediction_log_retally():
 
 
 def test_evaluate_run_missing_semantics_is_manifest_error():
-    fs, bundles = eval_fixture()
+    fs, semantic_ids = eval_fixture()
     with pytest.raises(ManifestError):
-        evaluate_run(stub(lambda r: 0), "ours", fs, bundles[:2], "zsl")
+        evaluate_run(stub(lambda r: 0), "ours", fs, semantic_ids[:2], "zsl")
 
 
 def test_evaluate_run_records_averaging_choice():
-    fs, bundles = eval_fixture()
+    fs, semantic_ids = eval_fixture()
     exact = stub(lambda row: int(row[0]))
-    assert evaluate_run(exact, "ours", fs, bundles, "zsl").averaging == "macro"
-    assert evaluate_run(exact, "ours", fs, bundles, "zsl", micro=True).averaging == "micro"
+    assert evaluate_run(exact, "ours", fs, semantic_ids, "zsl").averaging == "macro"
+    assert evaluate_run(exact, "ours", fs, semantic_ids, "zsl", micro=True).averaging == "micro"
 
 
 def test_report_requires_hm_only_with_both_sides():

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
-from semfuse.errors import ContractError, FormatError, ShapeError
+from semfuse.errors import ContractError, FormatError, ManifestError, ShapeError
 from semfuse.fusion import (
+    ClassSemantics,
     FusionParams,
-    SemanticBundle,
     export_fused_csv,
-    fuse,
     fuse_graph,
     init_fusion,
     read_bundles,
@@ -25,6 +24,12 @@ def identity_fusion(d: int, alpha: float) -> FusionParams:
     store.add("W_phi", np.eye(d))
     store.add("b_phi", np.zeros(d))
     return FusionParams(store, alpha, d)
+
+
+def fuse(params: FusionParams, e_c, e_p) -> np.ndarray:
+    """One class's vector through a one-row `fuse_graph` call."""
+    out = fuse_graph(params, ad.constant(np.atleast_2d(e_c)), ad.constant(np.atleast_2d(e_p)))
+    return out.data[0]
 
 
 def test_alpha_zero_returns_name_side():
@@ -124,18 +129,44 @@ def test_gradient_through_fuse_passes_grad_check():
 
 def test_resolve_semantics_variations():
     rng = np.random.default_rng(4)
-    bundles = [
-        SemanticBundle(i, f"class_{i}", rng.normal(size=3), rng.normal(size=3))
-        for i in range(3)
-    ]
-    by_name = resolve_semantics(bundles, init_fusion(3, 0, 0.5, "only-class-name"))
-    assert all(np.array_equal(b.e, b.e_c) for b in by_name)
-    by_desc = resolve_semantics(bundles, init_fusion(3, 0, 0.5, "only-chatgpt"))
-    assert all(np.array_equal(b.e, b.e_p) for b in by_desc)
-    fused = resolve_semantics(bundles, identity_fusion(3, 1.0))
-    assert all(np.allclose(b.e, b.e_c + b.e_p) for b in fused)
+    sem = ClassSemantics(range(3), ["a", "b", "c"], rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+    by_name = resolve_semantics(sem, init_fusion(3, 0, 0.5, "only-class-name"))
+    assert np.array_equal(by_name, sem.e_c)
+    by_desc = resolve_semantics(sem, init_fusion(3, 0, 0.5, "only-chatgpt"))
+    assert np.array_equal(by_desc, sem.e_p)
+    fused = resolve_semantics(sem, identity_fusion(3, 1.0))
+    assert np.allclose(fused, sem.e_c + sem.e_p)
     with pytest.raises(ContractError):
         init_fusion(3, 0, 0.5, "only-glove")
+
+
+@pytest.mark.parametrize("d", [12, 16, 300])
+def test_resolve_semantics_fuses_each_row_on_its_own(d):
+    rng = np.random.default_rng(d)
+    sem = ClassSemantics(range(5), list("abcde"), rng.normal(size=(5, d)), rng.normal(size=(5, d)))
+    params = init_fusion(d, seed=1, alpha=0.7)
+    fused = resolve_semantics(sem, params)
+    assert fused.shape == (5, d)
+    for i in range(5):
+        assert fused[i].tobytes() == fuse(params, sem.e_c[i].copy(), sem.e_p[i].copy()).tobytes()
+
+
+def test_class_semantics_sorts_rows_by_id_and_finds_them():
+    sem = ClassSemantics([7, 2, 5], ["g", "b", "e"], [[7.0], [2.0], [5.0]], [[-7.0], [-2.0], [-5.0]])
+    assert sem.ids.tolist() == [2, 5, 7] and sem.names == ["b", "e", "g"]
+    assert sem.e_c[:, 0].tolist() == [2.0, 5.0, 7.0] and sem.d == 1
+    assert sem.rows([7, 2, 7]).tolist() == [2, 0, 2]
+    with pytest.raises(ManifestError, match=r"^classes without semantics: \[3, 9\]$"):
+        sem.rows([9, 2, 3])
+
+
+def test_class_semantics_refuses_bad_rows():
+    with pytest.raises(ShapeError):
+        ClassSemantics([0, 1], ["a", "b"], np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ContractError, match="duplicate class ids"):
+        ClassSemantics([1, 1], ["a", "b"], np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        ClassSemantics([], [], np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_fixed_variations_have_no_layers_to_train():
@@ -150,18 +181,23 @@ def test_fixed_variations_have_no_layers_to_train():
 
 def test_bundle_file_round_trip(tmp_path):
     rng = np.random.default_rng(6)
-    bundles = [
-        SemanticBundle(i, name, rng.normal(size=4), rng.normal(size=4))
-        for i, name in enumerate(["bed", "night stand", "sofa"])
-    ]
+    names = ["bed", "night stand", "sofa"]
+    sem = ClassSemantics(range(3), names, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
     path = tmp_path / "bundles.csv"
-    write_bundles(path, bundles, "ours")
+    write_bundles(path, sem, "ours")
     loaded, variation = read_bundles(path)
     assert variation == "ours"
-    assert [b.name for b in loaded] == ["bed", "night stand", "sofa"]
-    for orig, back in zip(bundles, loaded):
-        assert np.array_equal(orig.e_c, back.e_c)
-        assert np.array_equal(orig.e_p, back.e_p)
+    assert loaded.names == ["bed", "night stand", "sofa"]
+    assert loaded.ids.tolist() == [0, 1, 2]
+    assert np.array_equal(sem.e_c, loaded.e_c)
+    assert np.array_equal(sem.e_p, loaded.e_p)
+
+
+def test_read_bundles_refuses_a_repeated_class(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("# bundles variation=ours d=1\nclass_id,name,ec_0,ep_0\n0,bed,1,2\n0,bed,3,4\n")
+    with pytest.raises(FormatError, match="duplicate class ids"):
+        read_bundles(path)
 
 
 def test_read_bundles_rejects_missing_header(tmp_path):
@@ -172,14 +208,6 @@ def test_read_bundles_rejects_missing_header(tmp_path):
 
 
 def test_export_fused_csv(tmp_path):
-    bundles = [
-        SemanticBundle(1, "b", np.zeros(2), np.zeros(2), np.array([0.5, 1.5])),
-        SemanticBundle(0, "a", np.zeros(2), np.zeros(2), np.array([1.0, 2.0])),
-    ]
     path = tmp_path / "fused.csv"
-    export_fused_csv(path, bundles)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "class_id,v0,v1"
-    assert lines[1].startswith("0,")  # sorted by class id
-    with pytest.raises(ContractError):
-        export_fused_csv(path, [SemanticBundle(0, "a", np.zeros(2), np.zeros(2))])
+    export_fused_csv(path, np.array([0, 1]), np.array([[1.0, 2.0], [0.5, 1.5]]))
+    assert path.read_text().splitlines() == ["class_id,v0,v1", "0,1,2", "1,0.5,1.5"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from semfuse import autodiff as ad
 from semfuse.datasets import FeatureSet, RunConfig, SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError, ShapeError
-from semfuse.fusion import SemanticBundle, init_fusion
+from semfuse.fusion import ClassSemantics, init_fusion
 from semfuse.gen_zsl import (
     GanTrainer,
     Mlp,
@@ -20,6 +20,8 @@ from semfuse.gen_zsl import (
     synthesize_set,
     train_final_classifier,
 )
+
+from conftest import keep_classes
 
 RNG = np.random.default_rng(123)
 
@@ -144,18 +146,17 @@ def test_cls_loss_gradient_flows_to_generator():
 
 def test_synthesize_deterministic_in_seed():
     gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
-    b = SemanticBundle(0, "c0", np.ones(3), np.ones(3), np.ones(3))
-    assert np.array_equal(synthesize(gen, b, 5, seed=9), synthesize(gen, b, 5, seed=9))
+    e = np.ones(3)
+    assert np.array_equal(synthesize(gen, e, 5, seed=9), synthesize(gen, e, 5, seed=9))
     assert not np.array_equal(
-        synthesize(gen, b, 5, seed=9), synthesize(gen, b, 5, seed=10)
+        synthesize(gen, e, 5, seed=9), synthesize(gen, e, 5, seed=10)
     )
 
 
 def test_synthesize_rejects_non_positive_count():
     gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
-    b = SemanticBundle(0, "c0", np.ones(3), np.ones(3), np.ones(3))
     with pytest.raises(ContractError):
-        synthesize(gen, b, 0, seed=1)
+        synthesize(gen, np.ones(3), 0, seed=1)
 
 
 def test_identity_like_generator_stub_copies_semantics():
@@ -169,8 +170,7 @@ def test_identity_like_generator_stub_copies_semantics():
     store.add("l0.b", np.zeros(m))
     gen = Mlp(store, [noise_dim + d, m], d)
     e = np.array([0.5, -1.5, 9.0])
-    bundle = SemanticBundle(0, "c0", e, e, e)
-    out = synthesize(gen, bundle, 7, seed=3)
+    out = synthesize(gen, e, 7, seed=3)
     assert np.allclose(out, np.broadcast_to(e[:m], (7, m)))
 
 
@@ -258,7 +258,7 @@ def gan_fixture(seed=7, lr=5e-4):
         sigma_z=0.1,
         seed=seed,
     )
-    fs, bundles = synth_dataset(cfg)
+    fs, semantics = synth_dataset(cfg)
     train = fs.rows_for(fs.seen_ids)
     # batch 16 over the 36 training rows: 3 GAN cycles per epoch
     gcfg = RunConfig(
@@ -276,12 +276,12 @@ def gan_fixture(seed=7, lr=5e-4):
         classifier_epochs=30,
     )
     pre = pretrain_classifier(train, gcfg)
-    return fs, bundles, train, pre, gcfg
+    return fs, semantics, train, pre, gcfg
 
 
 def test_wgan_step_with_zero_lr_keeps_parameters():
-    fs, bundles, train, pre, gcfg = gan_fixture(lr=0.0)
-    trainer = GanTrainer(train, bundles, pre, gcfg)
+    fs, semantics, train, pre, gcfg = gan_fixture(lr=0.0)
+    trainer = GanTrainer(train, semantics, pre, gcfg)
     before = {n: t.data.copy() for n, t in trainer.gen.store.items()}
     before.update({f"d.{n}": t.data.copy() for n, t in trainer.disc.store.items()})
     trainer.wgan_step()
@@ -293,32 +293,32 @@ def test_wgan_step_with_zero_lr_keeps_parameters():
 
 
 def test_gan_training_is_deterministic():
-    fs, bundles, train, pre, gcfg = gan_fixture()
-    rec_a = GanTrainer(train, bundles, pre, gcfg).train()
-    rec_b = GanTrainer(train, bundles, pre, gcfg).train()
+    fs, semantics, train, pre, gcfg = gan_fixture()
+    rec_a = GanTrainer(train, semantics, pre, gcfg).train()
+    rec_b = GanTrainer(train, semantics, pre, gcfg).train()
     assert len(rec_a) == 3
     assert [r.critic_loss for r in rec_a] == [r.critic_loss for r in rec_b]
     assert [r.gen_loss for r in rec_a] == [r.gen_loss for r in rec_b]
 
 
 def test_gan_rejects_unseen_training_features():
-    fs, bundles, train, pre, gcfg = gan_fixture()
+    fs, semantics, train, pre, gcfg = gan_fixture()
     with pytest.raises(ManifestError):
-        GanTrainer(fs, bundles, pre, gcfg)  # fs still contains unseen rows
+        GanTrainer(fs, semantics, pre, gcfg)  # fs still contains unseen rows
 
 
 def test_gan_rejects_missing_semantics():
-    fs, bundles, train, pre, gcfg = gan_fixture()
-    without_class_0 = [b for b in bundles if b.class_id != 0]
+    fs, semantics, train, pre, gcfg = gan_fixture()
+    without_class_0 = keep_classes(semantics, {1, 2, 3, 4})
     with pytest.raises(ManifestError, match=r"classes without semantics: \[0\]"):
         GanTrainer(train, without_class_0, pre, gcfg)
 
 
 def test_gan_requires_positive_penalty_coefficient():
-    fs, bundles, train, pre, gcfg = gan_fixture()
+    fs, semantics, train, pre, gcfg = gan_fixture()
     gcfg.eta = 0.0
     with pytest.raises(ContractError):
-        GanTrainer(train, bundles, pre, gcfg)
+        GanTrainer(train, semantics, pre, gcfg)
 
 
 def test_wasserstein_estimate_shrinks_on_2d_toy():
@@ -335,7 +335,7 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
         sigma_z=0.1,
         seed=7,
     )
-    fs, bundles = synth_dataset(cfg)
+    fs, semantics = synth_dataset(cfg)
     train = fs.rows_for(fs.seen_ids)
     # 750 epochs of the 120 training rows at batch 64: 1500 GAN cycles
     gcfg = RunConfig(
@@ -353,7 +353,7 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
         classifier_epochs=80,
     )
     pre = pretrain_classifier(train, gcfg)
-    records = GanTrainer(train, bundles, pre, gcfg).train()
+    records = GanTrainer(train, semantics, pre, gcfg).train()
     assert len(records) == 1500
     w = np.array([r.wasserstein for r in records])
     mid = np.abs(w[400:700]).mean()
@@ -364,16 +364,18 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
 
 def test_synthesize_set_builds_unseen_feature_set():
     gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
-    bundles = [
-        SemanticBundle(5, "u1", np.ones(3), np.ones(3), np.ones(3)),
-        SemanticBundle(6, "u2", -np.ones(3), -np.ones(3), -np.ones(3)),
-    ]
+    e = np.array([[1.0] * 3, [-1.0] * 3, [2.0] * 3])
+    semantics = ClassSemantics([6, 5, 1], ["u2", "u1", "s"], e, e)
     name_only = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
-    fs = synthesize_set(gen, name_only, bundles, {5, 6}, per_class=10, seed=1,
-                        class_table={5: "u1", 6: "u2"})
+    fs = synthesize_set(gen, name_only, semantics, {5, 6}, per_class=10, seed=1,
+                        class_table={1: "s", 5: "u1", 6: "u2"})
     assert fs.n == 20
     assert set(fs.unseen_ids) == {5, 6}
-    assert sorted(np.unique(fs.labels)) == [5, 6]
+    assert fs.labels.tolist() == [5] * 10 + [6] * 10
+    # each block is the class's own draw from its vector, in id order
+    for cid, block, vector in ((5, fs.features[:10], -1.0), (6, fs.features[10:], 1.0)):
+        class_seed = int(np.random.SeedSequence([1, cid]).generate_state(1)[0])
+        assert np.array_equal(block, synthesize(gen, np.full(3, vector), 10, class_seed))
 
 
 def _unpruned_grad(output, inputs, create_graph=False):
@@ -400,9 +402,9 @@ def _unpruned_grad(output, inputs, create_graph=False):
 def _gradients_of_two_gan_cycles(monkeypatch):
     """Bytes of every gradient that backward stores during two wgan_step
     cycles (critic losses with the penalty, then generator losses)."""
-    fs, bundles, train, pre, gcfg = gan_fixture()
+    fs, semantics, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"  # the generator loss then reaches fusion layers too
-    trainer = GanTrainer(train, bundles, pre, gcfg)
+    trainer = GanTrainer(train, semantics, pre, gcfg)
     stored = []
     backward = ad.backward
 
@@ -453,9 +455,9 @@ def test_penalty_input_gradient_runs_no_weight_gradient_rule():
 
 
 def test_generator_update_runs_no_critic_or_classifier_rule():
-    fs, bundles, train, pre, gcfg = gan_fixture()
+    fs, semantics, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"
-    trainer = GanTrainer(train, bundles, pre, gcfg)
+    trainer = GanTrainer(train, semantics, pre, gcfg)
     rows = trainer._draw_rows()
     fake, e = trainer._fake_batch(rows, graph=True)
     score = ad.mean_all(trainer.disc.forward(fake, e))

@@ -1,6 +1,5 @@
 """The train → synthesize → evaluate pipeline both families share."""
 
-import csv
 import importlib.util
 import math
 
@@ -16,11 +15,11 @@ from conftest import REPO_ROOT
 
 
 def small_data(seed=3):
-    data, bundles = synth_dataset(
+    data, semantics = synth_dataset(
         SynthConfig(seen=4, unseen=2, m=6, d=4, per_class=12, sigma_z=0.1, seed=seed)
     )
     train, test = split_for_eval(data, seed=seed)
-    return train, test, bundles
+    return train, test, semantics
 
 
 def small_config(method, variation="ours"):
@@ -42,14 +41,14 @@ def small_config(method, variation="ours"):
     )
 
 
-def reference_stores(cfg, train_set, bundles):
+def reference_stores(cfg, train_set, semantics):
     """The trainers called directly on the RunConfig, with the GAN's
     ``epochs × ceil(n / batch_size)`` cycles run by hand."""
     if cfg.method == "embed":
-        run = train_embed(train_set, bundles, cfg)
+        run = train_embed(train_set, semantics, cfg)
         return {"embed": run.model.store, "fusion": run.fusion.store}
     classifier = pretrain_classifier(train_set, cfg)
-    trainer = GanTrainer(train_set, bundles, classifier, cfg)
+    trainer = GanTrainer(train_set, semantics, classifier, cfg)
     for _ in range(cfg.epochs * math.ceil(train_set.n / cfg.batch_size)):
         trainer.wgan_step()
     return {
@@ -71,10 +70,10 @@ def store_bytes(stores):
 @pytest.mark.parametrize("method", ["embed", "gen"])
 @pytest.mark.parametrize("variation", ["only-class-name", "ours"])
 def test_train_equals_the_trainers_called_directly(method, variation):
-    train, _, bundles = small_data()
+    train, _, semantics = small_data()
     cfg = small_config(method, variation)
-    trained = pipeline.train(cfg, train, bundles)
-    assert store_bytes(trained.stores) == store_bytes(reference_stores(cfg, train, bundles))
+    trained = pipeline.train(cfg, train, semantics)
+    assert store_bytes(trained.stores) == store_bytes(reference_stores(cfg, train, semantics))
     header, *rows = trained.train_log.splitlines()
     assert header.startswith("epoch," if method == "embed" else "step,")
     cycles = math.ceil(train.n / cfg.batch_size) if method == "gen" else 1
@@ -83,16 +82,16 @@ def test_train_equals_the_trainers_called_directly(method, variation):
 
 @pytest.mark.parametrize("method", ["embed", "gen"])
 def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
-    train, test, bundles = small_data()
+    train, test, semantics = small_data()
     cfg = small_config(method)
-    trained = pipeline.train(cfg, train, bundles)
+    trained = pipeline.train(cfg, train, semantics)
     ckpt = tmp_path / "model.ckpt"
     ad.save_params(ckpt, trained.stores)
     values = ad.load_params(ckpt, ("fusion", method))
-    restored, m = pipeline.restore(cfg, values, bundles[0].dimension)
+    restored, m = pipeline.restore(cfg, values, semantics.d)
     assert m == train.m
     reports = [
-        pipeline.evaluate(run, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
+        pipeline.evaluate(run, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
         for run in (trained, restored)
     ]
     assert [r.mode for r in reports[0]] == ["zsl", "gzsl"]
@@ -100,11 +99,11 @@ def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
 
 
 def test_generative_evaluate_synthesizes_once_for_all_modes(monkeypatch):
-    train, test, bundles = small_data()
+    train, test, semantics = small_data()
     cfg = small_config("gen")
-    trained = pipeline.train(cfg, train, bundles)
+    trained = pipeline.train(cfg, train, semantics)
     one_mode = [
-        pipeline.evaluate(trained, cfg, test, bundles, (mode,), seen_set=train)[0]
+        pipeline.evaluate(trained, cfg, test, semantics, (mode,), seen_set=train)[0]
         for mode in ("zsl", "gzsl")
     ]
     calls = []
@@ -115,18 +114,18 @@ def test_generative_evaluate_synthesizes_once_for_all_modes(monkeypatch):
         return synthesize_set(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synthesize_set", counting)
-    both = pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"), seen_set=train)
+    both = pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
     assert len(calls) == 1
     assert both == one_mode
 
 
 def test_generative_gzsl_without_seen_features_is_refused():
-    train, test, bundles = small_data()
+    train, test, semantics = small_data()
     cfg = small_config("gen")
-    trained = pipeline.train(cfg, train, bundles)
+    trained = pipeline.train(cfg, train, semantics)
     with pytest.raises(ContractError, match="seen-class features"):
-        pipeline.evaluate(trained, cfg, test, bundles, ("zsl", "gzsl"))
-    (report,) = pipeline.evaluate(trained, cfg, test, bundles, ("zsl",))
+        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"))
+    (report,) = pipeline.evaluate(trained, cfg, test, semantics, ("zsl",))
     assert report.acc is not None
 
 
@@ -137,9 +136,16 @@ def test_synthetic_benchmark_script_writes_both_comparisons(tmp_path, capsys):
     spec.loader.exec_module(script)
     script.main(["--epochs", "5", "--gan-epochs", "2", "--synth-per-class", "10",
                  "--out-dir", str(tmp_path)])
-    for family in ("embed", "gen"):
-        with (tmp_path / f"{family}_comparison.csv").open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert [r["variation"] for r in rows] == ["only-class-name", "only-chatgpt", "ours"]
-        assert all(r["mode"] == "combined" and r["borda"].isdigit() for r in rows)
+    header = "variation,mode,averaging,acc,acc_s,acc_u,hm,borda\r\n"
+    expected = {
+        "embed": "only-class-name,combined,macro,66.6667,62.8571,7.5000,13.4010,0\r\n"
+        "only-chatgpt,combined,macro,95.8333,100.0000,0.0000,0.0000,1\r\n"
+        "ours,combined,macro,100.0000,100.0000,33.3333,50.0000,4\r\n",
+        "gen": "only-class-name,combined,macro,33.3333,100.0000,0.0000,0.0000,2\r\n"
+        "only-chatgpt,combined,macro,0.0000,100.0000,0.0000,0.0000,1\r\n"
+        "ours,combined,macro,33.3333,100.0000,16.6667,28.5714,4\r\n",
+    }
+    for family, rows in expected.items():
+        written = (tmp_path / f"{family}_comparison.csv").read_bytes().decode()
+        assert written == header + rows, family
     assert "gen family" in capsys.readouterr().out
