@@ -2,7 +2,7 @@
 features, with class semantics built from word vectors of class names
 and of generated class descriptions, fused by learned affine layers."""
 
-from .autodiff import ParamStore, Tensor, backward, grad_check
+from .autodiff import ParamStore, Tensor
 from .datasets import (
     FeatureSet,
     RunConfig,
@@ -23,8 +23,6 @@ from .wordvec import WordVectorTable, embed_text, load_word_vectors
 __all__ = [
     "ParamStore",
     "Tensor",
-    "backward",
-    "grad_check",
     "FeatureSet",
     "RunConfig",
     "SplitSpec",

@@ -1,17 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A small tape-free graph engine: every operation returns a new `Tensor`
-holding its value, its parents, and one vector-Jacobian rule per parent
-written in terms of the same operations. `grad` walks only the nodes
-that lie on a path from its output to one of its inputs, and calls a
-rule only for a parent on such a path, so adjoints nobody asked for are
-never computed. With ``create_graph=True`` the rules build graph nodes,
-so the gradient can be differentiated again, which the Wasserstein
-gradient penalty needs; without it they build plain constants (no
-parents, no rules), and the adjoints hold values only.
+The trained objectives take their gradients on plain arrays, by the
+affine map's rule `linear_grads` and the cross-entropy's
+`softmax_xent_grad`. A small tape-free graph engine differentiates the
+one term whose value is itself an input gradient, the Wasserstein
+gradient penalty: every operation returns a new `Tensor` holding its
+value, its parents, and one vector-Jacobian rule per parent written in
+terms of the same operations. `grad` walks only the nodes on a path from
+its output to one of its inputs, calls a rule only for a parent on such
+a path, and its rules build plain constants (no parents, no rules).
 
-Scalars are tensors of shape ``()``. Broadcasting is deliberately
-limited to the bias of `linear`; everything else requires exact shapes.
+Scalars are tensors of shape ``()``; every operation requires exact
+shapes.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ Array = np.ndarray
 # floor for denominators in backward rules; only reached at kink points
 _TINY = 1e-150
 
-# False while grad(..., create_graph=False) runs a rule: ops then build
-# plain constants instead of graph nodes. Module state, so one thread at
-# a time may build graphs or take gradients.
+# False while grad runs a rule: ops then build plain constants instead
+# of graph nodes. Module state, so one thread at a time may build graphs
+# or take gradients.
 _record = True
 
 
@@ -126,11 +126,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, (a, b), (_identity, _identity))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, (a, b), (_identity, neg))
-
-
 def neg(x: Tensor) -> Tensor:
     return Tensor(-x.data, (x,), (neg,))
 
@@ -157,37 +152,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 def shift(x: Tensor, c: float) -> Tensor:
     """Add a python float constant elementwise."""
     return Tensor(x.data + c, (x,), (_identity,))
-
-
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ W.T + b`` as one node: (n, k) rows, (j, k) weights,
-    (j,) bias broadcast over rows."""
-    shapes_ok = x.data.ndim == W.data.ndim == 2 and b.shape == W.shape[:1]
-    if not shapes_ok or x.shape[1] != W.shape[1]:
-        raise ShapeError(f"linear shape mismatch: {x.shape}, {W.shape}, {b.shape}")
-    return Tensor(
-        x.data @ W.data.T + b.data,
-        (x, W, b),
-        (
-            lambda g: matmul(g, W),
-            lambda g: transpose(matmul(transpose(x), g)),
-            sum_rows,
-        ),
-    )
-
-
-def sum_rows(x: Tensor) -> Tensor:
-    """(n, k) -> (k,), summing over rows."""
-    _require_2d(x, "sum_rows")
-    n = x.shape[0]
-    return Tensor(x.data.sum(axis=0), (x,), (lambda g: tile_rows(g, n),))
-
-
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """(k,) -> (n, k), repeating the vector as rows."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"tile_rows expects a vector, got shape {v.shape}")
-    return Tensor(np.broadcast_to(v.data, (n, v.shape[0])).copy(), (v,), (sum_rows,))
 
 
 def sum_last(x: Tensor) -> Tensor:
@@ -228,57 +192,25 @@ def square(x: Tensor) -> Tensor:
     return mul(x, x)
 
 
-def sum_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries as a scalar."""
-    return sum_all(square(x))
-
-
-def _xent_value(z: Array, onehot: Array) -> tuple[float, Array, Array, Array]:
-    """Mean over rows of ``logsumexp(row) - <row, onehot row>``, by the
-    stable log-sum-exp with a per-row max shift. Also returns that
-    shift, the shifted exponentials and their row sums."""
-    row_max = z.max(axis=1, keepdims=True)
-    e = np.exp(z - row_max)
-    s = e.sum(axis=1, keepdims=True)
-    lse = np.log(s) + row_max
-    loss = (lse - (z * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / z.shape[0])
-    return loss, row_max, e, s
-
-
-def softmax_xent(logits: Tensor, onehot) -> Tensor:
-    """Mean over rows of ``logsumexp(row) - <row, onehot row>``: softmax
-    cross-entropy of (n, k) logits against a constant (n, k) target.
-
-    One node. The value is the stable log-sum-exp with a constant per-row
-    max shift; the rule returns `softmax_xent_grad`'s array as a
-    constant, so there is no second-order rule: a graph-building `grad`
-    through it is a ContractError.
-    """
-    _require_2d(logits, "softmax_xent")
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if onehot.shape != logits.shape:
-        raise ShapeError(f"softmax_xent shape mismatch: {logits.shape} vs {onehot.shape}")
-    loss, _, _, _ = _xent_value(logits.data, onehot)
-
-    def rule(g: Tensor) -> Tensor:
-        if _record:
-            raise ContractError("softmax_xent has no second-order rule")
-        return constant(softmax_xent_grad(logits.data, onehot, g.data)[1])
-
-    return Tensor(loss, (logits,), (rule,))
+def linear_grads(x: Array, g: Array) -> tuple[Array, Array]:
+    """Weight and bias adjoints of ``x @ W.T + b`` for its output
+    adjoint ``g``; the weight adjoint is a transposed view."""
+    return (x.T @ g).T, g.sum(axis=0)
 
 
 def softmax_xent_grad(logits: Array, onehot: Array, g=1.0) -> tuple[float, Array]:
-    """`softmax_xent`'s value and its logits adjoint for the output
-    adjoint ``g``, as plain arrays and with no graph."""
-    loss, _, e, s = _xent_value(logits, onehot)
-    a = g * (1.0 / logits.shape[0])
+    """Mean over rows of ``logsumexp(row) - <row, onehot row>`` (the
+    stable log-sum-exp, with a per-row max shift): softmax cross-entropy
+    of (n, k) logits against an (n, k) target, and its logits adjoint
+    for the output adjoint ``g``."""
+    row_max = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - row_max)
+    s = e.sum(axis=1, keepdims=True)
+    lse = np.log(s) + row_max
+    n = logits.shape[0]
+    loss = (lse - (logits * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+    a = g * (1.0 / n)
     return float(loss), (a / s) * e + (-a) * onehot
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    mask = constant(np.where(x.data > 0, 1.0, slope))
-    return Tensor(x.data * mask.data, (x,), (lambda g: mul(g, mask),))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -292,20 +224,6 @@ def sqrt(x: Tensor) -> Tensor:
 def clamp_min(x: Tensor, c: float) -> Tensor:
     mask = constant((x.data > c).astype(np.float64))
     return Tensor(np.maximum(x.data, c), (x,), (lambda g: mul(g, mask),))
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis; both operands 1-d or both 2-d."""
-    if a.data.ndim != b.data.ndim or a.data.ndim not in (1, 2):
-        raise ShapeError(f"concat_cols shape mismatch: {a.shape} vs {b.shape}")
-    if a.data.ndim == 2 and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols shape mismatch: {a.shape} vs {b.shape}")
-    ka, kb = a.shape[-1], b.shape[-1]
-    return Tensor(
-        np.concatenate([a.data, b.data], axis=-1),
-        (a, b),
-        (lambda g: slice_cols(g, 0, ka), lambda g: slice_cols(g, ka, ka + kb)),
-    )
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -352,16 +270,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad(
-    output: Tensor, inputs: Sequence[Tensor], create_graph: bool = False
-) -> list[Tensor | None]:
-    """Adjoints of a scalar ``output`` for each tensor in ``inputs``.
+def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor | None]:
+    """Adjoints of a scalar ``output`` for each tensor in ``inputs``, as
+    constants.
 
     Entries are ``None`` where the output does not depend on the input.
     Only nodes on a path from ``output`` to an input are walked, and a
-    node's rule runs only for parents on such a path. With
-    ``create_graph`` the adjoints stay connected to the graph and can be
-    differentiated again; without it they are constants.
+    node's rule runs only for parents on such a path.
     """
     global _record
     if output.data.size != 1:
@@ -373,7 +288,7 @@ def grad(
         for node in order:
             if any(id(p) in live for p in node.parents):
                 live.add(id(node))
-        saved, _record = _record, create_graph
+        saved, _record = _record, False
         try:
             for node in reversed(order):
                 g = adjoint.get(id(node))
@@ -430,66 +345,6 @@ def require_finite_loss(loss: float) -> None:
     """A non-finite loss is a ContractError: training diverged."""
     if not np.isfinite(loss):
         raise ContractError(f"loss is {loss}: training diverged")
-
-
-def backward(loss: Tensor, *stores: ParamStore) -> None:
-    """Populate every store's gradients with d(loss)/d(param).
-
-    Parameters the loss does not reach get zero gradients; a non-finite
-    loss is a ContractError.
-    """
-    if loss.data.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    require_finite_loss(loss.item())
-    slots = [(s, name, t) for s in stores for name, t in s.items()]
-    adjoints = grad(loss, [t for _, _, t in slots])
-    for (store, name, t), g in zip(slots, adjoints):
-        if g is None:
-            store.grads[name] = np.zeros_like(t.data)
-        else:
-            if g.data.shape != t.data.shape:
-                raise ShapeError(
-                    f"gradient for {name!r} has shape {g.data.shape}, "
-                    f"expected {t.data.shape}"
-                )
-            # linear's weight adjoint is a transposed view; Adam runs
-            # faster on C-ordered arrays like its moments and parameters
-            store.grads[name] = np.ascontiguousarray(g.data)
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor], *stores: ParamStore, eps: float = 1e-5
-) -> float:
-    """Compare backward() against central differences, entry by entry.
-
-    Returns max over entries of |g_ad - g_fd| / max(1, |g_fd|); an empty
-    store yields 0. ``loss_fn`` must rebuild its graph from the stores'
-    current values on every call.
-    """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    backward(loss_fn(), *stores)
-    analytic = {
-        (i, name): s.grads[name].copy()
-        for i, s in enumerate(stores)
-        for name in s.names()
-    }
-    worst = 0.0
-    for i, store in enumerate(stores):
-        for name, t in store.items():
-            flat = t.data.reshape(-1)
-            g_ad = analytic[(i, name)].reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
-                lo_hi = loss_fn().item()
-                flat[j] = orig - eps
-                lo_lo = loss_fn().item()
-                flat[j] = orig
-                g_fd = (lo_hi - lo_lo) / (2.0 * eps)
-                err = abs(g_ad[j] - g_fd) / max(1.0, abs(g_fd))
-                worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

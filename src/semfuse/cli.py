@@ -31,7 +31,7 @@ from .datasets import (
     load_split,
     write_features_csv,
 )
-from .errors import ConfigError, ContractError, FormatError, TransportError
+from .errors import ConfigError, ContractError, FormatError, ManifestError, TransportError
 from .evaluation import (
     EvalReport,
     borda_count,
@@ -112,6 +112,8 @@ def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> ClassS
 
 
 def obtain_bundles(config: RunConfig, split) -> ClassSemantics:
+    """The config's bundle file, whose rows must name the split's class
+    of each id, or else semantics built from its word vectors."""
     if config.bundles is not None:
         semantics, variation = read_bundles(config.bundles)
         if variation != config.variation:
@@ -119,6 +121,14 @@ def obtain_bundles(config: RunConfig, split) -> ClassSemantics:
                 f"bundle file was built for variation {variation!r}, "
                 f"config says {config.variation!r}"
             )
+        table = split.class_table
+        for cid, name in zip(semantics.ids.tolist(), semantics.names):
+            if table.get(cid) != name:
+                where = f"{table[cid]!r} in the split" if cid in table else "not in the split"
+                raise ManifestError(
+                    f"{config.bundles}: class {cid} is {name!r} in the bundle file "
+                    f"and {where}"
+                )
         return semantics
     if config.word_vectors is None:
         raise ConfigError("config needs either 'bundles' or 'word_vectors'")
@@ -293,6 +303,8 @@ def _parse_modes(text: str) -> list[str]:
 
 def cmd_compare(args) -> int:
     blocks: list[EvalReport] = []
+    if bool(args.reports) == bool(args.configs):
+        raise ConfigError("compare needs either --reports or --configs, not both")
     if args.reports:
         for path in args.reports:
             rows = read_report_csv(path)
@@ -302,14 +314,15 @@ def cmd_compare(args) -> int:
             if len(variations) != 1:
                 raise ConfigError(f"{path}: more than one variation in a report file")
             blocks.append(merge_modes(rows))
-    elif args.configs:
+    else:
         modes = _parse_modes(args.modes)
         configs = [_apply_overrides(load_run_config(path), args) for path in args.configs]
         for config in configs:
             run_train(config)
             blocks.append(merge_modes(run_eval(config, modes)))
-    else:
-        raise ConfigError("compare needs --reports or --configs")
+    averaging = sorted({block.averaging for block in blocks})
+    if len(averaging) > 1:
+        raise ConfigError(f"compare mixes blocks of averaging {averaging}")
     points = borda_count(blocks)
     for block in blocks:
         block.borda = points[block.variation]

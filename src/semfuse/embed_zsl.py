@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ShapeError
-from .fusion import ClassSemantics, FusionParams, fuse_graph, init_fusion
+from .fusion import ClassSemantics, FusionParams, fuse_graph, fusion_grads, init_fusion
 
 
 class EmbedModel:
@@ -28,14 +28,11 @@ class EmbedModel:
         self.d = d
         self.lam = lam
 
-    def project_features(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.linear(z, self.store["W_z"], self.store["b_z"])
+    def project_features(self, z: np.ndarray) -> np.ndarray:
+        return z @ self.store["W_z"].data.T + self.store["b_z"].data
 
-    def project_semantics(self, e: ad.Tensor) -> ad.Tensor:
-        return ad.linear(e, self.store["W_e"], self.store["b_e"])
-
-    def weight_penalty(self) -> ad.Tensor:
-        return ad.add(ad.sum_sq(self.store["W_z"]), ad.sum_sq(self.store["W_e"]))
+    def project_semantics(self, e: np.ndarray) -> np.ndarray:
+        return e @ self.store["W_e"].data.T + self.store["b_e"].data
 
 
 def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedModel:
@@ -58,10 +55,12 @@ def embed_loss(
     z: np.ndarray,
     e_c: np.ndarray,
     e_p: np.ndarray,
-) -> ad.Tensor:
+) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Mean squared common-space distance plus the weight penalty, for
     feature rows ``z`` paired with the class-name and description
-    vectors ``e_c`` and ``e_p`` of their classes, one row each."""
+    vectors ``e_c`` and ``e_p`` of their classes, one row each, and the
+    gradients of the model's and the fusion layers' parameters. A
+    non-finite loss is a ContractError."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[0] == 0:
         raise ContractError("empty batch")
@@ -71,12 +70,29 @@ def embed_loss(
         raise ShapeError(
             f"{z.shape[0]} feature rows for {len(e_c)} and {len(e_p)} semantic rows"
         )
-    z_proj = model.project_features(ad.constant(z))
-    e = fuse_graph(fusion, ad.constant(e_c), ad.constant(e_p))
-    e_proj = model.project_semantics(e)
-    pair_term = ad.scale(ad.sum_sq(ad.sub(z_proj, e_proj)), 1.0 / z.shape[0])
-    penalty = ad.add(model.weight_penalty(), fusion.weight_penalty())
-    return ad.add(pair_term, ad.scale(penalty, model.lam))
+    n = z.shape[0]
+    stores = (model.store, fusion.store)
+    weights = [[(k, t.data) for k, t in s.items() if k.startswith("W")] for s in stores]
+    e = fuse_graph(fusion, e_c, e_p)
+    diff = model.project_features(z) - model.project_semantics(e)
+    penalty = [sum((w * w).sum() for _, w in ws) for ws in weights]
+    loss = float((diff * diff).sum() * (1.0 / n) + (penalty[0] + penalty[1]) * model.lam)
+    ad.require_finite_loss(loss)
+
+    # diff * diff sends one equal share of its adjoint to each factor
+    g_z = np.full(diff.shape, 1.0 / n) * diff
+    g_z = g_z + g_z
+    g_e = -g_z
+    model_grads = {}
+    model_grads["W_z"], model_grads["b_z"] = ad.linear_grads(z, g_z)
+    model_grads["W_e"], model_grads["b_e"] = ad.linear_grads(e, g_e)
+    g_fused = g_e @ model.store["W_e"].data if len(fusion.store) else None
+    fused = fusion_grads(fusion, e_c, e_p, g_fused)
+    for grads, ws in zip((model_grads, fused), weights):
+        for name, w in ws:  # so does each w * w of the penalty
+            square = np.full(w.shape, model.lam) * w
+            grads[name] = (grads[name] + square) + square
+    return loss, model_grads, fused
 
 
 @dataclass
@@ -126,11 +142,11 @@ def train_embed(data: FeatureSet, semantics: ClassSemantics, cfg: RunConfig) -> 
         for start in range(0, data.n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             sem = class_rows[rows]
-            loss = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
-            ad.backward(loss, *stores)
-            for store, state in zip(stores, states):
+            loss, *grads = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
+            for store, state, g in zip(stores, states, grads):
+                store.grads = {name: np.ascontiguousarray(v) for name, v in g.items()}
                 step(store, state)
-            epoch_losses.append(loss.item())
+            epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return EmbedRun(model, fusion, history)
 
@@ -148,10 +164,8 @@ def classify_batch(
     if not ids.size:
         raise ContractError("no candidate classes")
     rows = semantics.rows(ids)
-    e = fuse_graph(fusion, ad.constant(semantics.e_c[rows]), ad.constant(semantics.e_p[rows]))
-    protos = model.project_semantics(e).data
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    z_proj = model.project_features(ad.constant(z)).data
+    protos = model.project_semantics(fuse_graph(fusion, semantics.e_c[rows], semantics.e_p[rows]))
+    z_proj = model.project_features(np.atleast_2d(np.asarray(z, dtype=np.float64)))
     # squared distances (n_samples, n_candidates); argmin hits the first
     # minimum, i.e. the lowest class id because prototypes are id-sorted
     d2 = ((z_proj[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)

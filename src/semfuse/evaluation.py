@@ -115,7 +115,13 @@ def borda_count(reports) -> dict[str, int]:
 
 
 def merge_modes(reports: list[EvalReport]) -> EvalReport:
-    """Collapse one variation's zsl/gzsl rows into a single metric row."""
+    """Collapse one variation's zsl/gzsl rows into a single metric row;
+    rows of different averaging are a ContractError."""
+    averaging = sorted({r.averaging for r in reports})
+    if len(averaging) > 1:
+        raise ContractError(
+            f"rows of variation {reports[0].variation!r} mix averaging {averaging}"
+        )
     merged: dict[str, float] = {}
     for r in reports:
         for name, value in r.metrics().items():

@@ -80,12 +80,6 @@ class FusionParams:
         self.d = d
         self.variation = variation
 
-    def weight_penalty(self) -> ad.Tensor:
-        """Sum of squared layer weights (biases excluded); 0 without layers."""
-        if not len(self.store):
-            return ad.constant(0.0)
-        return ad.add(ad.sum_sq(self.store["W_sigma"]), ad.sum_sq(self.store["W_phi"]))
-
 
 # scale constant on the Glorot bound; starting the layers small lets
 # gradient descent grow only the directions the seen classes constrain,
@@ -109,14 +103,14 @@ def init_fusion(d: int, seed: int, alpha: float, variation: str = "ours") -> Fus
     return FusionParams(store, alpha, d, variation)
 
 
-def fuse_graph(params: FusionParams, e_c: ad.Tensor, e_p: ad.Tensor) -> ad.Tensor:
+def fuse_graph(params: FusionParams, e_c: np.ndarray, e_p: np.ndarray) -> np.ndarray:
     """Class semantics for a batch, rows are classes, (n, d) -> (n, d).
 
     The one place a variation picks its vector: only-class-name passes
     the class-name embedding through, only-chatgpt the description
     embedding, and ours applies the fusion layers.
     """
-    if e_c.shape != e_p.shape or e_c.data.ndim != 2 or e_c.shape[1] != params.d:
+    if e_c.shape != e_p.shape or e_c.ndim != 2 or e_c.shape[1] != params.d:
         raise ShapeError(
             f"fuse expects (n, {params.d}) inputs, got {e_c.shape} and {e_p.shape}"
         )
@@ -125,9 +119,20 @@ def fuse_graph(params: FusionParams, e_c: ad.Tensor, e_p: ad.Tensor) -> ad.Tenso
     if params.variation == "only-chatgpt":
         return e_p
     s = params.store
-    name_side = ad.linear(e_c, s["W_sigma"], s["b_sigma"])
-    desc_side = ad.linear(e_p, s["W_phi"], s["b_phi"])
-    return ad.add(name_side, ad.scale(desc_side, params.alpha))
+    name_side = e_c @ s["W_sigma"].data.T + s["b_sigma"].data
+    desc_side = e_p @ s["W_phi"].data.T + s["b_phi"].data
+    return name_side + desc_side * params.alpha
+
+
+def fusion_grads(params: FusionParams, e_c, e_p, g) -> dict[str, np.ndarray]:
+    """Adjoints of the fusion layers for the adjoint ``g`` of
+    `fuse_graph`'s output; none for the fixed variations."""
+    if not len(params.store):
+        return {}
+    grads = {}
+    grads["W_sigma"], grads["b_sigma"] = ad.linear_grads(e_c, g)
+    grads["W_phi"], grads["b_phi"] = ad.linear_grads(e_p, g * params.alpha)
+    return grads
 
 
 def resolve_semantics(semantics: ClassSemantics, fusion: FusionParams) -> np.ndarray:
@@ -139,10 +144,9 @@ def resolve_semantics(semantics: ClassSemantics, fusion: FusionParams) -> np.nda
     one-row ones.
     """
     e_c, e_p = semantics.e_c, semantics.e_p
-    return np.vstack([
-        fuse_graph(fusion, ad.constant(e_c[i : i + 1]), ad.constant(e_p[i : i + 1])).data
-        for i in range(len(e_c))
-    ])
+    return np.vstack(
+        [fuse_graph(fusion, e_c[i : i + 1], e_p[i : i + 1]) for i in range(len(e_c))]
+    )
 
 
 # ---------------------------------------------------------------------------

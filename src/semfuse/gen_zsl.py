@@ -17,17 +17,19 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, training_semantics
 from .errors import ContractError, ManifestError, ShapeError
-from .fusion import ClassSemantics, FusionParams, fuse_graph, init_fusion, resolve_semantics
+from .fusion import ClassSemantics, FusionParams, init_fusion, resolve_semantics
+from .fusion import fuse_graph, fusion_grads
 
 
 BETA1, BETA2 = 0.5, 0.9  # Adam moment decays of the critic and generator
+LEAKY_SLOPE = 0.2
 
 
 class Mlp:
     """Conditional network over ``concat(x, e)``: dense layers with
-    leaky-relu (`ad.leaky_relu`'s slope 0.2) between them, linear at the
-    end. ``d`` is the semantic width of ``e``; ``x`` takes the rest of
-    the first layer's input. The generator maps (noise, semantics) to a
+    leaky-relu (slope LEAKY_SLOPE) between them, linear at the end.
+    ``d`` is the semantic width of ``e``; ``x`` takes the rest of the
+    first layer's input. The generator maps (noise, semantics) to a
     feature vector, the Wasserstein critic (features, semantics) to a
     score."""
 
@@ -40,19 +42,42 @@ class Mlp:
     def x_dim(self) -> int:
         return self.sizes[0] - self.d
 
-    def forward(self, x: ad.Tensor, e: ad.Tensor) -> ad.Tensor:
+    @property
+    def n_layers(self) -> int:
+        return len(self.sizes) - 1
+
+    def run(self, x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """Output for rows of ``x`` and ``e``, and the trace `back` reads:
+        each layer's input and each hidden layer's leaky-relu slopes."""
         if x.shape[-1] != self.x_dim or e.shape[-1] != self.d:
             raise ShapeError(
                 f"inputs {x.shape}, {e.shape} do not match "
                 f"(x width {self.x_dim}, d={self.d})"
             )
-        h = ad.concat_cols(x, e)
-        n_layers = len(self.sizes) - 1
-        for i in range(n_layers):
-            h = ad.linear(h, self.store[f"l{i}.W"], self.store[f"l{i}.b"])
-            if i < n_layers - 1:
-                h = ad.leaky_relu(h)
-        return h
+        h = np.concatenate([x, e], axis=-1)
+        inputs, masks = [], []
+        for i in range(self.n_layers):
+            inputs.append(h)
+            h = h @ self.store[f"l{i}.W"].data.T + self.store[f"l{i}.b"].data
+            if i < self.n_layers - 1:
+                masks.append(np.where(h > 0, 1.0, LEAKY_SLOPE))
+                h = h * masks[-1]
+        return h, (inputs, masks)
+
+    def back(self, trace, g: np.ndarray, params: bool, inputs: bool) -> tuple:
+        """Adjoints for the output adjoint ``g`` of the `run` that left
+        ``trace``: each parameter's by name if ``params``, and the
+        concatenated input's if ``inputs`` (else None)."""
+        layer_inputs, masks = trace
+        grads = {}
+        for i in reversed(range(self.n_layers)):
+            if i < self.n_layers - 1:
+                g = g * masks[i]
+            if params:
+                grads[f"l{i}.W"], grads[f"l{i}.b"] = ad.linear_grads(layer_inputs[i], g)
+            if i or inputs:
+                g = g @ self.store[f"l{i}.W"].data
+        return grads, g if inputs else None
 
 
 def _init_mlp(sizes: list[int], d: int, seed: int) -> Mlp:
@@ -96,9 +121,9 @@ def gradient_penalty(
 ) -> ad.Tensor:
     """Unit-gradient-norm penalty at interpolates between real and fake.
 
-    The interpolate ``beta * z_real + (1 - beta) * z_fake`` enters the
-    critic as a fresh leaf; its input gradient comes from a backward
-    pass kept differentiable so the penalty can train the critic.
+    The critic runs on the interpolate ``beta * z_real + (1 - beta) *
+    z_fake``; its input gradient is built as graph nodes over the
+    critic's weights, so `ad.grad` of the penalty trains the critic.
     Accepts single vectors or row-aligned batches; ``beta`` may be a
     scalar or one value per row. Always >= 0, and exactly 0 only when
     the critic's input-gradient norm is 1 everywhere.
@@ -113,11 +138,13 @@ def gradient_penalty(
     beta_col = np.broadcast_to(
         np.asarray(beta, dtype=np.float64).reshape(-1, 1), (z_real.shape[0], 1)
     )
-    z_tilde = ad.leaf(beta_col * z_real + (1.0 - beta_col) * z_fake)
-    score_sum = ad.sum_all(disc.forward(z_tilde, ad.constant(e)))
-    (g,) = ad.grad(score_sum, [z_tilde], create_graph=True)
-    if g is None:
-        g = ad.constant(np.zeros_like(z_tilde.data))
+    _, (_, masks) = disc.run(beta_col * z_real + (1.0 - beta_col) * z_fake, e)
+    g = ad.constant(np.ones((z_real.shape[0], 1)))
+    for i in reversed(range(disc.n_layers)):
+        if i < disc.n_layers - 1:
+            g = ad.mul(g, ad.constant(masks[i]))
+        g = ad.matmul(g, disc.store[f"l{i}.W"])
+    g = ad.slice_cols(g, 0, disc.x_dim)
     norms = ad.sqrt(ad.sum_last(ad.square(g)))
     return ad.mean_all(ad.square(ad.shift(norms, -1.0)))
 
@@ -139,8 +166,8 @@ class SoftmaxClassifier:
         self.m = m
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
-    def logits(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.linear(z, self.store["W"], self.store["b"])
+    def logits(self, z: np.ndarray) -> np.ndarray:
+        return z @ self.store["W"].data.T + self.store["b"].data
 
     def rows_of(self, labels) -> np.ndarray:
         """Row of each label in ``W`` and ``b``; an unknown label is a
@@ -158,7 +185,7 @@ class SoftmaxClassifier:
     def predict_ids(self, z: np.ndarray, candidate_ids=None) -> np.ndarray:
         """Argmax labels, optionally restricted to a candidate subset."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        scores = self.logits(ad.constant(z)).data
+        scores = self.logits(z)
         if candidate_ids is None:
             cols = np.arange(len(self.class_ids))
         else:
@@ -180,24 +207,6 @@ def init_classifier(m: int, class_ids: list[int], seed: int) -> SoftmaxClassifie
     return SoftmaxClassifier(store, class_ids, m)
 
 
-def cls_loss_batch(
-    classifier: SoftmaxClassifier, z_hat: ad.Tensor, labels
-) -> ad.Tensor:
-    """Mean negative log softmax probability of the true classes.
-
-    ``z_hat`` may be a generator output, in which case the gradient
-    flows back into the generator.
-    """
-    rows = classifier.rows_of(labels)
-    logits = classifier.logits(z_hat)
-    n, k = logits.shape
-    if len(rows) != n:
-        raise ContractError(f"{len(rows)} labels for {n} rows")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), rows] = 1.0
-    return ad.softmax_xent(logits, onehot)
-
-
 def _train_softmax(
     features: np.ndarray,
     labels: np.ndarray,
@@ -208,20 +217,15 @@ def _train_softmax(
     with the ``classifier_lr``, ``classifier_epochs``, ``batch_size``
     and ``seed`` of ``cfg``.
 
-    Each batch's loss and gradients are plain arrays, with no graph:
-    `ad.softmax_xent_grad` gives the logits adjoint, and `ad.linear`'s
-    weight and bias rules carry it to ``W`` and ``b``. The parameters
-    come out bit for bit as ``backward(cls_loss_batch(...))`` followed
-    by `ad.adam_step` leaves them, and a non-finite loss is the same
-    ContractError as in `ad.backward`.
+    `ad.softmax_xent_grad` gives each batch's loss and logits adjoint,
+    and `ad.linear_grads` carries it to ``W`` and ``b``. A non-finite
+    loss is a ContractError.
     """
     clf = init_classifier(features.shape[1], class_ids, cfg.seed)
     state = ad.AdamState(clf.store)
     rng = np.random.default_rng(cfg.seed)
     n = features.shape[0]
-    targets = np.zeros((n, len(class_ids)))
-    targets[np.arange(n), clf.rows_of(labels)] = 1.0
-    W, b = clf.store["W"], clf.store["b"]
+    targets = np.eye(len(class_ids))[clf.rows_of(labels)]
     for _ in range(cfg.classifier_epochs):
         order = np.arange(n)
         if n > cfg.batch_size:
@@ -229,11 +233,11 @@ def _train_softmax(
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             x = features[rows]
-            loss, g = ad.softmax_xent_grad(x @ W.data.T + b.data, targets[rows])
+            loss, g = ad.softmax_xent_grad(clf.logits(x), targets[rows])
             ad.require_finite_loss(loss)
-            # C-ordered, as backward stores linear's transposed weight adjoint
-            clf.store.grads["W"] = np.ascontiguousarray((x.T @ g).T)
-            clf.store.grads["b"] = g.sum(axis=0)
+            gW, clf.store.grads["b"] = ad.linear_grads(x, g)
+            # Adam runs faster on C-ordered arrays like its moments
+            clf.store.grads["W"] = np.ascontiguousarray(gW)
             ad.adam_step(clf.store, state, cfg.classifier_lr)
     return clf
 
@@ -278,6 +282,67 @@ def train_final_classifier(
 
 # ---------------------------------------------------------------------------
 # adversarial training
+
+
+def _mean_and_adjoint(out: np.ndarray, sign: float) -> tuple[float, np.ndarray]:
+    """Mean of the scores ``out`` and its adjoint in a loss holding ``sign`` times it."""
+    c = 1.0 / out.size
+    return out.sum() * c, np.full(out.shape, sign * c)
+
+
+def critic_loss_grads(disc: Mlp, z_real, z_fake, e, beta, eta: float) -> tuple:
+    """The critic loss ``mean D(fake) - mean D(real) + eta * penalty``
+    on conditioning rows ``e``, the Wasserstein estimate, the penalty,
+    and the critic's gradients. Each weight's are summed as
+    ``(real + fake) + penalty``; a non-finite loss is a ContractError."""
+    out_real, trace_real = disc.run(z_real, e)
+    out_fake, trace_fake = disc.run(z_fake, e)
+    score_real, g_real = _mean_and_adjoint(out_real, -1.0)
+    score_fake, g_fake = _mean_and_adjoint(out_fake, 1.0)
+    gp = gradient_penalty(disc, z_real, z_fake, e, beta)
+    scaled = ad.scale(gp, eta)
+    loss = float((score_fake - score_real) + scaled.data)
+    ad.require_finite_loss(loss)
+    # each term is added as it comes, so only one is held beside the sum
+    grads, _ = disc.back(trace_real, g_real, params=True, inputs=False)
+    for name, g in disc.back(trace_fake, g_fake, params=True, inputs=False)[0].items():
+        grads[name] = grads[name] + g
+    names = [f"l{i}.W" for i in range(disc.n_layers)]
+    for name, g in zip(names, ad.grad(scaled, [disc.store[n] for n in names])):
+        grads[name] = grads[name] + g.data
+    return loss, float(score_real - score_fake), gp.item(), grads
+
+
+def generator_loss_grads(
+    gen: Mlp, disc: Mlp, classifier: SoftmaxClassifier, fusion: FusionParams,
+    h, e_c, e_p, labels, cls_weight: float,
+) -> tuple:
+    """The generator loss ``-mean D(G(h, e)) + cls_weight * xent`` with
+    ``e`` the fused rows of ``e_c`` and ``e_p``, its cross-entropy term
+    under the frozen ``classifier``, and the gradients of the generator
+    and the fusion layers. The critic and the classifier get none; a
+    non-finite loss is a ContractError."""
+    e = fuse_graph(fusion, e_c, e_p)
+    fake, trace_gen = gen.run(h, e)
+    out, trace_disc = disc.run(fake, e)
+    score, g_score = _mean_and_adjoint(out, -1.0)
+    onehot = np.eye(len(classifier.class_ids))[classifier.rows_of(labels)]
+    cls_term, g_logits = ad.softmax_xent_grad(classifier.logits(fake), onehot, cls_weight)
+    loss = float(-score + cls_term * cls_weight)
+    ad.require_finite_loss(loss)
+    _, g_disc = disc.back(trace_disc, g_score, params=False, inputs=True)
+    g_fake = g_disc[:, : disc.x_dim] + g_logits @ classifier.store["W"].data
+    gen_grads, g_gen = gen.back(trace_gen, g_fake, params=True, inputs=len(fusion.store) > 0)
+    if g_gen is None:  # fixed semantics
+        return loss, cls_term, gen_grads, {}
+    g_e = g_disc[:, disc.x_dim :] + g_gen[:, gen.x_dim :]
+    return loss, cls_term, gen_grads, fusion_grads(fusion, e_c, e_p, g_e)
+
+
+def _adam(store: ad.ParamStore, state: ad.AdamState, grads: dict, lr: float) -> None:
+    # Adam runs faster on C-ordered arrays like its moments
+    store.grads = {name: np.ascontiguousarray(g) for name, g in grads.items()}
+    ad.adam_step(store, state, lr, BETA1, BETA2)
 
 
 @dataclass
@@ -328,21 +393,14 @@ class GanTrainer:
         self._gen_states = [ad.AdamState(s) for s in self._gen_stores]
         self._disc_state = ad.AdamState(self.disc.store)
 
-    def _semantics_for(self, rows: np.ndarray, graph: bool) -> ad.Tensor:
-        """Per-row conditioning vectors; ``graph`` keeps fusion trainable."""
-        sem = self._class_rows[rows]
-        e = fuse_graph(self.fusion, ad.constant(self._ec[sem]), ad.constant(self._ep[sem]))
-        return e if graph else e.detach()
-
     def _draw_rows(self) -> np.ndarray:
         n = self.data.n
         take = min(self.config.batch_size, n)
         return self.rng.choice(n, size=take, replace=False)
 
-    def _fake_batch(self, rows: np.ndarray, graph: bool) -> tuple[ad.Tensor, ad.Tensor]:
-        h = ad.constant(self.rng.normal(size=(rows.size, self.config.noise_dim)))
-        e = self._semantics_for(rows, graph)
-        return self.gen.forward(h, e), e
+    def _semantics(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sem = self._class_rows[rows]
+        return self._ec[sem], self._ep[sem]
 
     def wgan_step(self) -> StepRecord:
         """n_critic critic updates, then one generator update."""
@@ -350,31 +408,24 @@ class GanTrainer:
         critic_loss = wasserstein = penalty = 0.0
         for _ in range(cfg.n_critic):
             rows = self._draw_rows()
-            z_real = self.data.features[rows]
-            fake, e = self._fake_batch(rows, graph=False)
-            z_fake = fake.detach()
-            score_real = ad.mean_all(self.disc.forward(ad.constant(z_real), e))
-            score_fake = ad.mean_all(self.disc.forward(z_fake, e))
+            h = self.rng.normal(size=(rows.size, cfg.noise_dim))
+            e = fuse_graph(self.fusion, *self._semantics(rows))
+            z_fake, _ = self.gen.run(h, e)
             beta = self.rng.uniform(size=rows.size)
-            gp = gradient_penalty(self.disc, z_real, z_fake.data, e.data, beta)
-            loss = ad.add(ad.sub(score_fake, score_real), ad.scale(gp, cfg.eta))
-            ad.backward(loss, self.disc.store)
-            ad.adam_step(self.disc.store, self._disc_state, cfg.lr, BETA1, BETA2)
-            critic_loss = loss.item()
-            wasserstein = score_real.item() - score_fake.item()
-            penalty = gp.item()
+            critic_loss, wasserstein, penalty, grads = critic_loss_grads(
+                self.disc, self.data.features[rows], z_fake, e, beta, cfg.eta
+            )
+            _adam(self.disc.store, self._disc_state, grads, cfg.lr)
 
         rows = self._draw_rows()
-        fake, e = self._fake_batch(rows, graph=True)
-        score = ad.mean_all(self.disc.forward(fake, e))
-        cls_term = cls_loss_batch(self.classifier, fake, self.data.labels[rows])
-        gen_loss = ad.add(ad.neg(score), ad.scale(cls_term, cfg.cls_weight))
-        ad.backward(gen_loss, *self._gen_stores)
-        for store, state in zip(self._gen_stores, self._gen_states):
-            ad.adam_step(store, state, cfg.lr, BETA1, BETA2)
-        return StepRecord(
-            critic_loss, wasserstein, penalty, gen_loss.item(), cls_term.item()
+        h = self.rng.normal(size=(rows.size, cfg.noise_dim))
+        gen_loss, cls_term, *grads = generator_loss_grads(
+            self.gen, self.disc, self.classifier, self.fusion, h,
+            *self._semantics(rows), self.data.labels[rows], cfg.cls_weight,
         )
+        for store, state, g in zip(self._gen_stores, self._gen_states, grads):
+            _adam(store, state, g, cfg.lr)
+        return StepRecord(critic_loss, wasserstein, penalty, gen_loss, cls_term)
 
     def train(self) -> list[StepRecord]:
         cfg = self.config
@@ -389,8 +440,7 @@ def synthesize(gen: Mlp, e: np.ndarray, n: int, seed: int) -> np.ndarray:
         raise ContractError("need a positive sample count")
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, gen.x_dim))
-    e = np.broadcast_to(e, (n, len(e)))
-    return gen.forward(ad.constant(h), ad.constant(e.copy())).data
+    return gen.run(h, np.broadcast_to(e, (n, len(e))))[0]
 
 
 def synthesize_set(

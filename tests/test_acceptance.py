@@ -16,9 +16,10 @@ from semfuse.cli import main
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import classify_batch, embed_loss, init_embed_model
 from semfuse.evaluation import borda_count, harmonic_mean, per_class_top1
-from semfuse.fusion import ClassSemantics, fuse_graph, init_fusion
+from semfuse.fusion import ClassSemantics, fuse_graph, fusion_grads, init_fusion
 from semfuse.gen_zsl import (
-    cls_loss_batch,
+    critic_loss_grads,
+    generator_loss_grads,
     gradient_penalty,
     init_classifier,
     init_discriminator,
@@ -26,6 +27,7 @@ from semfuse.gen_zsl import (
 )
 from semfuse.gen_zsl import Mlp
 
+import graph_oracle as go
 from _reference_tables import block_metric_tables, gzsl_rows
 
 
@@ -101,8 +103,8 @@ def test_criterion_2_gradient_checks():
         pairs = [(rng.normal(size=m), rng.normal(size=d), rng.normal(size=d))
                  for _ in range(n)]
         z, e_c, e_p = (np.stack(col) for col in zip(*pairs))
-        err = ad.grad_check(lambda: embed_loss(model, fusion, z, e_c, e_p),
-                            model.store, fusion.store)
+        err = go.array_grad_check(lambda: embed_loss(model, fusion, z, e_c, e_p),
+                                  model.store, fusion.store)
         worst["embed"] = max(worst["embed"], err)
 
         # critic objective with the gradient penalty term
@@ -112,44 +114,53 @@ def test_criterion_2_gradient_checks():
         e = rng.normal(size=(n, d))
         h = rng.normal(size=(n, noise_dim))
         beta = rng.uniform(size=n)
-        z_fake = gen.forward(ad.constant(h), ad.constant(e)).data
+        z_fake, _ = gen.run(h, e)
 
         def critic_objective():
-            score_fake = ad.mean_all(disc.forward(ad.constant(z_fake), ad.constant(e)))
-            score_real = ad.mean_all(disc.forward(ad.constant(z_real), ad.constant(e)))
-            gp = gradient_penalty(disc, z_real, z_fake, e, beta)
-            return ad.add(ad.sub(score_fake, score_real), ad.scale(gp, 10.0))
+            loss, _, _, grads = critic_loss_grads(disc, z_real, z_fake, e, beta, 10.0)
+            return loss, grads
 
-        worst["critic"] = max(worst["critic"], ad.grad_check(critic_objective, disc.store))
+        worst["critic"] = max(worst["critic"], go.array_grad_check(critic_objective, disc.store))
 
         # generator objective with the classification regularizer
         clf = init_classifier(m, [0, 1, 2], seed=point + 3)
         labels = rng.integers(0, 3, size=n)
+        name_only = init_fusion(d, seed=point, alpha=0.5, variation="only-class-name")
 
         def generator_objective():
-            fake = gen.forward(ad.constant(h), ad.constant(e))
-            score = ad.mean_all(disc.forward(fake, ad.constant(e)))
-            return ad.add(ad.neg(score), ad.scale(cls_loss_batch(clf, fake, labels), 0.01))
+            loss, _, grads, _ = generator_loss_grads(
+                gen, disc, clf, name_only, h, e, e, labels, 0.01
+            )
+            return loss, grads
 
-        worst["generator"] = max(worst["generator"], ad.grad_check(generator_objective, gen.store))
+        worst["generator"] = max(
+            worst["generator"], go.array_grad_check(generator_objective, gen.store)
+        )
 
         # plain classifier negative log-likelihood
-        z = ad.constant(rng.normal(size=(n, m)))
+        z = rng.normal(size=(n, m))
+        onehot = np.eye(3)[clf.rows_of(labels)]
+
+        def classifier_objective():
+            loss, g = ad.softmax_xent_grad(clf.logits(z), onehot)
+            grads = dict(zip(("W", "b"), ad.linear_grads(z, g)))
+            return loss, grads
+
         worst["classifier"] = max(
-            worst["classifier"],
-            ad.grad_check(lambda: cls_loss_batch(clf, z, labels), clf.store),
+            worst["classifier"], go.array_grad_check(classifier_objective, clf.store)
         )
 
         # fusion layers under a downstream quadratic loss
-        e_c = ad.constant(rng.normal(size=(n, d)))
-        e_p = ad.constant(rng.normal(size=(n, d)))
-        target = ad.constant(rng.normal(size=(n, d)))
+        e_c = rng.normal(size=(n, d))
+        e_p = rng.normal(size=(n, d))
+        target = rng.normal(size=(n, d))
+
+        def fusion_objective():
+            diff = fuse_graph(fusion, e_c, e_p) - target
+            return (diff * diff).sum(), fusion_grads(fusion, e_c, e_p, 2.0 * diff)
+
         worst["fusion"] = max(
-            worst["fusion"],
-            ad.grad_check(
-                lambda: ad.sum_sq(ad.sub(fuse_graph(fusion, e_c, e_p), target)),
-                fusion.store,
-            ),
+            worst["fusion"], go.array_grad_check(fusion_objective, fusion.store)
         )
 
     elapsed = watch.check()
@@ -304,10 +315,10 @@ def test_criterion_7_brute_force_equivalence():
         z = rng.normal(size=m)
         name_only = init_fusion(int(d), seed=0, alpha=0.5, variation="only-class-name")
         got = classify_batch(model, name_only, semantics, z, ids)[0]
-        z_proj = model.project_features(ad.constant(z[None, :])).data[0]
+        z_proj = model.project_features(z[None, :])[0]
         best_id, best = None, np.inf
         for cid, e_c in zip(semantics.ids, semantics.e_c):  # ascending ids
-            proto = model.project_semantics(ad.constant(e_c[None, :])).data[0]
+            proto = model.project_semantics(e_c[None, :])[0]
             dist = float(((z_proj - proto) ** 2).sum())
             if dist < best:
                 best_id, best = cid, dist

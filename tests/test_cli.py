@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ from semfuse import pipeline
 from semfuse.cli import main
 from semfuse.evaluation import read_report_csv
 from semfuse.fusion import read_bundles
+
+from conftest import REPO_ROOT
 
 
 def write_config(path, demo_dir, out_dir, **overrides):
@@ -143,6 +148,29 @@ def test_build_semantics_ours_fills_both_sides(demo_dir, tmp_path):
     assert np.abs(semantics.e_p).max(axis=1).min() > 0
 
 
+def test_bundle_rows_must_name_the_split_classes(demo_dir, tmp_path, capsys):
+    bundles = tmp_path / "bundles.csv"
+    argv = ["build-semantics", "--split", str(demo_dir / "split.cfg"),
+            "--word-vectors", str(demo_dir / "word_vectors.txt"), "--out", str(bundles)]
+    assert main(argv) == 0
+    # the same classes with the first two seen ones swapped: id 0 is chair here
+    split = tmp_path / "split.cfg"
+    text = (demo_dir / "split.cfg").read_text(encoding="utf-8")
+    text = text.replace("= train.csv", f"= {demo_dir / 'train.csv'}")
+    text = text.replace("= test.csv", f"= {demo_dir / 'test.csv'}")
+    split.write_text(text.replace("seen = bed, chair,", "seen = chair, bed,"), encoding="utf-8")
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "swapped_run",
+                       split=split, bundles=bundles, epochs=2)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "class 0 is 'bed' in the bundle file and 'chair' in the split" in err
+    assert not (tmp_path / "swapped_run").exists()
+    # an id the split does not have is refused the same way
+    split.write_text(text.replace(", toilet", ""), encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "class 5 is 'toilet' in the bundle file and not in the split" in capsys.readouterr().err
+
+
 def test_train_and_eval_reports_are_byte_identical(demo_dir, tmp_path):
     cfg_a = write_config(tmp_path / "a.cfg", demo_dir, tmp_path / "run_a")
     cfg_b = write_config(tmp_path / "b.cfg", demo_dir, tmp_path / "run_b")
@@ -217,6 +245,37 @@ def test_compare_on_stub_reports_matches_borda_oracle(tmp_path, capsys):
 
 def test_compare_needs_inputs(tmp_path):
     assert main(["compare", "--modes", "zsl"]) == 2
+
+
+def test_compare_refuses_reports_and_configs_together(demo_dir, tmp_path, capsys):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    report = tmp_path / "ours.csv"
+    write_report_csv(report, [EvalReport("ours", "zsl", acc=50.0)])
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "never")
+    argv = ["compare", "--reports", str(report), "--configs", str(cfg)]
+    assert main(argv) == 2
+    assert "either --reports or --configs, not both" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_compare_refuses_reports_of_different_averaging(tmp_path, capsys):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    mixed = tmp_path / "mixed.csv"
+    write_report_csv(mixed, [
+        EvalReport("ours", "zsl", "macro", acc=50.0),
+        EvalReport("ours", "gzsl", "micro", acc_s=60.0, acc_u=20.0, hm=30.0),
+    ])
+    assert main(["compare", "--reports", str(mixed)]) == 2
+    assert "mix averaging ['macro', 'micro']" in capsys.readouterr().err
+
+    paths = []
+    for variation, averaging in (("ours", "macro"), ("only-chatgpt", "micro")):
+        paths.append(str(tmp_path / f"{variation}.csv"))
+        write_report_csv(paths[-1], [EvalReport(variation, "zsl", averaging, acc=50.0)])
+    assert main(["compare", "--reports", *paths]) == 2
+    assert "blocks of averaging ['macro', 'micro']" in capsys.readouterr().err
 
 
 def test_sweep_alpha_row_count(demo_dir, tmp_path):
@@ -577,3 +636,40 @@ def test_eval_whose_final_classifier_diverges_exits_2_without_report(
     assert main(["eval", "--config", str(huge), "--mode", "gzsl", "--out", str(out)]) == 2
     assert "training diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+# sha256 of each file a short run on `scripts/make_demo_data.py` data writes
+DEMO_RUN_DIGESTS = {
+    "embed": {
+        "model.ckpt": "a168fbfb9663d6b854123db1017714c8484c9ae5ed40bb500f85a42ba4b35a14",
+        "train_log.csv": "48d3a26e9056177185aba13df2bbdb6bfd6014c26e7a425790ac5aad3621c4ac",
+        "fused_semantics.csv": "d5e517149b9ca79ce42861648a9bc4d99f4a1933bee682f260ad2c56d8a9d7e1",
+    },
+    "gen": {
+        "model.ckpt": "a73d56245320fe05aa4734e9248ac91e3407f181f3eee10d174952340457bb13",
+        "train_log.csv": "3be8c0dac425871086723f46c841015108df35dad8bb83c4970c9776a2f0587d",
+        "fused_semantics.csv": "bb35701a233658444230b225ee47ce40d6c9ff7d657e84db0acd84b0f74cf564",
+        "synth.csv": "b7bbdfd7f03920fd34e2871ee312c3958b4738099a3b950cbe28ca7ba0a93ae8",
+    },
+}
+
+
+@pytest.mark.parametrize("method", ["embed", "gen"])
+def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
+    path = REPO_ROOT / "scripts" / "make_demo_data.py"
+    spec = importlib.util.spec_from_file_location("make_demo_data", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    demo, run = tmp_path / "demo", tmp_path / "run"
+    monkeypatch.setattr(sys, "argv", [str(path), "--out-dir", str(demo), "--per-class", "12"])
+    script.main()
+    # 84 training rows: shuffled minibatches of 64 for either family
+    epochs = {"embed": "40", "gen": "4"}[method]
+    argv = ["train", "--config", str(demo / "run.cfg"), "--out-dir", str(run)]
+    assert main([*argv, "--method", method, "--epochs", epochs]) == 0
+    if method == "gen":
+        argv = ["synthesize", "--config", str(run / "run.cfg"), "--per-class", "20"]
+        assert main([*argv, "--out", str(run / "synth.csv")]) == 0
+    digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+               for name in DEMO_RUN_DIGESTS[method]}
+    assert digests == DEMO_RUN_DIGESTS[method]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
+from semfuse import embed_zsl
 from semfuse.datasets import RunConfig, SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import (
     EmbedModel,
@@ -16,8 +17,9 @@ from semfuse.embed_zsl import (
 )
 from semfuse.errors import ContractError, ManifestError, ShapeError
 from semfuse.evaluation import evaluate_run
-from semfuse.fusion import ClassSemantics, FusionParams, init_fusion
+from semfuse.fusion import VARIATIONS, ClassSemantics, FusionParams, init_fusion
 
+import graph_oracle as go
 from conftest import keep_classes
 
 
@@ -51,13 +53,13 @@ def batch_arrays(*rows):
 def test_loss_zero_when_projections_agree():
     model = fixed_model(np.eye(2), np.eye(2))
     batch = batch_arrays(([1.0, 2.0], [1.0, 2.0], [0.0, 0.0]))
-    assert embed_loss(model, name_only(2), *batch).item() == 0.0
+    assert embed_loss(model, name_only(2), *batch)[0] == 0.0
 
 
 def test_loss_is_squared_distance():
     model = fixed_model(np.eye(2), np.eye(2))
     batch = batch_arrays(([1.0, 0.0], [0.0, 1.0], [0.0, 0.0]))
-    assert embed_loss(model, name_only(2), *batch).item() == pytest.approx(2.0)
+    assert embed_loss(model, name_only(2), *batch)[0] == pytest.approx(2.0)
 
 
 def test_loss_weight_penalty_hand_value():
@@ -74,7 +76,7 @@ def test_loss_weight_penalty_hand_value():
     batch = batch_arrays((z, np.ones(2), np.ones(2)))
     # zero fusion maps give e = 0, so the pair term is ||W_z z||^2
     pair = float((np.ones((2, 2)) @ z) @ (np.ones((2, 2)) @ z))
-    assert embed_loss(model, fusion, *batch).item() == pytest.approx(pair + 0.01 * 8)
+    assert embed_loss(model, fusion, *batch)[0] == pytest.approx(pair + 0.01 * 8)
 
 
 def test_loss_rejects_empty_batch():
@@ -100,7 +102,7 @@ def test_loss_gradient_passes_grad_check():
     def loss_fn():
         return embed_loss(model, fusion, *batch)
 
-    assert ad.grad_check(loss_fn, model.store, fusion.store) < 1e-4
+    assert go.array_grad_check(loss_fn, model.store, fusion.store) < 1e-4
 
 
 def smoke_data(seed=3):
@@ -159,6 +161,25 @@ def test_training_is_deterministic():
         assert np.array_equal(t.data, b.fusion.store[name].data)
 
 
+@pytest.mark.parametrize("optimizer,lam", [("adam", 0.0), ("sgd", 1e-3), ("adam", 1e-3)])
+@pytest.mark.parametrize("variation", VARIATIONS)
+def test_training_matches_the_graph_oracle_bit_for_bit(monkeypatch, variation, optimizer, lam):
+    # 28 training rows in batches of 12: shuffled minibatches, one short
+    train, _, semantics = smoke_data()
+    cfg = RunConfig(lr=0.05, epochs=3, lam=lam, alpha=0.7, seed=4, batch_size=12,
+                    variation=variation, optimizer=optimizer)
+    run = train_embed(train, semantics, cfg)
+    monkeypatch.setattr(embed_zsl, "embed_loss", go.embed_loss)
+    ref = train_embed(train, semantics, cfg)
+    assert run.loss_history == ref.loss_history
+    for got, want in ((run.model.store, ref.model.store), (run.fusion.store, ref.fusion.store)):
+        assert got.names() == want.names()
+        for name, t in got.items():
+            assert t.data.tobytes() == want[name].data.tobytes(), name
+            assert got.grads[name].tobytes() == want.grads[name].tobytes(), name
+            assert got.grads[name].flags.c_contiguous, name
+
+
 def test_training_rejects_unseen_features():
     _, test, semantics = smoke_data()
     cfg = RunConfig(epochs=1)
@@ -207,10 +228,10 @@ def test_classify_matches_brute_force_and_ignores_order(seed):
     z = rng.normal(size=4)
     got = classify_batch(model, name_only(5), sem, z, candidates)[0]
     # exhaustive oracle over every candidate, lowest id wins ties
-    z_proj = model.project_features(ad.constant(z[None, :])).data[0]
+    z_proj = model.project_features(z[None, :])[0]
     best_id, best_d2 = None, np.inf
     for cid, e in zip(sem.ids, sem.e_c):
-        proto = model.project_semantics(ad.constant(e[None, :])).data[0]
+        proto = model.project_semantics(e[None, :])[0]
         d2 = float(((z_proj - proto) ** 2).sum())
         if d2 < best_d2:
             best_id, best_d2 = cid, d2

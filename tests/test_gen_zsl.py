@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
+from semfuse import gen_zsl
 from semfuse.datasets import FeatureSet, RunConfig, SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError, ShapeError
-from semfuse.fusion import ClassSemantics, init_fusion
+from semfuse.fusion import VARIATIONS, ClassSemantics, init_fusion
 from semfuse.gen_zsl import (
     GanTrainer,
     Mlp,
-    cls_loss_batch,
+    generator_loss_grads,
     gradient_penalty,
     init_classifier,
     init_discriminator,
@@ -21,6 +22,7 @@ from semfuse.gen_zsl import (
     train_final_classifier,
 )
 
+import graph_oracle as go
 from conftest import keep_classes
 
 RNG = np.random.default_rng(123)
@@ -90,7 +92,7 @@ def test_gradient_penalty_trains_the_critic():
     def loss_fn():
         return gradient_penalty(critic, z_real, z_fake, e, beta)
 
-    assert ad.grad_check(loss_fn, critic.store) < 1e-4
+    assert go.grad_check(loss_fn, critic.store) < 1e-4
 
 
 def test_cls_loss_uniform_logits_is_log_k():
@@ -100,7 +102,7 @@ def test_cls_loss_uniform_logits_is_log_k():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1, 2, 3], 3)
-    loss = cls_loss_batch(clf, ad.constant(np.ones((1, 3))), [2])
+    loss = go.cls_loss_batch(clf, ad.constant(np.ones((1, 3))), [2])
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
 
@@ -111,7 +113,7 @@ def test_cls_loss_confident_correct_logits():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1, 2], 1)
-    loss = cls_loss_batch(clf, ad.constant([[1.0]]), [0])
+    loss = go.cls_loss_batch(clf, ad.constant([[1.0]]), [0])
     assert loss.item() == pytest.approx(np.log(1 + 2 * np.exp(-10.0)), rel=1e-9)
     assert loss.item() == pytest.approx(9.1e-5, rel=0.01)
 
@@ -123,25 +125,32 @@ def test_cls_loss_goes_to_zero_in_the_confident_limit():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     clf = SoftmaxClassifier(store, [0, 1], 1)
-    assert cls_loss_batch(clf, ad.constant([[1.0]]), [0]).item() < 1e-12
+    assert go.cls_loss_batch(clf, ad.constant([[1.0]]), [0]).item() < 1e-12
 
 
 def test_cls_loss_rejects_unknown_label():
     clf = init_classifier(3, [0, 1], seed=0)
     with pytest.raises(ContractError):
-        cls_loss_batch(clf, ad.constant(np.zeros((1, 3))), [7])
+        go.cls_loss_batch(clf, ad.constant(np.zeros((1, 3))), [7])
 
 
 def test_cls_loss_gradient_flows_to_generator():
     gen = init_generator(m=3, d=2, noise_dim=2, seed=1, hidden=[6])
     clf = init_classifier(3, [0, 1], seed=2)
-    h = ad.constant(RNG.normal(size=(4, 2)))
-    e = ad.constant(RNG.normal(size=(4, 2)))
+    h = RNG.normal(size=(4, 2))
+    e = RNG.normal(size=(4, 2))
+    # a critic with zero weights scores every row 0: the loss is the
+    # classification term alone
+    critic = linear_critic(np.zeros(3), 3, 2)
+    name_only = init_fusion(2, seed=0, alpha=0.5, variation="only-class-name")
 
-    def loss_fn():
-        return cls_loss_batch(clf, gen.forward(h, e), [0, 1, 0, 1])
+    def objective():
+        loss, _, grads, _ = generator_loss_grads(
+            gen, critic, clf, name_only, h, e, e, [0, 1, 0, 1], 1.0
+        )
+        return loss, grads
 
-    assert ad.grad_check(loss_fn, gen.store) < 1e-4
+    assert go.array_grad_check(objective, gen.store) < 1e-4
 
 
 def test_synthesize_deterministic_in_seed():
@@ -184,10 +193,10 @@ def test_identity_like_generator_stub_copies_semantics():
 )
 @pytest.mark.parametrize("wrong", ["x", "e"])
 def test_conditional_mlp_refuses_wrong_input_widths(net, x_width, wrong):
-    x = ad.constant(np.zeros((2, x_width + (wrong == "x"))))
-    e = ad.constant(np.zeros((2, 3 + (wrong == "e"))))
+    x = np.zeros((2, x_width + (wrong == "x")))
+    e = np.zeros((2, 3 + (wrong == "e")))
     with pytest.raises(ShapeError) as err:
-        net.forward(x, e)
+        net.run(x, e)
     assert str(x.shape) in str(err.value) and str(e.shape) in str(err.value)
 
 
@@ -301,6 +310,35 @@ def test_gan_training_is_deterministic():
     assert [r.gen_loss for r in rec_a] == [r.gen_loss for r in rec_b]
 
 
+def _short_gan_run(variation, linear_critic):
+    """Three wgan_step cycles: their records, then every parameter's and
+    stored gradient's bytes."""
+    fs, semantics, train, pre, gcfg = gan_fixture(lr=1e-2)
+    gcfg.variation = variation
+    trainer = GanTrainer(train, semantics, pre, gcfg)
+    if linear_critic:
+        trainer.disc = init_discriminator(train.m, semantics.d, seed=3, hidden=[])
+        trainer._disc_state = ad.AdamState(trainer.disc.store)
+    records = [trainer.wgan_step() for _ in range(3)]
+    stores = [trainer.gen.store, trainer.disc.store, trainer.fusion.store]
+    assert all(g.flags.c_contiguous for s in stores for g in s.grads.values())
+    return records, [
+        (name, t.data.tobytes(), s.grads[name].tobytes()) for s in stores for name, t in s.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "variation,linear_critic", [(v, False) for v in VARIATIONS] + [("ours", True)]
+)
+def test_gan_training_matches_the_graph_oracle_bit_for_bit(monkeypatch, variation, linear_critic):
+    got = _short_gan_run(variation, linear_critic)
+    monkeypatch.setattr(gen_zsl, "critic_loss_grads", go.critic_loss_grads)
+    monkeypatch.setattr(gen_zsl, "generator_loss_grads", go.generator_loss_grads)
+    want = _short_gan_run(variation, linear_critic)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
 def test_gan_rejects_unseen_training_features():
     fs, semantics, train, pre, gcfg = gan_fixture()
     with pytest.raises(ManifestError):
@@ -400,20 +438,26 @@ def _unpruned_grad(output, inputs, create_graph=False):
 
 
 def _gradients_of_two_gan_cycles(monkeypatch):
-    """Bytes of every gradient that backward stores during two wgan_step
-    cycles (critic losses with the penalty, then generator losses)."""
+    """Bytes of every gradient the loss functions return during two
+    wgan_step cycles (critic losses with the penalty, then generator
+    losses)."""
     fs, semantics, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"  # the generator loss then reaches fusion layers too
     trainer = GanTrainer(train, semantics, pre, gcfg)
     stored = []
-    backward = ad.backward
 
-    def recording_backward(loss, *stores):
-        backward(loss, *stores)
-        stored.append([s.grads[n].tobytes() for s in stores for n in s.names()])
+    def recording(loss_grads):
+        def wrapper(*args):
+            out = loss_grads(*args)
+            stored.append([g.tobytes() for part in out if isinstance(part, dict)
+                           for g in part.values()])
+            return out
+
+        return wrapper
 
     with monkeypatch.context() as patch:
-        patch.setattr(ad, "backward", recording_backward)
+        for name in ("critic_loss_grads", "generator_loss_grads"):
+            patch.setattr(gen_zsl, name, recording(getattr(gen_zsl, name)))
         for _ in range(2):
             trainer.wgan_step()
     return stored
@@ -421,7 +465,7 @@ def _gradients_of_two_gan_cycles(monkeypatch):
 
 def test_pruned_grad_equals_the_unpruned_walk_bit_for_bit(monkeypatch):
     pruned = _gradients_of_two_gan_cycles(monkeypatch)
-    monkeypatch.setattr(ad, "grad", _unpruned_grad)  # also the penalty's inner grad
+    monkeypatch.setattr(ad, "grad", _unpruned_grad)  # the penalty's weight gradient
     unpruned = _gradients_of_two_gan_cycles(monkeypatch)
     assert len(pruned) == 2 * (2 + 1)  # n_critic critic updates + 1 generator update
     assert pruned == unpruned
@@ -445,41 +489,51 @@ def test_penalty_input_gradient_runs_no_weight_gradient_rule():
     rng = np.random.default_rng(31)
     critic = init_discriminator(4, 2, seed=31, hidden=[8])
     z_tilde = ad.leaf(rng.normal(size=(5, 4)))
-    score_sum = ad.sum_all(critic.forward(z_tilde, ad.constant(rng.normal(size=(5, 2)))))
+    score_sum = ad.sum_all(go.mlp_forward(critic, z_tilde, ad.constant(rng.normal(size=(5, 2)))))
     called = _parents_whose_rules_run(
-        score_sum, lambda: ad.grad(score_sum, [z_tilde], create_graph=True)
+        score_sum, lambda: go.grad(score_sum, [z_tilde], create_graph=True)
     )
     weights = [t for _, t in critic.store.items()]
     assert any(p is z_tilde for p in called)
     assert not any(p is w for p in called for w in weights)
 
 
-def test_generator_update_runs_no_critic_or_classifier_rule():
+def test_generator_update_runs_no_critic_or_classifier_rule(monkeypatch):
     fs, semantics, train, pre, gcfg = gan_fixture()
     gcfg.variation = "ours"
     trainer = GanTrainer(train, semantics, pre, gcfg)
     rows = trainer._draw_rows()
-    fake, e = trainer._fake_batch(rows, graph=True)
-    score = ad.mean_all(trainer.disc.forward(fake, e))
-    cls_term = cls_loss_batch(trainer.classifier, fake, trainer.data.labels[rows])
-    gen_loss = ad.add(ad.neg(score), ad.scale(cls_term, gcfg.cls_weight))
-    called = _parents_whose_rules_run(
-        gen_loss, lambda: ad.backward(gen_loss, trainer.gen.store, trainer.fusion.store)
+    shapes = []  # of each weight gradient the update computes
+    linear_grads = ad.linear_grads
+
+    def recording(x, g):
+        grads = linear_grads(x, g)
+        shapes.append(grads[0].shape)
+        return grads
+
+    monkeypatch.setattr(ad, "linear_grads", recording)
+    _, _, gen_grads, fused = generator_loss_grads(
+        trainer.gen, trainer.disc, trainer.classifier, trainer.fusion,
+        trainer.rng.normal(size=(rows.size, gcfg.noise_dim)), *trainer._semantics(rows),
+        trainer.data.labels[rows], gcfg.cls_weight,
     )
-    frozen = [t for s in (trainer.disc.store, pre.store) for _, t in s.items()]
-    trained = [t for s in (trainer.gen.store, trainer.fusion.store) for _, t in s.items()]
-    assert all(any(p is t for p in called) for t in trained)
-    assert not any(p is t for p in called for t in frozen)
+    assert sorted(gen_grads) == sorted(trainer.gen.store.names())
+    assert sorted(fused) == sorted(trainer.fusion.store.names())
+    trained = [t.data.shape for s in (trainer.gen.store, trainer.fusion.store)
+               for _, t in s.items() if t.data.ndim == 2]
+    frozen = [t.data.shape for s in (trainer.disc.store, pre.store) for _, t in s.items()]
+    assert sorted(shapes) == sorted(trained)
+    assert not set(shapes) & set(frozen)
 
 
 def test_cls_loss_names_the_first_unknown_label():
     clf = init_classifier(3, [0, 1], seed=0)
     with pytest.raises(ContractError, match=r"^label 7 outside the classifier's classes$"):
-        cls_loss_batch(clf, ad.constant(np.zeros((3, 3))), np.array([1, 7, 9]))
+        go.cls_loss_batch(clf, ad.constant(np.zeros((3, 3))), np.array([1, 7, 9]))
 
 
 def _graph_fit(features, labels, class_ids, cfg):
-    """The classifier fit as a graph loop: backward through
+    """The classifier fit as a graph loop: backward through the oracle's
     cls_loss_batch, then Adam, on the same shuffled minibatches."""
     clf = init_classifier(features.shape[1], class_ids, cfg.seed)
     state = ad.AdamState(clf.store)
@@ -491,8 +545,8 @@ def _graph_fit(features, labels, class_ids, cfg):
             rng.shuffle(order)
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            loss = cls_loss_batch(clf, ad.constant(features[rows]), labels[rows])
-            ad.backward(loss, clf.store)
+            loss = go.cls_loss_batch(clf, ad.constant(features[rows]), labels[rows])
+            go.backward(loss, clf.store)
             ad.adam_step(clf.store, state, cfg.classifier_lr)
     return clf
 
