@@ -2,7 +2,6 @@
 features, with class semantics built from word vectors of class names
 and of generated class descriptions, fused by learned affine layers."""
 
-from .autodiff import ParamStore, Tensor
 from .datasets import (
     FeatureSet,
     RunConfig,
@@ -21,8 +20,6 @@ from .llm_client import DescriptionCache, EndpointConfig, build_prompt, fetch_de
 from .wordvec import WordVectorTable, embed_text, load_word_vectors
 
 __all__ = [
-    "ParamStore",
-    "Tensor",
     "FeatureSet",
     "RunConfig",
     "SplitSpec",

@@ -17,13 +17,15 @@ shapes.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError
 
 Array = np.ndarray
+# a model's parameters, name -> array; an update replaces each array
+Params = dict[str, Array]
 
 # floor for denominators in backward rules; only reached at kink points
 _TINY = 1e-150
@@ -79,11 +81,8 @@ def constant(x) -> Tensor:
 
 
 def leaf(x) -> Tensor:
-    """Trainable graph leaf; values must be finite."""
-    t = Tensor(x, requires_grad=True)
-    if not np.all(np.isfinite(t.data)):
-        raise ContractError("leaf tensor contains non-finite entries")
-    return t
+    """Graph leaf that receives a gradient."""
+    return Tensor(x, requires_grad=True)
 
 
 def _require_2d(x: Tensor, op: str) -> None:
@@ -214,16 +213,11 @@ def softmax_xent_grad(logits: Array, onehot: Array, g=1.0) -> tuple[float, Array
 
 
 def sqrt(x: Tensor) -> Tensor:
-    # denominator floored so the rule stays finite at exactly zero
-    out = Tensor(
-        np.sqrt(x.data), (x,), (lambda g: div(scale(g, 0.5), clamp_min(out, _TINY)),)
-    )
-    return out
-
-
-def clamp_min(x: Tensor, c: float) -> Tensor:
-    mask = constant((x.data > c).astype(np.float64))
-    return Tensor(np.maximum(x.data, c), (x,), (lambda g: mul(g, mask),))
+    # denominator floored so the rule stays finite at exactly zero, and a
+    # constant, so the (first-order) rule holds no cycle through its node
+    value = np.sqrt(x.data)
+    floored = constant(np.maximum(value, _TINY))
+    return Tensor(value, (x,), (lambda g: div(scale(g, 0.5), floored),))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -305,42 +299,6 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor | None]:
     return [adjoint.get(id(t)) for t in inputs]
 
 
-class ParamStore:
-    """Named trainable tensors together with their latest gradients."""
-
-    def __init__(self) -> None:
-        self._params: dict[str, Tensor] = {}
-        self.grads: dict[str, Array] = {}
-
-    def add(self, name: str, value) -> Tensor:
-        if name in self._params:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = leaf(value)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._params.items())
-
-    def set_value(self, name: str, value: Array) -> None:
-        t = self._params[name]
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != t.data.shape:
-            raise ShapeError(
-                f"value for {name!r} has shape {value.shape}, expected {t.data.shape}"
-            )
-        t.data = value.copy()
-
-
 def require_finite_loss(loss: float) -> None:
     """A non-finite loss is a ContractError: training diverged."""
     if not np.isfinite(loss):
@@ -351,28 +309,34 @@ def require_finite_loss(loss: float) -> None:
 # optimizers
 
 
-def sgd_step(store: ParamStore, lr: float) -> None:
+def _gradient(grads: dict[str, Array], name: str) -> Array:
+    """``grads[name]`` C-ordered, which the updates run faster on."""
+    g = grads.get(name)
+    if g is None:
+        raise ContractError(f"missing gradient for parameter {name!r}")
+    return np.ascontiguousarray(g)
+
+
+def sgd_step(params: Params, grads: dict[str, Array], lr: float) -> None:
     """Plain gradient-descent update; lr == 0 is a no-op."""
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
-    for name, t in store.items():
-        g = store.grads.get(name)
-        if g is None:
-            raise ContractError(f"missing gradient for parameter {name!r}")
-        t.data = t.data - lr * g
+    for name, w in params.items():
+        params[name] = w - lr * _gradient(grads, name)
 
 
 class AdamState:
-    """First/second-moment accumulators for one parameter store."""
+    """First/second-moment accumulators for one set of parameters."""
 
-    def __init__(self, store: ParamStore) -> None:
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+    def __init__(self, params: Params) -> None:
+        self.m = {name: np.zeros_like(w) for name, w in params.items()}
+        self.v = {name: np.zeros_like(w) for name, w in params.items()}
         self.t = 0
 
 
 def adam_step(
-    store: ParamStore,
+    params: Params,
+    grads: dict[str, Array],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -383,15 +347,13 @@ def adam_step(
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
     state.t += 1
-    for name, t in store.items():
-        g = store.grads.get(name)
-        if g is None:
-            raise ContractError(f"missing gradient for parameter {name!r}")
+    for name, w in params.items():
+        g = _gradient(grads, name)
         state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
         m_hat = state.m[name] / (1 - beta1**state.t)
         v_hat = state.v[name] / (1 - beta2**state.t)
-        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params[name] = w - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +366,15 @@ def adam_step(
 SAVE_CHUNK = 16384
 
 
-def save_params(path, stores: dict[str, ParamStore]) -> None:
+def save_params(path, stores: dict[str, Params]) -> None:
     """Write ordered (name, shape, values) records as UTF-8 text."""
     with Path(path).open("w", encoding="utf-8") as handle:
-        for prefix, store in stores.items():
-            for name, t in store.items():
+        for prefix, params in stores.items():
+            for name, w in params.items():
                 full = f"{prefix}.{name}" if prefix else name
-                dims = ",".join(str(s) for s in t.data.shape) or "-"
+                dims = ",".join(str(s) for s in w.shape) or "-"
                 handle.write(f"{full} {dims}")
-                flat = t.data.reshape(-1)
+                flat = w.reshape(-1)
                 for start in range(0, flat.size, SAVE_CHUNK):
                     chunk = flat[start : start + SAVE_CHUNK].tolist()
                     handle.write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
@@ -461,10 +423,14 @@ def load_params(path, prefixes=None) -> dict[str, Array]:
     return out
 
 
-def restore_store(store: ParamStore, values: dict[str, Array], prefix: str = "") -> None:
-    """Load checkpoint arrays into an existing store, by name."""
-    for name in store.names():
+def restore_store(params: Params, values: dict[str, Array], prefix: str = "") -> None:
+    """Replace each of ``params`` by its checkpoint array, by name; a
+    missing record is a FormatError, one of another shape a ShapeError."""
+    for name, w in params.items():
         full = f"{prefix}.{name}" if prefix else name
         if full not in values:
             raise FormatError(f"checkpoint is missing parameter {full!r}")
-        store.set_value(name, values[full])
+        value = np.array(values[full], dtype=np.float64)
+        if value.shape != w.shape:
+            raise ShapeError(f"value for {name!r} has shape {value.shape}, expected {w.shape}")
+        params[name] = value

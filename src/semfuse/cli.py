@@ -167,7 +167,7 @@ def run_train(config: RunConfig) -> Path:
     trained = pipeline.train(config, _train_features(split), semantics)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(trained.fusion.store):
+    if trained.fusion.store:
         fused = resolve_semantics(semantics, trained.fusion)
         export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
     ckpt = _ckpt_path(config)
@@ -274,6 +274,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.per_class is not None and args.per_class < 1:
+        raise ConfigError(f"--per-class {args.per_class} is below its minimum 1")
     config = _apply_overrides(load_run_config(args.config), args)
     if config.method != "gen":
         raise ConfigError("synthesize needs a generative-method config")
@@ -281,7 +283,7 @@ def cmd_synthesize(args) -> int:
     semantics = obtain_bundles(config, split)
     trained, _ = _restore(config, semantics.d)
     gen, fusion = trained.model, trained.fusion
-    per_class = args.per_class or config.synth_per_class
+    per_class = config.synth_per_class if args.per_class is None else args.per_class
     synth = synthesize_set(
         gen, fusion, semantics, split.unseen_ids, per_class, config.seed, split.class_table
     )

@@ -21,7 +21,7 @@ from .fusion import ClassSemantics, FusionParams, fuse_graph, fusion_grads, init
 class EmbedModel:
     """Two projection branches into a shared q-dimensional space."""
 
-    def __init__(self, store: ad.ParamStore, q: int, m: int, d: int, lam: float):
+    def __init__(self, store: ad.Params, q: int, m: int, d: int, lam: float):
         self.store = store
         self.q = q
         self.m = m
@@ -29,10 +29,10 @@ class EmbedModel:
         self.lam = lam
 
     def project_features(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.store["W_z"].data.T + self.store["b_z"].data
+        return z @ self.store["W_z"].T + self.store["b_z"]
 
     def project_semantics(self, e: np.ndarray) -> np.ndarray:
-        return e @ self.store["W_e"].data.T + self.store["b_e"].data
+        return e @ self.store["W_e"].T + self.store["b_e"]
 
 
 def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedModel:
@@ -41,11 +41,11 @@ def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedMode
     if lam < 0 or not np.isfinite(lam):
         raise ContractError("lambda must be finite and non-negative")
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore()
-    store.add("W_z", rng.uniform(-1, 1, size=(q, m)) * np.sqrt(6.0 / (q + m)))
-    store.add("b_z", np.zeros(q))
-    store.add("W_e", rng.uniform(-1, 1, size=(q, d)) * np.sqrt(6.0 / (q + d)))
-    store.add("b_e", np.zeros(q))
+    store = {}
+    store["W_z"] = rng.uniform(-1, 1, size=(q, m)) * np.sqrt(6.0 / (q + m))
+    store["b_z"] = np.zeros(q)
+    store["W_e"] = rng.uniform(-1, 1, size=(q, d)) * np.sqrt(6.0 / (q + d))
+    store["b_e"] = np.zeros(q)
     return EmbedModel(store, q, m, d, lam)
 
 
@@ -72,7 +72,7 @@ def embed_loss(
         )
     n = z.shape[0]
     stores = (model.store, fusion.store)
-    weights = [[(k, t.data) for k, t in s.items() if k.startswith("W")] for s in stores]
+    weights = [[(k, w) for k, w in s.items() if k.startswith("W")] for s in stores]
     e = fuse_graph(fusion, e_c, e_p)
     diff = model.project_features(z) - model.project_semantics(e)
     penalty = [sum((w * w).sum() for _, w in ws) for ws in weights]
@@ -86,7 +86,7 @@ def embed_loss(
     model_grads = {}
     model_grads["W_z"], model_grads["b_z"] = ad.linear_grads(z, g_z)
     model_grads["W_e"], model_grads["b_e"] = ad.linear_grads(e, g_e)
-    g_fused = g_e @ model.store["W_e"].data if len(fusion.store) else None
+    g_fused = g_e @ model.store["W_e"] if fusion.store else None
     fused = fusion_grads(fusion, e_c, e_p, g_fused)
     for grads, ws in zip((model_grads, fused), weights):
         for name, w in ws:  # so does each w * w of the penalty
@@ -114,8 +114,8 @@ def train_embed(data: FeatureSet, semantics: ClassSemantics, cfg: RunConfig) -> 
     the freshly initialized parameters.
     """
     step = {
-        "adam": lambda store, state: ad.adam_step(store, state, cfg.lr),
-        "sgd": lambda store, state: ad.sgd_step(store, cfg.lr),
+        "adam": lambda params, grads, state: ad.adam_step(params, grads, state, cfg.lr),
+        "sgd": lambda params, grads, state: ad.sgd_step(params, grads, cfg.lr),
     }.get(cfg.optimizer)
     if step is None:
         raise ContractError(f"unknown optimizer {cfg.optimizer!r}")
@@ -144,8 +144,7 @@ def train_embed(data: FeatureSet, semantics: ClassSemantics, cfg: RunConfig) -> 
             sem = class_rows[rows]
             loss, *grads = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
             for store, state, g in zip(stores, states, grads):
-                store.grads = {name: np.ascontiguousarray(v) for name, v in g.items()}
-                step(store, state)
+                step(store, g, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return EmbedRun(model, fusion, history)

@@ -11,9 +11,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datasets import FeatureSet
-from .errors import ContractError, ManifestError
+from .errors import ContractError, FormatError, ManifestError
 
 METRIC_ORDER = ("acc", "acc_s", "acc_u", "hm")
+
+# report CSV columns in file order, each an `EvalReport` field, with its parser
+REPORT_COLUMNS = {
+    "variation": str, "mode": str, "averaging": str,
+    "acc": float, "acc_s": float, "acc_u": float, "hm": float, "borda": int,
+}
 
 
 @dataclass
@@ -92,12 +98,17 @@ def borda_count(reports) -> dict[str, int]:
     """One point per metric to every variation achieving its maximum.
 
     Accepts a list of EvalReports or a mapping variation -> metrics.
-    All variations must carry the same metric set.
+    All variations must carry the same metric set; a list that repeats a
+    variation is a ContractError naming it.
     """
     if isinstance(reports, Mapping):
         table = {name: dict(metrics) for name, metrics in reports.items()}
     else:
-        table = {r.variation: r.metrics() for r in reports}
+        table = {}
+        for r in reports:
+            if r.variation in table:
+                raise ContractError(f"variation {r.variation!r} appears more than once")
+            table[r.variation] = r.metrics()
     if len(table) < 2:
         raise ContractError("borda count needs at least 2 variations")
     names = list(table)
@@ -225,9 +236,7 @@ def write_report_csv(path, reports: list[EvalReport]) -> None:
     """Deterministic CSV: fixed column order and float formatting."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["variation", "mode", "averaging", "acc", "acc_s", "acc_u", "hm", "borda"]
-        )
+        writer.writerow(list(REPORT_COLUMNS))
         for r in reports:
             writer.writerow(
                 [r.variation, r.mode, r.averaging]
@@ -236,21 +245,24 @@ def write_report_csv(path, reports: list[EvalReport]) -> None:
 
 
 def read_report_csv(path) -> list[EvalReport]:
+    """Rows written by `write_report_csv`; a missing column or a value
+    that does not parse is a FormatError naming ``path:line`` and the
+    column."""
     reports = []
     with Path(path).open(encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            reports.append(
-                EvalReport(
-                    row["variation"],
-                    row["mode"],
-                    row["averaging"],
-                    acc=float(row["acc"]) if row["acc"] else None,
-                    acc_s=float(row["acc_s"]) if row["acc_s"] else None,
-                    acc_u=float(row["acc_u"]) if row["acc_u"] else None,
-                    hm=float(row["hm"]) if row["hm"] else None,
-                    borda=int(row["borda"]) if row["borda"] else None,
-                )
-            )
+        reader = csv.DictReader(handle)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            fields = {}
+            for name, parse in REPORT_COLUMNS.items():
+                value = row.get(name)
+                if value is None:
+                    raise FormatError(f"{where}: missing column {name!r}")
+                try:  # an empty metric cell is an absent metric
+                    fields[name] = parse(value) if value or parse is str else None
+                except ValueError as exc:
+                    raise FormatError(f"{where}: column {name!r}: {exc}") from None
+            reports.append(EvalReport(**fields))
     return reports
 
 

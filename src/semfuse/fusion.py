@@ -70,7 +70,7 @@ class FusionParams:
     W_phi/b_phi on the description side, mixed by ``alpha``; the fixed
     variations use one raw side and leave the store empty."""
 
-    def __init__(self, store: ad.ParamStore, alpha: float, d: int, variation: str = "ours"):
+    def __init__(self, store: ad.Params, alpha: float, d: int, variation: str = "ours"):
         if variation not in VARIATIONS:
             raise ContractError(f"unknown variation {variation!r}")
         if not 0.0 <= alpha <= 1.0:
@@ -94,12 +94,12 @@ def init_fusion(d: int, seed: int, alpha: float, variation: str = "ours") -> Fus
         raise ContractError("fusion dimension must be positive")
     rng = np.random.default_rng(seed)
     bound = FUSION_INIT_SCALE * np.sqrt(6.0 / (2 * d))
-    store = ad.ParamStore()
+    store = {}
     if variation == "ours":
-        store.add("W_sigma", rng.uniform(-bound, bound, size=(d, d)))
-        store.add("b_sigma", np.zeros(d))
-        store.add("W_phi", rng.uniform(-bound, bound, size=(d, d)))
-        store.add("b_phi", np.zeros(d))
+        store["W_sigma"] = rng.uniform(-bound, bound, size=(d, d))
+        store["b_sigma"] = np.zeros(d)
+        store["W_phi"] = rng.uniform(-bound, bound, size=(d, d))
+        store["b_phi"] = np.zeros(d)
     return FusionParams(store, alpha, d, variation)
 
 
@@ -119,15 +119,15 @@ def fuse_graph(params: FusionParams, e_c: np.ndarray, e_p: np.ndarray) -> np.nda
     if params.variation == "only-chatgpt":
         return e_p
     s = params.store
-    name_side = e_c @ s["W_sigma"].data.T + s["b_sigma"].data
-    desc_side = e_p @ s["W_phi"].data.T + s["b_phi"].data
+    name_side = e_c @ s["W_sigma"].T + s["b_sigma"]
+    desc_side = e_p @ s["W_phi"].T + s["b_phi"]
     return name_side + desc_side * params.alpha
 
 
 def fusion_grads(params: FusionParams, e_c, e_p, g) -> dict[str, np.ndarray]:
     """Adjoints of the fusion layers for the adjoint ``g`` of
     `fuse_graph`'s output; none for the fixed variations."""
-    if not len(params.store):
+    if not params.store:
         return {}
     grads = {}
     grads["W_sigma"], grads["b_sigma"] = ad.linear_grads(e_c, g)

@@ -33,7 +33,7 @@ class Mlp:
     feature vector, the Wasserstein critic (features, semantics) to a
     score."""
 
-    def __init__(self, store: ad.ParamStore, sizes: list[int], d: int):
+    def __init__(self, store: ad.Params, sizes: list[int], d: int):
         self.store = store
         self.sizes = sizes
         self.d = d
@@ -58,7 +58,7 @@ class Mlp:
         inputs, masks = [], []
         for i in range(self.n_layers):
             inputs.append(h)
-            h = h @ self.store[f"l{i}.W"].data.T + self.store[f"l{i}.b"].data
+            h = h @ self.store[f"l{i}.W"].T + self.store[f"l{i}.b"]
             if i < self.n_layers - 1:
                 masks.append(np.where(h > 0, 1.0, LEAKY_SLOPE))
                 h = h * masks[-1]
@@ -76,17 +76,17 @@ class Mlp:
             if params:
                 grads[f"l{i}.W"], grads[f"l{i}.b"] = ad.linear_grads(layer_inputs[i], g)
             if i or inputs:
-                g = g @ self.store[f"l{i}.W"].data
+                g = g @ self.store[f"l{i}.W"]
         return grads, g if inputs else None
 
 
 def _init_mlp(sizes: list[int], d: int, seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore()
+    store = {}
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        store.add(f"l{i}.W", rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        store.add(f"l{i}.b", np.zeros(fan_out))
+        store[f"l{i}.W"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        store[f"l{i}.b"] = np.zeros(fan_out)
     return Mlp(store, sizes, d)
 
 
@@ -118,15 +118,18 @@ def gradient_penalty(
     z_fake: np.ndarray,
     e: np.ndarray,
     beta,
-) -> ad.Tensor:
-    """Unit-gradient-norm penalty at interpolates between real and fake.
+    eta: float = 1.0,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Unit-gradient-norm penalty at interpolates between real and fake,
+    and the gradients of ``eta`` times it for the critic's weights.
 
     The critic runs on the interpolate ``beta * z_real + (1 - beta) *
-    z_fake``; its input gradient is built as graph nodes over the
-    critic's weights, so `ad.grad` of the penalty trains the critic.
-    Accepts single vectors or row-aligned batches; ``beta`` may be a
-    scalar or one value per row. Always >= 0, and exactly 0 only when
-    the critic's input-gradient norm is 1 everywhere.
+    z_fake``; its input gradient is built as graph nodes over leaves
+    wrapping the critic's weights, and `ad.grad` of the scaled penalty
+    gives their gradients (the biases get none). Accepts single vectors
+    or row-aligned batches; ``beta`` may be a scalar or one value per
+    row. Always >= 0, and exactly 0 only when the critic's input-gradient
+    norm is 1 everywhere.
     """
     z_real = np.atleast_2d(np.asarray(z_real, dtype=np.float64))
     z_fake = np.atleast_2d(np.asarray(z_fake, dtype=np.float64))
@@ -139,14 +142,18 @@ def gradient_penalty(
         np.asarray(beta, dtype=np.float64).reshape(-1, 1), (z_real.shape[0], 1)
     )
     _, (_, masks) = disc.run(beta_col * z_real + (1.0 - beta_col) * z_fake, e)
+    names = [f"l{i}.W" for i in range(disc.n_layers)]
+    leaves = [ad.leaf(disc.store[name]) for name in names]
     g = ad.constant(np.ones((z_real.shape[0], 1)))
     for i in reversed(range(disc.n_layers)):
         if i < disc.n_layers - 1:
             g = ad.mul(g, ad.constant(masks[i]))
-        g = ad.matmul(g, disc.store[f"l{i}.W"])
+        g = ad.matmul(g, leaves[i])
     g = ad.slice_cols(g, 0, disc.x_dim)
     norms = ad.sqrt(ad.sum_last(ad.square(g)))
-    return ad.mean_all(ad.square(ad.shift(norms, -1.0)))
+    gp = ad.mean_all(ad.square(ad.shift(norms, -1.0)))
+    grads = ad.grad(ad.scale(gp, eta), leaves)
+    return gp.item(), {name: g.data for name, g in zip(names, grads)}
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ def gradient_penalty(
 class SoftmaxClassifier:
     """Linear softmax over an ordered set of class ids."""
 
-    def __init__(self, store: ad.ParamStore, class_ids: list[int], m: int):
+    def __init__(self, store: ad.Params, class_ids: list[int], m: int):
         if len(class_ids) < 2:
             raise ContractError("softmax classifier needs at least 2 classes")
         if len(set(class_ids)) != len(class_ids):
@@ -167,7 +174,7 @@ class SoftmaxClassifier:
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
     def logits(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.store["W"].data.T + self.store["b"].data
+        return z @ self.store["W"].T + self.store["b"]
 
     def rows_of(self, labels) -> np.ndarray:
         """Row of each label in ``W`` and ``b``; an unknown label is a
@@ -200,10 +207,8 @@ class SoftmaxClassifier:
 
 def init_classifier(m: int, class_ids: list[int], seed: int) -> SoftmaxClassifier:
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore()
     k = len(class_ids)
-    store.add("W", rng.uniform(-1, 1, size=(k, m)) * np.sqrt(6.0 / (k + m)))
-    store.add("b", np.zeros(k))
+    store = {"W": rng.uniform(-1, 1, size=(k, m)) * np.sqrt(6.0 / (k + m)), "b": np.zeros(k)}
     return SoftmaxClassifier(store, class_ids, m)
 
 
@@ -235,10 +240,8 @@ def _train_softmax(
             x = features[rows]
             loss, g = ad.softmax_xent_grad(clf.logits(x), targets[rows])
             ad.require_finite_loss(loss)
-            gW, clf.store.grads["b"] = ad.linear_grads(x, g)
-            # Adam runs faster on C-ordered arrays like its moments
-            clf.store.grads["W"] = np.ascontiguousarray(gW)
-            ad.adam_step(clf.store, state, cfg.classifier_lr)
+            grads = dict(zip(("W", "b"), ad.linear_grads(x, g)))
+            ad.adam_step(clf.store, grads, state, cfg.classifier_lr)
     return clf
 
 
@@ -299,18 +302,16 @@ def critic_loss_grads(disc: Mlp, z_real, z_fake, e, beta, eta: float) -> tuple:
     out_fake, trace_fake = disc.run(z_fake, e)
     score_real, g_real = _mean_and_adjoint(out_real, -1.0)
     score_fake, g_fake = _mean_and_adjoint(out_fake, 1.0)
-    gp = gradient_penalty(disc, z_real, z_fake, e, beta)
-    scaled = ad.scale(gp, eta)
-    loss = float((score_fake - score_real) + scaled.data)
+    gp, gp_grads = gradient_penalty(disc, z_real, z_fake, e, beta, eta)
+    loss = float((score_fake - score_real) + gp * eta)
     ad.require_finite_loss(loss)
     # each term is added as it comes, so only one is held beside the sum
     grads, _ = disc.back(trace_real, g_real, params=True, inputs=False)
     for name, g in disc.back(trace_fake, g_fake, params=True, inputs=False)[0].items():
         grads[name] = grads[name] + g
-    names = [f"l{i}.W" for i in range(disc.n_layers)]
-    for name, g in zip(names, ad.grad(scaled, [disc.store[n] for n in names])):
-        grads[name] = grads[name] + g.data
-    return loss, float(score_real - score_fake), gp.item(), grads
+    for name, g in gp_grads.items():
+        grads[name] = grads[name] + g
+    return loss, float(score_real - score_fake), gp, grads
 
 
 def generator_loss_grads(
@@ -331,18 +332,12 @@ def generator_loss_grads(
     loss = float(-score + cls_term * cls_weight)
     ad.require_finite_loss(loss)
     _, g_disc = disc.back(trace_disc, g_score, params=False, inputs=True)
-    g_fake = g_disc[:, : disc.x_dim] + g_logits @ classifier.store["W"].data
-    gen_grads, g_gen = gen.back(trace_gen, g_fake, params=True, inputs=len(fusion.store) > 0)
+    g_fake = g_disc[:, : disc.x_dim] + g_logits @ classifier.store["W"]
+    gen_grads, g_gen = gen.back(trace_gen, g_fake, params=True, inputs=bool(fusion.store))
     if g_gen is None:  # fixed semantics
         return loss, cls_term, gen_grads, {}
     g_e = g_disc[:, disc.x_dim :] + g_gen[:, gen.x_dim :]
     return loss, cls_term, gen_grads, fusion_grads(fusion, e_c, e_p, g_e)
-
-
-def _adam(store: ad.ParamStore, state: ad.AdamState, grads: dict, lr: float) -> None:
-    # Adam runs faster on C-ordered arrays like its moments
-    store.grads = {name: np.ascontiguousarray(g) for name, g in grads.items()}
-    ad.adam_step(store, state, lr, BETA1, BETA2)
 
 
 @dataclass
@@ -415,7 +410,7 @@ class GanTrainer:
             critic_loss, wasserstein, penalty, grads = critic_loss_grads(
                 self.disc, self.data.features[rows], z_fake, e, beta, cfg.eta
             )
-            _adam(self.disc.store, self._disc_state, grads, cfg.lr)
+            ad.adam_step(self.disc.store, grads, self._disc_state, cfg.lr, BETA1, BETA2)
 
         rows = self._draw_rows()
         h = self.rng.normal(size=(rows.size, cfg.noise_dim))
@@ -424,7 +419,7 @@ class GanTrainer:
             *self._semantics(rows), self.data.labels[rows], cfg.cls_weight,
         )
         for store, state, g in zip(self._gen_stores, self._gen_states, grads):
-            _adam(store, state, g, cfg.lr)
+            ad.adam_step(store, g, state, cfg.lr, BETA1, BETA2)
         return StepRecord(critic_loss, wasserstein, penalty, gen_loss, cls_term)
 
     def train(self) -> list[StepRecord]:

@@ -29,12 +29,12 @@ from .gen_zsl import (
 
 @dataclass
 class Trained:
-    """A trained run: parameter stores by checkpoint group in write order
+    """A trained run: parameter dicts by checkpoint group in write order
     (``embed, fusion`` or ``gen, disc, cls, fusion``; a restored run has
     only what evaluation reads), the `EmbedModel` or the generator `Mlp`,
     and the text of ``train_log.csv`` (empty when restored)."""
 
-    stores: dict[str, ad.ParamStore]
+    stores: dict[str, ad.Params]
     fusion: FusionParams
     model: EmbedModel | Mlp
     train_log: str = ""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semfuse import autodiff as ad
 from semfuse.fusion import ClassSemantics
 from semfuse.wordvec import tokenize
 
@@ -31,6 +32,24 @@ def keep_classes(semantics: ClassSemantics, keep) -> ClassSemantics:
         semantics.e_c[rows],
         semantics.e_p[rows],
     )
+
+
+def record_applied_gradients(patch) -> dict:
+    """Patch both optimizers, through ``patch`` (a MonkeyPatch), to keep
+    the gradients each one last applied to a parameter dict; returns
+    them keyed by the dict's ``id``."""
+    applied = {}
+
+    def recording(step):
+        def wrapper(params, grads, *args, **kwargs):
+            applied[id(params)] = grads
+            return step(params, grads, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("adam_step", "sgd_step"):
+        patch.setattr(ad, name, recording(getattr(ad, name)))
+    return applied
 
 
 def _read_description(name: str) -> str:

@@ -9,7 +9,10 @@ graph form of every trained objective: the embedding loss, the critic
 loss with its penalty taken by a double backward, the generator loss
 and the classifier loss. The objective functions return what their
 counterparts in `semfuse` return, so a test can put one in place of the
-other and compare a training run bit for bit.
+other and compare a training run bit for bit. A model's parameters are
+a dict of arrays; each objective call wraps them in fresh graph leaves
+(`leaves`), which share the arrays' memory, and `backward` returns one
+gradient dict per leaf dict.
 """
 
 from __future__ import annotations
@@ -141,142 +144,158 @@ def grad(
     return [adjoint.get(id(t)) for t in inputs]
 
 
-def backward(loss: Tensor, *stores: ad.ParamStore) -> None:
-    """Populate every store's gradients with d(loss)/d(param).
+def leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """A trainable leaf per parameter, wrapping its array without a copy."""
+    return {name: ad.leaf(w) for name, w in params.items()}
 
-    Parameters the loss does not reach get zero gradients; a non-finite
+
+def backward(loss: Tensor, *leaf_dicts: dict[str, Tensor]) -> list[dict[str, np.ndarray]]:
+    """d(loss)/d(leaf) for every leaf, one C-ordered gradient dict per
+    leaf dict.
+
+    Leaves the loss does not reach get zero gradients; a non-finite
     loss is a ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     ad.require_finite_loss(loss.item())
-    slots = [(s, name, t) for s in stores for name, t in s.items()]
-    adjoints = grad(loss, [t for _, _, t in slots])
-    for (store, name, t), g in zip(slots, adjoints):
-        if g is None:
-            store.grads[name] = np.zeros_like(t.data)
-        else:
+    adjoints = iter(grad(loss, [t for ls in leaf_dicts for t in ls.values()]))
+    out = []
+    for ls in leaf_dicts:
+        grads = {}
+        for name, t in ls.items():
+            g = next(adjoints)
+            if g is None:
+                grads[name] = np.zeros_like(t.data)
+                continue
             if g.data.shape != t.data.shape:
                 raise ShapeError(
                     f"gradient for {name!r} has shape {g.data.shape}, "
                     f"expected {t.data.shape}"
                 )
-            store.grads[name] = np.ascontiguousarray(g.data)
+            grads[name] = np.ascontiguousarray(g.data)
+        out.append(grads)
+    return out
 
 
 def _worst_error(
     loss_value: Callable[[], float],
     analytic: Sequence[dict[str, np.ndarray]],
-    stores: Sequence[ad.ParamStore],
+    params: Sequence[dict[str, np.ndarray]],
     eps: float,
 ) -> float:
     """Max over entries of |g - g_fd| / max(1, |g_fd|) for the gradients
-    ``analytic`` (one dict per store) against central differences of
-    ``loss_value``; an empty store yields 0."""
+    ``analytic`` (one dict per parameter dict; a missing entry is zero)
+    against central differences of ``loss_value``, each parameter
+    perturbed in place; an empty dict yields 0."""
     if eps <= 0:
         raise ContractError("eps must be positive")
-    analytic = [{name: np.array(g) for name, g in grads.items()} for grads in analytic]
     worst = 0.0
-    for store, grads in zip(stores, analytic):
-        for name, t in store.items():
-            flat = t.data.reshape(-1)
-            g_an = grads[name].reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
+    for arrays, grads in zip(params, analytic):
+        for name, w in arrays.items():
+            g_an = np.array(grads[name]) if name in grads else np.zeros_like(w)
+            for j in np.ndindex(w.shape):
+                orig = w[j]
+                w[j] = orig + eps
                 lo_hi = loss_value()
-                flat[j] = orig - eps
+                w[j] = orig - eps
                 lo_lo = loss_value()
-                flat[j] = orig
+                w[j] = orig
                 g_fd = (lo_hi - lo_lo) / (2.0 * eps)
                 worst = max(worst, abs(g_an[j] - g_fd) / max(1.0, abs(g_fd)))
     return worst
 
 
-def grad_check(loss_fn: Callable[[], Tensor], *stores: ad.ParamStore, eps: float = 1e-5) -> float:
+def grad_check(loss_fn: Callable[[], Tensor], *leaf_dicts: dict[str, Tensor], eps: float = 1e-5) -> float:
     """Compare backward() against central differences, entry by entry.
 
     Returns max over entries of |g_ad - g_fd| / max(1, |g_fd|); an empty
-    store yields 0. ``loss_fn`` must rebuild its graph from the stores'
+    dict yields 0. ``loss_fn`` must rebuild its graph from the leaves'
     current values on every call.
     """
-    backward(loss_fn(), *stores)
-    return _worst_error(lambda: loss_fn().item(), [s.grads for s in stores], stores, eps)
+    analytic = backward(loss_fn(), *leaf_dicts)
+    arrays = [{name: t.data for name, t in ls.items()} for ls in leaf_dicts]
+    return _worst_error(lambda: loss_fn().item(), analytic, arrays, eps)
 
 
-def array_grad_check(objective: Callable[[], tuple], *stores: ad.ParamStore, eps: float = 1e-5) -> float:
-    """`grad_check` for an array objective: ``objective()`` returns the
-    loss followed by one gradient dict per store, as `embed_loss` and
-    the GAN's loss functions do; the loss is its first entry."""
+def array_grad_check(
+    objective: Callable[[], tuple], *params: dict[str, np.ndarray], eps: float = 1e-5
+) -> float:
+    """`grad_check` for an array objective over parameter dicts:
+    ``objective()`` returns the loss followed by one gradient dict per
+    parameter dict, as `embed_loss` and the GAN's loss functions do."""
     _, *analytic = objective()
-    return _worst_error(lambda: objective()[0], analytic, stores, eps)
+    return _worst_error(lambda: objective()[0], analytic, params, eps)
 
 
 # ---------------------------------------------------------------------------
 # the trained objectives as graphs
 
 
-def mlp_forward(net, x: Tensor, e: Tensor) -> Tensor:
-    """The conditional MLP ``net`` over ``concat(x, e)``."""
+def mlp_forward(net, w: dict[str, Tensor], x: Tensor, e: Tensor) -> Tensor:
+    """The conditional MLP ``net`` over ``concat(x, e)``, with the leaves
+    ``w`` of its parameters."""
     if x.shape[-1] != net.x_dim or e.shape[-1] != net.d:
         raise ShapeError(
             f"inputs {x.shape}, {e.shape} do not match (x width {net.x_dim}, d={net.d})"
         )
     h = concat_cols(x, e)
     for i in range(net.n_layers):
-        h = linear(h, net.store[f"l{i}.W"], net.store[f"l{i}.b"])
+        h = linear(h, w[f"l{i}.W"], w[f"l{i}.b"])
         if i < net.n_layers - 1:
             h = leaky_relu(h)
     return h
 
 
-def fuse(params, e_c: Tensor, e_p: Tensor) -> Tensor:
-    """`fusion.fuse_graph` as a graph."""
+def fuse(params, f: dict[str, Tensor], e_c: Tensor, e_p: Tensor) -> Tensor:
+    """`fusion.fuse_graph` as a graph, with the leaves ``f`` of the
+    fusion layers."""
     if params.variation == "only-class-name":
         return e_c
     if params.variation == "only-chatgpt":
         return e_p
-    s = params.store
-    name_side = linear(e_c, s["W_sigma"], s["b_sigma"])
-    desc_side = linear(e_p, s["W_phi"], s["b_phi"])
+    name_side = linear(e_c, f["W_sigma"], f["b_sigma"])
+    desc_side = linear(e_p, f["W_phi"], f["b_phi"])
     return ad.add(name_side, ad.scale(desc_side, params.alpha))
 
 
-def _weight_penalty(store: ad.ParamStore, first: str, second: str) -> Tensor:
-    """Sum of the squares of two weights; 0 for an empty store."""
-    if not len(store):
+def _weight_penalty(w: dict[str, Tensor], first: str, second: str) -> Tensor:
+    """Sum of the squares of two weights; 0 for an empty dict."""
+    if not w:
         return ad.constant(0.0)
-    return ad.add(sum_sq(store[first]), sum_sq(store[second]))
+    return ad.add(sum_sq(w[first]), sum_sq(w[second]))
 
 
-def embed_loss_graph(model, fusion, z, e_c, e_p) -> Tensor:
-    """The embedding loss as one graph."""
-    z_proj = linear(ad.constant(z), model.store["W_z"], model.store["b_z"])
-    e = fuse(fusion, ad.constant(e_c), ad.constant(e_p))
-    e_proj = linear(e, model.store["W_e"], model.store["b_e"])
+def embed_loss_graph(model, fusion, z, e_c, e_p, w, f) -> Tensor:
+    """The embedding loss as one graph over the model's leaves ``w`` and
+    the fusion layers' leaves ``f``."""
+    z_proj = linear(ad.constant(z), w["W_z"], w["b_z"])
+    e = fuse(fusion, f, ad.constant(e_c), ad.constant(e_p))
+    e_proj = linear(e, w["W_e"], w["b_e"])
     pair_term = ad.scale(sum_sq(sub(z_proj, e_proj)), 1.0 / z.shape[0])
     penalty = ad.add(
-        _weight_penalty(model.store, "W_z", "W_e"),
-        _weight_penalty(fusion.store, "W_sigma", "W_phi"),
+        _weight_penalty(w, "W_z", "W_e"),
+        _weight_penalty(f, "W_sigma", "W_phi"),
     )
     return ad.add(pair_term, ad.scale(penalty, model.lam))
 
 
 def embed_loss(model, fusion, z, e_c, e_p):
     """`embed_zsl.embed_loss` by `backward` through the graph."""
-    loss = embed_loss_graph(model, fusion, z, e_c, e_p)
-    backward(loss, model.store, fusion.store)
-    return loss.item(), dict(model.store.grads), dict(fusion.store.grads)
+    w, f = leaves(model.store), leaves(fusion.store)
+    loss = embed_loss_graph(model, fusion, z, e_c, e_p, w, f)
+    return (loss.item(), *backward(loss, w, f))
 
 
-def cls_loss_batch(classifier, z_hat: Tensor, labels) -> Tensor:
-    """Mean negative log softmax probability of the true classes.
+def cls_loss_batch(classifier, w: dict[str, Tensor], z_hat: Tensor, labels) -> Tensor:
+    """Mean negative log softmax probability of the true classes, with
+    the leaves ``w`` of the classifier's parameters.
 
     ``z_hat`` may be a generator output, in which case the gradient
     flows back into the generator.
     """
     rows = classifier.rows_of(labels)
-    logits = linear(z_hat, classifier.store["W"], classifier.store["b"])
+    logits = linear(z_hat, w["W"], w["b"])
     n, k = logits.shape
     if len(rows) != n:
         raise ContractError(f"{len(rows)} labels for {n} rows")
@@ -285,9 +304,10 @@ def cls_loss_batch(classifier, z_hat: Tensor, labels) -> Tensor:
     return softmax_xent(logits, onehot)
 
 
-def gradient_penalty(disc, z_real, z_fake, e, beta) -> Tensor:
+def gradient_penalty(disc, w, z_real, z_fake, e, beta) -> Tensor:
     """The penalty with the critic's input gradient taken by a backward
-    pass kept differentiable, at a fresh leaf interpolate."""
+    pass kept differentiable, at a fresh leaf interpolate, over the
+    critic's leaves ``w``."""
     z_real = np.atleast_2d(np.asarray(z_real, dtype=np.float64))
     z_fake = np.atleast_2d(np.asarray(z_fake, dtype=np.float64))
     e = np.atleast_2d(np.asarray(e, dtype=np.float64))
@@ -295,42 +315,46 @@ def gradient_penalty(disc, z_real, z_fake, e, beta) -> Tensor:
         np.asarray(beta, dtype=np.float64).reshape(-1, 1), (z_real.shape[0], 1)
     )
     z_tilde = ad.leaf(beta_col * z_real + (1.0 - beta_col) * z_fake)
-    score_sum = ad.sum_all(mlp_forward(disc, z_tilde, ad.constant(e)))
+    score_sum = ad.sum_all(mlp_forward(disc, w, z_tilde, ad.constant(e)))
     (g,) = grad(score_sum, [z_tilde], create_graph=True)
     norms = ad.sqrt(ad.sum_last(ad.square(g)))
     return ad.mean_all(ad.square(ad.shift(norms, -1.0)))
 
 
-def critic_loss_graph(disc, z_real, z_fake, e, beta, eta) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """The critic loss graph with its real and fake scores and penalty."""
-    score_real = ad.mean_all(mlp_forward(disc, ad.constant(z_real), ad.constant(e)))
-    score_fake = ad.mean_all(mlp_forward(disc, ad.constant(z_fake), ad.constant(e)))
-    gp = gradient_penalty(disc, z_real, z_fake, e, beta)
+def critic_loss_graph(disc, w, z_real, z_fake, e, beta, eta) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The critic loss graph over the critic's leaves ``w``, with its real
+    and fake scores and penalty."""
+    score_real = ad.mean_all(mlp_forward(disc, w, ad.constant(z_real), ad.constant(e)))
+    score_fake = ad.mean_all(mlp_forward(disc, w, ad.constant(z_fake), ad.constant(e)))
+    gp = gradient_penalty(disc, w, z_real, z_fake, e, beta)
     loss = ad.add(sub(score_fake, score_real), ad.scale(gp, eta))
     return loss, score_real, score_fake, gp
 
 
 def critic_loss_grads(disc, z_real, z_fake, e, beta, eta):
     """`gen_zsl.critic_loss_grads` by `backward` through the graph."""
-    loss, score_real, score_fake, gp = critic_loss_graph(disc, z_real, z_fake, e, beta, eta)
-    backward(loss, disc.store)
+    w = leaves(disc.store)
+    loss, score_real, score_fake, gp = critic_loss_graph(disc, w, z_real, z_fake, e, beta, eta)
+    (grads,) = backward(loss, w)
     wasserstein = score_real.item() - score_fake.item()
-    return loss.item(), wasserstein, gp.item(), dict(disc.store.grads)
+    return loss.item(), wasserstein, gp.item(), grads
 
 
-def generator_loss_graph(gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight):
-    """The generator loss graph and its cross-entropy term."""
-    e = fuse(fusion, ad.constant(e_c), ad.constant(e_p))
-    fake = mlp_forward(gen, ad.constant(h), e)
-    score = ad.mean_all(mlp_forward(disc, fake, e))
-    cls_term = cls_loss_batch(classifier, fake, labels)
+def generator_loss_graph(gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight, w):
+    """The generator loss graph and its cross-entropy term, over the
+    leaves ``w`` of each network by name: gen, disc, cls and fusion."""
+    e = fuse(fusion, w["fusion"], ad.constant(e_c), ad.constant(e_p))
+    fake = mlp_forward(gen, w["gen"], ad.constant(h), e)
+    score = ad.mean_all(mlp_forward(disc, w["disc"], fake, e))
+    cls_term = cls_loss_batch(classifier, w["cls"], fake, labels)
     return ad.add(ad.neg(score), ad.scale(cls_term, cls_weight)), cls_term
 
 
 def generator_loss_grads(gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight):
     """`gen_zsl.generator_loss_grads` by `backward` through the graph."""
+    nets = {"gen": gen, "disc": disc, "cls": classifier, "fusion": fusion}
+    w = {key: leaves(net.store) for key, net in nets.items()}
     loss, cls_term = generator_loss_graph(
-        gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight
+        gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight, w
     )
-    backward(loss, gen.store, fusion.store)
-    return loss.item(), cls_term.item(), dict(gen.store.grads), dict(fusion.store.grads)
+    return (loss.item(), cls_term.item(), *backward(loss, w["gen"], w["fusion"]))

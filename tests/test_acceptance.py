@@ -180,18 +180,15 @@ def test_criterion_3_analytic_gradient_penalty():
     for norm, expected in ((0.0, 1.0), (1.0, 0.0), (3.0, 4.0)):
         weights = np.zeros((1, m + d))
         weights[0, 0] = norm
-        store = ad.ParamStore()
-        store.add("l0.W", weights)
-        store.add("l0.b", np.zeros(1))
-        critic = Mlp(store, [m + d, 1], d)
-        gp = gradient_penalty(
+        critic = Mlp({"l0.W": weights, "l0.b": np.zeros(1)}, [m + d, 1], d)
+        gp, _ = gradient_penalty(
             critic,
             rng.normal(size=(5, m)),
             rng.normal(size=(5, m)),
             rng.normal(size=(5, d)),
             rng.uniform(size=5),
         )
-        assert abs(gp.item() - expected) < 1e-9, f"||w||={norm}"
+        assert abs(gp - expected) < 1e-9, f"||w||={norm}"
     report("criterion 3 (analytic gradient penalty)", True, "penalties {1, 0, 4} exact")
 
 

@@ -278,6 +278,39 @@ def test_compare_refuses_reports_of_different_averaging(tmp_path, capsys):
     assert "blocks of averaging ['macro', 'micro']" in capsys.readouterr().err
 
 
+def test_compare_refuses_two_reports_of_one_variation(tmp_path, capsys):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    paths = []
+    for name, variation, acc in (("a", "ours", 50.0), ("b", "ours", 70.0),
+                                 ("c", "only-chatgpt", 60.0)):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_report_csv(paths[-1], [EvalReport(variation, "zsl", acc=acc)])
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--reports", *paths, "--out", str(out)]) == 2
+    assert "variation 'ours' appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("variation,mode,acc,acc_s,acc_u,hm,borda\nours,zsl,50.0,,,,\n",
+         "bad.csv:2: missing column 'averaging'"),
+        ("variation,mode,averaging,acc,acc_s,acc_u,hm,borda\nours,zsl,macro,fifty,,,,\n",
+         "bad.csv:2: column 'acc': could not convert string to float: 'fifty'"),
+    ],
+)
+def test_compare_names_the_line_and_column_of_a_malformed_report(tmp_path, capsys, text, message):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    good = tmp_path / "good.csv"
+    write_report_csv(good, [EvalReport("only-chatgpt", "zsl", acc=60.0)])
+    (tmp_path / "bad.csv").write_text(text)
+    assert main(["compare", "--reports", str(good), str(tmp_path / "bad.csv")]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_alpha_row_count(demo_dir, tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg", demo_dir, tmp_path / "sweep", epochs="25"
@@ -558,6 +591,20 @@ def test_synthesize_needs_no_test_features(demo_dir, gen_run):
                          noise_dim="4", synth_per_class="10", split=split)
     assert main(["synthesize", "--config", str(cfg_b), "--out", str(root / "b.csv")]) == 0
     assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
+
+
+def test_synthesize_refuses_a_per_class_below_one(gen_run, tmp_path, capsys):
+    root, cfg = gen_run
+    out = tmp_path / "synth.csv"
+    for per_class in ("0", "-3"):
+        argv = ["synthesize", "--config", str(cfg), "--per-class", per_class]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"--per-class {per_class} is below its minimum 1" in capsys.readouterr().err
+    assert not out.exists()
+    # refused before the config, any input or the checkpoint is read
+    argv = ["synthesize", "--config", str(tmp_path / "missing.cfg"), "--per-class", "0"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "--per-class 0 is below its minimum 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["embed", "gen"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfuse import autodiff as ad
 from semfuse import embed_zsl
 from semfuse.datasets import RunConfig, SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import (
@@ -20,17 +19,13 @@ from semfuse.evaluation import evaluate_run
 from semfuse.fusion import VARIATIONS, ClassSemantics, FusionParams, init_fusion
 
 import graph_oracle as go
-from conftest import keep_classes
+from conftest import keep_classes, record_applied_gradients
 
 
 def fixed_model(w_z, w_e, lam=0.0) -> EmbedModel:
     w_z = np.asarray(w_z, dtype=np.float64)
     w_e = np.asarray(w_e, dtype=np.float64)
-    store = ad.ParamStore()
-    store.add("W_z", w_z)
-    store.add("b_z", np.zeros(w_z.shape[0]))
-    store.add("W_e", w_e)
-    store.add("b_e", np.zeros(w_e.shape[0]))
+    store = {"W_z": w_z, "b_z": np.zeros(w_z.shape[0]), "W_e": w_e, "b_e": np.zeros(w_e.shape[0])}
     return EmbedModel(store, w_z.shape[0], w_z.shape[1], w_e.shape[1], lam)
 
 
@@ -66,12 +61,8 @@ def test_loss_weight_penalty_hand_value():
     # all-ones 2x2 weights in both branches, zero fusion weights: the
     # penalty term is lam * 8 on top of the pair term
     model = fixed_model(np.ones((2, 2)), np.ones((2, 2)), lam=0.01)
-    store = ad.ParamStore()
-    store.add("W_sigma", np.zeros((2, 2)))
-    store.add("b_sigma", np.zeros(2))
-    store.add("W_phi", np.zeros((2, 2)))
-    store.add("b_phi", np.zeros(2))
-    fusion = FusionParams(store, 0.5, 2)
+    names = ("W_sigma", "b_sigma", "W_phi", "b_phi")
+    fusion = FusionParams({n: np.zeros((2, 2) if n[0] == "W" else 2) for n in names}, 0.5, 2)
     z = np.array([1.0, 1.0])
     batch = batch_arrays((z, np.ones(2), np.ones(2)))
     # zero fusion maps give e = 0, so the pair term is ||W_z z||^2
@@ -138,14 +129,16 @@ def test_loss_non_increasing_over_50_epoch_windows():
     assert all(history[i] <= history[i - 50] for i in range(50, len(history)))
 
 
-def test_zero_epochs_returns_initialized_parameters():
+def test_zero_epochs_returns_initialized_parameters(monkeypatch):
     train, _, semantics = smoke_data()
     cfg = RunConfig(lr=0.01, epochs=0, lam=1e-3, alpha=0.5, seed=9)
+    applied = record_applied_gradients(monkeypatch)
     run = train_embed(train, semantics, cfg)
     fresh = init_embed_model(q=semantics.d, m=train.m, d=semantics.d, lam=1e-3, seed=0)
     assert run.loss_history == []
     # same shapes, untouched by any update step: gradients never computed
-    assert run.model.store.grads == {}
+    assert [w.shape for w in run.model.store.values()] == [w.shape for w in fresh.store.values()]
+    assert applied == {}
     assert run.fusion is not None
 
 
@@ -155,10 +148,10 @@ def test_training_is_deterministic():
     a = train_embed(train, semantics, cfg)
     b = train_embed(train, semantics, cfg)
     assert a.loss_history == b.loss_history
-    for name, t in a.model.store.items():
-        assert np.array_equal(t.data, b.model.store[name].data)
-    for name, t in a.fusion.store.items():
-        assert np.array_equal(t.data, b.fusion.store[name].data)
+    for name, w in a.model.store.items():
+        assert np.array_equal(w, b.model.store[name])
+    for name, w in a.fusion.store.items():
+        assert np.array_equal(w, b.fusion.store[name])
 
 
 @pytest.mark.parametrize("optimizer,lam", [("adam", 0.0), ("sgd", 1e-3), ("adam", 1e-3)])
@@ -168,16 +161,17 @@ def test_training_matches_the_graph_oracle_bit_for_bit(monkeypatch, variation, o
     train, _, semantics = smoke_data()
     cfg = RunConfig(lr=0.05, epochs=3, lam=lam, alpha=0.7, seed=4, batch_size=12,
                     variation=variation, optimizer=optimizer)
+    applied = record_applied_gradients(monkeypatch)
     run = train_embed(train, semantics, cfg)
     monkeypatch.setattr(embed_zsl, "embed_loss", go.embed_loss)
     ref = train_embed(train, semantics, cfg)
     assert run.loss_history == ref.loss_history
     for got, want in ((run.model.store, ref.model.store), (run.fusion.store, ref.fusion.store)):
-        assert got.names() == want.names()
-        for name, t in got.items():
-            assert t.data.tobytes() == want[name].data.tobytes(), name
-            assert got.grads[name].tobytes() == want.grads[name].tobytes(), name
-            assert got.grads[name].flags.c_contiguous, name
+        assert list(got) == list(want)
+        got_grads, want_grads = applied[id(got)], applied[id(want)]
+        for name, w in got.items():
+            assert w.tobytes() == want[name].tobytes(), name
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
 def test_training_rejects_unseen_features():

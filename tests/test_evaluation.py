@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse.datasets import FeatureSet
-from semfuse.errors import ContractError, ManifestError
+from semfuse.errors import ContractError, FormatError, ManifestError
 from semfuse.evaluation import (
     EvalReport,
     borda_count,
@@ -118,6 +118,13 @@ def test_borda_rejects_inconsistent_metric_sets():
         borda_count({"a": {"acc": 1.0}, "b": {"acc": 1.0, "hm": 2.0}})
 
 
+def test_borda_refuses_a_list_that_repeats_a_variation():
+    reports = [EvalReport("ours", "zsl", acc=50.0), EvalReport("ours", "zsl", acc=70.0),
+               EvalReport("only-chatgpt", "zsl", acc=60.0)]
+    with pytest.raises(ContractError, match=r"^variation 'ours' appears more than once$"):
+        borda_count(reports)
+
+
 def test_borda_needs_two_variations():
     with pytest.raises(ContractError):
         borda_count({"a": {"acc": 1.0}})
@@ -227,6 +234,14 @@ def test_report_csv_round_trip(tmp_path):
     assert back[0].borda == 3
     assert back[1].acc == pytest.approx(45.5)
     assert back[1].hm is None
+
+
+def test_report_csv_refuses_a_borda_that_is_not_an_integer(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report_csv(path, [EvalReport("ours", "zsl", acc=45.5)])
+    path.write_text(path.read_text() + "only-chatgpt,zsl,macro,40.0,,,,1.5\n")
+    with pytest.raises(FormatError, match=r"report.csv:3: column 'borda': invalid literal for int"):
+        read_report_csv(path)
 
 
 def test_format_report_table_shape():

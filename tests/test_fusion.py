@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfuse import autodiff as ad
 from semfuse.errors import ContractError, FormatError, ManifestError, ShapeError
 from semfuse.fusion import (
     ClassSemantics,
@@ -21,11 +20,7 @@ import graph_oracle as go
 
 
 def identity_fusion(d: int, alpha: float) -> FusionParams:
-    store = ad.ParamStore()
-    store.add("W_sigma", np.eye(d))
-    store.add("b_sigma", np.zeros(d))
-    store.add("W_phi", np.eye(d))
-    store.add("b_phi", np.zeros(d))
+    store = {"W_sigma": np.eye(d), "b_sigma": np.zeros(d), "W_phi": np.eye(d), "b_phi": np.zeros(d)}
     return FusionParams(store, alpha, d)
 
 
@@ -48,11 +43,12 @@ def test_alpha_one_is_plain_sum():
 
 
 def test_hand_computed_matrix_case():
-    store = ad.ParamStore()
-    store.add("W_sigma", np.array([[1.0, 0.0], [0.0, 2.0]]))
-    store.add("b_sigma", np.zeros(2))
-    store.add("W_phi", np.eye(2))
-    store.add("b_phi", np.zeros(2))
+    store = {
+        "W_sigma": np.array([[1.0, 0.0], [0.0, 2.0]]),
+        "b_sigma": np.zeros(2),
+        "W_phi": np.eye(2),
+        "b_phi": np.zeros(2),
+    }
     params = FusionParams(store, 0.5, 2)
     out = fuse(params, np.array([1.0, 1.0]), np.array([2.0, 0.0]))
     assert np.allclose(out, [2.0, 2.0])
@@ -68,17 +64,17 @@ def test_init_is_deterministic_in_seed():
     a = init_fusion(8, seed=42, alpha=0.5)
     b = init_fusion(8, seed=42, alpha=0.5)
     c = init_fusion(8, seed=43, alpha=0.5)
-    assert np.array_equal(a.store["W_sigma"].data, b.store["W_sigma"].data)
-    assert np.array_equal(a.store["W_phi"].data, b.store["W_phi"].data)
-    assert not np.array_equal(a.store["W_sigma"].data, c.store["W_sigma"].data)
+    assert np.array_equal(a.store["W_sigma"], b.store["W_sigma"])
+    assert np.array_equal(a.store["W_phi"], b.store["W_phi"])
+    assert not np.array_equal(a.store["W_sigma"], c.store["W_sigma"])
 
 
 def test_init_weight_bound_at_d_300():
     params = init_fusion(300, seed=0, alpha=0.5)
     bound = np.sqrt(6.0 / 600.0)
-    assert np.abs(params.store["W_sigma"].data).max() <= bound
-    assert np.abs(params.store["W_phi"].data).max() <= bound
-    assert np.array_equal(params.store["b_sigma"].data, np.zeros(300))
+    assert np.abs(params.store["W_sigma"]).max() <= bound
+    assert np.abs(params.store["W_phi"]).max() <= bound
+    assert np.array_equal(params.store["b_sigma"], np.zeros(300))
 
 
 def test_alpha_outside_unit_interval_rejected():
@@ -178,7 +174,7 @@ def test_fixed_variations_have_no_layers_to_train():
         fixed = init_fusion(4, seed=0, alpha=0.5, variation=variation)
         assert len(fixed.store) == 0
         assert fusion_grads(fixed, np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 4))) == {}
-    assert init_fusion(4, seed=0, alpha=0.5).store.names() == [
+    assert list(init_fusion(4, seed=0, alpha=0.5).store) == [
         "W_sigma", "b_sigma", "W_phi", "b_phi"
     ]
 

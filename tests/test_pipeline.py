@@ -61,9 +61,9 @@ def reference_stores(cfg, train_set, semantics):
 
 def store_bytes(stores):
     return [
-        (group, name, t.data.shape, t.data.tobytes())
-        for group, store in stores.items()
-        for name, t in store.items()
+        (group, name, w.shape, w.tobytes())
+        for group, params in stores.items()
+        for name, w in params.items()
     ]
 
 
