@@ -282,14 +282,11 @@ def cmd_synthesize(args) -> int:
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
     trained, _ = _restore(config, semantics.d)
-    gen, fusion = trained.model, trained.fusion
     per_class = config.synth_per_class if args.per_class is None else args.per_class
-    synth = synthesize_set(
-        gen, fusion, semantics, split.unseen_ids, per_class, config.seed, split.class_table
-    )
+    synth = synthesize_set(trained.model, trained.fusion, semantics, split, per_class, config.seed)
     names = [split.class_table[int(c)] for c in synth.labels]
     write_features_csv(args.out, names, synth.features)
-    print(f"wrote {synth.n} synthetic rows for {len(synth.unseen_ids)} classes to {args.out}")
+    print(f"wrote {synth.n} synthetic rows for {synth.n // per_class} classes to {args.out}")
     return EXIT_OK
 
 
@@ -330,30 +327,35 @@ def cmd_compare(args) -> int:
         block.borda = points[block.variation]
     print(format_report_table(blocks))
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_report_csv(args.out, blocks)
         print(f"comparison written to {args.out}")
     return EXIT_OK
 
 
 def cmd_sweep_alpha(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError as exc:
         raise ConfigError(f"--alphas: {exc}") from None
     if not alphas:
         raise ContractError("alpha sweep set is empty")
+    labels = [f"{alpha:g}" for alpha in alphas]  # each run's directory and report label
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"--alphas: more than one alpha runs as alpha={label}")
+    config = _apply_overrides(load_run_config(args.config), args)
     modes = _parse_modes(args.modes)
     # the runs differ only in an alpha from the set, so one check covers all
     config = replace(config, variation="ours", alpha=alphas[0], alpha_set=tuple(alphas))
     config.validate()
     reports: list[EvalReport] = []
     base_out = Path(config.out_dir)
-    for alpha in alphas:
-        run_config = replace(config, alpha=alpha, out_dir=base_out / f"alpha_{alpha:g}")
+    for alpha, label in zip(alphas, labels):
+        run_config = replace(config, alpha=alpha, out_dir=base_out / f"alpha_{label}")
         run_train(run_config)
         for report in run_eval(run_config, modes):
-            report.variation = f"alpha={alpha:g}"
+            report.variation = f"alpha={label}"
             reports.append(report)
     out = args.out or base_out / "alpha_sweep.csv"
     Path(out).parent.mkdir(parents=True, exist_ok=True)

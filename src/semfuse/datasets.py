@@ -27,13 +27,12 @@ _BINARY_MAGIC = b"FSET"
 
 @dataclass
 class FeatureSet:
-    """Feature matrix with labels and per-class seen/unseen roles."""
+    """Feature matrix with labels; ``split`` owns every class's id, name
+    and seen/unseen role."""
 
     features: np.ndarray  # (n, m)
-    labels: np.ndarray  # (n,) int class ids
-    class_table: dict[int, str]
-    seen_ids: frozenset[int]
-    unseen_ids: frozenset[int]
+    labels: np.ndarray  # (n,) int class ids of ``split``
+    split: SplitSpec
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -42,15 +41,10 @@ class FeatureSet:
             raise ContractError(
                 f"features {self.features.shape} do not match labels {self.labels.shape}"
             )
-        self.seen_ids = frozenset(self.seen_ids)
-        self.unseen_ids = frozenset(self.unseen_ids)
-        check_split_discipline(self.seen_ids, self.unseen_ids)
-        known = self.seen_ids | self.unseen_ids
-        for cid in np.unique(self.labels):
-            if int(cid) not in self.class_table:
-                raise ManifestError(f"label id {cid} missing from class table")
-            if int(cid) not in known:
-                raise ManifestError(f"label id {cid} has no seen/unseen role")
+        total = len(self.split.seen) + len(self.split.unseen)
+        outside = self.labels[(self.labels < 0) | (self.labels >= total)]
+        if outside.size:
+            raise ManifestError(f"label id {outside.min()} missing from class table")
 
     @property
     def n(self) -> int:
@@ -60,33 +54,29 @@ class FeatureSet:
     def m(self) -> int:
         return self.features.shape[1]
 
+    def take(self, rows) -> "FeatureSet":
+        """The rows ``rows`` selects (indices or a boolean mask), under
+        the same split."""
+        return FeatureSet(self.features[rows], self.labels[rows], self.split)
+
     def rows_for(self, class_ids) -> "FeatureSet":
         """Subset containing only rows whose label is in ``class_ids``."""
-        wanted = np.isin(self.labels, list(class_ids))
-        return FeatureSet(
-            self.features[wanted],
-            self.labels[wanted],
-            self.class_table,
-            self.seen_ids,
-            self.unseen_ids,
-        )
+        return self.take(np.isin(self.labels, list(class_ids)))
 
 
-def check_split_discipline(seen_ids, unseen_ids) -> None:
-    """Raise unless the seen and unseen id sets are disjoint."""
-    overlap = set(seen_ids) & set(unseen_ids)
-    if overlap:
-        raise SplitViolationError(f"classes {sorted(overlap)} are both seen and unseen")
+def require_seen_only(data: FeatureSet, role: str) -> None:
+    """Raise unless ``data`` holds seen classes only; ``role`` names the
+    features in the error."""
+    outside = np.unique(data.labels[data.labels >= len(data.split.seen)])
+    if outside.size:
+        raise ManifestError(f"{role} contain non-seen classes {outside.tolist()}")
 
 
 def training_semantics(data: FeatureSet, semantics: ClassSemantics, role: str) -> np.ndarray:
     """Each sample's row in ``semantics``, after checking that training
     features hold seen classes only; ``role`` names the features in the
     error."""
-    present = set(int(c) for c in np.unique(data.labels))
-    outside = present - set(data.seen_ids)
-    if outside:
-        raise ManifestError(f"{role} contain non-seen classes {sorted(outside)}")
+    require_seen_only(data, role)
     return semantics.rows(data.labels)
 
 
@@ -334,13 +324,7 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
                 f"{split.dataset!r}"
             )
         labels.append(ids[name])
-    return FeatureSet(
-        matrix,
-        np.array(labels, dtype=np.int64),
-        split.class_table,
-        split.seen_ids,
-        split.unseen_ids,
-    )
+    return FeatureSet(matrix, np.array(labels, dtype=np.int64), split)
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -474,14 +458,8 @@ def synth_dataset(config: SynthConfig) -> tuple[FeatureSet, ClassSemantics]:
     noise = config.sigma_z * rng.normal(size=(n, config.m))
     features = latents[labels] @ mixing.T + noise
 
-    fs = FeatureSet(
-        features,
-        labels,
-        dict(enumerate(names)),
-        frozenset(range(config.seen)),
-        frozenset(range(config.seen, total)),
-    )
-    return fs, ClassSemantics(np.arange(total), names, e_c, e_p)
+    split = SplitSpec("synthetic", names[: config.seen], names[config.seen :])
+    return FeatureSet(features, labels, split), ClassSemantics(np.arange(total), names, e_c, e_p)
 
 
 def split_for_eval(
@@ -497,20 +475,11 @@ def split_for_eval(
         raise ContractError("train_fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     train_mask = np.zeros(data.n, dtype=bool)
-    for cid in sorted(data.seen_ids):
+    for cid in range(len(data.split.seen)):
         rows = np.flatnonzero(data.labels == cid)
         if rows.size < 2:
             raise ContractError(f"class {cid} has too few rows to split")
         rng.shuffle(rows)
         take = min(max(1, int(round(train_fraction * rows.size))), rows.size - 1)
         train_mask[rows[:take]] = True
-    def subset(mask):
-        return FeatureSet(
-            data.features[mask],
-            data.labels[mask],
-            data.class_table,
-            data.seen_ids,
-            data.unseen_ids,
-        )
-
-    return subset(train_mask), subset(~train_mask)
+    return data.take(train_mask), data.take(~train_mask)

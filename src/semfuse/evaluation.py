@@ -36,9 +36,9 @@ class EvalReport:
     borda: int | None = None
 
     def __post_init__(self) -> None:
-        for value in (self.acc, self.acc_s, self.acc_u, self.hm):
-            if value is not None and not 0.0 <= value <= 100.0:
-                raise ContractError(f"accuracy {value} outside [0, 100]")
+        for name, value in self.metrics().items():
+            if not 0.0 <= value <= 100.0:
+                raise ContractError(f"{name} {value} outside [0, 100]")
         if (self.hm is not None) != (self.acc_s is not None and self.acc_u is not None):
             raise ContractError("hm must be present exactly when acc_s and acc_u are")
 
@@ -172,30 +172,31 @@ def evaluate_run(
         raise ContractError(f"unknown mode {mode!r}")
     averaging = "micro" if micro else "macro"
 
+    seen, unseen = test_set.split.seen_ids, test_set.split.unseen_ids
     if mode == "zsl":
-        candidates = _candidates(semantic_ids, test_set.unseen_ids, test_set)
-        subset = test_set.rows_for(test_set.unseen_ids)
+        candidates = _candidates(semantic_ids, unseen, test_set)
+        subset = test_set.rows_for(unseen)
         if subset.n == 0:
             raise ManifestError("no unseen-class samples in the test set")
         preds = predict(subset.features, candidates)
-        acc = per_class_top1(preds, subset.labels, test_set.unseen_ids, micro)
+        acc = per_class_top1(preds, subset.labels, unseen, micro)
         return EvalReport(variation, mode, averaging, acc=acc)
 
-    candidates = _candidates(semantic_ids, test_set.seen_ids | test_set.unseen_ids, test_set)
-    seen_rows = test_set.rows_for(test_set.seen_ids)
-    unseen_rows = test_set.rows_for(test_set.unseen_ids)
+    candidates = _candidates(semantic_ids, seen | unseen, test_set)
+    seen_rows = test_set.rows_for(seen)
+    unseen_rows = test_set.rows_for(unseen)
     if seen_rows.n == 0 or unseen_rows.n == 0:
         raise ManifestError("gzsl test set needs both seen and unseen samples")
     acc_s = per_class_top1(
         predict(seen_rows.features, candidates),
         seen_rows.labels,
-        test_set.seen_ids,
+        seen,
         micro,
     )
     acc_u = per_class_top1(
         predict(unseen_rows.features, candidates),
         unseen_rows.labels,
-        test_set.unseen_ids,
+        unseen,
         micro,
     )
     return EvalReport(
@@ -245,9 +246,9 @@ def write_report_csv(path, reports: list[EvalReport]) -> None:
 
 
 def read_report_csv(path) -> list[EvalReport]:
-    """Rows written by `write_report_csv`; a missing column or a value
-    that does not parse is a FormatError naming ``path:line`` and the
-    column."""
+    """Rows written by `write_report_csv`; a missing column, a value
+    that does not parse or a row `EvalReport` refuses is a FormatError
+    naming ``path:line`` and the column."""
     reports = []
     with Path(path).open(encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -262,7 +263,10 @@ def read_report_csv(path) -> list[EvalReport]:
                     fields[name] = parse(value) if value or parse is str else None
                 except ValueError as exc:
                     raise FormatError(f"{where}: column {name!r}: {exc}") from None
-            reports.append(EvalReport(**fields))
+            try:
+                reports.append(EvalReport(**fields))
+            except ContractError as exc:
+                raise FormatError(f"{where}: {exc}") from None
     return reports
 
 

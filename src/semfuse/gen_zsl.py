@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, RunConfig, training_semantics
+from .datasets import FeatureSet, RunConfig, SplitSpec, require_seen_only, training_semantics
 from .errors import ContractError, ManifestError, ShapeError
 from .fusion import ClassSemantics, FusionParams, init_fusion, resolve_semantics
 from .fusion import fuse_graph, fusion_grads
@@ -247,10 +247,8 @@ def _train_softmax(
 
 def pretrain_classifier(seen_data: FeatureSet, cfg: RunConfig) -> SoftmaxClassifier:
     """Train the frozen regularizer classifier on real seen features."""
+    require_seen_only(seen_data, "pretraining features")
     present = sorted(int(c) for c in np.unique(seen_data.labels))
-    outside = set(present) - set(seen_data.seen_ids)
-    if outside:
-        raise ManifestError(f"pretraining features contain non-seen classes {sorted(outside)}")
     if len(present) < 2:
         raise ContractError("need at least 2 classes to pretrain the classifier")
     return _train_softmax(seen_data.features, seen_data.labels, present, cfg)
@@ -442,15 +440,14 @@ def synthesize_set(
     gen: Mlp,
     fusion: FusionParams,
     semantics: ClassSemantics,
-    unseen_ids,
+    split: SplitSpec,
     per_class: int,
     seed: int,
-    class_table: dict[int, str],
 ) -> FeatureSet:
-    """Synthetic feature set for the classes of ``unseen_ids`` that have
-    semantics, one block per class in id order, conditioned on their
-    semantics under ``fusion``."""
-    unseen = np.isin(semantics.ids, list(unseen_ids))
+    """Synthetic feature set for the unseen classes of ``split`` that
+    have semantics, one block per class in id order, conditioned on
+    their semantics under ``fusion``."""
+    unseen = np.isin(semantics.ids, list(split.unseen_ids))
     if not unseen.any():
         raise ContractError("no classes to synthesize")
     ids, fused = semantics.ids[unseen], resolve_semantics(semantics, fusion)[unseen]
@@ -458,10 +455,4 @@ def synthesize_set(
     for cid, e in zip(ids.tolist(), fused):
         class_seed = int(np.random.SeedSequence([seed, cid]).generate_state(1)[0])
         blocks.append(synthesize(gen, e, per_class, class_seed))
-    return FeatureSet(
-        np.vstack(blocks),
-        np.repeat(ids, per_class),
-        class_table,
-        frozenset(),
-        frozenset(ids.tolist()),
-    )
+    return FeatureSet(np.vstack(blocks), np.repeat(ids, per_class), split)

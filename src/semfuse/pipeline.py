@@ -123,13 +123,7 @@ def evaluate(
     if "gzsl" in modes and seen_set is None:
         raise ContractError("generative gzsl needs the real seen-class features")
     synth = synthesize_set(
-        trained.model,
-        trained.fusion,
-        semantics,
-        test_set.unseen_ids,
-        cfg.synth_per_class,
-        cfg.seed,
-        test_set.class_table,
+        trained.model, trained.fusion, semantics, test_set.split, cfg.synth_per_class, cfg.seed
     )
     reports = []
     for mode in modes:

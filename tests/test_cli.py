@@ -299,6 +299,8 @@ def test_compare_refuses_two_reports_of_one_variation(tmp_path, capsys):
          "bad.csv:2: missing column 'averaging'"),
         ("variation,mode,averaging,acc,acc_s,acc_u,hm,borda\nours,zsl,macro,fifty,,,,\n",
          "bad.csv:2: column 'acc': could not convert string to float: 'fifty'"),
+        ("variation,mode,averaging,acc,acc_s,acc_u,hm,borda\nours,zsl,macro,150,,,,\n",
+         "bad.csv:2: acc 150.0 outside [0, 100]"),
     ],
 )
 def test_compare_names_the_line_and_column_of_a_malformed_report(tmp_path, capsys, text, message):
@@ -309,6 +311,27 @@ def test_compare_names_the_line_and_column_of_a_malformed_report(tmp_path, capsy
     (tmp_path / "bad.csv").write_text(text)
     assert main(["compare", "--reports", str(good), str(tmp_path / "bad.csv")]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_compare_out_creates_its_directory(tmp_path, capsys):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    paths = []
+    for variation, acc in (("ours", 50.0), ("only-chatgpt", 60.0)):
+        paths.append(str(tmp_path / f"{variation}.csv"))
+        write_report_csv(paths[-1], [EvalReport(variation, "zsl", acc=acc)])
+    out = tmp_path / "new" / "dir" / "compare.csv"
+    assert main(["compare", "--reports", *paths, "--out", str(out)]) == 0
+    assert [r.borda for r in read_report_csv(out)] == [0, 1]
+
+
+@pytest.mark.parametrize("alphas,label", [("0.5,0.5", "alpha=0.5"),
+                                          ("0.3,0.1,0.1000001", "alpha=0.1")])
+def test_sweep_alpha_refuses_alphas_sharing_a_label(tmp_path, capsys, alphas, label):
+    # the config is never read: the check comes before any input
+    cfg = tmp_path / "missing.cfg"
+    assert main(["sweep-alpha", "--config", str(cfg), "--alphas", alphas]) == 2
+    assert f"more than one alpha runs as {label}" in capsys.readouterr().err
 
 
 def test_sweep_alpha_row_count(demo_dir, tmp_path):

@@ -179,16 +179,36 @@ def test_truncated_binary_is_format_error(tmp_path, split):
         load_features(path, split)
 
 
-def test_feature_set_rejects_role_overlap():
-    with pytest.raises(SplitViolationError):
-        FeatureSet(
-            np.ones((1, 2)), [0], {0: "a", 1: "b"}, seen_ids={0, 1}, unseen_ids={1}
-        )
-
-
 def test_feature_set_rejects_unknown_label():
-    with pytest.raises(ManifestError):
-        FeatureSet(np.ones((1, 2)), [7], {0: "a"}, seen_ids={0}, unseen_ids=set())
+    split = SplitSpec("toy", ["a", "b"], ["c"])
+    for labels, first in (([7], 7), ([0, 3, -1], -1)):
+        with pytest.raises(ManifestError, match=rf"^label id {first} missing from class table$"):
+            FeatureSet(np.ones((len(labels), 2)), labels, split)
+
+
+def test_every_subset_shares_its_source_split(split, tmp_path):
+    from semfuse.fusion import ClassSemantics, init_fusion
+    from semfuse.gen_zsl import init_generator, synthesize_set
+
+    path = tmp_path / "feats.csv"
+    names = ["bed", "chair", "sofa", "table"] * 2
+    write_features_csv(path, names, np.arange(16.0).reshape(8, 2))
+    fs = load_features(path, split)
+    e = np.eye(4)[:, :3]
+    semantics = ClassSemantics(np.arange(4), split.seen + split.unseen, e, e)
+    gen = init_generator(m=2, d=3, noise_dim=2, seed=0)
+    fusion = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
+    subsets = [
+        fs,
+        fs.take([0, 5]),
+        fs.take(fs.labels == 1),
+        fs.rows_for({2, 3}),
+        *split_for_eval(fs, seed=0),
+        synthesize_set(gen, fusion, semantics, split, per_class=3, seed=0),
+    ]
+    assert all(s.split is split for s in subsets)
+    assert subsets[1].labels.tolist() == [0, 1]
+    assert subsets[2].features.tolist() == [[2.0, 3.0], [10.0, 11.0]]
 
 
 def test_synth_dataset_is_deterministic():
@@ -216,8 +236,8 @@ def test_synth_nearest_class_mean_oracle_beats_95_percent():
     fs, _ = synth_dataset(cfg)
     train, test = split_for_eval(fs, seed=5)
     # class means from ALL rows (oracle may peek; it only checks separability)
-    means = {c: fs.features[fs.labels == c].mean(axis=0) for c in fs.unseen_ids}
-    unseen_test = test.rows_for(fs.unseen_ids)
+    means = {c: fs.features[fs.labels == c].mean(axis=0) for c in fs.split.unseen_ids}
+    unseen_test = test.rows_for(fs.split.unseen_ids)
     correct = 0
     for row, label in zip(unseen_test.features, unseen_test.labels):
         best = min(means, key=lambda c: float(((row - means[c]) ** 2).sum()))
@@ -248,6 +268,6 @@ def test_split_for_eval_partitions_and_keeps_roles():
     cfg = SynthConfig(seen=3, unseen=2, m=4, d=3, per_class=10, seed=1)
     fs, _ = synth_dataset(cfg)
     train, test = split_for_eval(fs, seed=1, train_fraction=0.5)
-    assert set(np.unique(train.labels)) <= set(fs.seen_ids)
-    assert set(np.unique(test.labels)) == set(fs.seen_ids) | set(fs.unseen_ids)
+    assert set(np.unique(train.labels)) <= fs.split.seen_ids
+    assert set(np.unique(test.labels)) == fs.split.seen_ids | fs.split.unseen_ids
     assert train.n + test.n == fs.n

@@ -177,7 +177,9 @@ def test_training_matches_the_graph_oracle_bit_for_bit(monkeypatch, variation, o
 def test_training_rejects_unseen_features():
     _, test, semantics = smoke_data()
     cfg = RunConfig(epochs=1)
-    with pytest.raises(ManifestError):
+    with pytest.raises(
+        ManifestError, match=r"^training features contain non-seen classes \[5, 6\]$"
+    ):
         train_embed(test, semantics, cfg)  # test rows include unseen classes
 
 

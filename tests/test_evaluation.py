@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfuse.datasets import FeatureSet
+from semfuse.datasets import FeatureSet, SplitSpec
 from semfuse.errors import ContractError, FormatError, ManifestError
 from semfuse.evaluation import (
     EvalReport,
@@ -148,9 +148,7 @@ def stub(mapping):
 def eval_fixture():
     features = np.vstack([np.full((4, 2), float(c)) for c in range(4)])
     labels = np.repeat([0, 1, 2, 3], 4)
-    fs = FeatureSet(
-        features, labels, {c: f"c{c}" for c in range(4)}, {0, 1}, {2, 3}
-    )
+    fs = FeatureSet(features, labels, SplitSpec("toy", ["c0", "c1"], ["c2", "c3"]))
     return fs, np.arange(4)
 
 
@@ -191,7 +189,7 @@ def test_evaluate_run_matches_prediction_log_retally():
     # re-tally from an explicit prediction log with a fresh rng stream
     rng = np.random.default_rng(3)
     log = []
-    for subset_ids in (fs.seen_ids, fs.unseen_ids):
+    for subset_ids in (fs.split.seen_ids, fs.split.unseen_ids):
         rows = fs.rows_for(subset_ids)
         preds = noisy(rows.features, semantic_ids)
         log.append((preds, rows.labels, subset_ids))

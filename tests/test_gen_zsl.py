@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
 from semfuse import gen_zsl
-from semfuse.datasets import FeatureSet, RunConfig, SynthConfig, synth_dataset
+from semfuse.datasets import FeatureSet, RunConfig, SplitSpec, SynthConfig, synth_dataset
 from semfuse.errors import ContractError, ManifestError, ShapeError
 from semfuse.fusion import VARIATIONS, ClassSemantics, init_fusion
 from semfuse.gen_zsl import (
@@ -228,13 +228,12 @@ def toy_classifier_data():
     return features, labels
 
 
+TOY_SPLIT = SplitSpec("toy", ["a", "b"], ["c"])
+
+
 def test_final_classifier_separable_toy_reaches_full_train_accuracy():
     features, labels = toy_classifier_data()
-    from semfuse.datasets import FeatureSet
-
-    synth = FeatureSet(
-        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
-    )
+    synth = FeatureSet(features, labels, TOY_SPLIT)
     clf = train_final_classifier(
         None, synth, RunConfig(classifier_lr=0.05, classifier_epochs=120, seed=0)
     )
@@ -243,32 +242,21 @@ def test_final_classifier_separable_toy_reaches_full_train_accuracy():
 
 
 def test_final_classifier_rejects_single_class():
-    from semfuse.datasets import FeatureSet
-
-    synth = FeatureSet(
-        np.ones((4, 2)), [1, 1, 1, 1], {1: "a"}, frozenset(), frozenset({1})
-    )
+    synth = FeatureSet(np.ones((4, 2)), [1, 1, 1, 1], TOY_SPLIT)
     with pytest.raises(ContractError):
         train_final_classifier(None, synth, RunConfig(classifier_epochs=1))
 
 
 def test_final_classifier_rejects_class_overlap():
-    from semfuse.datasets import FeatureSet
-
-    table = {0: "a", 1: "b", 2: "c"}
-    seen = FeatureSet(np.ones((2, 2)), [0, 1], table, frozenset({0, 1}), frozenset({2}))
-    synth = FeatureSet(np.ones((2, 2)), [1, 2], table, frozenset({0}), frozenset({1, 2}))
+    seen = FeatureSet(np.ones((2, 2)), [0, 1], TOY_SPLIT)
+    synth = FeatureSet(np.ones((2, 2)), [1, 2], TOY_SPLIT)
     with pytest.raises(ManifestError):
         train_final_classifier(seen, synth, RunConfig(classifier_epochs=1))
 
 
 def test_final_classifier_deterministic():
     features, labels = toy_classifier_data()
-    from semfuse.datasets import FeatureSet
-
-    synth = FeatureSet(
-        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
-    )
+    synth = FeatureSet(features, labels, TOY_SPLIT)
     cfg = RunConfig(classifier_lr=0.05, classifier_epochs=30, seed=7)
     a = train_final_classifier(None, synth, cfg)
     b = train_final_classifier(None, synth, cfg)
@@ -288,7 +276,7 @@ def gan_fixture(seed=7, lr=5e-4):
         seed=seed,
     )
     fs, semantics = synth_dataset(cfg)
-    train = fs.rows_for(fs.seen_ids)
+    train = fs.rows_for(fs.split.seen_ids)
     # batch 16 over the 36 training rows: 3 GAN cycles per epoch
     gcfg = RunConfig(
         method="gen",
@@ -359,8 +347,14 @@ def test_gan_training_matches_the_graph_oracle_bit_for_bit(monkeypatch, variatio
 
 def test_gan_rejects_unseen_training_features():
     fs, semantics, train, pre, gcfg = gan_fixture()
-    with pytest.raises(ManifestError):
+    with pytest.raises(
+        ManifestError, match=r"^generator training features contain non-seen classes \[3, 4\]$"
+    ):
         GanTrainer(fs, semantics, pre, gcfg)  # fs still contains unseen rows
+    with pytest.raises(
+        ManifestError, match=r"^pretraining features contain non-seen classes \[3, 4\]$"
+    ):
+        pretrain_classifier(fs, gcfg)
 
 
 def test_gan_rejects_missing_semantics():
@@ -392,7 +386,7 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
         seed=7,
     )
     fs, semantics = synth_dataset(cfg)
-    train = fs.rows_for(fs.seen_ids)
+    train = fs.rows_for(fs.split.seen_ids)
     # 750 epochs of the 120 training rows at batch 64: 1500 GAN cycles
     gcfg = RunConfig(
         method="gen",
@@ -423,10 +417,10 @@ def test_synthesize_set_builds_unseen_feature_set():
     e = np.array([[1.0] * 3, [-1.0] * 3, [2.0] * 3])
     semantics = ClassSemantics([6, 5, 1], ["u2", "u1", "s"], e, e)
     name_only = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
-    fs = synthesize_set(gen, name_only, semantics, {5, 6}, per_class=10, seed=1,
-                        class_table={1: "s", 5: "u1", 6: "u2"})
+    split = SplitSpec("toy", ["s0", "s", "s2", "s3", "s4"], ["u1", "u2"])  # unseen ids 5, 6
+    fs = synthesize_set(gen, name_only, semantics, split, per_class=10, seed=1)
     assert fs.n == 20
-    assert set(fs.unseen_ids) == {5, 6}
+    assert fs.split is split
     assert fs.labels.tolist() == [5] * 10 + [6] * 10
     # each block is the class's own draw from its vector, in id order
     for cid, block, vector in ((5, fs.features[:10], -1.0), (6, fs.features[10:], 1.0)):
@@ -571,17 +565,20 @@ def _graph_fit(features, labels, class_ids, cfg):
     return clf
 
 
-def _labelled_set(rng, n, class_ids, m, seen):
+# ids 0-9 are seen, 10-19 unseen
+LABELLED_SPLIT = SplitSpec(
+    "toy", [f"c{c}" for c in range(10)], [f"c{c}" for c in range(10, 20)]
+)
+
+
+def _labelled_set(rng, n, class_ids, m):
     """n rows over ``class_ids`` (each at least once when n allows),
     features spread around a per-class center."""
     labels = np.array(class_ids * (n // len(class_ids) + 1))[:n]
     rng.shuffle(labels)
     centers = {c: 3.0 * rng.normal(size=m) for c in class_ids}
     features = np.stack([centers[c] for c in labels]) + rng.normal(size=(n, m))
-    table = {c: f"c{c}" for c in range(20)}
-    role = frozenset(class_ids)
-    return FeatureSet(features, labels, table, role if seen else frozenset(),
-                      frozenset() if seen else role)
+    return FeatureSet(features, labels, LABELLED_SPLIT)
 
 
 @given(
@@ -599,8 +596,8 @@ def _labelled_set(rng, n, class_ids, m, seen):
 def test_classifier_fits_match_the_graph_loop_bit_for_bit(n, k, m, batch_size, epochs, lr, seed):
     rng = np.random.default_rng(seed)
     cfg = RunConfig(classifier_lr=lr, classifier_epochs=epochs, batch_size=batch_size, seed=seed)
-    seen = _labelled_set(rng, max(n, 2), list(range(2)), m, seen=True)
-    synth = _labelled_set(rng, max(n, k), list(range(10, 10 + k)), m, seen=False)
+    seen = _labelled_set(rng, max(n, 2), list(range(2)), m)
+    synth = _labelled_set(rng, max(n, k), list(range(10, 10 + k)), m)
 
     def same_bits(clf, features, labels, class_ids):
         ref = _graph_fit(features, labels, class_ids, cfg)
@@ -635,9 +632,7 @@ def _tensors_built_by(fit):
 
 def test_classifier_fit_builds_no_graph():
     features, labels = toy_classifier_data()
-    synth = FeatureSet(
-        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
-    )
+    synth = FeatureSet(features, labels, TOY_SPLIT)
     counts = {
         (epochs, batch_size): _tensors_built_by(lambda: train_final_classifier(
             None, synth, RunConfig(classifier_epochs=epochs, batch_size=batch_size)))
@@ -651,9 +646,7 @@ def test_classifier_fit_builds_no_graph():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_classifier_fit_at_a_huge_rate_fails_as_diverged():
     features, labels = toy_classifier_data()
-    synth = FeatureSet(
-        features, labels, {0: "a", 1: "b", 2: "c"}, frozenset(), frozenset({0, 1, 2})
-    )
+    synth = FeatureSet(features, labels, TOY_SPLIT)
     with pytest.raises(ContractError, match=r"^loss is (nan|inf): training diverged$"):
         train_final_classifier(None, synth, RunConfig(classifier_lr=1e308, classifier_epochs=5))
 
