@@ -16,6 +16,9 @@ shapes.
 
 from __future__ import annotations
 
+import math
+import os
+import struct
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -358,69 +361,123 @@ def adam_step(
 
 # ---------------------------------------------------------------------------
 # checkpoint serialization
-
-# One record per line: <name> <d0,d1,...|-> <values...>, floats as %.17g
-# so doubles round-trip exactly. "-" marks a 0-d (scalar) parameter.
+#
+# The text export holds one record per line: <name> <d0,d1,...|-> <values...>,
+# floats as %.17g so doubles round-trip exactly. "-" marks a 0-d (scalar)
+# parameter.
+#
+# The binary records, which runs are restored from, are little-endian:
+# magic "SFCK", uint32 format version, the sha256 digests of the two
+# files the records are bound to, uint32 record count, then per record a
+# uint32 name length, the UTF-8 name, uint32 ndim, ndim uint64 dims and
+# the raw float64 values in C order.
 
 # values formatted at a time, so a record's text is never held whole
 SAVE_CHUNK = 16384
+
+_BINARY_MAGIC = b"SFCK"
+_BINARY_VERSION = 1
+# after the magic: version, the two bound digests, record count
+_HEADER = struct.Struct("<I32s32sI")
+
+
+def _records(stores: dict[str, Params]):
+    for prefix, params in stores.items():
+        for name, w in params.items():
+            yield (f"{prefix}.{name}" if prefix else name), w
 
 
 def save_params(path, stores: dict[str, Params]) -> None:
     """Write ordered (name, shape, values) records as UTF-8 text."""
     with Path(path).open("w", encoding="utf-8") as handle:
-        for prefix, params in stores.items():
-            for name, w in params.items():
-                full = f"{prefix}.{name}" if prefix else name
-                dims = ",".join(str(s) for s in w.shape) or "-"
-                handle.write(f"{full} {dims}")
-                flat = w.reshape(-1)
-                for start in range(0, flat.size, SAVE_CHUNK):
-                    chunk = flat[start : start + SAVE_CHUNK].tolist()
-                    handle.write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
-                handle.write("\n")
+        for full, w in _records(stores):
+            dims = ",".join(str(s) for s in w.shape) or "-"
+            handle.write(f"{full} {dims}")
+            flat = w.reshape(-1)
+            for start in range(0, flat.size, SAVE_CHUNK):
+                chunk = flat[start : start + SAVE_CHUNK].tolist()
+                handle.write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
+            handle.write("\n")
         if not handle.tell():  # no records: one empty line
             handle.write("\n")
 
 
-def load_params(path, prefixes=None) -> dict[str, Array]:
-    """Read a checkpoint back into name -> array.
+def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, bytes]) -> None:
+    """Write the binary records of ``stores``, bound to two sha256
+    digests. Each array's values are written from its own buffer, which
+    a C-ordered float64 array needs no copy for."""
+    records = list(_records(stores))
+    with Path(path).open("wb") as handle:
+        handle.write(_BINARY_MAGIC + _HEADER.pack(_BINARY_VERSION, *bound, len(records)))
+        for full, w in records:
+            name = full.encode("utf-8")
+            head = f"<I{len(name)}sI{w.ndim}Q"
+            handle.write(struct.pack(head, len(name), name, w.ndim, *w.shape))
+            handle.write(np.ascontiguousarray(w, dtype="<f8"))
+
+
+def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, bytes]]:
+    """Read binary records back into name -> array, with the two digests
+    they are bound to.
 
     With ``prefixes``, only records named ``<prefix>.<rest>`` for one of
-    them are kept, and the values of the others are not parsed; record
-    structure (at least a name and a shape, no duplicate name) is still
-    checked on every line.
+    them are kept; the values of the others are seeked past, unread.
+    Every record's header is still checked. A bad magic or version, a
+    truncated or over-long file and a duplicate name are FormatErrors
+    naming the record and its byte offset.
     """
     out: dict[str, Array] = {}
     names: set[str] = set()
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            fields = line.split(None, 2)
-            if not fields:
-                continue
-            if len(fields) < 2:
-                raise FormatError(f"{path}:{lineno}: malformed checkpoint record")
-            name, dims, *rest = fields
+    with Path(path).open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        where = "header at byte 0"
+
+        def need(n: int) -> None:
+            if handle.tell() + n > size:
+                raise FormatError(f"{path}: {where}: truncated at byte {size}")
+
+        def read(n: int) -> bytes:
+            need(n)
+            return handle.read(n)
+
+        magic = read(len(_BINARY_MAGIC))
+        if magic != _BINARY_MAGIC:
+            raise FormatError(f"{path}: {where}: bad magic {magic!r}, not a binary checkpoint")
+        version, *bound, count = _HEADER.unpack(read(_HEADER.size))
+        if version != _BINARY_VERSION:
+            raise FormatError(
+                f"{path}: {where}: format version {version}, expected {_BINARY_VERSION}"
+            )
+        for index in range(1, count + 1):
+            start = handle.tell()
+            where = f"record {index} at byte {start}"
+            (length,) = struct.unpack("<I", read(4))
+            try:
+                name = read(length).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: {where}: name is not UTF-8 ({exc})") from None
+            where = f"record {index} {name!r} at byte {start}"
             if name in names:
-                raise FormatError(f"{path}:{lineno}: duplicate parameter {name!r}")
+                raise FormatError(f"{path}: {where}: duplicate parameter {name!r}")
             names.add(name)
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+            nbytes = 8 * math.prod(shape)
+            need(nbytes)
             head, dot, _ = name.partition(".")
             if prefixes is not None and not (dot and head in prefixes):
+                handle.seek(nbytes, os.SEEK_CUR)
                 continue
-            try:
-                shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
-                values = np.array(rest[0].split() if rest else [], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            expected = int(np.prod(shape)) if shape else 1
-            if values.size != expected:
-                raise FormatError(
-                    f"{path}:{lineno}: {values.size} values for shape {shape}"
-                )
-            out[name] = values.reshape(shape)
-    if not names:
-        raise FormatError(f"{path}: empty checkpoint")
-    return out
+            values = np.empty(shape, dtype="<f8")
+            handle.readinto(values)
+            out[name] = values
+        end = handle.tell()
+        if end != size:
+            raise FormatError(
+                f"{path}: {size - end} bytes after the last record (record {count}) "
+                f"at byte {end}"
+            )
+    return out, tuple(bound)
 
 
 def restore_store(params: Params, values: dict[str, Array], prefix: str = "") -> None:

@@ -7,13 +7,17 @@ given config file plus seed; reports are CSV plus an aligned table.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also a
 non-finite training loss, an eval or synthesize config that differs
-from the run's training config, and eval test features of another width
-than the checkpoint's), 3 malformed data files, 4 transport failures.
+from the run's training config, a run directory's run.cfg or model.ckpt
+that is not the one its model.bin was written with, and eval test
+features of another width than the checkpoint's), 3 malformed data files
+(also a run directory with only a text checkpoint), 4 transport
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -155,13 +159,24 @@ def _test_features(split) -> FeatureSet:
     return load_features(path, split)
 
 
-def _ckpt_path(config: RunConfig) -> Path:
-    return Path(config.out_dir) / "model.ckpt"
+def _run_files(config: RunConfig) -> tuple[Path, Path, Path]:
+    """A run directory's text checkpoint export, the binary checkpoint
+    runs are restored from, and its run config."""
+    out_dir = Path(config.out_dir)
+    return out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
+
+
+def _sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 def run_train(config: RunConfig) -> Path:
-    """Train per the config and write checkpoint plus logs; returns the
-    checkpoint path."""
+    """Train per the config and write checkpoints plus logs; returns the
+    text checkpoint's path."""
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
     trained = pipeline.train(config, _train_features(split), semantics)
@@ -170,10 +185,12 @@ def run_train(config: RunConfig) -> Path:
     if trained.fusion.store:
         fused = resolve_semantics(semantics, trained.fusion)
         export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
-    ckpt = _ckpt_path(config)
+    ckpt, binary, run_cfg = _run_files(config)
     ad.save_params(ckpt, trained.stores)
-    (out_dir / "run.cfg").write_text(config.to_text(), encoding="utf-8")
+    run_cfg.write_text(config.to_text(), encoding="utf-8")
     (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
+    # last, so a run directory that holds it is complete
+    ad.write_params_binary(binary, trained.stores, (_sha256(ckpt), _sha256(run_cfg)))
     return ckpt
 
 
@@ -182,13 +199,19 @@ _TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult"
 
 
 def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
-    """Read a trained run back for evaluation, refusing one trained
-    under different ``_TRAINED_KEYS``; returns it with the feature width
-    ``m`` read from the checkpoint's own records."""
-    ckpt, run_cfg = _ckpt_path(config), Path(config.out_dir) / "run.cfg"
+    """Read a trained run back from its binary checkpoint, refusing one
+    trained under different ``_TRAINED_KEYS`` or whose text export or
+    run config is not the one the checkpoint was written with; returns
+    it with the feature width ``m`` read from the checkpoint's records."""
+    ckpt, binary, run_cfg = _run_files(config)
     for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
         if not path.exists():
             raise ConfigError(f"{what} not found: {path} (run train first)")
+    if not binary.exists():
+        raise FormatError(
+            f"{ckpt}: a text-only checkpoint without {binary.name}, a format eval and "
+            "synthesize no longer read; retrain the run"
+        )
     saved = load_run_config(run_cfg)
     for key in _TRAINED_KEYS:
         if getattr(saved, key) != getattr(config, key):
@@ -196,11 +219,17 @@ def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
                 f"run {config.out_dir} was trained with {key} = {getattr(saved, key)}, "
                 f"this config has {key} = {getattr(config, key)}"
             )
-    values = ad.load_params(ckpt, ("fusion", config.method))
+    values, bound = ad.load_params(binary, ("fusion", config.method))
+    for path, digest in zip((ckpt, run_cfg), bound):
+        if _sha256(path) != digest:
+            raise ConfigError(
+                f"{path} is not the file {binary} was written with (its sha256 differs); "
+                "retrain the run"
+            )
     try:
         return pipeline.restore(config, values, d)
     except FormatError as exc:
-        raise FormatError(f"{ckpt}: {exc}") from None
+        raise FormatError(f"{binary}: {exc}") from None
 
 
 def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> list[EvalReport]:
@@ -250,6 +279,7 @@ def cmd_build_semantics(args) -> int:
     split = load_split(args.split)
     cache_dir = args.cache or split.description_dir
     semantics = build_bundles(split, args.word_vectors, args.variation, cache_dir)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_bundles(args.out, semantics, args.variation)
     print(f"wrote {len(semantics.ids)} bundles (d={semantics.d}) to {args.out}")
     return EXIT_OK
@@ -285,6 +315,7 @@ def cmd_synthesize(args) -> int:
     per_class = config.synth_per_class if args.per_class is None else args.per_class
     synth = synthesize_set(trained.model, trained.fusion, semantics, split, per_class, config.seed)
     names = [split.class_table[int(c)] for c in synth.labels]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_features_csv(args.out, names, synth.features)
     print(f"wrote {synth.n} synthetic rows for {synth.n // per_class} classes to {args.out}")
     return EXIT_OK

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from semfuse import autodiff as ad
 from semfuse.errors import ContractError, FormatError, ShapeError
 
+import checkpoint_files
 import graph_oracle as go
 
 
@@ -234,40 +235,48 @@ def test_gradient_shapes_match_parameters():
         assert grads[name].shape == t.data.shape
 
 
+# stand-ins for the sha256 digests of the files binary records are bound to
+BOUND = (bytes(range(32)), bytes(range(32, 64)))
+HEADER_BYTES = 76  # magic, version, two digests, record count
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     params = {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "s": np.array(rng.normal())}
-    path = tmp_path / "model.ckpt"
-    ad.save_params(path, {"net": params})
-    values = ad.load_params(path)
+    path = tmp_path / "model.bin"
+    ad.write_params_binary(path, {"net": params}, BOUND)
+    values, bound = ad.load_params(path)
+    assert bound == BOUND
     assert set(values) == {"net.W", "net.b", "net.s"}
     for name, w in params.items():
         assert np.array_equal(values[f"net.{name}"], w)
 
 
 def test_checkpoint_restore_into_store(tmp_path):
-    path = tmp_path / "m.ckpt"
-    ad.save_params(path, {"": {"W": np.ones((2, 2))}})
+    path = tmp_path / "m.bin"
+    ad.write_params_binary(path, {"": {"W": np.ones((2, 2))}}, BOUND)
     fresh = {"W": np.zeros((2, 2))}
-    ad.restore_store(fresh, ad.load_params(path))
+    ad.restore_store(fresh, ad.load_params(path)[0])
     assert np.array_equal(fresh["W"], np.ones((2, 2)))
 
 
 def test_checkpoint_restore_refuses_a_record_of_another_shape(tmp_path):
-    path = tmp_path / "m.ckpt"
-    ad.save_params(path, {"net": {"W": np.ones((2, 3))}})
+    path = tmp_path / "m.bin"
+    ad.write_params_binary(path, {"net": {"W": np.ones((2, 3))}}, BOUND)
+    values, _ = ad.load_params(path)
     fresh = {"W": np.zeros((3, 2))}
     with pytest.raises(ShapeError, match=r"'W' has shape \(2, 3\), expected \(3, 2\)"):
-        ad.restore_store(fresh, ad.load_params(path), "net")
+        ad.restore_store(fresh, values, "net")
     with pytest.raises(FormatError, match="missing parameter 'other.W'"):
-        ad.restore_store(fresh, ad.load_params(path), "other")
+        ad.restore_store(fresh, values, "other")
     assert np.array_equal(fresh["W"], np.zeros((3, 2)))
 
 
 def test_checkpoint_rejects_malformed_file(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("W 2,2 1 2 3\n")  # wrong value count
-    with pytest.raises(FormatError):
+    path = tmp_path / "bad.bin"
+    ad.write_params_binary(path, {"": {"W": np.ones((2, 2))}}, BOUND)
+    path.write_bytes(path.read_bytes()[:-8])  # one value short
+    with pytest.raises(FormatError, match=f"record 1 'W' at byte {HEADER_BYTES}: truncated"):
         ad.load_params(path)
 
 
@@ -289,15 +298,27 @@ def _store(arrays: dict) -> dict:
 
 
 def _assert_bitwise_round_trip(path, stores):
-    values = ad.load_params(path)
+    """Binary records of ``stores`` read back with every bit; the text
+    checkpoint at ``path`` too, but for a NaN's sign and payload."""
+    binary = path.with_suffix(".bin")
+    ad.write_params_binary(binary, stores, BOUND)
+    values, _ = ad.load_params(binary)
+    text = checkpoint_files.load_text_params(path)
+    assert list(values) == list(text)
     for prefix, params in stores.items():
         for name, w in params.items():
-            got = values[f"{prefix}.{name}" if prefix else name]
-            assert got.shape == w.shape and got.tobytes() == w.tobytes(), name
+            full = f"{prefix}.{name}" if prefix else name
+            got, parsed, nan = values[full], text[full], np.isnan(w)
+            assert got.shape == w.shape and got.tobytes() == w.tobytes(), full
+            assert parsed.shape == w.shape and np.array_equal(np.isnan(parsed), nan), full
+            assert parsed[~nan].tobytes() == w[~nan].tobytes(), full
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                -1.7976931348623157e308, 0.1, 1 / 3, np.nan, np.inf, -np.inf]
+# a negative quiet NaN, a signaling NaN and a quiet NaN with a payload
+NAN_BITS = np.array([0xFFF8000000000000, 0x7FF0000000000001, 0x7FF800000000BEEF],
+                    dtype=np.uint64).view(np.float64)
 
 
 def test_checkpoint_bytes_match_per_value_format_on_edge_values(tmp_path):
@@ -307,6 +328,7 @@ def test_checkpoint_bytes_match_per_value_format_on_edge_values(tmp_path):
         "neg_zero": -0.0,
         "tiny": 5e-324,
         "nan": np.nan,
+        "nan_bits": NAN_BITS,
         "empty": np.zeros(0),
         "empty_rows": np.zeros((2, 0)),
     })
@@ -333,7 +355,11 @@ def test_checkpoint_of_empty_stores_is_one_empty_line(tmp_path):
     ad.save_params(path, stores)
     assert path.read_bytes() == _reference_checkpoint(stores) == b"\n"
     with pytest.raises(FormatError, match="empty checkpoint"):
-        ad.load_params(path)
+        checkpoint_files.load_text_params(path)
+    binary = tmp_path / "none.bin"
+    ad.write_params_binary(binary, stores, BOUND)
+    assert binary.stat().st_size == HEADER_BYTES
+    assert ad.load_params(binary) == ({}, BOUND)
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +372,7 @@ def ckpt_dir(tmp_path_factory):
         hnp.arrays(
             np.float64,
             hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
-            elements=st.floats(allow_nan=False, width=64),  # text keeps no NaN sign or payload
+            elements=st.floats(width=64),  # NaNs of any sign and payload
         ),
         min_size=1,
         max_size=4,
@@ -365,22 +391,89 @@ def test_load_params_keeps_only_requested_prefixes(tmp_path):
     rng = np.random.default_rng(2)
     stores = {p: {"W": rng.normal(size=(2, 3)), "b": rng.normal(size=3)}
               for p in ("gen", "disc", "fusion", "")}
-    path = tmp_path / "m.ckpt"
-    ad.save_params(path, stores)
-    values = ad.load_params(path, ("gen", "fusion"))
+    path = tmp_path / "m.bin"
+    ad.write_params_binary(path, stores, BOUND)
+    values, bound = ad.load_params(path, ("gen", "fusion"))
+    assert bound == BOUND
     assert sorted(values) == ["fusion.W", "fusion.b", "gen.W", "gen.b"]
     for name, array in values.items():
         prefix, _, key = name.partition(".")
         assert array.tobytes() == stores[prefix][key].tobytes()
-    assert ad.load_params(path, ("cls",)) == {}
+    assert ad.load_params(path, ("cls",)) == ({}, BOUND)
 
 
 def test_load_params_does_not_parse_skipped_records(tmp_path):
-    path = tmp_path / "m.ckpt"
-    path.write_text("gen.W 2 1 2\ndisc.W 2 oops 1\ncls.W 3,3 1\ngen.b - 5\n")
-    values = ad.load_params(path, ("gen",))
-    assert sorted(values) == ["gen.W", "gen.b"]
-    with pytest.raises(FormatError, match="m.ckpt:2: could not convert string to float"):
+    stores = {"": _store({"gen.W": [1.0, 2.0], "disc.W": [3.0, 4.0],
+                          "cls.W": np.ones((3, 3)), "gen.b": 5.0})}
+    path = tmp_path / "m.bin"
+    ad.write_params_binary(path, stores, BOUND)
+    blob = bytearray(path.read_bytes())
+    spans = checkpoint_files.value_spans(path)
+    for name in ("disc.W", "cls.W"):  # damage the values of the skipped records
+        start, stop = spans[name]
+        blob[start:stop] = b"\xff" * (stop - start)
+    path.write_bytes(bytes(blob))
+    values, _ = ad.load_params(path, ("gen",))
+    assert list(values) == ["gen.W", "gen.b"]
+    assert values["gen.W"].tobytes() == stores[""]["gen.W"].tobytes()
+    assert values["gen.b"].tobytes() == stores[""]["gen.b"].tobytes()
+    # read in full, the damaged bytes are those records' values
+    damaged, _ = ad.load_params(path)
+    assert damaged["disc.W"].tobytes() == b"\xff" * 16
+    assert damaged["cls.W"].shape == (3, 3) and np.isnan(damaged["cls.W"]).all()
+
+
+# two records: 'gen.W' (2 values) at byte 76, 'disc.W' (1 value) at byte 113
+_GEN_AT, _DISC_AT, _END = HEADER_BYTES, HEADER_BYTES + 37, HEADER_BYTES + 67
+
+
+def _two_records(path):
+    ad.write_params_binary(path, {"": _store({"gen.W": [1.0, 2.0], "disc.W": [3.0]})}, BOUND)
+    blob = path.read_bytes()
+    assert len(blob) == _END
+    return blob
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda b: b"gen." + b[4:], r"header at byte 0: bad magic b'gen\.'"),
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:],
+         "header at byte 0: format version 2, expected 1"),
+        (lambda b: b[:50], "header at byte 0: truncated at byte 50"),
+        (lambda b: b[:-8], f"record 2 'disc.W' at byte {_DISC_AT}: truncated at byte {_END - 8}"),
+        (lambda b: b[:_GEN_AT + 20],
+         f"record 1 'gen.W' at byte {_GEN_AT}: truncated at byte {_GEN_AT + 20}"),
+        (lambda b: b[:72] + (3).to_bytes(4, "little") + b[76:],
+         f"record 3 at byte {_END}: truncated at byte {_END}"),
+        (lambda b: b + b"\0\0\0", f"3 bytes after the last record \\(record 2\\) at byte {_END}"),
+    ],
+    ids=["magic", "version", "short-header", "short-values", "short-dims", "missing-record",
+         "over-long"],
+)
+def test_load_params_refuses_a_malformed_binary_naming_record_and_offset(tmp_path, edit, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(edit(_two_records(path)))
+    for prefixes in (None, ("gen",)):  # skipped records are checked too
+        with pytest.raises(FormatError, match="bad.bin: " + message):
+            ad.load_params(path, prefixes)
+
+
+def test_load_params_refuses_a_duplicate_record(tmp_path):
+    path = tmp_path / "dup.bin"
+    stores = {"": _store({"gen.W": [1.0], "disc.W": [2.0]}), "disc": _store({"W": [3.0]})}
+    ad.write_params_binary(path, stores, BOUND)
+    at = HEADER_BYTES + 2 * (4 + 4 + 8 + 8) + len("gen.W") + len("disc.W")
+    for prefixes in (None, ("gen",)):
+        with pytest.raises(FormatError, match=f"record 3 'disc.W' at byte {at}: "
+                                              "duplicate parameter 'disc.W'"):
+            ad.load_params(path, prefixes)
+
+
+def test_load_params_refuses_a_text_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ad.save_params(path, {"gen": {"W": np.ones(2)}})
+    with pytest.raises(FormatError, match="bad magic b'gen.', not a binary checkpoint"):
         ad.load_params(path)
 
 
@@ -395,10 +488,11 @@ def test_load_params_does_not_parse_skipped_records(tmp_path):
     ],
 )
 def test_load_params_checks_every_record_structure(tmp_path, text, message):
+    # the text reader of the tests' oracle keeps the checks it had in src/
     path = tmp_path / "bad.ckpt"
     path.write_text(text)
     with pytest.raises(FormatError, match="bad.ckpt" + message):
-        ad.load_params(path, ("gen",))
+        checkpoint_files.load_text_params(path, ("gen",))
 
 
 def test_second_order_gradients_through_first_backward():

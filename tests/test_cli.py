@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semfuse import autodiff as ad
 from semfuse import pipeline
 from semfuse.cli import main
 from semfuse.evaluation import read_report_csv
 from semfuse.fusion import read_bundles
 
+import checkpoint_files
 from conftest import REPO_ROOT
 
 
@@ -655,21 +657,23 @@ def test_gen_eval_reads_no_critic_or_classifier_values(gen_run):
     root, cfg = gen_run
     assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
                  "--out", str(root / "intact.csv")]) == 0
-    ckpt = root / "run" / "model.ckpt"
-    intact = ckpt.read_text()
-    lines = intact.splitlines()
-    assert any(line.startswith("disc.") for line in lines)
-    assert any(line.startswith("cls.") for line in lines)
-    ckpt.write_text("".join(
-        " ".join(line.split()[:2] + ["unparseable"]) + "\n"
-        if line.startswith(("disc.", "cls.")) else line + "\n"
-        for line in lines
-    ))
+    binary = root / "run" / "model.bin"
+    intact = binary.read_bytes()
+    damaged = bytearray(intact)
+    spans = checkpoint_files.value_spans(binary)
+    skipped = [name for name in spans if name.startswith(("disc.", "cls."))]
+    assert any(n.startswith("disc.") for n in skipped) and any(n.startswith("cls.") for n in skipped)
+    for name in skipped:  # every value a NaN
+        start, stop = spans[name]
+        damaged[start:stop] = b"\xff" * (stop - start)
+    binary.write_bytes(bytes(damaged))
     try:
+        values, _ = ad.load_params(binary)
+        assert all(np.isnan(values[name]).all() for name in skipped)
         assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
                      "--out", str(root / "damaged.csv")]) == 0
     finally:
-        ckpt.write_text(intact)
+        binary.write_bytes(intact)
     assert (root / "intact.csv").read_bytes() == (root / "damaged.csv").read_bytes()
 
 
@@ -686,12 +690,91 @@ def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, c
 def test_eval_of_a_checkpoint_without_its_width_record_exits_3(ours_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(ours_run.parent / "run", run)
-    ckpt = run / "model.ckpt"
-    kept = [line for line in ckpt.read_text().splitlines() if not line.startswith("embed.W_z ")]
-    ckpt.write_text("\n".join(kept) + "\n")
+    values, bound = ad.load_params(run / "model.bin")
+    del values["embed.W_z"]
+    ad.write_params_binary(run / "model.bin", {"": values}, bound)
     code = main(["eval", "--config", str(ours_run), "--mode", "zsl", "--out-dir", str(run)])
     assert code == 3
     assert "'embed.W_z'" in capsys.readouterr().err
+
+
+def _copy_run(ours_run, tmp_path):
+    """A copy of the trained run's directory, and a report path in none."""
+    run = tmp_path / "run"
+    shutil.copytree(ours_run.parent / "run", run)
+    return run, tmp_path / "report.csv"
+
+
+def _eval_copied_run(ours_run, run, out):
+    return main(["eval", "--config", str(ours_run), "--mode", "zsl", "--out-dir", str(run),
+                 "--out", str(out)])
+
+
+def test_eval_of_a_text_only_run_exits_3(ours_run, tmp_path, capsys):
+    run, out = _copy_run(ours_run, tmp_path)
+    (run / "model.bin").unlink()  # as a run trained before the binary records
+    assert _eval_copied_run(ours_run, run, out) == 3
+    err = capsys.readouterr().err
+    assert f"{run / 'model.ckpt'}: a text-only checkpoint" in err and "retrain" in err
+    assert not out.exists()
+
+
+def test_eval_of_a_truncated_binary_checkpoint_exits_3_naming_record_and_offset(
+    ours_run, tmp_path, capsys
+):
+    run, out = _copy_run(ours_run, tmp_path)
+    binary = run / "model.bin"
+    last = list(checkpoint_files.value_spans(binary))[-1]
+    blob = binary.read_bytes()
+    binary.write_bytes(blob[:-8])
+    assert _eval_copied_run(ours_run, run, out) == 3
+    err = capsys.readouterr().err
+    assert f"{binary}: record" in err and f"{last!r} at byte" in err
+    assert f"truncated at byte {len(blob) - 8}" in err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_text_checkpoint_its_binary_was_not_written_with(
+    ours_run, tmp_path, capsys
+):
+    run, out = _copy_run(ours_run, tmp_path)
+    with (run / "model.ckpt").open("a") as handle:
+        handle.write("\n")
+    assert _eval_copied_run(ours_run, run, out) == 2
+    err = capsys.readouterr().err
+    assert f"{run / 'model.ckpt'} is not the file {run / 'model.bin'} was written with" in err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
+    ours_run, tmp_path, capsys
+):
+    other = tmp_path / "other_seed"
+    assert main(["train", "--config", str(ours_run), "--seed", "2",
+                 "--out-dir", str(other)]) == 0
+    run, out = _copy_run(ours_run, tmp_path)
+    for name in ("model.ckpt", "model.bin"):
+        shutil.copy(other / name, run / name)
+    assert _eval_copied_run(ours_run, run, out) == 2
+    err = capsys.readouterr().err
+    assert f"{run / 'run.cfg'} is not the file {run / 'model.bin'} was written with" in err
+    assert not out.exists()
+
+
+def test_synthesize_out_creates_its_directory(gen_run, tmp_path):
+    _, cfg = gen_run
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().count("\n") > 0
+
+
+def test_build_semantics_out_creates_its_directory(demo_dir, tmp_path):
+    out = tmp_path / "nodir" / "b.csv"
+    argv = ["build-semantics", "--split", str(demo_dir / "split.cfg"),
+            "--word-vectors", str(demo_dir / "word_vectors.txt"), "--out", str(out)]
+    assert main(argv) == 0
+    semantics, variation = read_bundles(out)
+    assert variation == "ours" and len(semantics.ids) == 6
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -743,3 +826,10 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
                for name in DEMO_RUN_DIGESTS[method]}
     assert digests == DEMO_RUN_DIGESTS[method]
+    # the binary records hold the text export's bits, bound to it and to run.cfg
+    text = checkpoint_files.load_text_params(run / "model.ckpt")
+    values, bound = ad.load_params(run / "model.bin")
+    assert list(values) == list(text)
+    assert all(values[name].tobytes() == text[name].tobytes() for name in text)
+    assert bound == tuple(hashlib.sha256((run / name).read_bytes()).digest()
+                          for name in ("model.ckpt", "run.cfg"))

@@ -85,9 +85,9 @@ def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
     train, test, semantics = small_data()
     cfg = small_config(method)
     trained = pipeline.train(cfg, train, semantics)
-    ckpt = tmp_path / "model.ckpt"
-    ad.save_params(ckpt, trained.stores)
-    values = ad.load_params(ckpt, ("fusion", method))
+    ckpt = tmp_path / "model.bin"
+    ad.write_params_binary(ckpt, trained.stores, (bytes(32), bytes(32)))
+    values, _ = ad.load_params(ckpt, ("fusion", method))
     restored, m = pipeline.restore(cfg, values, semantics.d)
     assert m == train.m
     reports = [
