@@ -16,6 +16,7 @@ shapes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -312,12 +313,16 @@ def require_finite_loss(loss: float) -> None:
 # optimizers
 
 
-def _gradient(grads: dict[str, Array], name: str) -> Array:
-    """``grads[name]`` C-ordered, which the updates run faster on."""
+def _gradient(grads: dict[str, Array], name: str, w: Array) -> Array:
+    """``grads[name]``, which must have the shape of the parameter ``w``."""
     g = grads.get(name)
     if g is None:
         raise ContractError(f"missing gradient for parameter {name!r}")
-    return np.ascontiguousarray(g)
+    if g.shape != w.shape:
+        raise ShapeError(
+            f"gradient for parameter {name!r} has shape {g.shape}, expected {w.shape}"
+        )
+    return g
 
 
 def sgd_step(params: Params, grads: dict[str, Array], lr: float) -> None:
@@ -325,7 +330,7 @@ def sgd_step(params: Params, grads: dict[str, Array], lr: float) -> None:
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
     for name, w in params.items():
-        params[name] = w - lr * _gradient(grads, name)
+        params[name] = w - lr * np.asarray(_gradient(grads, name, w), order="C")
 
 
 class AdamState:
@@ -337,6 +342,21 @@ class AdamState:
         self.t = 0
 
 
+# elements in one block of rows that `adam_step` updates at a time, so
+# that its temporaries stay in cache
+ADAM_BLOCK = 16384
+
+
+def _row_blocks(*arrays: Array) -> Sequence[Sequence[Array]]:
+    """Matching blocks of whole rows of same-shaped arrays, about
+    ADAM_BLOCK elements each; arrays that fit in one block are it."""
+    w = arrays[0]
+    if w.size <= ADAM_BLOCK:
+        return (arrays,)
+    rows = max(1, ADAM_BLOCK // (w.size // len(w)))
+    return [[a[i : i + rows] for a in arrays] for i in range(0, len(w), rows)]
+
+
 def adam_step(
     params: Params,
     grads: dict[str, Array],
@@ -346,17 +366,42 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Adam update with bias correction; lr == 0 leaves parameters fixed."""
+    """Adam update with bias correction; lr == 0 leaves parameters fixed.
+
+    Each parameter is updated a block of rows at a time (`_row_blocks`):
+    its moments in ``state`` in place, the parameter itself into one
+    fresh C-ordered array that replaces it. Every element takes the
+    same operations in the same order, so the bits do not depend on the
+    blocks or on the gradient's memory layout.
+    """
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
     state.t += 1
+    c1, c2 = 1 - beta1**state.t, 1 - beta2**state.t
     for name, w in params.items():
-        g = _gradient(grads, name)
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1**state.t)
-        v_hat = state.v[name] / (1 - beta2**state.t)
-        params[name] = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        g = _gradient(grads, name, w)
+        if name not in state.m:
+            raise ContractError(f"no Adam moments for parameter {name!r}")
+        new = np.empty(w.shape)
+        for wb, gb, mb, vb, nb in _row_blocks(w, g, state.m[name], state.v[name], new):
+            gb = np.asarray(gb, order="C")
+            # the new block holds each moment's gradient term, then the
+            # denominator, then the result
+            np.multiply(gb, 1 - beta1, out=nb)
+            mb *= beta1
+            mb += nb
+            np.multiply(gb, 1 - beta2, out=nb)
+            nb *= gb
+            vb *= beta2
+            vb += nb
+            np.divide(vb, c2, out=nb)
+            np.sqrt(nb, out=nb)
+            nb += eps
+            step = mb / c1
+            step *= lr
+            step /= nb
+            np.subtract(wb, step, out=nb)
+        params[name] = new
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +432,28 @@ def _records(stores: dict[str, Params]):
             yield (f"{prefix}.{name}" if prefix else name), w
 
 
-def save_params(path, stores: dict[str, Params]) -> None:
-    """Write ordered (name, shape, values) records as UTF-8 text."""
-    with Path(path).open("w", encoding="utf-8") as handle:
+def save_params(path, stores: dict[str, Params]) -> bytes:
+    """Write ordered (name, shape, values) records as UTF-8 text; returns
+    the sha256 digest of the bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    with Path(path).open("wb") as handle:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+
         for full, w in _records(stores):
             dims = ",".join(str(s) for s in w.shape) or "-"
-            handle.write(f"{full} {dims}")
+            write(f"{full} {dims}")
             flat = w.reshape(-1)
             for start in range(0, flat.size, SAVE_CHUNK):
                 chunk = flat[start : start + SAVE_CHUNK].tolist()
-                handle.write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
-            handle.write("\n")
+                write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
+            write("\n")
         if not handle.tell():  # no records: one empty line
-            handle.write("\n")
+            write("\n")
+    return digest.digest()
 
 
 def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, bytes]) -> None:

@@ -186,11 +186,11 @@ def run_train(config: RunConfig) -> Path:
         fused = resolve_semantics(semantics, trained.fusion)
         export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
     ckpt, binary, run_cfg = _run_files(config)
-    ad.save_params(ckpt, trained.stores)
+    ckpt_digest = ad.save_params(ckpt, trained.stores)
     run_cfg.write_text(config.to_text(), encoding="utf-8")
     (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
     # last, so a run directory that holds it is complete
-    ad.write_params_binary(binary, trained.stores, (_sha256(ckpt), _sha256(run_cfg)))
+    ad.write_params_binary(binary, trained.stores, (ckpt_digest, _sha256(run_cfg)))
     return ckpt
 
 

@@ -331,26 +331,28 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
     rows: list[np.ndarray] = []
     width: int | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) < 2:
-            raise FormatError(f"{path}:{lineno}: expected 'label,v1,...'")
-        try:
-            values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if width is None:
-            width = values.size
-        elif values.size != width:
-            raise FormatError(
-                f"{path}:{lineno}: ragged row, expected {width} values, "
-                f"got {values.size}"
-            )
-        names.append(fields[0].strip())
-        rows.append(values)
+    # read a line at a time; lines end in "\n", "\r\n" or "\r"
+    with path.open(encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(",")
+            if len(fields) < 2:
+                raise FormatError(f"{path}:{lineno}: expected 'label,v1,...'")
+            try:
+                values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if width is None:
+                width = values.size
+            elif values.size != width:
+                raise FormatError(
+                    f"{path}:{lineno}: ragged row, expected {width} values, "
+                    f"got {values.size}"
+                )
+            names.append(fields[0].strip())
+            rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no feature rows")
     return names, np.vstack(rows)

@@ -90,8 +90,11 @@ def embed_loss(
     fused = fusion_grads(fusion, e_c, e_p, g_fused)
     for grads, ws in zip((model_grads, fused), weights):
         for name, w in ws:  # so does each w * w of the penalty
-            square = np.full(w.shape, model.lam) * w
-            grads[name] = (grads[name] + square) + square
+            square = model.lam * w
+            # C-ordered like the square, so both add in place
+            grad = grads[name] = np.ascontiguousarray(grads[name])
+            grad += square
+            grad += square
     return loss, model_grads, fused
 
 
@@ -145,6 +148,7 @@ def train_embed(data: FeatureSet, semantics: ClassSemantics, cfg: RunConfig) -> 
             loss, *grads = embed_loss(model, fusion, data.features[rows], e_c[sem], e_p[sem])
             for store, state, g in zip(stores, states, grads):
                 step(store, g, state)
+            del grads, g  # not held through the next batch
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return EmbedRun(model, fusion, history)

@@ -242,6 +242,7 @@ def _train_softmax(
             ad.require_finite_loss(loss)
             grads = dict(zip(("W", "b"), ad.linear_grads(x, g)))
             ad.adam_step(clf.store, grads, state, cfg.classifier_lr)
+            del g, grads  # not held through the next batch
     return clf
 
 
@@ -303,10 +304,12 @@ def critic_loss_grads(disc: Mlp, z_real, z_fake, e, beta, eta: float) -> tuple:
     gp, gp_grads = gradient_penalty(disc, z_real, z_fake, e, beta, eta)
     loss = float((score_fake - score_real) + gp * eta)
     ad.require_finite_loss(loss)
-    # each term is added as it comes, so only one is held beside the sum
+    # each term is added as it comes, so only one is held beside the sum;
+    # the fake term in place, as it has the real term's memory layout
+    # (the penalty's, C-ordered, does not)
     grads, _ = disc.back(trace_real, g_real, params=True, inputs=False)
     for name, g in disc.back(trace_fake, g_fake, params=True, inputs=False)[0].items():
-        grads[name] = grads[name] + g
+        grads[name] += g
     for name, g in gp_grads.items():
         grads[name] = grads[name] + g
     return loss, float(score_real - score_fake), gp, grads
@@ -409,6 +412,7 @@ class GanTrainer:
                 self.disc, self.data.features[rows], z_fake, e, beta, cfg.eta
             )
             ad.adam_step(self.disc.store, grads, self._disc_state, cfg.lr, BETA1, BETA2)
+            del grads  # not held through the next critic update
 
         rows = self._draw_rows()
         h = self.rng.normal(size=(rows.size, cfg.noise_dim))

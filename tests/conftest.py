@@ -6,6 +6,7 @@ linear image of the same latent, which makes the little pipeline
 actually learnable.
 """
 
+import weakref
 from collections import defaultdict
 from pathlib import Path
 
@@ -50,6 +51,31 @@ def record_applied_gradients(patch) -> dict:
     for name in ("adam_step", "sgd_step"):
         patch.setattr(ad, name, recording(getattr(ad, name)))
     return applied
+
+
+def count_live_gradients(patch, loss, sources=()) -> list[int]:
+    """Patch a loss function and the functions in ``sources``, each an
+    ``(owner, name, pick)`` triple, through ``patch`` (a MonkeyPatch).
+    Every call keeps weak references to the arrays ``pick(args,
+    result)`` takes from its arguments and result; every call of the
+    loss first counts those still alive, then forgets them. Returns the
+    counts, one per call of the loss."""
+    refs, counts = [], []
+
+    def watching(fn, pick, is_loss):
+        def wrapper(*args, **kwargs):
+            if is_loss:
+                counts.append(sum(ref() is not None for ref in refs))
+                refs.clear()
+            result = fn(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in pick(args, result))
+            return result
+
+        return wrapper
+
+    for (owner, name, pick), is_loss in [(loss, True), *((s, False) for s in sources)]:
+        patch.setattr(owner, name, watching(getattr(owner, name), pick, is_loss))
+    return counts
 
 
 def _read_description(name: str) -> str:

@@ -1,3 +1,7 @@
+import hashlib
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from semfuse import autodiff as ad
 from semfuse.errors import ContractError, FormatError, ShapeError
 
+import adam_oracle
 import checkpoint_files
 import graph_oracle as go
 
@@ -225,6 +230,76 @@ def test_updates_give_the_same_bits_for_c_and_f_ordered_gradients(optimizer):
             assert c_state.v[name].tobytes() == f_state.v[name].tobytes(), name
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("shape, grad_shape", [((5, 3), (3,)), ((5,), (1,))])
+def test_optimizers_refuse_a_misshaped_gradient(optimizer, shape, grad_shape):
+    params = {"a": np.zeros(2), "W": np.ones(shape)}
+    grads = {"a": np.zeros(2), "W": np.ones(grad_shape)}
+    message = f"gradient for parameter 'W' has shape {grad_shape}, expected {shape}"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        if optimizer == "adam":
+            ad.adam_step(params, grads, ad.AdamState(params), lr=0.01)
+        else:
+            ad.sgd_step(params, grads, lr=0.01)
+
+
+def test_adam_on_a_parameter_its_state_was_not_built_for_is_contract_error():
+    state = ad.AdamState({"W": np.zeros(2)})
+    params = {"W": np.zeros(2), "X": np.zeros(2)}
+    with pytest.raises(ContractError, match="no Adam moments for parameter 'X'"):
+        ad.adam_step(params, {"W": np.ones(2), "X": np.ones(2)}, state, lr=0.01)
+
+
+B = ad.ADAM_BLOCK
+# 0-d and empty; 1-d around and across blocks; a row longer than a block;
+# 100-wide rows, 163 to a block, in row counts around one and two blocks
+BLOCK_SHAPES = [(), (0,), (B - 1,), (B + 1,), (3 * B + 7,), (2, B + 5),
+                (162, 100), (163, 100), (164, 100), (327, 100)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.9)])
+def test_blocked_adam_keeps_the_bits_of_the_whole_array_update(order, betas):
+    rng = np.random.default_rng(15)
+    start = {f"p{i}": np.array(rng.normal(size=s)) for i, s in enumerate(BLOCK_SHAPES)}
+    # gradients over many scales, so the moments' bits vary
+    grads = [{name: np.array(rng.normal(size=w.shape) * np.exp(3 * rng.normal(size=w.shape)),
+                             order=order)
+              for name, w in start.items()} for _ in range(5)]
+    assert order == "C" or not grads[0]["p6"].flags.c_contiguous
+    blocked = {name: w.copy() for name, w in start.items()}
+    reference = {name: w.copy() for name, w in start.items()}
+    state, ref_state = ad.AdamState(blocked), ad.AdamState(reference)
+    for g in grads:
+        held = dict(blocked)
+        before = {name: w.tobytes() for name, w in held.items()}
+        ad.adam_step(blocked, g, state, 1e-3, *betas)
+        adam_oracle.adam_step(reference, g, ref_state, 1e-3, *betas)
+        for name, w in held.items():  # every parameter replaced, none written
+            assert blocked[name] is not w and w.tobytes() == before[name], name
+    for ours, theirs in ((blocked, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+        for name, w in ours.items():
+            assert w.shape == np.shape(theirs[name]) and w.flags.c_contiguous, name
+            assert w.tobytes() == np.asarray(theirs[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_adam_step_builds_no_whole_parameter_temporary(order):
+    rng = np.random.default_rng(3)
+    params = {"W": rng.normal(size=(384, 684)), "b": rng.normal(size=384)}
+    grads = {name: np.array(rng.normal(size=w.shape), order=order) for name, w in params.items()}
+    state = ad.AdamState(params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ad.adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the new weight, and block-sized temporaries beside it
+    assert peak - base < 1.5 * params["W"].nbytes
+
+
 def test_gradient_shapes_match_parameters():
     rng = np.random.default_rng(5)
     w = go.leaves({"W": rng.normal(size=(3, 2)), "b": rng.normal(size=3)})
@@ -334,7 +409,7 @@ def test_checkpoint_bytes_match_per_value_format_on_edge_values(tmp_path):
     })
     stores = {"net": store, "": _store({"bare": [0.1, -0.0, -np.inf]})}
     path = tmp_path / "edges.ckpt"
-    ad.save_params(path, stores)
+    assert ad.save_params(path, stores) == hashlib.sha256(path.read_bytes()).digest()
     assert path.read_bytes() == _reference_checkpoint(stores)
     _assert_bitwise_round_trip(path, stores)
 
@@ -344,7 +419,7 @@ def test_checkpoint_record_longer_than_three_chunks_matches_one_shot_format(tmp_
     values[ad.SAVE_CHUNK - 1 : ad.SAVE_CHUNK + 1] = [-0.0, 5e-324]  # across a boundary
     stores = {"net": _store({"long": values, "scalar": 0.5, "empty": np.zeros(0)})}
     path = tmp_path / "long.ckpt"
-    ad.save_params(path, stores)
+    assert ad.save_params(path, stores) == hashlib.sha256(path.read_bytes()).digest()
     assert path.read_bytes() == _reference_checkpoint(stores)
     _assert_bitwise_round_trip(path, stores)
 
@@ -352,7 +427,7 @@ def test_checkpoint_record_longer_than_three_chunks_matches_one_shot_format(tmp_
 def test_checkpoint_of_empty_stores_is_one_empty_line(tmp_path):
     path = tmp_path / "none.ckpt"
     stores = {"net": {}}
-    ad.save_params(path, stores)
+    assert ad.save_params(path, stores) == hashlib.sha256(path.read_bytes()).digest()
     assert path.read_bytes() == _reference_checkpoint(stores) == b"\n"
     with pytest.raises(FormatError, match="empty checkpoint"):
         checkpoint_files.load_text_params(path)

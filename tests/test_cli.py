@@ -819,7 +819,16 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     # 84 training rows: shuffled minibatches of 64 for either family
     epochs = {"embed": "40", "gen": "4"}[method]
     argv = ["train", "--config", str(demo / "run.cfg"), "--out-dir", str(run)]
+    save_params, saved = ad.save_params, []
+
+    def recording(*args):
+        saved.append(save_params(*args))
+        return saved[-1]
+
+    monkeypatch.setattr(ad, "save_params", recording)
     assert main([*argv, "--method", method, "--epochs", epochs]) == 0
+    # the digest the export returns is that of the bytes it wrote
+    assert saved == [hashlib.sha256((run / "model.ckpt").read_bytes()).digest()]
     if method == "gen":
         argv = ["synthesize", "--config", str(run / "run.cfg"), "--per-class", "20"]
         assert main([*argv, "--out", str(run / "synth.csv")]) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,6 +156,37 @@ def test_ragged_csv_is_format_error(tmp_path, split):
     path.write_text("bed,1.0,2.0\nchair,3.0\n")
     with pytest.raises(FormatError, match="feats.csv:2"):
         load_features(path, split)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_csv_lines_read_the_same_whatever_ends_them(tmp_path, split, newline):
+    path = tmp_path / "feats.csv"
+    lines = ["# bed, chair, sofa", "bed,1.0,2.0", "", " chair ,3.0,4.0", "sofa,5.0,6.0"]
+    path.write_bytes(newline.join(lines + [""]).encode())
+    fs = load_features(path, split)
+    assert fs.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert fs.labels.tolist() == [0, 1, 2]
+    for last, message in (("bed,1.0", "ragged row"), ("bed,x,2.0", "could not convert"),
+                          ("bed", "expected 'label,v1,...'")):
+        path.write_bytes(newline.join(lines + [last]).encode())  # no line end after it
+        with pytest.raises(FormatError, match=f"^{path}:6: {message}"):
+            load_features(path, split)
+
+
+def test_csv_features_are_read_a_line_at_a_time(tmp_path, split):
+    path = tmp_path / "feats.csv"
+    names = ["bed", "chair", "sofa", "table"] * 50
+    write_features_csv(path, names, np.random.default_rng(1).normal(size=(200, 256)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_features(path, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parsed rows, the matrix and one line's fields (0.9 of the file
+    # here), never the whole text and its lines at once (2.0 of it)
+    assert peak - base < 1.25 * path.stat().st_size
 
 
 def test_binary_and_csv_round_trip_identically(tmp_path, split):

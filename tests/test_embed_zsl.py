@@ -19,7 +19,7 @@ from semfuse.evaluation import evaluate_run
 from semfuse.fusion import VARIATIONS, ClassSemantics, FusionParams, init_fusion
 
 import graph_oracle as go
-from conftest import keep_classes, record_applied_gradients
+from conftest import count_live_gradients, keep_classes, record_applied_gradients
 
 
 def fixed_model(w_z, w_e, lam=0.0) -> EmbedModel:
@@ -140,6 +140,18 @@ def test_zero_epochs_returns_initialized_parameters(monkeypatch):
     assert [w.shape for w in run.model.store.values()] == [w.shape for w in fresh.store.values()]
     assert applied == {}
     assert run.fusion is not None
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_holds_no_gradients_across_batches(monkeypatch, optimizer):
+    train, _, semantics = smoke_data()
+    cfg = RunConfig(optimizer=optimizer, lr=0.01, epochs=2, batch_size=8, lam=1e-3, seed=9)
+    counts = count_live_gradients(
+        monkeypatch,
+        (embed_zsl, "embed_loss", lambda args, result: [*result[1].values(), *result[2].values()]),
+    )
+    train_embed(train, semantics, cfg)
+    assert len(counts) > 3 and not any(counts), counts
 
 
 def test_training_is_deterministic():

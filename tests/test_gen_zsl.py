@@ -26,7 +26,7 @@ from semfuse.gen_zsl import (
 )
 
 import graph_oracle as go
-from conftest import keep_classes, record_applied_gradients
+from conftest import count_live_gradients, keep_classes, record_applied_gradients
 
 RNG = np.random.default_rng(123)
 
@@ -254,6 +254,19 @@ def test_final_classifier_rejects_class_overlap():
         train_final_classifier(seen, synth, RunConfig(classifier_epochs=1))
 
 
+def test_classifier_training_holds_no_gradients_across_batches(monkeypatch):
+    features, labels = toy_classifier_data()
+    synth = FeatureSet(features, labels, TOY_SPLIT)
+    cfg = RunConfig(classifier_epochs=3, batch_size=4, seed=7)
+    counts = count_live_gradients(
+        monkeypatch,
+        (ad, "softmax_xent_grad", lambda args, result: [result[1]]),
+        [(ad, "adam_step", lambda args, result: args[1].values())],
+    )
+    train_final_classifier(None, synth, cfg)
+    assert len(counts) > 3 and not any(counts), counts
+
+
 def test_final_classifier_deterministic():
     features, labels = toy_classifier_data()
     synth = FeatureSet(features, labels, TOY_SPLIT)
@@ -313,6 +326,16 @@ def test_gan_training_is_deterministic():
     assert len(rec_a) == 3
     assert [r.critic_loss for r in rec_a] == [r.critic_loss for r in rec_b]
     assert [r.gen_loss for r in rec_a] == [r.gen_loss for r in rec_b]
+
+
+def test_critic_updates_hold_no_gradients_across_steps(monkeypatch):
+    fs, semantics, train, pre, gcfg = gan_fixture()
+    trainer = GanTrainer(train, semantics, pre, gcfg)
+    counts = count_live_gradients(
+        monkeypatch, (gen_zsl, "critic_loss_grads", lambda args, result: result[3].values())
+    )
+    trainer.train()
+    assert len(counts) == 3 * gcfg.n_critic and not any(counts), counts
 
 
 def _short_gan_run(variation, linear_critic):
