@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -149,13 +150,9 @@ def _require(value, message: str):
     return value
 
 
-def _train_features(split) -> FeatureSet:
-    path = _require(split.train_features, "split manifest has no train_features")
-    return load_features(path, split)
-
-
-def _test_features(split) -> FeatureSet:
-    path = _require(split.test_features, "split manifest has no test_features")
+def _features(split, key: str) -> FeatureSet:
+    """The split's ``train_features`` or ``test_features`` file, read."""
+    path = _require(getattr(split, key), f"split manifest has no {key}")
     return load_features(path, split)
 
 
@@ -179,7 +176,7 @@ def run_train(config: RunConfig) -> Path:
     text checkpoint's path."""
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
-    trained = pipeline.train(config, _train_features(split), semantics)
+    trained = pipeline.train(config, _features(split, "train_features"), semantics)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if trained.fusion.store:
@@ -187,7 +184,11 @@ def run_train(config: RunConfig) -> Path:
         export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
     ckpt, binary, run_cfg = _run_files(config)
     ckpt_digest = ad.save_params(ckpt, trained.stores)
-    run_cfg.write_text(config.to_text(), encoding="utf-8")
+    # paths relative to the run directory, so that identical runs in
+    # different directories write identical run.cfg and model.bin bytes
+    relative = {key: Path(os.path.relpath(value.resolve(), out_dir.resolve()))
+                for key, value in vars(config).items() if isinstance(value, Path)}
+    run_cfg.write_text(replace(config, **relative).to_text(), encoding="utf-8")
     (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
     # last, so a run directory that holds it is complete
     ad.write_params_binary(binary, trained.stores, (ckpt_digest, _sha256(run_cfg)))
@@ -233,12 +234,11 @@ def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
 
 
 def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> list[EvalReport]:
-    """Evaluate a trained run in each of ``modes``, one report per mode;
-    deterministic given config and seed."""
-    config.validate()
+    """Evaluate a trained run under its validated ``config`` in each of
+    ``modes``, one report per mode; deterministic given config and seed."""
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
-    test_set = _test_features(split)
+    test_set = _features(split, "test_features")
     trained, m = _restore(config, semantics.d)
     if test_set.m != m:
         raise ConfigError(
@@ -247,7 +247,7 @@ def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> li
         )
     seen_set = None
     if config.method == "gen" and "gzsl" in modes:  # real seen rows join synthetic ones
-        seen_set = _train_features(split)
+        seen_set = _features(split, "train_features")
     return pipeline.evaluate(trained, config, test_set, semantics, modes, seen_set, micro)
 
 

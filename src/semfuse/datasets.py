@@ -233,8 +233,8 @@ class RunConfig:
             )
 
     def to_text(self) -> str:
-        """``key = value`` lines that `load_run_config` reads back from
-        any directory: paths are written absolute."""
+        """``key = value`` lines that `load_run_config` reads back; it
+        resolves a relative path against the directory of the file."""
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -242,8 +242,6 @@ class RunConfig:
                 continue
             if isinstance(value, tuple):
                 value = ",".join(repr(v) for v in value)
-            elif isinstance(value, Path):
-                value = value.absolute()
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
@@ -363,9 +361,13 @@ def _read_binary(path: Path) -> tuple[list[str], np.ndarray]:
     if len(blob) < 12 or blob[:4] != _BINARY_MAGIC:
         raise FormatError(f"{path}: bad binary header")
     n, m = struct.unpack_from("<II", blob, 4)
+    if n == 0:
+        raise FormatError(f"{path}: no feature rows")
     offset = 12
     names: list[str] = []
-    rows = np.empty((n, m), dtype=np.float64)
+    # views into the file; the matrix is allocated only once every row
+    # the header claims has been found within the file's length
+    rows: list[np.ndarray] = []
     for i in range(n):
         if offset + 4 > len(blob):
             raise FormatError(f"{path}: truncated at row {i + 1}")
@@ -374,13 +376,16 @@ def _read_binary(path: Path) -> tuple[list[str], np.ndarray]:
         end = offset + name_len
         if end + 8 * m > len(blob):
             raise FormatError(f"{path}: truncated at row {i + 1}")
-        names.append(blob[offset:end].decode("utf-8"))
+        try:
+            names.append(blob[offset:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: row {i + 1} name is not UTF-8: {exc}") from None
         offset = end
-        rows[i] = np.frombuffer(blob, dtype="<f8", count=m, offset=offset)
+        rows.append(np.frombuffer(blob, dtype="<f8", count=m, offset=offset))
         offset += 8 * m
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return names, rows
+    return names, np.array(rows, dtype=np.float64)
 
 
 def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:

@@ -21,11 +21,9 @@ from .fusion import ClassSemantics, FusionParams, fuse_graph, fusion_grads, init
 class EmbedModel:
     """Two projection branches into a shared q-dimensional space."""
 
-    def __init__(self, store: ad.Params, q: int, m: int, d: int, lam: float):
+    def __init__(self, store: ad.Params, m: int, lam: float):
         self.store = store
-        self.q = q
         self.m = m
-        self.d = d
         self.lam = lam
 
     def project_features(self, z: np.ndarray) -> np.ndarray:
@@ -46,7 +44,7 @@ def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedMode
     store["b_z"] = np.zeros(q)
     store["W_e"] = rng.uniform(-1, 1, size=(q, d)) * np.sqrt(6.0 / (q + d))
     store["b_e"] = np.zeros(q)
-    return EmbedModel(store, q, m, d, lam)
+    return EmbedModel(store, m, lam)
 
 
 def embed_loss(

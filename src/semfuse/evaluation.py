@@ -164,9 +164,10 @@ def evaluate_run(
     gives the class id of each feature row ``z`` among the candidate
     classes, those of the mode that are in ``semantic_ids``, ascending.
 
-    ZSL restricts both the samples and the candidate classes to unseen
-    ones; GZSL predicts every sample over the union and reports seen
-    and unseen accuracy plus their harmonic mean.
+    Each class set of the mode, the unseen classes for ZSL and the seen
+    then the unseen classes for GZSL, is scored the same way: its test
+    rows are predicted among the mode's candidates, then scored by
+    per-class top-1. GZSL adds the harmonic mean of the two.
     """
     if mode not in ("zsl", "gzsl"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -174,38 +175,22 @@ def evaluate_run(
 
     seen, unseen = test_set.split.seen_ids, test_set.split.unseen_ids
     if mode == "zsl":
-        candidates = _candidates(semantic_ids, unseen, test_set)
-        subset = test_set.rows_for(unseen)
-        if subset.n == 0:
-            raise ManifestError("no unseen-class samples in the test set")
-        preds = predict(subset.features, candidates)
-        acc = per_class_top1(preds, subset.labels, unseen, micro)
-        return EvalReport(variation, mode, averaging, acc=acc)
-
-    candidates = _candidates(semantic_ids, seen | unseen, test_set)
-    seen_rows = test_set.rows_for(seen)
-    unseen_rows = test_set.rows_for(unseen)
-    if seen_rows.n == 0 or unseen_rows.n == 0:
-        raise ManifestError("gzsl test set needs both seen and unseen samples")
-    acc_s = per_class_top1(
-        predict(seen_rows.features, candidates),
-        seen_rows.labels,
-        seen,
-        micro,
-    )
-    acc_u = per_class_top1(
-        predict(unseen_rows.features, candidates),
-        unseen_rows.labels,
-        unseen,
-        micro,
-    )
+        class_sets, empty = [unseen], "no unseen-class samples in the test set"
+    else:
+        class_sets, empty = [seen, unseen], "gzsl test set needs both seen and unseen samples"
+    candidates = _candidates(semantic_ids, frozenset().union(*class_sets), test_set)
+    subsets = [test_set.rows_for(ids) for ids in class_sets]
+    if any(subset.n == 0 for subset in subsets):
+        raise ManifestError(empty)
+    accs = [
+        per_class_top1(predict(subset.features, candidates), subset.labels, ids, micro)
+        for subset, ids in zip(subsets, class_sets)
+    ]
+    if mode == "zsl":
+        return EvalReport(variation, mode, averaging, acc=accs[0])
+    acc_s, acc_u = accs
     return EvalReport(
-        variation,
-        mode,
-        averaging,
-        acc_s=acc_s,
-        acc_u=acc_u,
-        hm=harmonic_mean(acc_s, acc_u),
+        variation, mode, averaging, acc_s=acc_s, acc_u=acc_u, hm=harmonic_mean(acc_s, acc_u)
     )
 
 

@@ -90,22 +90,16 @@ def _init_mlp(sizes: list[int], d: int, seed: int) -> Mlp:
     return Mlp(store, sizes, d)
 
 
-def init_generator(
-    m: int, d: int, noise_dim: int, seed: int, hidden: list[int] | None = None
-) -> Mlp:
+def init_generator(m: int, d: int, noise_dim: int, seed: int, hidden: list[int]) -> Mlp:
     """Generator: (noise, semantics) to an m-wide feature vector."""
     if noise_dim <= 0:
         raise ContractError("noise dimension must be positive")
-    sizes = [noise_dim + d] + (hidden if hidden is not None else [4 * m]) + [m]
-    return _init_mlp(sizes, d, seed)
+    return _init_mlp([noise_dim + d, *hidden, m], d, seed)
 
 
-def init_discriminator(
-    m: int, d: int, seed: int, hidden: list[int] | None = None
-) -> Mlp:
+def init_discriminator(m: int, d: int, seed: int, hidden: list[int]) -> Mlp:
     """Critic: (m-wide features, semantics) to a scalar score."""
-    sizes = [m + d] + (hidden if hidden is not None else [4 * m]) + [1]
-    return _init_mlp(sizes, d, seed)
+    return _init_mlp([m + d, *hidden, 1], d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +157,13 @@ def gradient_penalty(
 class SoftmaxClassifier:
     """Linear softmax over an ordered set of class ids."""
 
-    def __init__(self, store: ad.Params, class_ids: list[int], m: int):
+    def __init__(self, store: ad.Params, class_ids: list[int]):
         if len(class_ids) < 2:
             raise ContractError("softmax classifier needs at least 2 classes")
         if len(set(class_ids)) != len(class_ids):
             raise ContractError("duplicate class ids")
         self.store = store
         self.class_ids = list(class_ids)
-        self.m = m
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
     def logits(self, z: np.ndarray) -> np.ndarray:
@@ -189,17 +182,15 @@ class SoftmaxClassifier:
                 f"label {exc.args[0]} outside the classifier's classes"
             ) from None
 
-    def predict_ids(self, z: np.ndarray, candidate_ids=None) -> np.ndarray:
-        """Argmax labels, optionally restricted to a candidate subset."""
+    def predict_ids(self, z: np.ndarray, candidate_ids) -> np.ndarray:
+        """Argmax labels among the classes ``candidate_ids``; a candidate
+        the classifier lacks is a ContractError."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         scores = self.logits(z)
-        if candidate_ids is None:
-            cols = np.arange(len(self.class_ids))
-        else:
-            missing = [c for c in candidate_ids if c not in self._row]
-            if missing:
-                raise ContractError(f"classifier does not cover classes {missing}")
-            cols = np.array(sorted(self._row[c] for c in candidate_ids))
+        missing = [c for c in candidate_ids if c not in self._row]
+        if missing:
+            raise ContractError(f"classifier does not cover classes {missing}")
+        cols = np.array(sorted(self._row[c] for c in candidate_ids))
         picked = cols[np.argmax(scores[:, cols], axis=1)]
         ids = np.array(self.class_ids, dtype=np.int64)
         return ids[picked]
@@ -209,7 +200,7 @@ def init_classifier(m: int, class_ids: list[int], seed: int) -> SoftmaxClassifie
     rng = np.random.default_rng(seed)
     k = len(class_ids)
     store = {"W": rng.uniform(-1, 1, size=(k, m)) * np.sqrt(6.0 / (k + m)), "b": np.zeros(k)}
-    return SoftmaxClassifier(store, class_ids, m)
+    return SoftmaxClassifier(store, class_ids)
 
 
 def _train_softmax(

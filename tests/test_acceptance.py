@@ -287,7 +287,7 @@ def test_criterion_6_deterministic_reports(demo_dir, tmp_path):
                 {
                     p.name: p.read_bytes()
                     for p in out_dir.iterdir()
-                    if p.suffix in (".csv", ".ckpt")
+                    if p.suffix in (".csv", ".ckpt", ".bin")
                 }
             )
         assert outputs[0] == outputs[1], f"{method} rerun differs"

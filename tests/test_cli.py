@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import shutil
+import struct
 import sys
 from pathlib import Path
 
@@ -98,6 +99,7 @@ def test_fetch_descriptions_mock_endpoint_populates_cache(tmp_path, monkeypatch,
         )
     finally:
         server.shutdown()
+        server.server_close()
     assert code == 0
     assert "4 fetched, 0 cached" in capsys.readouterr().out
     assert (tmp_path / "cache" / "chair.txt").read_text() == "A chair has four legs."
@@ -675,6 +677,46 @@ def test_gen_eval_reads_no_critic_or_classifier_values(gen_run):
     finally:
         binary.write_bytes(intact)
     assert (root / "intact.csv").read_bytes() == (root / "damaged.csv").read_bytes()
+
+
+def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path, capsys):
+    # no sofa (id 3) rows: the final gzsl classifier lacks a seen candidate
+    train = tmp_path / "train.csv"
+    train.write_text("".join(line + "\n" for line in
+                             (demo_dir / "train.csv").read_text().splitlines()
+                             if not line.startswith("sofa,")))
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=train)
+    cfg = write_config(tmp_path / "g.cfg", demo_dir, tmp_path / "run", method="gen",
+                       epochs="2", noise_dim="4", classifier_epochs="5",
+                       synth_per_class="5", split=split)
+    assert main(["train", "--config", str(cfg)]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--config", str(cfg), "--mode", "gzsl", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: classifier does not cover classes [3]\n"
+    assert not out.exists()
+    assert main(["eval", "--config", str(cfg), "--mode", "zsl", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        (b"FSET" + struct.pack("<II", 2**32 - 1, 2**32 - 1), "truncated at row 1"),
+        (b"FSET" + struct.pack("<III", 1, 1, 3) + b"b\xffd" + bytes(8),
+         "row 1 name is not UTF-8"),
+        (b"FSET" + struct.pack("<II", 0, 12), "no feature rows"),
+    ],
+    ids=["header-beyond-the-file", "name-not-utf8", "no-rows"],
+)
+def test_malformed_binary_features_exit_3_naming_the_file(
+    demo_dir, tmp_path, capsys, blob, message
+):
+    features = tmp_path / "train.bin"
+    features.write_bytes(blob)
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=features)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(f"data format error: {features}: {message}")
+    assert not (tmp_path / "run").exists()
 
 
 def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, capsys):

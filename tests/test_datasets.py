@@ -228,7 +228,7 @@ def test_every_subset_shares_its_source_split(split, tmp_path):
     fs = load_features(path, split)
     e = np.eye(4)[:, :3]
     semantics = ClassSemantics(np.arange(4), split.seen + split.unseen, e, e)
-    gen = init_generator(m=2, d=3, noise_dim=2, seed=0)
+    gen = init_generator(m=2, d=3, noise_dim=2, seed=0, hidden=[8])
     fusion = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
     subsets = [
         fs,

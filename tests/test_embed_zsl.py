@@ -26,7 +26,7 @@ def fixed_model(w_z, w_e, lam=0.0) -> EmbedModel:
     w_z = np.asarray(w_z, dtype=np.float64)
     w_e = np.asarray(w_e, dtype=np.float64)
     store = {"W_z": w_z, "b_z": np.zeros(w_z.shape[0]), "W_e": w_e, "b_e": np.zeros(w_e.shape[0])}
-    return EmbedModel(store, w_z.shape[0], w_z.shape[1], w_e.shape[1], lam)
+    return EmbedModel(store, w_z.shape[1], lam)
 
 
 def name_only(d: int) -> FusionParams:

@@ -129,7 +129,7 @@ def cls_loss(clf, z, labels):
 def test_cls_loss_uniform_logits_is_log_k():
     from semfuse.gen_zsl import SoftmaxClassifier
 
-    clf = SoftmaxClassifier({"W": np.zeros((4, 3)), "b": np.zeros(4)}, [0, 1, 2, 3], 3)
+    clf = SoftmaxClassifier({"W": np.zeros((4, 3)), "b": np.zeros(4)}, [0, 1, 2, 3])
     loss = cls_loss(clf, np.ones((1, 3)), [2])
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_cls_loss_confident_correct_logits():
     from semfuse.gen_zsl import SoftmaxClassifier
 
     store = {"W": np.array([[10.0], [0.0], [0.0]]), "b": np.zeros(3)}
-    clf = SoftmaxClassifier(store, [0, 1, 2], 1)
+    clf = SoftmaxClassifier(store, [0, 1, 2])
     loss = cls_loss(clf, [[1.0]], [0])
     assert loss.item() == pytest.approx(np.log(1 + 2 * np.exp(-10.0)), rel=1e-9)
     assert loss.item() == pytest.approx(9.1e-5, rel=0.01)
@@ -147,7 +147,7 @@ def test_cls_loss_confident_correct_logits():
 def test_cls_loss_goes_to_zero_in_the_confident_limit():
     from semfuse.gen_zsl import SoftmaxClassifier
 
-    clf = SoftmaxClassifier({"W": np.array([[200.0], [0.0]]), "b": np.zeros(2)}, [0, 1], 1)
+    clf = SoftmaxClassifier({"W": np.array([[200.0], [0.0]]), "b": np.zeros(2)}, [0, 1])
     assert cls_loss(clf, [[1.0]], [0]).item() < 1e-12
 
 
@@ -177,7 +177,7 @@ def test_cls_loss_gradient_flows_to_generator():
 
 
 def test_synthesize_deterministic_in_seed():
-    gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
+    gen = init_generator(m=4, d=3, noise_dim=2, seed=0, hidden=[16])
     e = np.ones(3)
     assert np.array_equal(synthesize(gen, e, 5, seed=9), synthesize(gen, e, 5, seed=9))
     assert not np.array_equal(
@@ -186,7 +186,7 @@ def test_synthesize_deterministic_in_seed():
 
 
 def test_synthesize_rejects_non_positive_count():
-    gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
+    gen = init_generator(m=4, d=3, noise_dim=2, seed=0, hidden=[16])
     with pytest.raises(ContractError):
         synthesize(gen, np.ones(3), 0, seed=1)
 
@@ -237,7 +237,7 @@ def test_final_classifier_separable_toy_reaches_full_train_accuracy():
     clf = train_final_classifier(
         None, synth, RunConfig(classifier_lr=0.05, classifier_epochs=120, seed=0)
     )
-    preds = clf.predict_ids(features)
+    preds = clf.predict_ids(features, clf.class_ids)
     assert (preds == labels).all()
 
 
@@ -436,7 +436,7 @@ def test_wasserstein_estimate_shrinks_on_2d_toy():
 
 
 def test_synthesize_set_builds_unseen_feature_set():
-    gen = init_generator(m=4, d=3, noise_dim=2, seed=0)
+    gen = init_generator(m=4, d=3, noise_dim=2, seed=0, hidden=[16])
     e = np.array([[1.0] * 3, [-1.0] * 3, [2.0] * 3])
     semantics = ClassSemantics([6, 5, 1], ["u2", "u1", "s"], e, e)
     name_only = init_fusion(3, seed=0, alpha=0.5, variation="only-class-name")
