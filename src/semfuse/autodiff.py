@@ -541,7 +541,7 @@ def restore_store(params: Params, values: dict[str, Array], prefix: str = "") ->
         full = f"{prefix}.{name}" if prefix else name
         if full not in values:
             raise FormatError(f"checkpoint is missing parameter {full!r}")
-        value = np.array(values[full], dtype=np.float64)
+        value = np.asarray(values[full], dtype=np.float64)
         if value.shape != w.shape:
             raise ShapeError(f"value for {name!r} has shape {value.shape}, expected {w.shape}")
         params[name] = value

@@ -12,8 +12,11 @@ feature noise.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from array import array
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -308,11 +311,16 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
     """Read a feature file (CSV or binary) and tag roles from the split."""
     path = Path(path)
     with path.open("rb") as handle:
-        magic = handle.read(4)
-    if magic == _BINARY_MAGIC:
-        names, matrix = _read_binary(path)
-    else:
-        names, matrix = _read_csv(path)
+        binary = handle.read(4) == _BINARY_MAGIC
+        names, matrix = _read_binary(path, handle) if binary else _read_csv(path)
+    # min and max propagate nan and inf with no temporary; initial covers width 0
+    if not (np.isfinite(matrix.min(initial=0.0)) and np.isfinite(matrix.max(initial=0.0))):
+        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        where = f" row {bad + 1}"
+        if not binary:
+            with path.open(encoding="utf-8") as handle:
+                where = next(islice(_csv_rows(handle), bad, None))[0]
+        raise FormatError(f"{path}:{where}: non-finite feature value")
     ids = split.class_ids
     labels = []
     for row, name in enumerate(names):
@@ -327,65 +335,65 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
-    rows: list[np.ndarray] = []
+    matrix = array("d")  # row after row; shaped once every row is read
     width: int | None = None
-    # read a line at a time; lines end in "\n", "\r\n" or "\r"
     with path.open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
+        for lineno, fields in _csv_rows(handle):
             if len(fields) < 2:
                 raise FormatError(f"{path}:{lineno}: expected 'label,v1,...'")
             try:
-                values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                values = [float(v) for v in fields[1:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if width is None:
-                width = values.size
-            elif values.size != width:
+                width = len(values)
+            elif len(values) != width:
                 raise FormatError(
                     f"{path}:{lineno}: ragged row, expected {width} values, "
-                    f"got {values.size}"
+                    f"got {len(values)}"
                 )
             names.append(fields[0].strip())
-            rows.append(values)
-    if not rows:
+            matrix.fromlist(values)
+    if not names:
         raise FormatError(f"{path}: no feature rows")
-    return names, np.vstack(rows)
+    return names, np.frombuffer(matrix).reshape(len(names), width)
 
 
-def _read_binary(path: Path) -> tuple[list[str], np.ndarray]:
-    blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != _BINARY_MAGIC:
+def _csv_rows(handle):
+    """(line number, fields) of each line that is neither blank nor a
+    '#' comment; lines end in "\n", "\r\n" or "\r"."""
+    for lineno, raw in enumerate(handle, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split(",")
+
+
+def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
+    """Names and matrix of the binary file ``path``, read from ``handle`` past its magic."""
+    size = os.fstat(handle.fileno()).st_size
+    header = handle.read(8)
+    if len(header) < 8:
         raise FormatError(f"{path}: bad binary header")
-    n, m = struct.unpack_from("<II", blob, 4)
+    n, m = struct.unpack("<II", header)
     if n == 0:
         raise FormatError(f"{path}: no feature rows")
-    offset = 12
+    # never more rows than the file can hold: one past them is truncated
+    matrix = np.empty((min(n, (size - 12) // (4 + 8 * m)), m), dtype="<f8")
     names: list[str] = []
-    # views into the file; the matrix is allocated only once every row
-    # the header claims has been found within the file's length
-    rows: list[np.ndarray] = []
     for i in range(n):
-        if offset + 4 > len(blob):
+        if handle.tell() + 4 > size:
             raise FormatError(f"{path}: truncated at row {i + 1}")
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        end = offset + name_len
-        if end + 8 * m > len(blob):
+        (name_len,) = struct.unpack("<I", handle.read(4))
+        if handle.tell() + name_len + 8 * m > size:
             raise FormatError(f"{path}: truncated at row {i + 1}")
         try:
-            names.append(blob[offset:end].decode("utf-8"))
+            names.append(handle.read(name_len).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: row {i + 1} name is not UTF-8: {exc}") from None
-        offset = end
-        rows.append(np.frombuffer(blob, dtype="<f8", count=m, offset=offset))
-        offset += 8 * m
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return names, np.array(rows, dtype=np.float64)
+        handle.readinto(matrix[i])
+    if handle.tell() != size:
+        raise FormatError(f"{path}: {size - handle.tell()} trailing bytes")
+    return names, matrix
 
 
 def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:

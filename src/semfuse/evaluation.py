@@ -141,15 +141,7 @@ def merge_modes(reports: list[EvalReport]) -> EvalReport:
                     f"conflicting {name} values for variation {r.variation!r}"
                 )
             merged[name] = value
-    return EvalReport(
-        reports[0].variation,
-        "combined",
-        reports[0].averaging,
-        acc=merged.get("acc"),
-        acc_s=merged.get("acc_s"),
-        acc_u=merged.get("acc_u"),
-        hm=merged.get("hm"),
-    )
+    return EvalReport(reports[0].variation, "combined", reports[0].averaging, **merged)
 
 
 def evaluate_run(
@@ -213,7 +205,7 @@ def _candidates(semantic_ids, wanted_ids, test_set: FeatureSet) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return f"{value:.4f}"
 
@@ -224,10 +216,7 @@ def write_report_csv(path, reports: list[EvalReport]) -> None:
         writer = csv.writer(handle)
         writer.writerow(list(REPORT_COLUMNS))
         for r in reports:
-            writer.writerow(
-                [r.variation, r.mode, r.averaging]
-                + [_fmt(v) for v in (r.acc, r.acc_s, r.acc_u, r.hm, r.borda)]
-            )
+            writer.writerow([_fmt(getattr(r, name)) for name in REPORT_COLUMNS])
 
 
 def read_report_csv(path) -> list[EvalReport]:
@@ -259,15 +248,9 @@ def format_report_table(reports: list[EvalReport]) -> str:
     """Aligned text block: one row per variation, one column per metric."""
     headers = ["Variation", "Mode", "Acc", "Acc_s", "Acc_u", "HM", "BC"]
     rows = [
-        [
-            r.variation,
-            r.mode,
-            _fmt_cell(r.acc),
-            _fmt_cell(r.acc_s),
-            _fmt_cell(r.acc_u),
-            _fmt_cell(r.hm),
-            "-" if r.borda is None else str(r.borda),
-        ]
+        [r.variation, r.mode]
+        + [_fmt_cell(getattr(r, name)) for name in METRIC_ORDER]
+        + ["-" if r.borda is None else str(r.borda)]
         for r in reports
     ]
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]

@@ -58,10 +58,11 @@ class Mlp:
         inputs, masks = [], []
         for i in range(self.n_layers):
             inputs.append(h)
-            h = h @ self.store[f"l{i}.W"].T + self.store[f"l{i}.b"]
+            h = h @ self.store[f"l{i}.W"].T
+            h += self.store[f"l{i}.b"]  # in place: no second layer-sized array
             if i < self.n_layers - 1:
                 masks.append(np.where(h > 0, 1.0, LEAKY_SLOPE))
-                h = h * masks[-1]
+                h *= masks[-1]
         return h, (inputs, masks)
 
     def back(self, trace, g: np.ndarray, params: bool, inputs: bool) -> tuple:
@@ -446,8 +447,9 @@ def synthesize_set(
     if not unseen.any():
         raise ContractError("no classes to synthesize")
     ids, fused = semantics.ids[unseen], resolve_semantics(semantics, fusion)[unseen]
-    blocks = []
-    for cid, e in zip(ids.tolist(), fused):
+    # a count below one leaves no rows; `synthesize` refuses it
+    features = np.empty((ids.size * max(per_class, 0), gen.sizes[-1]))
+    for k, (cid, e) in enumerate(zip(ids.tolist(), fused)):
         class_seed = int(np.random.SeedSequence([seed, cid]).generate_state(1)[0])
-        blocks.append(synthesize(gen, e, per_class, class_seed))
-    return FeatureSet(np.vstack(blocks), np.repeat(ids, per_class), split)
+        features[k * per_class : (k + 1) * per_class] = synthesize(gen, e, per_class, class_seed)
+    return FeatureSet(features, np.repeat(ids, per_class), split)

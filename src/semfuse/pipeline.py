@@ -14,7 +14,7 @@ from typing import Sequence
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig
 from .embed_zsl import EmbedModel, classify_batch, init_embed_model, train_embed
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, ManifestError
 from .evaluation import EvalReport, evaluate_run
 from .fusion import ClassSemantics, FusionParams, init_fusion
 from .gen_zsl import (
@@ -120,8 +120,15 @@ def evaluate(
             evaluate_run(predict, cfg.variation, test_set, semantics.ids, mode, micro)
             for mode in modes
         ]
-    if "gzsl" in modes and seen_set is None:
-        raise ContractError("generative gzsl needs the real seen-class features")
+    if "gzsl" in modes:
+        if seen_set is None:
+            raise ContractError("generative gzsl needs the real seen-class features")
+        # the seen classes the final classifier would lack, before synthesis
+        with_semantics = seen_set.split.seen_ids & set(semantics.ids.tolist())
+        lacking = sorted(with_semantics - set(seen_set.labels.tolist()))
+        if lacking:
+            names = ", ".join(f"{c} ({seen_set.split.class_table[c]})" for c in lacking)
+            raise ManifestError(f"generative gzsl needs training rows of seen classes {names}")
     synth = synthesize_set(
         trained.model, trained.fusion, semantics, test_set.split, cfg.synth_per_class, cfg.seed
     )

@@ -331,8 +331,10 @@ def test_checkpoint_restore_into_store(tmp_path):
     path = tmp_path / "m.bin"
     ad.write_params_binary(path, {"": {"W": np.ones((2, 2))}}, BOUND)
     fresh = {"W": np.zeros((2, 2))}
-    ad.restore_store(fresh, ad.load_params(path)[0])
+    values, _ = ad.load_params(path)
+    ad.restore_store(fresh, values)
     assert np.array_equal(fresh["W"], np.ones((2, 2)))
+    assert fresh["W"] is values["W"]  # held once, not copied again
 
 
 def test_checkpoint_restore_refuses_a_record_of_another_shape(tmp_path):

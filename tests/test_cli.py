@@ -680,7 +680,7 @@ def test_gen_eval_reads_no_critic_or_classifier_values(gen_run):
 
 
 def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path, capsys):
-    # no sofa (id 3) rows: the final gzsl classifier lacks a seen candidate
+    # no sofa (id 3) rows: the final gzsl classifier would lack a seen candidate
     train = tmp_path / "train.csv"
     train.write_text("".join(line + "\n" for line in
                              (demo_dir / "train.csv").read_text().splitlines()
@@ -692,7 +692,9 @@ def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path,
     assert main(["train", "--config", str(cfg)]) == 0
     out = tmp_path / "report.csv"
     assert main(["eval", "--config", str(cfg), "--mode", "gzsl", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: classifier does not cover classes [3]\n"
+    assert capsys.readouterr().err == (
+        "config error: generative gzsl needs training rows of seen classes 3 (sofa)\n"
+    )
     assert not out.exists()
     assert main(["eval", "--config", str(cfg), "--mode", "zsl", "--out", str(out)]) == 0
 
@@ -704,8 +706,10 @@ def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path,
         (b"FSET" + struct.pack("<III", 1, 1, 3) + b"b\xffd" + bytes(8),
          "row 1 name is not UTF-8"),
         (b"FSET" + struct.pack("<II", 0, 12), "no feature rows"),
+        (b"FSET" + struct.pack("<III", 1, 1, 3) + b"bed" + struct.pack("<d", np.inf),
+         "row 1: non-finite feature value"),
     ],
-    ids=["header-beyond-the-file", "name-not-utf8", "no-rows"],
+    ids=["header-beyond-the-file", "name-not-utf8", "no-rows", "non-finite"],
 )
 def test_malformed_binary_features_exit_3_naming_the_file(
     demo_dir, tmp_path, capsys, blob, message
@@ -716,6 +720,21 @@ def test_malformed_binary_features_exit_3_naming_the_file(
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
     assert main(["train", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith(f"data format error: {features}: {message}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_csv_features_exit_3_naming_the_line(demo_dir, tmp_path, capsys, value):
+    lines = (demo_dir / "train.csv").read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + "," + value
+    features = tmp_path / "train.csv"
+    features.write_text("\n".join(lines) + "\n")
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=features)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"data format error: {features}:5: non-finite feature value\n"
+    )
     assert not (tmp_path / "run").exists()
 
 

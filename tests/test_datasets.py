@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -209,6 +210,45 @@ def test_truncated_binary_is_format_error(tmp_path, split):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError):
         load_features(path, split)
+    # a header claiming 64 rows of 256 KiB over a file of two
+    write_features_binary(path, ["bed", "chair"], np.ones((2, 2**15)))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4, 64)
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(FormatError, match=f"^{path}: truncated at row 3$"):
+            load_features(path, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two rows' matrix beside the file's read buffer and the names
+    assert peak - base < len(blob) + 16 * 1024
+
+
+@pytest.mark.parametrize("write", [write_features_csv, write_features_binary],
+                         ids=["csv", "binary"])
+def test_feature_loaders_hold_the_matrix_once(tmp_path, split, write):
+    path = tmp_path / "feats"
+    matrix = np.random.default_rng(2).normal(size=(2000, 512))
+    write(path, ["bed", "chair", "sofa", "table"] * 500, matrix)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fs = load_features(path, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(fs.features, matrix)
+    assert peak - base <= 1.2 * matrix.nbytes
+
+
+def test_zero_width_binary_features_load(tmp_path, split):
+    path = tmp_path / "feats.bin"
+    write_features_binary(path, ["bed", "sofa"], np.ones((2, 0)))
+    fs = load_features(path, split)
+    assert fs.features.shape == (2, 0) and fs.labels.tolist() == [0, 2]
 
 
 def test_feature_set_rejects_unknown_label():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -449,6 +450,28 @@ def test_synthesize_set_builds_unseen_feature_set():
     for cid, block, vector in ((5, fs.features[:10], -1.0), (6, fs.features[10:], 1.0)):
         class_seed = int(np.random.SeedSequence([1, cid]).generate_state(1)[0])
         assert np.array_equal(block, synthesize(gen, np.full(3, vector), 10, class_seed))
+
+
+def test_synthesize_set_fills_one_array():
+    # hidden width m, as the wide benchmark workload trains: at 4m one
+    # block's forward pass alone holds about 1.2x this output
+    m, d = 512, 8
+    gen = init_generator(m=m, d=d, noise_dim=8, seed=0, hidden=[m])
+    names = ["s0", "s1"] + [f"u{i}" for i in range(10)]
+    e = np.random.default_rng(0).normal(size=(12, d))
+    semantics = ClassSemantics(np.arange(12), names, e, e)
+    fusion = init_fusion(d, seed=0, alpha=0.5, variation="only-class-name")
+    split = SplitSpec("toy", names[:2], names[2:])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fs = synthesize_set(gen, fusion, semantics, split, per_class=400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fs.features.shape == (4000, m)
+    # the output beside one class block's forward pass, never two copies
+    assert peak - base <= 1.5 * fs.features.nbytes
 
 
 def _unpruned_grad(output, inputs, create_graph=False):

@@ -9,7 +9,7 @@ from semfuse import autodiff as ad
 from semfuse import pipeline
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import train_embed
-from semfuse.errors import ContractError
+from semfuse.errors import ContractError, ManifestError
 from semfuse.gen_zsl import GanTrainer, pretrain_classifier
 from conftest import REPO_ROOT
 
@@ -127,6 +127,19 @@ def test_generative_gzsl_without_seen_features_is_refused():
         pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"))
     (report,) = pipeline.evaluate(trained, cfg, test, semantics, ("zsl",))
     assert report.acc is not None
+
+
+def test_generative_gzsl_refuses_a_seen_class_without_rows_before_synthesizing(monkeypatch):
+    train, test, semantics = small_data()
+    cfg = small_config("gen")
+    trained = pipeline.train(cfg, train, semantics)
+    calls = []
+    monkeypatch.setattr(pipeline, "synthesize_set", lambda *args: calls.append(args))
+    name = train.split.class_table[1]
+    with pytest.raises(ManifestError, match=rf"seen classes 1 \({name}\)$"):
+        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"),
+                          seen_set=train.take(train.labels != 1))
+    assert calls == []
 
 
 def test_synthetic_benchmark_script_writes_both_comparisons(tmp_path, capsys):
