@@ -419,6 +419,9 @@ def adam_step(
 
 # values formatted at a time, so a record's text is never held whole
 SAVE_CHUNK = 16384
+# the text export is formatted by one forked worker per usable CPU once
+# every worker gets this many values; a smaller export is formatted here
+SAVE_POOL_MIN = 4 * SAVE_CHUNK
 
 _BINARY_MAGIC = b"SFCK"
 _BINARY_VERSION = 1
@@ -432,9 +435,40 @@ def _records(stores: dict[str, Params]):
             yield (f"{prefix}.{name}" if prefix else name), w
 
 
+def render_values(values: Array, sep: str = " ") -> str:
+    """``values`` at %.17g, each after ``sep``: the text export's and the
+    feature CSV's number format."""
+    values = values.tolist()
+    return (sep + sep.join(["%.17g"] * len(values))) % tuple(values)
+
+
+def _chunks(records):
+    """Every record's values, in record order, SAVE_CHUNK at a time."""
+    for _, w in records:
+        flat = w.reshape(-1)
+        for start in range(0, flat.size, SAVE_CHUNK):
+            yield flat[start : start + SAVE_CHUNK]
+
+
+def _save_workers(values: int) -> int:
+    """Processes to format ``values`` values in: one per usable CPU if
+    the platform forks, there are two or more, and each gets
+    SAVE_POOL_MIN values; otherwise 0, formatting them in-process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    workers = len(os.sched_getaffinity(0))
+    return workers if workers > 1 and values >= SAVE_POOL_MIN * workers else 0
+
+
 def save_params(path, stores: dict[str, Params]) -> bytes:
     """Write ordered (name, shape, values) records as UTF-8 text; returns
-    the sha256 digest of the bytes written, hashed as they are written."""
+    the sha256 digest of the bytes written, hashed as they are written.
+
+    A large export's chunks are formatted by forked workers (see
+    `_save_workers`), which only convert values to text; this process
+    writes their pieces in record order, so the bytes are the same."""
+    records = list(_records(stores))
+    workers = _save_workers(sum(w.size for _, w in records))
     digest = hashlib.sha256()
     with Path(path).open("wb") as handle:
 
@@ -443,14 +477,30 @@ def save_params(path, stores: dict[str, Params]) -> bytes:
             digest.update(data)
             handle.write(data)
 
-        for full, w in _records(stores):
-            dims = ",".join(str(s) for s in w.shape) or "-"
-            write(f"{full} {dims}")
-            flat = w.reshape(-1)
-            for start in range(0, flat.size, SAVE_CHUNK):
-                chunk = flat[start : start + SAVE_CHUNK].tolist()
-                write(" " + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
-            write("\n")
+        def write_records(rendered) -> None:
+            for full, w in records:
+                dims = ",".join(str(s) for s in w.shape) or "-"
+                write(f"{full} {dims}")
+                for _ in range(0, w.size, SAVE_CHUNK):
+                    write(next(rendered))
+                write("\n")
+
+        if workers:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            # fork, not spawn, which would import numpy in every worker.
+            # The pool forks before it starts a thread, and a worker only
+            # unpickles, formats and pickles: no BLAS call, and no lock a
+            # BLAS thread could hold at the fork. A worker's error, or its
+            # death, is raised here; shutdown reaps every worker.
+            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+            try:
+                write_records(pool.map(render_values, _chunks(records)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            write_records(map(render_values, _chunks(records)))
         if not handle.tell():  # no records: one empty line
             write("\n")
     return digest.digest()

@@ -22,7 +22,15 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, ManifestError, SplitViolationError
+from .autodiff import render_values
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    ManifestError,
+    SplitViolationError,
+    open_utf8,
+)
 from .fusion import ALPHA_SWEEP, VARIATIONS, ClassSemantics
 
 _BINARY_MAGIC = b"FSET"
@@ -130,7 +138,9 @@ def read_kv_file(path) -> dict[str, str]:
     """Parse a ``key = value`` text file; '#' starts a comment line."""
     out: dict[str, str] = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    with open_utf8(path) as handle:
+        text = handle.read()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -337,7 +347,7 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
     matrix = array("d")  # row after row; shaped once every row is read
     width: int | None = None
-    with path.open(encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, fields in _csv_rows(handle):
             if len(fields) < 2:
                 raise FormatError(f"{path}:{lineno}: expected 'label,v1,...'")
@@ -397,10 +407,13 @@ def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
 
 
 def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:
-    lines = []
-    for name, row in zip(names, matrix):
-        lines.append(name + "," + ",".join(format(v, ".17g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``label,v1,...,vm`` rows at %.17g, a row at a time; no rows
+    write one empty line."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for name, row in zip(names, matrix):
+            handle.write(name + render_values(row, ",") + "\n")
+        if not handle.tell():
+            handle.write("\n")
 
 
 def write_features_binary(path, names: list[str], matrix: np.ndarray) -> None:

@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datasets import FeatureSet
-from .errors import ContractError, FormatError, ManifestError
+from .errors import ContractError, FormatError, ManifestError, open_utf8
 
 METRIC_ORDER = ("acc", "acc_s", "acc_u", "hm")
 
@@ -224,7 +224,7 @@ def read_report_csv(path) -> list[EvalReport]:
     that does not parse or a row `EvalReport` refuses is a FormatError
     naming ``path:line`` and the column."""
     reports = []
-    with Path(path).open(encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         reader = csv.DictReader(handle)
         for row in reader:
             where = f"{path}:{reader.line_num}"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, FormatError, ManifestError, ShapeError
+from .errors import ContractError, FormatError, ManifestError, ShapeError, open_utf8
 
 VARIATIONS = ("only-class-name", "only-chatgpt", "ours")
 
@@ -175,7 +175,7 @@ def write_bundles(path, semantics: ClassSemantics, variation: str) -> None:
 
 def read_bundles(path) -> tuple[ClassSemantics, str]:
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         first = handle.readline()
         if not first.startswith("# bundles"):
             raise FormatError(f"{path}: missing bundle header line")

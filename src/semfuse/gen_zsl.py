@@ -23,6 +23,8 @@ from .fusion import fuse_graph, fusion_grads
 
 BETA1, BETA2 = 0.5, 0.9  # Adam moment decays of the critic and generator
 LEAKY_SLOPE = 0.2
+# slopes computed at a time by a forward pass that keeps no trace
+SLOPE_BLOCK = 16384
 
 
 class Mlp:
@@ -49,21 +51,37 @@ class Mlp:
     def run(self, x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
         """Output for rows of ``x`` and ``e``, and the trace `back` reads:
         each layer's input and each hidden layer's leaky-relu slopes."""
+        trace: tuple[list, list] = ([], [])
+        return self.forward(x, e, trace), trace
+
+    def forward(self, x: np.ndarray, e: np.ndarray, trace=None, out=None) -> np.ndarray:
+        """Output for rows of ``x`` and ``e``, written into ``out`` if
+        given. Only with ``trace`` are the layer inputs and slopes kept,
+        appended to its two lists; without, each hidden layer's slopes
+        are computed and applied SLOPE_BLOCK values at a time."""
         if x.shape[-1] != self.x_dim or e.shape[-1] != self.d:
             raise ShapeError(
                 f"inputs {x.shape}, {e.shape} do not match "
                 f"(x width {self.x_dim}, d={self.d})"
             )
         h = np.concatenate([x, e], axis=-1)
-        inputs, masks = [], []
         for i in range(self.n_layers):
-            inputs.append(h)
-            h = h @ self.store[f"l{i}.W"].T
+            last = i == self.n_layers - 1
+            if trace is not None:
+                trace[0].append(h)
+            h = np.matmul(h, self.store[f"l{i}.W"].T, out=out if last else None)
             h += self.store[f"l{i}.b"]  # in place: no second layer-sized array
-            if i < self.n_layers - 1:
-                masks.append(np.where(h > 0, 1.0, LEAKY_SLOPE))
-                h *= masks[-1]
-        return h, (inputs, masks)
+            if last:
+                break
+            if trace is not None:
+                trace[1].append(np.where(h > 0, 1.0, LEAKY_SLOPE))
+                h *= trace[1][-1]
+            else:  # the same slopes, never a whole layer of them
+                rows = max(1, SLOPE_BLOCK // h.shape[-1])
+                for start in range(0, len(h), rows):
+                    block = h[start : start + rows]
+                    block *= np.where(block > 0, 1.0, LEAKY_SLOPE)
+        return h
 
     def back(self, trace, g: np.ndarray, params: bool, inputs: bool) -> tuple:
         """Adjoints for the output adjoint ``g`` of the `run` that left
@@ -398,7 +416,7 @@ class GanTrainer:
             rows = self._draw_rows()
             h = self.rng.normal(size=(rows.size, cfg.noise_dim))
             e = fuse_graph(self.fusion, *self._semantics(rows))
-            z_fake, _ = self.gen.run(h, e)
+            z_fake = self.gen.forward(h, e)
             beta = self.rng.uniform(size=rows.size)
             critic_loss, wasserstein, penalty, grads = critic_loss_grads(
                 self.disc, self.data.features[rows], z_fake, e, beta, cfg.eta
@@ -422,14 +440,14 @@ class GanTrainer:
         return [self.wgan_step() for _ in range(cycles)]
 
 
-def synthesize(gen: Mlp, e: np.ndarray, n: int, seed: int) -> np.ndarray:
+def synthesize(gen: Mlp, e: np.ndarray, n: int, seed: int, out=None) -> np.ndarray:
     """Draw n synthetic feature vectors for the class with semantic
-    vector ``e``; seed-deterministic."""
+    vector ``e``, into ``out`` (n rows) if given; seed-deterministic."""
     if n <= 0:
         raise ContractError("need a positive sample count")
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, gen.x_dim))
-    return gen.run(h, np.broadcast_to(e, (n, len(e))))[0]
+    return gen.forward(h, np.broadcast_to(e, (n, len(e))), out=out)
 
 
 def synthesize_set(
@@ -451,5 +469,6 @@ def synthesize_set(
     features = np.empty((ids.size * max(per_class, 0), gen.sizes[-1]))
     for k, (cid, e) in enumerate(zip(ids.tolist(), fused)):
         class_seed = int(np.random.SeedSequence([seed, cid]).generate_state(1)[0])
-        features[k * per_class : (k + 1) * per_class] = synthesize(gen, e, per_class, class_seed)
+        block = features[k * per_class : (k + 1) * per_class]
+        synthesize(gen, e, per_class, class_seed, out=block)
     return FeatureSet(features, np.repeat(ids, per_class), split)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, OutOfVocabularyError
+from .errors import FormatError, OutOfVocabularyError, open_utf8
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -51,7 +51,7 @@ def load_word_vectors(path, vocabulary=None) -> WordVectorTable:
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    with path.open(encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             head = raw.split(None, 1)
             if not head:

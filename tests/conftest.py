@@ -6,6 +6,8 @@ linear image of the same latent, which makes the little pipeline
 actually learnable.
 """
 
+import multiprocessing
+import os
 import weakref
 from collections import defaultdict
 from pathlib import Path
@@ -22,6 +24,21 @@ DESCRIPTION_DIR = REPO_ROOT / "data" / "descriptions"
 
 SEEN = ["bed", "chair", "desk", "sofa"]
 UNSEEN = ["table", "toilet"]
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which this process has a child process, running
+    or exited and not yet reaped."""
+    yield
+    workers = multiprocessing.active_children()  # reaps the exited ones
+    if workers:
+        pytest.fail(f"worker processes left running: {workers}")
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one exited child
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"child process {pid} left unreaped" if pid else "a child process left running")
 
 
 def keep_classes(semantics: ClassSemantics, keep) -> ClassSemantics:

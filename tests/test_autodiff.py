@@ -1,6 +1,13 @@
+import concurrent.futures
 import hashlib
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +444,109 @@ def test_checkpoint_of_empty_stores_is_one_empty_line(tmp_path):
     ad.write_params_binary(binary, stores, BOUND)
     assert binary.stat().st_size == HEADER_BYTES
     assert ad.load_params(binary) == ({}, BOUND)
+
+
+# the edge values, and a marker that the failing renderers below act on
+POOL_EDGES = np.concatenate([[-0.0, 5e-324, np.inf, -np.inf], NAN_BITS])
+MARKER = 12345.5
+_RENDER = ad.render_values
+
+
+def _raise_on_marker(values, sep=" "):
+    if MARKER in values:
+        raise ValueError("marker chunk")
+    return _RENDER(values, sep)
+
+
+def _die_on_marker(values, sep=" "):
+    if MARKER in values:
+        os._exit(3)
+    return _RENDER(values, sep)
+
+
+def _pool_stores():
+    """Stores of 2 * SAVE_POOL_MIN + 30 values, enough for two workers,
+    with the edge values across every chunk boundary (where one
+    worker's piece ends and the next one's starts) and record boundary."""
+    chunk = ad.SAVE_CHUNK
+    long = np.random.default_rng(8).normal(size=2 * ad.SAVE_POOL_MIN + 20)
+    for at in range(chunk, long.size, chunk):
+        long[at - 3 : at + 4] = POOL_EDGES
+    long[:7] = long[-7:] = POOL_EDGES
+    return {"gen": {"W": long.reshape(4, -1), "edges": POOL_EDGES.copy()}, "": {"nan": NAN_BITS}}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs; returns the worker counts of the pools created."""
+    created = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            created.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return created
+
+
+def test_pooled_checkpoint_has_the_serial_bytes(tmp_path, monkeypatch, two_cpus):
+    stores = _pool_stores()
+    pooled, serial = tmp_path / "pooled.ckpt", tmp_path / "serial.ckpt"
+    assert ad.save_params(pooled, stores) == hashlib.sha256(pooled.read_bytes()).digest()
+    assert two_cpus == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert ad.save_params(serial, stores) == hashlib.sha256(serial.read_bytes()).digest()
+    assert two_cpus == [2]  # one CPU: no pool
+    assert pooled.read_bytes() == serial.read_bytes() == _reference_checkpoint(stores)
+    _assert_bitwise_round_trip(pooled, stores)
+
+
+@pytest.mark.parametrize("render,error,message", [
+    (_raise_on_marker, ValueError, "marker chunk"),
+    (_die_on_marker, BrokenProcessPool, "terminated abruptly"),
+], ids=["raises", "dies"])
+def test_a_failing_worker_fails_the_save_and_no_worker_is_left(
+    tmp_path, monkeypatch, two_cpus, render, error, message
+):
+    stores = _pool_stores()
+    stores["gen"]["W"][1, 5] = MARKER  # in the third chunk
+    monkeypatch.setattr(ad, "render_values", render)
+    with pytest.raises(error, match=message):
+        ad.save_params(tmp_path / "m.ckpt", stores)
+    assert two_cpus == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_store_one_value_under_the_threshold_is_formatted_in_process(
+    tmp_path, monkeypatch, two_cpus
+):
+    stores = {"gen": {"W": np.random.default_rng(9).normal(size=2 * ad.SAVE_POOL_MIN - 1)}}
+    pids = []
+
+    def recording(values, sep=" "):
+        pids.append(os.getpid())
+        return _RENDER(values, sep)
+
+    monkeypatch.setattr(ad, "render_values", recording)
+    path = tmp_path / "m.ckpt"
+    assert ad.save_params(path, stores) == hashlib.sha256(path.read_bytes()).digest()
+    assert path.read_bytes() == _reference_checkpoint(stores)
+    assert two_cpus == [] and set(pids) == {os.getpid()}
+    # nor is the pool's machinery imported
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from semfuse import autodiff as ad\n"
+        "ad.save_params(sys.argv[1], {'g': {'W': np.ones(2 * ad.SAVE_POOL_MIN - 1)}})\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.ckpt")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.fixture(scope="module")

@@ -748,6 +748,73 @@ def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, c
     assert "bad_vectors.txt:3: expected 2 values, got 1" in capsys.readouterr().err
 
 
+def _undecodable(source, target, lineno, old, bad):
+    """``source`` copied to ``target`` with the bytes ``old`` of line
+    ``lineno`` replaced by ``bad``."""
+    lines = source.read_bytes().split(b"\n")
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, bad, 1)
+    target.write_bytes(b"\n".join(lines))
+    return target
+
+
+def _bad_features(demo_dir, tmp_path):
+    bad = _undecodable(demo_dir / "train.csv", tmp_path / "train.csv", 5, b"bed", b"b\xe9d")
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=bad)
+    return bad, {"split": split}
+
+
+def _bad_word_vectors(demo_dir, tmp_path):
+    source = demo_dir / "word_vectors.txt"
+    old = source.read_bytes().split(b"\n")[2].split()[0]
+    bad = _undecodable(source, tmp_path / "wv.txt", 3, old, b"\xff" + old)
+    return bad, {"word_vectors": bad}
+
+
+def _bad_bundles(demo_dir, tmp_path):
+    bundles = tmp_path / "bundles.csv"
+    assert main(["build-semantics", "--split", str(demo_dir / "split.cfg"), "--word-vectors",
+                 str(demo_dir / "word_vectors.txt"), "--out", str(bundles)]) == 0
+    bad = _undecodable(bundles, tmp_path / "bad.csv", 3, b",bed,", b",b\xe9d,")
+    return bad, {"bundles": bad}
+
+
+def _bad_split(demo_dir, tmp_path):
+    split = _write_split(tmp_path / "good.cfg", demo_dir)
+    bad = _undecodable(split, tmp_path / "split.cfg", 1, b"dataset", b"# caf\xe9\ndataset")
+    return bad, {"split": bad}
+
+
+@pytest.mark.parametrize("prepare,where", [
+    (_bad_features, ":5: byte 2 (0xe9)"),
+    (_bad_word_vectors, ":3: byte 1 (0xff)"),
+    (_bad_bundles, ":3: byte 4 (0xe9)"),
+    (_bad_split, ":1: byte 6 (0xe9)"),
+], ids=["features", "word-vectors", "bundles", "split"])
+def test_a_byte_that_is_not_utf8_exits_3_naming_its_line(
+    demo_dir, tmp_path, capsys, prepare, where
+):
+    """``prepare`` writes a file with a byte that is not UTF-8 and
+    returns it with the config entries that make `train` read it."""
+    bad, overrides = prepare(demo_dir, tmp_path)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", **overrides)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"data format error: {bad}{where} is not UTF-8\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_report_that_is_not_utf8_exits_3_naming_its_line(tmp_path, capsys):
+    from semfuse.evaluation import EvalReport, write_report_csv
+
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_report_csv(good, [EvalReport("only-chatgpt", "zsl", acc=60.0)])
+    write_report_csv(bad, [EvalReport("ours", "zsl", acc=50.0)])
+    _undecodable(bad, bad, 2, b"ours", b"o\xffrs")
+    assert main(["compare", "--reports", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err == f"data format error: {bad}:2: byte 2 (0xff) is not UTF-8\n"
+
+
 def test_eval_of_a_checkpoint_without_its_width_record_exits_3(ours_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(ours_run.parent / "run", run)

@@ -453,25 +453,40 @@ def test_synthesize_set_builds_unseen_feature_set():
 
 
 def test_synthesize_set_fills_one_array():
-    # hidden width m, as the wide benchmark workload trains: at 4m one
-    # block's forward pass alone holds about 1.2x this output
+    # hidden width m, as the wide benchmark workload trains, and 4m, the
+    # default: each layer's input and slopes kept for a backward pass
+    # synthesis never runs held 1.91x this output at 4m
     m, d = 512, 8
-    gen = init_generator(m=m, d=d, noise_dim=8, seed=0, hidden=[m])
     names = ["s0", "s1"] + [f"u{i}" for i in range(10)]
     e = np.random.default_rng(0).normal(size=(12, d))
     semantics = ClassSemantics(np.arange(12), names, e, e)
     fusion = init_fusion(d, seed=0, alpha=0.5, variation="only-class-name")
     split = SplitSpec("toy", names[:2], names[2:])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fs = synthesize_set(gen, fusion, semantics, split, per_class=400, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert fs.features.shape == (4000, m)
-    # the output beside one class block's forward pass, never two copies
-    assert peak - base <= 1.5 * fs.features.nbytes
+    for hidden in (m, 4 * m):
+        gen = init_generator(m=m, d=d, noise_dim=8, seed=0, hidden=[hidden])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fs = synthesize_set(gen, fusion, semantics, split, per_class=400, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.features.shape == (4000, m)
+        # the output beside one class block's hidden layer, never two copies
+        assert peak - base <= 1.5 * fs.features.nbytes, hidden
+
+
+def test_forward_without_trace_has_the_bits_of_run(monkeypatch):
+    monkeypatch.setattr(gen_zsl, "SLOPE_BLOCK", 50)  # blocks of 3 and 5 rows
+    gen = init_generator(m=6, d=3, noise_dim=4, seed=2, hidden=[16, 9])
+    rng = np.random.default_rng(3)
+    x, e = rng.normal(size=(20, 4)), rng.normal(size=(20, 3))
+    x[0], e[0] = 0.0, -0.0  # a row whose pre-activations are the zero biases
+    ran, (inputs, masks) = gen.run(x, e)
+    assert len(inputs) == 3 and len(masks) == 2
+    out = np.full((20, 6), np.nan)
+    assert gen.forward(x, e, out=out) is out
+    assert gen.forward(x, e).tobytes() == out.tobytes() == ran.tobytes()
 
 
 def _unpruned_grad(output, inputs, create_graph=False):
