@@ -5,8 +5,9 @@ build-semantics, train (plus train-embed / train-gen aliases),
 synthesize, eval, compare, and sweep-alpha. Runs are deterministic
 given config file plus seed; reports are CSV plus an aligned table.
 
-Exit codes: 0 success, 2 configuration or manifest problems (also a
-non-finite training loss, an eval or synthesize config that differs
+Exit codes: 0 success, 2 configuration or manifest problems (also an
+input file that is missing, a directory or unreadable, a non-finite
+training loss, an eval or synthesize config that differs
 from the run's training config, a run directory's run.cfg or model.ckpt
 that is not the one its model.bin was written with, and eval test
 features of another width than the checkpoint's), 3 malformed data files
@@ -17,7 +18,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +34,7 @@ from .datasets import (
     load_features,
     load_run_config,
     load_split,
+    sha256_file,
     write_features_csv,
 )
 from .errors import ConfigError, ContractError, FormatError, ManifestError, TransportError
@@ -163,14 +164,6 @@ def _run_files(config: RunConfig) -> tuple[Path, Path, Path]:
     return out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
 
 
-def _sha256(path: Path) -> bytes:
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.digest()
-
-
 def run_train(config: RunConfig) -> Path:
     """Train per the config and write checkpoints plus logs; returns the
     text checkpoint's path."""
@@ -191,7 +184,7 @@ def run_train(config: RunConfig) -> Path:
     run_cfg.write_text(replace(config, **relative).to_text(), encoding="utf-8")
     (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
     # last, so a run directory that holds it is complete
-    ad.write_params_binary(binary, trained.stores, (ckpt_digest, _sha256(run_cfg)))
+    ad.write_params_binary(binary, trained.stores, (ckpt_digest, sha256_file(run_cfg)))
     return ckpt
 
 
@@ -222,7 +215,7 @@ def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
             )
     values, bound = ad.load_params(binary, ("fusion", config.method))
     for path, digest in zip((ckpt, run_cfg), bound):
-        if _sha256(path) != digest:
+        if sha256_file(path) != digest:
             raise ConfigError(
                 f"{path} is not the file {binary} was written with (its sha256 differs); "
                 "retrain the run"
@@ -485,7 +478,8 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # an input that is missing, a directory or unreadable; the message names it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,9 +11,11 @@ feature noise.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
+import tempfile
 from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
@@ -315,14 +317,32 @@ def _parse_value(kind, raw: str, base: Path):
 # split. Binary layout (little-endian): magic "FSET", uint32 row count,
 # uint32 dimension, then per row a uint32 name length, the UTF-8 name,
 # and m float64 values.
+#
+# A CSV file's sidecar, "<file>.fset" beside it, holds the file once
+# parsed: magic "FCSV", uint32 format version, the sha256 of the CSV's
+# bytes, then the binary layout above. A load reads the sidecar instead
+# of parsing when magic, version and digest match; anything else parses
+# the CSV and writes the sidecar anew.
+
+_SIDECAR_HEAD = b"FCSV" + struct.pack("<I", 1)  # magic, format version
 
 
 def load_features(path, split: SplitSpec) -> FeatureSet:
-    """Read a feature file (CSV or binary) and tag roles from the split."""
+    """Read a feature file (CSV or binary) and tag roles from the split.
+    A CSV file is parsed only when its sidecar does not hold it, and a
+    parse that passes the format and finiteness checks writes one."""
     path = Path(path)
     with path.open("rb") as handle:
         binary = handle.read(4) == _BINARY_MAGIC
-        names, matrix = _read_binary(path, handle) if binary else _read_csv(path)
+        if binary:
+            names, matrix = _read_binary(path, handle)
+        else:
+            handle.seek(0)
+            key = _SIDECAR_HEAD + _sha256(handle)
+    if not binary:
+        sidecar = path.with_name(path.name + ".fset")
+        cached = _read_sidecar(sidecar, key)
+        names, matrix = cached or _read_csv(path)
     # min and max propagate nan and inf with no temporary; initial covers width 0
     if not (np.isfinite(matrix.min(initial=0.0)) and np.isfinite(matrix.max(initial=0.0))):
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
@@ -331,6 +351,8 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
             with path.open(encoding="utf-8") as handle:
                 where = next(islice(_csv_rows(handle), bad, None))[0]
         raise FormatError(f"{path}:{where}: non-finite feature value")
+    if not binary and not cached:
+        _write_sidecar(sidecar, key, names, matrix)
     ids = split.class_ids
     labels = []
     for row, name in enumerate(names):
@@ -341,6 +363,50 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
             )
         labels.append(ids[name])
     return FeatureSet(matrix, np.array(labels, dtype=np.int64), split)
+
+
+def sha256_file(path) -> bytes:
+    """The sha256 digest of the file ``path``."""
+    with open(path, "rb") as handle:
+        return _sha256(handle)
+
+
+def _sha256(handle) -> bytes:
+    digest = hashlib.sha256()
+    # 64 KiB blocks: a load's footprint stays the matrix, not a block of the file
+    for block in iter(lambda: handle.read(1 << 16), b""):
+        digest.update(block)
+    return digest.digest()
+
+
+def _read_sidecar(sidecar: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
+    """Names and matrix from the file ``sidecar`` if it starts with
+    ``key`` and holds well-formed records; else None."""
+    try:
+        with sidecar.open("rb") as handle:
+            if handle.read(len(key) + 4) != key + _BINARY_MAGIC:
+                return None
+            return _read_binary(sidecar, handle)
+    except (OSError, FormatError):
+        return None
+
+
+def _write_sidecar(sidecar: Path, key: bytes, names: list[str], matrix: np.ndarray) -> None:
+    """Write ``key`` and the records to ``sidecar`` whole or not at all,
+    through a temporary file beside it. A directory that cannot take it
+    is left as it was: the CSV is then parsed on every load."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=".tmp-", suffix=".fset")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(key)
+                _write_records(handle, names, matrix)
+            os.replace(tmp, sidecar)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -379,7 +445,8 @@ def _csv_rows(handle):
 
 
 def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
-    """Names and matrix of the binary file ``path``, read from ``handle`` past its magic."""
+    """Names and matrix of the binary records of ``path``, read from
+    ``handle`` past their magic to the end of the file."""
     size = os.fstat(handle.fileno()).st_size
     header = handle.read(8)
     if len(header) < 8:
@@ -387,8 +454,8 @@ def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
     n, m = struct.unpack("<II", header)
     if n == 0:
         raise FormatError(f"{path}: no feature rows")
-    # never more rows than the file can hold: one past them is truncated
-    matrix = np.empty((min(n, (size - 12) // (4 + 8 * m)), m), dtype="<f8")
+    # never more rows than the rest of the file can hold: one past them is truncated
+    matrix = np.empty((min(n, (size - handle.tell()) // (4 + 8 * m)), m), dtype="<f8")
     names: list[str] = []
     for i in range(n):
         if handle.tell() + 4 > size:
@@ -417,14 +484,19 @@ def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:
 
 
 def write_features_binary(path, names: list[str], matrix: np.ndarray) -> None:
+    """Write the binary layout, a row at a time."""
+    with Path(path).open("wb") as handle:
+        _write_records(handle, names, matrix)
+
+
+def _write_records(handle, names: list[str], matrix: np.ndarray) -> None:
+    """The binary layout from its magic on, a row at a time."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    parts = [_BINARY_MAGIC, struct.pack("<II", matrix.shape[0], matrix.shape[1])]
+    handle.write(_BINARY_MAGIC + struct.pack("<II", *matrix.shape))
     for name, row in zip(names, matrix):
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(row.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        handle.write(struct.pack("<I", len(encoded)) + encoded)
+        handle.write(np.ascontiguousarray(row, dtype="<f8"))
 
 
 # ---------------------------------------------------------------------------

@@ -223,23 +223,25 @@ def init_classifier(m: int, class_ids: list[int], seed: int) -> SoftmaxClassifie
 
 
 def _train_softmax(
-    features: np.ndarray,
+    parts: tuple[np.ndarray, ...],
     labels: np.ndarray,
     class_ids: list[int],
     cfg: RunConfig,
 ) -> SoftmaxClassifier:
     """Minibatch Adam on the mean softmax cross-entropy of ``labels``,
     with the ``classifier_lr``, ``classifier_epochs``, ``batch_size``
-    and ``seed`` of ``cfg``.
+    and ``seed`` of ``cfg``. The features are the rows of ``parts`` one
+    after the other; each batch gathers its rows from them, so they are
+    never copied into one array.
 
     `ad.softmax_xent_grad` gives each batch's loss and logits adjoint,
     and `ad.linear_grads` carries it to ``W`` and ``b``. A non-finite
     loss is a ContractError.
     """
-    clf = init_classifier(features.shape[1], class_ids, cfg.seed)
+    clf = init_classifier(parts[0].shape[1], class_ids, cfg.seed)
     state = ad.AdamState(clf.store)
     rng = np.random.default_rng(cfg.seed)
-    n = features.shape[0]
+    n = labels.shape[0]
     targets = np.eye(len(class_ids))[clf.rows_of(labels)]
     for _ in range(cfg.classifier_epochs):
         order = np.arange(n)
@@ -247,7 +249,7 @@ def _train_softmax(
             rng.shuffle(order)
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            x = features[rows]
+            x = _gather(parts, rows)
             loss, g = ad.softmax_xent_grad(clf.logits(x), targets[rows])
             ad.require_finite_loss(loss)
             grads = dict(zip(("W", "b"), ad.linear_grads(x, g)))
@@ -256,13 +258,28 @@ def _train_softmax(
     return clf
 
 
+def _gather(parts: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows``, in that order, of the one or two arrays ``parts``
+    taken one after the other."""
+    if len(parts) == 1:
+        return parts[0][rows]
+    first, second = parts
+    n = first.shape[0]
+    # clip maps each row that lies in ``first`` to a row of ``second``;
+    # those are overwritten next (a boolean-mask assignment costs ~10x more)
+    x = second.take(rows - n, axis=0, mode="clip")
+    in_first = np.flatnonzero(rows < n)
+    x[in_first] = first[rows[in_first]]
+    return x
+
+
 def pretrain_classifier(seen_data: FeatureSet, cfg: RunConfig) -> SoftmaxClassifier:
     """Train the frozen regularizer classifier on real seen features."""
     require_seen_only(seen_data, "pretraining features")
     present = sorted(int(c) for c in np.unique(seen_data.labels))
     if len(present) < 2:
         raise ContractError("need at least 2 classes to pretrain the classifier")
-    return _train_softmax(seen_data.features, seen_data.labels, present, cfg)
+    return _train_softmax((seen_data.features,), seen_data.labels, present, cfg)
 
 
 def train_final_classifier(
@@ -280,16 +297,16 @@ def train_final_classifier(
             raise ManifestError(
                 f"seen and synthetic-unseen label sets overlap: {sorted(overlap)}"
             )
-        features = np.vstack([real_seen.features, synth_unseen.features])
+        parts = (real_seen.features, synth_unseen.features)
         labels = np.concatenate([real_seen.labels, synth_unseen.labels])
         class_ids = sorted(seen_classes | synth_classes)
     else:
-        features = synth_unseen.features
+        parts = (synth_unseen.features,)
         labels = synth_unseen.labels
         class_ids = sorted(synth_classes)
     if len(class_ids) < 2:
         raise ContractError("need at least 2 classes to train a classifier")
-    return _train_softmax(features, labels, class_ids, cfg)
+    return _train_softmax(parts, labels, class_ids, cfg)
 
 
 # ---------------------------------------------------------------------------

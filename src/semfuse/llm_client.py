@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ContractError, ProviderError, TransportError
+from .errors import ContractError, ProviderError, TransportError, open_utf8
 
 PROMPT_TEMPLATE = (
     "Describe the {name} object in at most ten sentences using the specific "
@@ -65,7 +65,8 @@ class DescriptionCache:
         path = self.path_for(class_name)
         if not path.exists():
             return None
-        return path.read_text(encoding="utf-8")
+        with open_utf8(path) as handle:
+            return handle.read()
 
     def put(self, class_name: str, text: str) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from semfuse.evaluation import read_report_csv
 from semfuse.fusion import read_bundles
 
 import checkpoint_files
-from conftest import REPO_ROOT
+from conftest import DESCRIPTION_DIR, REPO_ROOT
 
 
 def write_config(path, demo_dir, out_dir, **overrides):
@@ -785,12 +785,23 @@ def _bad_split(demo_dir, tmp_path):
     return bad, {"split": bad}
 
 
+def _bad_description(demo_dir, tmp_path):
+    cache = tmp_path / "descriptions"
+    shutil.copytree(DESCRIPTION_DIR, cache)
+    bad = _undecodable(DESCRIPTION_DIR / "bed.txt", cache / "bed.txt", 1, b"A bed", b"A b\xffd")
+    split = _write_split(tmp_path / "split.cfg", demo_dir)
+    text = split.read_text().replace(f"descriptions = {DESCRIPTION_DIR}", f"descriptions = {cache}")
+    split.write_text(text)
+    return bad, {"split": split}
+
+
 @pytest.mark.parametrize("prepare,where", [
     (_bad_features, ":5: byte 2 (0xe9)"),
     (_bad_word_vectors, ":3: byte 1 (0xff)"),
     (_bad_bundles, ":3: byte 4 (0xe9)"),
     (_bad_split, ":1: byte 6 (0xe9)"),
-], ids=["features", "word-vectors", "bundles", "split"])
+    (_bad_description, ":1: byte 4 (0xff)"),
+], ids=["features", "word-vectors", "bundles", "split", "description"])
 def test_a_byte_that_is_not_utf8_exits_3_naming_its_line(
     demo_dir, tmp_path, capsys, prepare, where
 ):
@@ -802,6 +813,92 @@ def test_a_byte_that_is_not_utf8_exits_3_naming_its_line(
     assert main(["train", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err == f"data format error: {bad}{where} is not UTF-8\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_a_feature_path_naming_a_directory_exits_2(demo_dir, tmp_path, capsys):
+    features = tmp_path / "train.csv"
+    features.mkdir()
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=features)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [Errno 21] Is a directory: '{features}'\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_unreadable_feature_file_exits_2(demo_dir, tmp_path, capsys, monkeypatch):
+    # run as root, chmod denies nothing: the refusal is the one open would raise
+    features = tmp_path / "train.csv"
+    shutil.copy(demo_dir / "train.csv", features)
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=features)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
+    path_open = Path.open
+
+    def refusing(self, *args, **kwargs):
+        if self == features:
+            raise PermissionError(13, "Permission denied", str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [Errno 13] Permission denied: '{features}'\n"
+    assert not (tmp_path / "run").exists()
+
+
+def _csv_run(demo_dir, root):
+    """A config over copies of the demo CSV features under ``root``."""
+    root.mkdir()
+    for name in ("train.csv", "test.csv"):
+        shutil.copy(demo_dir / name, root / name)
+    split = _write_split(root / "split.cfg", demo_dir, train_features=root / "train.csv",
+                         test_features=root / "test.csv")
+    return write_config(root / "c.cfg", demo_dir, root / "run", split=split, epochs="20")
+
+
+CSV_RUN = [["train"], ["eval", "--mode", "zsl"], ["eval", "--mode", "gzsl"]]
+
+
+def test_runs_over_csv_features_keep_their_bytes_whether_sidecars_are_read(
+    demo_dir, tmp_path, monkeypatch
+):
+    from semfuse import datasets
+
+    parses = []
+    read_csv = datasets._read_csv
+    monkeypatch.setattr(datasets, "_read_csv", lambda path: parses.append(path.name) or
+                        read_csv(path))
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    for root in (cached, fresh):
+        cfg = _csv_run(demo_dir, root)
+        for command in CSV_RUN:
+            if root == fresh:
+                for sidecar in root.glob("*.fset"):
+                    sidecar.unlink()
+            assert main([command[0], "--config", str(cfg), *command[1:]]) == 0
+    # each file parsed once where its sidecar stays, by every command where it goes
+    assert parses == ["train.csv", "test.csv", "train.csv", "test.csv", "test.csv"]
+    assert sorted(p.name for p in cached.glob("*.fset")) == ["test.csv.fset", "train.csv.fset"]
+    outputs = sorted(p.name for p in (cached / "run").iterdir())
+    assert outputs == sorted(p.name for p in (fresh / "run").iterdir())
+    for name in outputs:
+        assert (cached / "run" / name).read_bytes() == (fresh / "run" / name).read_bytes(), name
+
+
+def test_a_sidecar_that_cannot_be_written_does_not_fail_the_run(demo_dir, tmp_path, monkeypatch):
+    from semfuse import datasets
+
+    replace = datasets.os.replace
+
+    def refusing(source, target):
+        if str(target).endswith(".fset"):
+            raise PermissionError(13, "Permission denied", str(target))
+        replace(source, target)
+
+    monkeypatch.setattr(datasets.os, "replace", refusing)
+    cfg = _csv_run(demo_dir, tmp_path / "root")
+    for command in CSV_RUN:
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 0
+    assert sorted(p.name for p in (tmp_path / "root").iterdir()) == [
+        "c.cfg", "run", "split.cfg", "test.csv", "train.csv"]
 
 
 def test_a_report_that_is_not_utf8_exits_3_naming_its_line(tmp_path, capsys):

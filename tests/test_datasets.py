@@ -1,3 +1,5 @@
+import hashlib
+import os
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semfuse import datasets
 from semfuse.datasets import (
     FeatureSet,
     RunConfig,
@@ -178,16 +181,18 @@ def test_csv_features_are_read_a_line_at_a_time(tmp_path, split):
     path = tmp_path / "feats.csv"
     names = ["bed", "chair", "sofa", "table"] * 50
     write_features_csv(path, names, np.random.default_rng(1).normal(size=(200, 256)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        load_features(path, split)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the parsed rows, the matrix and one line's fields (0.9 of the file
-    # here), never the whole text and its lines at once (2.0 of it)
-    assert peak - base < 1.25 * path.stat().st_size
+    for cached in (False, True):  # a parse that writes the sidecar, then a sidecar read
+        assert sidecar_of(path).exists() == cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            load_features(path, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parsed rows, the matrix and one line's fields (0.9 of the file
+        # here), never the whole text and its lines at once (2.0 of it)
+        assert peak - base < 1.25 * path.stat().st_size
 
 
 def test_features_csv_keeps_its_per_value_bytes(tmp_path):
@@ -263,15 +268,157 @@ def test_feature_loaders_hold_the_matrix_once(tmp_path, split, write):
     path = tmp_path / "feats"
     matrix = np.random.default_rng(2).normal(size=(2000, 512))
     write(path, ["bed", "chair", "sofa", "table"] * 500, matrix)
+    for _ in range(2):  # for CSV: a parse that writes the sidecar, then a sidecar read
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fs = load_features(path, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(fs.features, matrix)
+        assert peak - base <= 1.2 * matrix.nbytes
+    assert sidecar_of(path).exists() == (write is write_features_csv)
+
+
+def test_binary_features_keep_their_bytes_and_are_written_a_row_at_a_time(tmp_path):
+    path = tmp_path / "feats.bin"
+    write_features_binary(path, ["bed", "caf\u00e9"], np.array([[1.5, -0.0], [np.inf, 2.0]]))
+    assert path.read_bytes() == (
+        b"FSET" + struct.pack("<II", 2, 2)
+        + struct.pack("<I", 3) + b"bed" + struct.pack("<2d", 1.5, -0.0)
+        + struct.pack("<I", 5) + "caf\u00e9".encode() + struct.pack("<2d", np.inf, 2.0)
+    )
+    matrix = np.random.default_rng(3).normal(size=(500, 512))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fs = load_features(path, split)
+        write_features_binary(path, ["bed", "chair"] * 250, matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(fs.features, matrix)
-    assert peak - base <= 1.2 * matrix.nbytes
+    # a row's bytes and the file's write buffer, never the matrix's 2 MB again
+    assert peak - base < 64 * 1024
+    assert np.array_equal(np.frombuffer(path.read_bytes()[-8 * 512:]), matrix[-1])
+
+
+# ---------------------------------------------------------------------------
+# CSV sidecars
+
+
+def sidecar_of(path: Path) -> Path:
+    return path.with_name(path.name + ".fset")
+
+
+def sidecar_bytes(csv: Path) -> bytes:
+    """The sidecar a load of the CSV file ``csv`` writes: its key, then
+    the binary layout `write_features_binary` writes."""
+    fs_path = csv.with_name("expected.bin")
+    names, matrix = parse_csv(csv)
+    write_features_binary(fs_path, names, matrix)
+    blob = fs_path.read_bytes()
+    fs_path.unlink()
+    return b"FCSV" + struct.pack("<I", 1) + hashlib.sha256(csv.read_bytes()).digest() + blob
+
+
+def parse_csv(path: Path):
+    """Names and matrix of a CSV feature file, parsed with no sidecar."""
+    rows = [line.split(",") for line in path.read_text().splitlines() if line]
+    return [row[0] for row in rows], np.array([[float(v) for v in row[1:]] for row in rows])
+
+
+def loads_without_parsing(monkeypatch, path, split):
+    """``load_features(path, split)`` with the CSV parser unavailable."""
+    def no_parse(path):
+        raise AssertionError(f"{path} parsed again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(datasets, "_read_csv", no_parse)
+        return load_features(path, split)
+
+
+EDGE_MATRIX = np.array([[1.7976931348623157e308, -1.7976931348623157e308],
+                        [2.2250738585072014e-308, -0.0], [1 / 3, 5e-324]])
+
+
+def test_a_sidecar_read_equals_the_parse_bit_for_bit(tmp_path, split, monkeypatch):
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)
+    parsed = load_features(path, split)
+    assert sidecar_of(path).read_bytes() == sidecar_bytes(path)
+    cached = loads_without_parsing(monkeypatch, path, split)
+    assert cached.features.tobytes() == parsed.features.tobytes() == EDGE_MATRIX.tobytes()
+    assert cached.labels.tobytes() == parsed.labels.tobytes()
+    assert cached.labels.tolist() == [2, 0, 3]
+
+
+def test_a_csv_edited_in_place_is_parsed_again(tmp_path, split, monkeypatch):
+    path = tmp_path / "feats.csv"
+    path.write_text("bed,1.0,2.0\nsofa,3.0,4.0\n")
+    load_features(path, split)
+    stat = path.stat()
+    path.write_text("bed,1.0,2.0\nsofa,3.0,5.0\n")  # same size, same mtime
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert load_features(path, split).features.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+    assert sidecar_of(path).read_bytes() == sidecar_bytes(path)
+    assert loads_without_parsing(monkeypatch, path, split).features.tolist() == [
+        [1.0, 2.0], [3.0, 5.0]]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda blob: blob[:-4],
+    lambda blob: blob[:20],
+    lambda blob: b"garbage",
+    lambda blob: b"",
+    lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+    lambda blob: blob[:8] + bytes(32) + blob[40:],
+    lambda blob: blob + b"\0",
+    lambda blob: blob[:44] + struct.pack("<I", 2) + blob[48:],
+    lambda blob: blob[:48] + struct.pack("<I", 3) + blob[52:],
+], ids=["truncated", "short", "garbage", "empty", "other-version", "other-digest",
+        "trailing-byte", "fewer-rows", "other-width"])
+def test_a_spoilt_sidecar_is_ignored_and_rewritten(tmp_path, split, spoil):
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)
+    load_features(path, split)
+    good = sidecar_of(path).read_bytes()
+    sidecar_of(path).write_bytes(spoil(good))
+    assert load_features(path, split).features.tobytes() == EDGE_MATRIX.tobytes()
+    assert sidecar_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("last,message", [
+    ("chair,1.0", ":3: ragged row, expected 2 values, got 1"),
+    ("chair,1.0,x", ":3: could not convert string to float: 'x'"),
+    ("chair,nan,1.0", ":3: non-finite feature value"),
+    ("ghost,1.0,2.0", ": row 3 label 'ghost' is not in split 'toy'"),
+])
+def test_a_csv_that_fails_to_load_fails_alike_every_time(tmp_path, split, last, message):
+    path = tmp_path / "feats.csv"
+    path.write_text(f"bed,1.0,2.0\nsofa,3.0,4.0\n{last}\n")
+    for _ in range(2):
+        with pytest.raises((FormatError, ManifestError)) as err:
+            load_features(path, split)
+        assert str(err.value) == f"{path}{message}"
+    # a well-formed file of an unknown label keeps its sidecar: the split is not its key
+    assert sidecar_of(path).exists() == last.startswith("ghost")
+
+
+@pytest.mark.parametrize("fail", ["mkstemp", "write", "replace"])
+def test_a_sidecar_that_cannot_be_written_leaves_no_file(tmp_path, split, monkeypatch, fail):
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path))
+
+    owner = {"mkstemp": datasets.tempfile, "write": datasets, "replace": datasets.os}[fail]
+    name = {"mkstemp": "mkstemp", "write": "_write_records", "replace": "replace"}[fail]
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, refuse)
+        for _ in range(2):
+            assert load_features(path, split).features.tobytes() == EDGE_MATRIX.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv", "toy.cfg"]
 
 
 def test_zero_width_binary_features_load(tmp_path, split):

@@ -675,6 +675,23 @@ def test_classifier_fits_match_the_graph_loop_bit_for_bit(n, k, m, batch_size, e
               [0, 1] + sorted(set(synth.labels.tolist())))
 
 
+def test_gzsl_classifier_gathers_batches_from_both_sets_without_stacking_them():
+    rng = np.random.default_rng(5)
+    seen = _labelled_set(rng, 1000, [0, 1], 512)
+    synth = _labelled_set(rng, 1000, [10, 11], 512)
+    cfg = RunConfig(classifier_epochs=1, batch_size=64, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_final_classifier(seen, synth, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few batches' arrays (0.1 of both sets here, 0.2 on a process's
+    # first fit), never both sets stacked into one array (1.2)
+    assert peak - base < 0.3 * (seen.features.nbytes + synth.features.nbytes)
+
+
 def _tensors_built_by(fit):
     """Number of Tensor constructions while ``fit()`` runs."""
     count = 0
