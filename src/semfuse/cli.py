@@ -7,18 +7,17 @@ given config file plus seed; reports are CSV plus an aligned table.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also an
 input file that is missing, a directory or unreadable, a non-finite
-training loss, an eval or synthesize config that differs
-from the run's training config, a run directory's run.cfg or model.ckpt
-that is not the one its model.bin was written with, and eval test
-features of another width than the checkpoint's), 3 malformed data files
-(also a run directory with only a text checkpoint), 4 transport
-failures.
+training loss, an eval or synthesize config that differs from the
+run's training config, a run directory's run.cfg or model.ckpt that is
+not the one its model.bin was written with, and eval test features or
+GZSL seen rows of another width than the checkpoint's), 3 malformed
+data files (also a run directory with only a text checkpoint), 4
+transport failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import pipeline
 from .datasets import (
     FeatureSet,
@@ -34,7 +32,6 @@ from .datasets import (
     load_features,
     load_run_config,
     load_split,
-    sha256_file,
     write_features_csv,
 )
 from .errors import ConfigError, ContractError, FormatError, ManifestError, TransportError
@@ -50,9 +47,7 @@ from .fusion import (
     ALPHA_SWEEP,
     VARIATIONS,
     ClassSemantics,
-    export_fused_csv,
     read_bundles,
-    resolve_semantics,
     write_bundles,
 )
 from .gen_zsl import synthesize_set
@@ -151,79 +146,26 @@ def _require(value, message: str):
     return value
 
 
-def _features(split, key: str) -> FeatureSet:
-    """The split's ``train_features`` or ``test_features`` file, read."""
+def _features(split, key: str, m: int | None = None) -> FeatureSet:
+    """The split's ``train_features`` or ``test_features`` file, read;
+    with ``m``, refused unless its width is the checkpoint's ``m``."""
     path = _require(getattr(split, key), f"split manifest has no {key}")
-    return load_features(path, split)
-
-
-def _run_files(config: RunConfig) -> tuple[Path, Path, Path]:
-    """A run directory's text checkpoint export, the binary checkpoint
-    runs are restored from, and its run config."""
-    out_dir = Path(config.out_dir)
-    return out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
+    features = load_features(path, split)
+    if m is not None and features.m != m:
+        raise ConfigError(
+            f"{key.replace('_', ' ')} {path} have width {features.m}, "
+            f"the checkpoint was trained on width {m}"
+        )
+    return features
 
 
 def run_train(config: RunConfig) -> Path:
-    """Train per the config and write checkpoints plus logs; returns the
+    """Train per the config and write its run directory; returns the
     text checkpoint's path."""
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
     trained = pipeline.train(config, _features(split, "train_features"), semantics)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if trained.fusion.store:
-        fused = resolve_semantics(semantics, trained.fusion)
-        export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
-    ckpt, binary, run_cfg = _run_files(config)
-    ckpt_digest = ad.save_params(ckpt, trained.stores)
-    # paths relative to the run directory, so that identical runs in
-    # different directories write identical run.cfg and model.bin bytes
-    relative = {key: Path(os.path.relpath(value.resolve(), out_dir.resolve()))
-                for key, value in vars(config).items() if isinstance(value, Path)}
-    run_cfg.write_text(replace(config, **relative).to_text(), encoding="utf-8")
-    (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
-    # last, so a run directory that holds it is complete
-    ad.write_params_binary(binary, trained.stores, (ckpt_digest, sha256_file(run_cfg)))
-    return ckpt
-
-
-# keys that fix what a run's parameters are and mean
-_TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
-
-
-def _restore(config: RunConfig, d: int) -> tuple[pipeline.Trained, int]:
-    """Read a trained run back from its binary checkpoint, refusing one
-    trained under different ``_TRAINED_KEYS`` or whose text export or
-    run config is not the one the checkpoint was written with; returns
-    it with the feature width ``m`` read from the checkpoint's records."""
-    ckpt, binary, run_cfg = _run_files(config)
-    for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
-        if not path.exists():
-            raise ConfigError(f"{what} not found: {path} (run train first)")
-    if not binary.exists():
-        raise FormatError(
-            f"{ckpt}: a text-only checkpoint without {binary.name}, a format eval and "
-            "synthesize no longer read; retrain the run"
-        )
-    saved = load_run_config(run_cfg)
-    for key in _TRAINED_KEYS:
-        if getattr(saved, key) != getattr(config, key):
-            raise ConfigError(
-                f"run {config.out_dir} was trained with {key} = {getattr(saved, key)}, "
-                f"this config has {key} = {getattr(config, key)}"
-            )
-    values, bound = ad.load_params(binary, ("fusion", config.method))
-    for path, digest in zip((ckpt, run_cfg), bound):
-        if sha256_file(path) != digest:
-            raise ConfigError(
-                f"{path} is not the file {binary} was written with (its sha256 differs); "
-                "retrain the run"
-            )
-    try:
-        return pipeline.restore(config, values, d)
-    except FormatError as exc:
-        raise FormatError(f"{binary}: {exc}") from None
+    return pipeline.save_run(config, trained, semantics)
 
 
 def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> list[EvalReport]:
@@ -231,16 +173,11 @@ def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> li
     ``modes``, one report per mode; deterministic given config and seed."""
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
-    test_set = _features(split, "test_features")
-    trained, m = _restore(config, semantics.d)
-    if test_set.m != m:
-        raise ConfigError(
-            f"test features {split.test_features} have width {test_set.m}, "
-            f"the checkpoint was trained on width {m}"
-        )
+    trained, m = pipeline.load_run(config, semantics.d)
+    test_set = _features(split, "test_features", m)
     seen_set = None
     if config.method == "gen" and "gzsl" in modes:  # real seen rows join synthetic ones
-        seen_set = _features(split, "train_features")
+        seen_set = _features(split, "train_features", m)
     return pipeline.evaluate(trained, config, test_set, semantics, modes, seen_set, micro)
 
 
@@ -304,7 +241,7 @@ def cmd_synthesize(args) -> int:
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
-    trained, _ = _restore(config, semantics.d)
+    trained, _ = pipeline.load_run(config, semantics.d)
     per_class = config.synth_per_class if args.per_class is None else args.per_class
     synth = synthesize_set(trained.model, trained.fusion, semantics, split, per_class, config.seed)
     names = [split.class_table[int(c)] for c in synth.labels]

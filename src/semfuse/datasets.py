@@ -174,14 +174,17 @@ def load_split(path) -> SplitSpec:
         p = Path(value)
         return p if p.is_absolute() else path.parent / p
 
-    spec = SplitSpec(
-        dataset=dataset,
-        seen=seen,
-        unseen=unseen,
-        train_features=_path("train_features"),
-        test_features=_path("test_features"),
-        description_dir=_path("descriptions"),
-    )
+    try:
+        spec = SplitSpec(
+            dataset=dataset,
+            seen=seen,
+            unseen=unseen,
+            train_features=_path("train_features"),
+            test_features=_path("test_features"),
+            description_dir=_path("descriptions"),
+        )
+    except ManifestError as exc:  # SplitViolationError keeps its type
+        raise type(exc)(f"{path}: {exc}") from None
     if kv:
         raise ManifestError(f"{path}: unknown manifest keys {sorted(kv)}")
     return spec

@@ -191,7 +191,7 @@ def read_bundles(path) -> tuple[ClassSemantics, str]:
             raise FormatError(f"{path}: unknown variation {variation!r}")
         reader = csv.reader(handle)
         next(reader, None)  # column header
-        ids, names, values = [], [], []
+        ids, names, values, lines = [], [], [], []
         for row in reader:
             if not row:
                 continue
@@ -203,9 +203,13 @@ def read_bundles(path) -> tuple[ClassSemantics, str]:
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
             names.append(row[1])
+            lines.append(reader.line_num + 1)  # the reader started after the header line
     if not ids:
         raise FormatError(f"{path}: no bundle rows")
     values = np.array(values, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}:{lines[finite.argmin()]}: non-finite bundle value")
     try:
         return ClassSemantics(ids, names, values[:, :d], values[:, d:]), variation
     except ContractError as exc:

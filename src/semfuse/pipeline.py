@@ -1,22 +1,25 @@
 """The one place that knows how each model family is trained and
 evaluated: embed is `train_embed`, then nearest-prototype prediction;
 gen is `pretrain_classifier` and the WGAN, then at evaluation
-`synthesize_set` and `train_final_classifier`. File IO stays with the
-callers: the CLI, the synthetic benchmark script and the tests.
+`synthesize_set` and `train_final_classifier`. It owns the run
+directory: `save_run` writes it and `load_run` checks and reads it back.
+Input files stay with the callers: the CLI, the scripts and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from functools import partial
+from pathlib import Path
 from typing import Sequence
 
 from . import autodiff as ad
-from .datasets import FeatureSet, RunConfig
+from .datasets import FeatureSet, RunConfig, load_run_config, sha256_file
 from .embed_zsl import EmbedModel, classify_batch, init_embed_model, train_embed
-from .errors import ContractError, FormatError, ManifestError
+from .errors import ConfigError, ContractError, FormatError, ManifestError
 from .evaluation import EvalReport, evaluate_run
-from .fusion import ClassSemantics, FusionParams, init_fusion
+from .fusion import ClassSemantics, FusionParams, export_fused_csv, init_fusion, resolve_semantics
 from .gen_zsl import (
     GanTrainer,
     Mlp,
@@ -75,26 +78,78 @@ def train(cfg: RunConfig, train_set: FeatureSet, semantics: ClassSemantics) -> T
     )
 
 
-def restore(cfg: RunConfig, checkpoint_values: dict, d: int) -> tuple[Trained, int]:
-    """Rebuild what evaluation needs from checkpoint records, which must
-    hold the ``fusion`` group and the ``embed`` or ``gen`` group. Returns
-    it with the feature width ``m`` read from those records."""
+def save_run(cfg: RunConfig, trained: Trained, semantics: ClassSemantics) -> Path:
+    """Write the run directory ``cfg.out_dir``: ``fused_semantics.csv``
+    if fusion was trained, the text checkpoint ``model.ckpt``, ``run.cfg``,
+    ``train_log.csv`` and last ``model.bin``, the binary checkpoint bound
+    to the sha256 of both. Returns the text checkpoint's path."""
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if trained.fusion.store:
+        fused = resolve_semantics(semantics, trained.fusion)
+        export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
+    ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
+    ckpt_digest = ad.save_params(ckpt, trained.stores)
+    # paths relative to the run directory, so that identical runs in
+    # different directories write identical run.cfg and model.bin bytes
+    relative = {key: Path(os.path.relpath(value.resolve(), out_dir.resolve()))
+                for key, value in vars(cfg).items() if isinstance(value, Path)}
+    run_cfg.write_text(replace(cfg, **relative).to_text(), encoding="utf-8")
+    (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
+    # last, so a run directory that holds it is complete
+    ad.write_params_binary(binary, trained.stores, (ckpt_digest, sha256_file(run_cfg)))
+    return ckpt
+
+
+# keys that fix what a run's parameters are and mean
+_TRAINED_KEYS = ("method", "variation", "alpha", "q", "noise_dim", "hidden_mult")
+
+
+def load_run(cfg: RunConfig, d: int) -> tuple[Trained, int]:
+    """The ``fusion`` and ``embed`` or ``gen`` groups of the run in
+    ``cfg.out_dir``, refused if trained under other ``_TRAINED_KEYS`` or
+    if its model.ckpt or run.cfg is not the one its model.bin was written
+    with; returned with the feature width ``m`` read from model.bin."""
+    out_dir = Path(cfg.out_dir)
+    ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
+    for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
+        if not path.exists():
+            raise ConfigError(f"{what} not found: {path} (run train first)")
+    if not binary.exists():
+        raise FormatError(
+            f"{ckpt}: a text-only checkpoint without {binary.name}, a format eval and "
+            "synthesize no longer read; retrain the run"
+        )
+    saved = load_run_config(run_cfg)
+    for key in _TRAINED_KEYS:
+        if getattr(saved, key) != getattr(cfg, key):
+            raise ConfigError(
+                f"run {cfg.out_dir} was trained with {key} = {getattr(saved, key)}, "
+                f"this config has {key} = {getattr(cfg, key)}"
+            )
+    values, bound = ad.load_params(binary, ("fusion", cfg.method))
+    for path, digest in zip((ckpt, run_cfg), bound):
+        if sha256_file(path) != digest:
+            raise ConfigError(
+                f"{path} is not the file {binary} was written with (its sha256 differs); "
+                "retrain the run"
+            )
     # m is the embedding's input width or the generator's output width
     key, axis = ("embed.W_z", 1) if cfg.method == "embed" else ("gen.l1.W", 0)
-    if key not in checkpoint_values or checkpoint_values[key].ndim != 2:
-        raise FormatError(f"no 2-d parameter {key!r} to read the feature width from")
-    m = checkpoint_values[key].shape[axis]
+    if key not in values or values[key].ndim != 2:
+        raise FormatError(f"{binary}: no 2-d parameter {key!r} to read the feature width from")
+    m = values[key].shape[axis]
     fusion = init_fusion(d, 0, cfg.alpha, cfg.variation)
-    ad.restore_store(fusion.store, checkpoint_values, "fusion")
     if cfg.method == "embed":
-        embed = init_embed_model(cfg.q or d, m, d, cfg.lam, 0)
-        ad.restore_store(embed.store, checkpoint_values, "embed")
-        stores, model = {"embed": embed.store}, embed
+        model = init_embed_model(cfg.q or d, m, d, cfg.lam, 0)
     else:
-        gen = init_generator(m, d, cfg.noise_dim, 0, [cfg.hidden_mult * m])
-        ad.restore_store(gen.store, checkpoint_values, "gen")
-        stores, model = {"gen": gen.store}, gen
-    return Trained({**stores, "fusion": fusion.store}, fusion, model), m
+        model = init_generator(m, d, cfg.noise_dim, 0, [cfg.hidden_mult * m])
+    try:
+        ad.restore_store(fusion.store, values, "fusion")
+        ad.restore_store(model.store, values, cfg.method)
+    except FormatError as exc:
+        raise FormatError(f"{binary}: {exc}") from None
+    return Trained({cfg.method: model.store, "fusion": fusion.store}, fusion, model), m
 
 
 def evaluate(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,8 @@ def load_word_vectors(path, vocabulary=None) -> WordVectorTable:
     An optional first line ``N d`` (two integer fields) is treated as a
     header and skipped. Duplicate tokens keep their first occurrence.
     Raises FormatError, naming ``path:line``, for an empty file, a float
-    that does not parse, or a dimension that changes between lines.
+    that does not parse or is not finite (``nan``, ``inf``, an overflow
+    such as ``1e999``), or a dimension that changes between lines.
 
     With ``vocabulary`` (a set of lowercase tokens) the table holds only
     the tokens of the vocabulary, and only these lines are parsed and
@@ -51,7 +53,7 @@ def load_word_vectors(path, vocabulary=None) -> WordVectorTable:
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    with open_utf8(path) as handle:
+    with open_utf8(path) as handle, np.errstate(over="ignore"):
         for lineno, raw in enumerate(handle, start=1):
             head = raw.split(None, 1)
             if not head:
@@ -68,6 +70,11 @@ def load_word_vectors(path, vocabulary=None) -> WordVectorTable:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if values.size == 0:
                 raise FormatError(f"{path}:{lineno}: token {token!r} has no values")
+            # a row's dot product with itself is cheaper than an elementwise
+            # test on short rows; it is not finite if a value is not, or if
+            # it overflows (silenced above), so only then the exact test runs
+            if not math.isfinite(values.dot(values)) and not np.isfinite(values).all():
+                raise FormatError(f"{path}:{lineno}: non-finite word-vector value")
             if dimension is None:
                 dimension = values.size
             elif values.size != dimension:

@@ -699,6 +699,24 @@ def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path,
     assert main(["eval", "--config", str(cfg), "--mode", "zsl", "--out", str(out)]) == 0
 
 
+def test_gen_gzsl_refuses_seen_rows_of_another_width(demo_dir, tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    shutil.copy(demo_dir / "train.csv", train)
+    split = _write_split(tmp_path / "split.cfg", demo_dir, train_features=train)
+    cfg = write_config(tmp_path / "g.cfg", demo_dir, tmp_path / "run", method="gen",
+                       epochs="2", noise_dim="4", classifier_epochs="5",
+                       synth_per_class="5", split=split)
+    assert main(["train", "--config", str(cfg)]) == 0
+    train.write_text("".join(line + ",0.5\n" for line in train.read_text().splitlines()))
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--config", str(cfg), "--mode", "gzsl", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: train features {train} have width 13, "
+        "the checkpoint was trained on width 12\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "blob,message",
     [
@@ -736,6 +754,38 @@ def test_non_finite_csv_features_exit_3_naming_the_line(demo_dir, tmp_path, caps
         f"data format error: {features}:5: non-finite feature value\n"
     )
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source,value", [
+    ("word_vectors", "nan"), ("word_vectors", "1e999"), ("bundles", "inf"),
+])
+def test_a_non_finite_semantic_value_exits_3_naming_its_line(
+    demo_dir, tmp_path, capsys, source, value
+):
+    path = tmp_path / f"{source}.txt"
+    if source == "bundles":
+        assert main(["build-semantics", "--split", str(demo_dir / "split.cfg"), "--word-vectors",
+                     str(demo_dir / "word_vectors.txt"), "--out", str(path)]) == 0
+    else:
+        shutil.copy(demo_dir / "word_vectors.txt", path)
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", epochs="5",
+                       **{source: path})
+    assert main(["train", "--config", str(cfg)]) == 0
+    # a value of the unseen class toilet: the run would score it on a wrong vector
+    lines = path.read_text().splitlines()
+    sep = "," if source == "bundles" else " "
+    lineno = next(i for i, line in enumerate(lines, 1) if "toilet" in line.split(sep)[:2])
+    lines[lineno - 1] = lines[lineno - 1].rsplit(sep, 1)[0] + sep + value
+    path.write_text("\n".join(lines) + "\n")
+    what = "bundle" if source == "bundles" else "word-vector"
+    capsys.readouterr()
+    for command in (["train", "--out-dir", str(tmp_path / "again")], ["eval", "--mode", "zsl"]):
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
+        assert capsys.readouterr().err == (
+            f"data format error: {path}:{lineno}: non-finite {what} value\n"
+        )
+    assert not (tmp_path / "again").exists()
+    assert not (tmp_path / "run" / "report_zsl.csv").exists()
 
 
 def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, capsys):

@@ -59,6 +59,20 @@ def test_split_rejects_empty_side():
         SplitSpec("bad", seen=[], unseen=["c"])
 
 
+@pytest.mark.parametrize("classes,error,message", [
+    ("seen = a, b\nunseen = c, a\n", SplitViolationError, "seen and unseen class names overlap"),
+    ("seen = a, b, a\nunseen = c\n", ManifestError, "duplicate class name"),
+    ("seen = a\nunseen = ,\n", ManifestError, "empty class list"),
+], ids=["overlap", "duplicate", "empty"])
+def test_split_errors_start_with_the_manifest_path(tmp_path, classes, error, message):
+    manifest = tmp_path / "bad.cfg"
+    manifest.write_text("dataset = toy\n" + classes)
+    with pytest.raises(ManifestError) as info:
+        load_split(manifest)
+    assert type(info.value) is error
+    assert str(info.value) == f"{manifest}: split 'toy': {message}"
+
+
 def test_manifest_paths_resolve_relative_to_file(tmp_path):
     manifest = tmp_path / "with_paths.cfg"
     manifest.write_text(

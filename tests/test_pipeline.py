@@ -2,10 +2,10 @@
 
 import importlib.util
 import math
+from dataclasses import replace
 
 import pytest
 
-from semfuse import autodiff as ad
 from semfuse import pipeline
 from semfuse.datasets import SynthConfig, split_for_eval, synth_dataset
 from semfuse.embed_zsl import train_embed
@@ -83,12 +83,10 @@ def test_train_equals_the_trainers_called_directly(method, variation):
 @pytest.mark.parametrize("method", ["embed", "gen"])
 def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
     train, test, semantics = small_data()
-    cfg = small_config(method)
+    cfg = replace(small_config(method), out_dir=tmp_path / "run")
     trained = pipeline.train(cfg, train, semantics)
-    ckpt = tmp_path / "model.bin"
-    ad.write_params_binary(ckpt, trained.stores, (bytes(32), bytes(32)))
-    values, _ = ad.load_params(ckpt, ("fusion", method))
-    restored, m = pipeline.restore(cfg, values, semantics.d)
+    assert pipeline.save_run(cfg, trained, semantics) == tmp_path / "run" / "model.ckpt"
+    restored, m = pipeline.load_run(cfg, semantics.d)
     assert m == train.m
     reports = [
         pipeline.evaluate(run, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)

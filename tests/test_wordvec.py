@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semfuse.errors import FormatError, OutOfVocabularyError
@@ -227,6 +227,7 @@ def vec_dir(tmp_path_factory):
 
 @given(values=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=6),
        digits=st.sampled_from(["%r", "%.17g", "%.6f", "%.3e"]))
+@example(values=[1e200, -1.7976931348623157e308], digits="%r")  # finite, squares overflow
 @settings(max_examples=60, deadline=None)
 def test_loaded_values_equal_python_float_parsing(vec_dir, values, digits):
     texts = [digits % v for v in values]
@@ -234,5 +235,9 @@ def test_loaded_values_equal_python_float_parsing(vec_dir, values, digits):
     path.write_text("cat " + " ".join(texts) + "\n")
     reference = np.array([float(t) for t in texts], dtype=np.float64)
     for vocabulary in (None, {"cat"}):
+        if not np.isfinite(reference).all():  # an infinity, or a rounding past the range
+            with pytest.raises(FormatError, match="one.txt:1: non-finite word-vector value"):
+                load_word_vectors(path, vocabulary)
+            continue
         table = load_word_vectors(path, vocabulary)
         assert table.get("cat").tobytes() == reference.tobytes()
