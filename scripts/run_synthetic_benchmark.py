@@ -41,7 +41,7 @@ def run_variation(family, variation, data, semantics, args):
     )
     trained = pipeline.train(cfg, train, semantics)
     return merge_modes(
-        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
+        pipeline.evaluate(trained, cfg, test, ("zsl", "gzsl"), seen_set=train)
     )
 
 

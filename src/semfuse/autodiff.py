@@ -412,10 +412,10 @@ def adam_step(
 # parameter.
 #
 # The binary records, which runs are restored from, are little-endian:
-# magic "SFCK", uint32 format version, the sha256 digests of the two
-# files the records are bound to, uint32 record count, then per record a
-# uint32 name length, the UTF-8 name, uint32 ndim, ndim uint64 dims and
-# the raw float64 values in C order.
+# magic "SFCK", uint32 format version, the three sha256 digests the
+# records are bound to, uint32 record count, then per record a uint32
+# name length, the UTF-8 name, uint32 ndim, ndim uint64 dims and the raw
+# float64 values in C order.
 
 # values formatted at a time, so a record's text is never held whole
 SAVE_CHUNK = 16384
@@ -424,9 +424,9 @@ SAVE_CHUNK = 16384
 SAVE_POOL_MIN = 4 * SAVE_CHUNK
 
 _BINARY_MAGIC = b"SFCK"
-_BINARY_VERSION = 1
-# after the magic: version, the two bound digests, record count
-_HEADER = struct.Struct("<I32s32sI")
+_BINARY_VERSION = 2
+# after the magic and the uint32 version: the three bound digests, record count
+_HEADER = struct.Struct("<32s32s32sI")
 
 
 def _records(stores: dict[str, Params]):
@@ -506,13 +506,14 @@ def save_params(path, stores: dict[str, Params]) -> bytes:
     return digest.digest()
 
 
-def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, bytes]) -> None:
-    """Write the binary records of ``stores``, bound to two sha256
+def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...]) -> None:
+    """Write the binary records of ``stores``, bound to three sha256
     digests. Each array's values are written from its own buffer, which
     a C-ordered float64 array needs no copy for."""
     records = list(_records(stores))
     with Path(path).open("wb") as handle:
-        handle.write(_BINARY_MAGIC + _HEADER.pack(_BINARY_VERSION, *bound, len(records)))
+        handle.write(_BINARY_MAGIC + struct.pack("<I", _BINARY_VERSION))
+        handle.write(_HEADER.pack(*bound, len(records)))
         for full, w in records:
             name = full.encode("utf-8")
             head = f"<I{len(name)}sI{w.ndim}Q"
@@ -520,9 +521,9 @@ def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, byt
             handle.write(np.ascontiguousarray(w, dtype="<f8"))
 
 
-def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, bytes]]:
-    """Read binary records back into name -> array, with the two digests
-    they are bound to.
+def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, ...]]:
+    """Read binary records back into name -> array, with the three
+    digests they are bound to.
 
     With ``prefixes``, only records named ``<prefix>.<rest>`` for one of
     them are kept; the values of the others are seeked past, unread.
@@ -547,11 +548,13 @@ def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, byt
         magic = read(len(_BINARY_MAGIC))
         if magic != _BINARY_MAGIC:
             raise FormatError(f"{path}: {where}: bad magic {magic!r}, not a binary checkpoint")
-        version, *bound, count = _HEADER.unpack(read(_HEADER.size))
+        (version,) = struct.unpack("<I", read(4))
         if version != _BINARY_VERSION:
             raise FormatError(
-                f"{path}: {where}: format version {version}, expected {_BINARY_VERSION}"
+                f"{path}: {where}: format version {version}, expected {_BINARY_VERSION}; "
+                "retrain the run"
             )
+        *bound, count = _HEADER.unpack(read(_HEADER.size))
         for index in range(1, count + 1):
             start = handle.tell()
             where = f"record {index} at byte {start}"

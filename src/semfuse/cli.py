@@ -4,15 +4,20 @@ Subcommands cover the experiment flow end to end: fetch-descriptions,
 build-semantics, train (plus train-embed / train-gen aliases),
 synthesize, eval, compare, and sweep-alpha. Runs are deterministic
 given config file plus seed; reports are CSV plus an aligned table.
+train stores the class semantics it trained with in model.bin; eval
+and synthesize score with those and read no word vectors, bundles or
+descriptions.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also an
 input file that is missing, a directory or unreadable, a non-finite
 training loss, an eval or synthesize config that differs from the
 run's training config, a run directory's run.cfg or model.ckpt that is
-not the one its model.bin was written with, and eval test features or
-GZSL seen rows of another width than the checkpoint's), 3 malformed
-data files (also a run directory with only a text checkpoint), 4
-transport failures.
+not the one its model.bin was written with, an eval or synthesize
+split whose class table is not the trained one or that has classes
+without stored semantics, and eval test features or GZSL seen rows of
+another width than the checkpoint's), 3 malformed data files (also a
+run directory with only a text checkpoint, or whose model.bin is of
+the older format without class semantics), 4 transport failures.
 """
 
 from __future__ import annotations
@@ -165,20 +170,20 @@ def run_train(config: RunConfig) -> Path:
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
     trained = pipeline.train(config, _features(split, "train_features"), semantics)
-    return pipeline.save_run(config, trained, semantics)
+    return pipeline.save_run(config, trained)
 
 
 def run_eval(config: RunConfig, modes: Sequence[str], micro: bool = False) -> list[EvalReport]:
     """Evaluate a trained run under its validated ``config`` in each of
-    ``modes``, one report per mode; deterministic given config and seed."""
+    ``modes``, one report per mode, with the class semantics it was
+    trained with; deterministic given config and seed."""
     split = load_split(_require(config.split, "config needs a split manifest"))
-    semantics = obtain_bundles(config, split)
-    trained, m = pipeline.load_run(config, semantics.d)
+    trained, m = pipeline.load_run(config, split)
     test_set = _features(split, "test_features", m)
     seen_set = None
     if config.method == "gen" and "gzsl" in modes:  # real seen rows join synthetic ones
         seen_set = _features(split, "train_features", m)
-    return pipeline.evaluate(trained, config, test_set, semantics, modes, seen_set, micro)
+    return pipeline.evaluate(trained, config, test_set, modes, seen_set, micro)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +245,11 @@ def cmd_synthesize(args) -> int:
     if config.method != "gen":
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
-    semantics = obtain_bundles(config, split)
-    trained, _ = pipeline.load_run(config, semantics.d)
+    trained, _ = pipeline.load_run(config, split)
     per_class = config.synth_per_class if args.per_class is None else args.per_class
-    synth = synthesize_set(trained.model, trained.fusion, semantics, split, per_class, config.seed)
+    synth = synthesize_set(
+        trained.model, trained.fusion, trained.semantics, split, per_class, config.seed
+    )
     names = [split.class_table[int(c)] for c in synth.labels]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_features_csv(args.out, names, synth.features)

@@ -190,20 +190,27 @@ def read_bundles(path) -> tuple[ClassSemantics, str]:
         if variation not in VARIATIONS:
             raise FormatError(f"{path}: unknown variation {variation!r}")
         reader = csv.reader(handle)
-        next(reader, None)  # column header
         ids, names, values, lines = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 + 2 * d:
-                raise FormatError(f"{path}: row for {row[:2]} has {len(row)} fields")
-            try:
-                ids.append(int(row[0]))
-                values.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            names.append(row[1])
-            lines.append(reader.line_num + 1)  # the reader started after the header line
+        start = 2  # the line the next row starts on: the reader starts after line 1
+        try:
+            for index, row in enumerate(reader):
+                line, start = start, reader.line_num + 2
+                if index == 0 or not row:  # the column header, a blank line
+                    continue
+                if len(row) != 2 + 2 * d:
+                    raise FormatError(f"{path}: row for {row[:2]} has {len(row)} fields")
+                try:
+                    cid = int(row[0])
+                    values.append([float(v) for v in row[2:]])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: {exc}") from exc
+                if not -(2**63) <= cid < 2**63:
+                    raise FormatError(f"{path}:{line}: class id {cid} is out of range")
+                ids.append(cid)
+                names.append(row[1])
+                lines.append(line)
+        except csv.Error as exc:  # such as a stray quote running past the field limit
+            raise FormatError(f"{path}:{start}: {exc}") from None
     if not ids:
         raise FormatError(f"{path}: no bundle rows")
     values = np.array(values, dtype=np.float64)

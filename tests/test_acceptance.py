@@ -207,7 +207,7 @@ def _embed_zsl_accuracy(variation, seed, sigma_c, sigma_p):
     run_cfg = pipeline.RunConfig(method="embed", variation=variation, alpha=1.0,
                                  lr=0.005, epochs=400, lam=1e-4, seed=seed)
     trained = pipeline.train(run_cfg, train, semantics)
-    (report,) = pipeline.evaluate(trained, run_cfg, test, semantics, ("zsl",))
+    (report,) = pipeline.evaluate(trained, run_cfg, test, ("zsl",))
     return report.acc
 
 
@@ -250,7 +250,7 @@ def test_criterion_5_generative_family_end_to_end():
                                  noise_dim=8, cls_weight=0.1, lr=2e-4, epochs=100,
                                  synth_per_class=200, seed=seed)
     trained = pipeline.train(run_cfg, train, semantics)
-    (rep,) = pipeline.evaluate(trained, run_cfg, test, semantics, ("gzsl",), seen_set=train)
+    (rep,) = pipeline.evaluate(trained, run_cfg, test, ("gzsl",), seen_set=train)
     elapsed = watch.check()
     report("criterion 5 (generative family)", rep.hm >= 40.0,
            f"HM {rep.hm:.1f} (s {rep.acc_s:.1f} / u {rep.acc_u:.1f}) in {elapsed:.0f}s")

@@ -318,8 +318,8 @@ def test_gradient_shapes_match_parameters():
 
 
 # stand-ins for the sha256 digests of the files binary records are bound to
-BOUND = (bytes(range(32)), bytes(range(32, 64)))
-HEADER_BYTES = 76  # magic, version, two digests, record count
+BOUND = (bytes(range(32)), bytes(range(32, 64)), bytes(range(64, 96)))
+HEADER_BYTES = 108  # magic, version, three digests, record count
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -610,7 +610,7 @@ def test_load_params_does_not_parse_skipped_records(tmp_path):
     assert damaged["cls.W"].shape == (3, 3) and np.isnan(damaged["cls.W"]).all()
 
 
-# two records: 'gen.W' (2 values) at byte 76, 'disc.W' (1 value) at byte 113
+# two records: 'gen.W' (2 values) at byte 108, 'disc.W' (1 value) at byte 145
 _GEN_AT, _DISC_AT, _END = HEADER_BYTES, HEADER_BYTES + 37, HEADER_BYTES + 67
 
 
@@ -625,13 +625,13 @@ def _two_records(path):
     "edit,message",
     [
         (lambda b: b"gen." + b[4:], r"header at byte 0: bad magic b'gen\.'"),
-        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:],
-         "header at byte 0: format version 2, expected 1"),
+        (lambda b: b[:4] + (1).to_bytes(4, "little") + b[8:],
+         "header at byte 0: format version 1, expected 2; retrain the run"),
         (lambda b: b[:50], "header at byte 0: truncated at byte 50"),
         (lambda b: b[:-8], f"record 2 'disc.W' at byte {_DISC_AT}: truncated at byte {_END - 8}"),
         (lambda b: b[:_GEN_AT + 20],
          f"record 1 'gen.W' at byte {_GEN_AT}: truncated at byte {_GEN_AT + 20}"),
-        (lambda b: b[:72] + (3).to_bytes(4, "little") + b[76:],
+        (lambda b: b[:104] + (3).to_bytes(4, "little") + b[108:],
          f"record 3 at byte {_END}: truncated at byte {_END}"),
         (lambda b: b + b"\0\0\0", f"3 bytes after the last record \\(record 2\\) at byte {_END}"),
     ],

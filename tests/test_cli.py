@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import shutil
@@ -10,9 +11,10 @@ import pytest
 
 from semfuse import autodiff as ad
 from semfuse import pipeline
-from semfuse.cli import main
+from semfuse.cli import main, obtain_bundles
+from semfuse.datasets import load_run_config, load_split
 from semfuse.evaluation import read_report_csv
-from semfuse.fusion import read_bundles
+from semfuse.fusion import ClassSemantics, read_bundles, write_bundles
 
 import checkpoint_files
 from conftest import DESCRIPTION_DIR, REPO_ROOT
@@ -771,7 +773,11 @@ def test_a_non_finite_semantic_value_exits_3_naming_its_line(
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", epochs="5",
                        **{source: path})
     assert main(["train", "--config", str(cfg)]) == 0
-    # a value of the unseen class toilet: the run would score it on a wrong vector
+    assert main(["eval", "--config", str(cfg), "--mode", "zsl"]) == 0
+    report = tmp_path / "run" / "report_zsl.csv"
+    intact = report.read_bytes()
+    report.unlink()
+    # a value of the unseen class toilet: a run would score it on a wrong vector
     lines = path.read_text().splitlines()
     sep = "," if source == "bundles" else " "
     lineno = next(i for i, line in enumerate(lines, 1) if "toilet" in line.split(sep)[:2])
@@ -779,13 +785,14 @@ def test_a_non_finite_semantic_value_exits_3_naming_its_line(
     path.write_text("\n".join(lines) + "\n")
     what = "bundle" if source == "bundles" else "word-vector"
     capsys.readouterr()
-    for command in (["train", "--out-dir", str(tmp_path / "again")], ["eval", "--mode", "zsl"]):
-        assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
-        assert capsys.readouterr().err == (
-            f"data format error: {path}:{lineno}: non-finite {what} value\n"
-        )
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "again")]) == 3
+    assert capsys.readouterr().err == (
+        f"data format error: {path}:{lineno}: non-finite {what} value\n"
+    )
     assert not (tmp_path / "again").exists()
-    assert not (tmp_path / "run" / "report_zsl.csv").exists()
+    # the trained run keeps its semantics: eval does not read the damaged file
+    assert main(["eval", "--config", str(cfg), "--mode", "zsl"]) == 0
+    assert report.read_bytes() == intact
 
 
 def test_ragged_needed_word_vector_exits_3_naming_its_line(demo_dir, tmp_path, capsys):
@@ -1036,6 +1043,157 @@ def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
     assert not out.exists()
 
 
+def test_eval_of_a_binary_checkpoint_of_the_old_format_exits_3(ours_run, tmp_path, capsys):
+    run, out = _copy_run(ours_run, tmp_path)
+    blob = bytearray((run / "model.bin").read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")  # as written before the class semantics
+    (run / "model.bin").write_bytes(bytes(blob))
+    assert _eval_copied_run(ours_run, run, out) == 3
+    assert capsys.readouterr().err == (
+        f"data format error: {run / 'model.bin'}: header at byte 0: format version 1, "
+        "expected 2; retrain the run\n"
+    )
+    assert not out.exists()
+
+
+def _with_split(cfg, demo_dir, split, path):
+    """A copy at ``path`` of the run config ``cfg`` naming ``split``."""
+    path.write_text(cfg.read_text().replace(f"split = {demo_dir / 'split.cfg'}",
+                                            f"split = {split}"))
+    return path
+
+
+def _own_inputs(demo_dir, root):
+    """Copies of the demo split, word vectors and descriptions under
+    ``root``, with a bundle file built from them; returns the split."""
+    shutil.copy(demo_dir / "word_vectors.txt", root / "word_vectors.txt")
+    shutil.copytree(DESCRIPTION_DIR, root / "descriptions")
+    split = _write_split(root / "split.cfg", demo_dir)
+    split.write_text(split.read_text().replace(str(DESCRIPTION_DIR), str(root / "descriptions")))
+    assert main(["build-semantics", "--split", str(split), "--word-vectors",
+                 str(root / "word_vectors.txt"), "--out", str(root / "bundles.csv")]) == 0
+    return split
+
+
+def _semantic_run(demo_dir, root, method, source):
+    split = _own_inputs(demo_dir, root)
+    extra = {"bundles": root / "bundles.csv"} if source == "bundles" else {}
+    cfg = write_config(root / "c.cfg", demo_dir, root / "run", method=method, epochs="3",
+                       noise_dim="4", classifier_epochs="10", synth_per_class="5",
+                       split=split, word_vectors=root / "word_vectors.txt", **extra)
+    assert main(["train", "--config", str(cfg)]) == 0
+    return cfg
+
+
+def _eval_and_synthesize(cfg, method, out_dir) -> dict[str, bytes]:
+    """The bytes of both reports and, for the generative family, of
+    synthesize's output, written under ``out_dir``."""
+    outputs = {}
+    for mode in ("zsl", "gzsl"):
+        out = out_dir / f"report_{mode}.csv"
+        assert main(["eval", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        outputs[out.name] = out.read_bytes()
+    if method == "gen":
+        out = out_dir / "synth.csv"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[out.name] = out.read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("method,source", [
+    ("embed", "word_vectors"), ("embed", "bundles"), ("gen", "word_vectors"), ("gen", "bundles"),
+])
+def test_eval_and_synthesize_need_no_semantic_inputs(demo_dir, tmp_path, method, source):
+    cfg = _semantic_run(demo_dir, tmp_path, method, source)
+    before = _eval_and_synthesize(cfg, method, tmp_path / "before")
+    (tmp_path / "word_vectors.txt").unlink()
+    (tmp_path / "bundles.csv").unlink()
+    shutil.rmtree(tmp_path / "descriptions")
+    assert _eval_and_synthesize(cfg, method, tmp_path / "after") == before
+
+
+@pytest.mark.parametrize("method", ["embed", "gen"])
+def test_eval_and_synthesize_call_no_semantic_loader(demo_dir, tmp_path, monkeypatch, method):
+    from semfuse import cli, fusion, llm_client, wordvec
+
+    cfg = _semantic_run(demo_dir, tmp_path, method, "word_vectors")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a semantic input was read")
+
+    for owner, name in ((wordvec, "load_word_vectors"), (cli, "load_word_vectors"),
+                        (fusion, "read_bundles"), (cli, "read_bundles"),
+                        (llm_client.DescriptionCache, "get")):
+        monkeypatch.setattr(owner, name, refused)
+    _eval_and_synthesize(cfg, method, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["eval", "synthesize"])
+def test_eval_and_synthesize_refuse_a_split_that_renames_a_class(
+    demo_dir, gen_run, tmp_path, capsys, command
+):
+    root, cfg = gen_run
+    split = _write_split(tmp_path / "renamed.cfg", demo_dir)
+    split.write_text(split.read_text().replace(", toilet", ", loo"))
+    cfg = _with_split(cfg, demo_dir, split, tmp_path / "renamed_run.cfg")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert main([*argv, "--mode", "zsl"] if command == "eval" else argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {split}: the split's classes are not the ones "
+                          f"{root / 'run' / 'model.bin'} was trained with")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "synthesize"])
+def test_eval_and_synthesize_refuse_a_split_with_a_new_unseen_class(
+    demo_dir, gen_run, tmp_path, capsys, command
+):
+    _, cfg = gen_run
+    split = _write_split(tmp_path / "wider.cfg", demo_dir)
+    split.write_text(split.read_text().replace(", toilet", ", toilet, lamp"))
+    cfg = _with_split(cfg, demo_dir, split, tmp_path / "wider_run.cfg")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert main([*argv, "--mode", "zsl"] if command == "eval" else argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {split}: classes without semantics: [6]"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_stray_quote_in_a_real_width_bundle_file_exits_3_naming_its_line(
+    demo_dir, tmp_path, capsys
+):
+    # 50 classes at d = 300: a quoted field from row 1 on runs past the csv field limit
+    rng = np.random.default_rng(0)
+    names = [f"class{i}" for i in range(50)]
+    semantics = ClassSemantics(np.arange(50), names, rng.normal(size=(50, 300)),
+                               rng.normal(size=(50, 300)))
+    bundles = tmp_path / "bundles.csv"
+    write_bundles(bundles, semantics, "ours")
+    lines = bundles.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace("0,class0,", '0,"class0,', 1)
+    bundles.write_text("".join(lines))
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", bundles=bundles)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"data format error: {bundles}:3: field larger than field limit "
+        f"({csv.field_size_limit()})\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bundle_class_id_beyond_int64_exits_3_naming_its_line(demo_dir, tmp_path, capsys):
+    bundles = tmp_path / "bundles.csv"
+    bundles.write_text("# bundles variation=ours d=1\nclass_id,name,ec_0,ep_0\n"
+                       "99999999999999999999,bed,1,2\n")
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", bundles=bundles)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"data format error: {bundles}:3: class id 99999999999999999999 is out of range\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_synthesize_out_creates_its_directory(gen_run, tmp_path):
     _, cfg = gen_run
     out = tmp_path / "nodir" / "x.csv"
@@ -1110,10 +1268,20 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
                for name in DEMO_RUN_DIGESTS[method]}
     assert digests == DEMO_RUN_DIGESTS[method]
-    # the binary records hold the text export's bits, bound to it and to run.cfg
+    # the binary records hold the text export's bits and, after them, the
+    # trained class semantics; bound to model.ckpt, run.cfg and the class table
     text = checkpoint_files.load_text_params(run / "model.ckpt")
     values, bound = ad.load_params(run / "model.bin")
-    assert list(values) == list(text)
+    assert list(values) == [*text, "sem.ids", "sem.e_c", "sem.e_p"]
     assert all(values[name].tobytes() == text[name].tobytes() for name in text)
-    assert bound == tuple(hashlib.sha256((run / name).read_bytes()).digest()
-                          for name in ("model.ckpt", "run.cfg"))
+    config = load_run_config(demo / "run.cfg")
+    split = load_split(config.split)
+    semantics = obtain_bundles(config, split)
+    assert values["sem.ids"].tobytes() == semantics.ids.astype(np.float64).tobytes()
+    assert values["sem.e_c"].tobytes() == semantics.e_c.tobytes()
+    assert values["sem.e_p"].tobytes() == semantics.e_p.tobytes()
+    table = "".join(f"{cid} {name}\n" for cid, name in split.class_table.items())
+    assert bound == (
+        *(hashlib.sha256((run / name).read_bytes()).digest() for name in ("model.ckpt", "run.cfg")),
+        hashlib.sha256(table.encode("utf-8")).digest(),
+    )

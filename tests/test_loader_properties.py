@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semfuse import autodiff as ad
+from semfuse.cli import main
 from semfuse.datasets import load_split
 from semfuse.errors import FormatError, ManifestError
 from semfuse.fusion import read_bundles
@@ -136,3 +138,42 @@ def test_mutated_splits_load_valid_or_are_refused_naming_the_file(workdir, data)
         names = split.seen + split.unseen
         assert split.seen and split.unseen and len(set(names)) == len(names)
         assert all(names)
+
+
+@pytest.fixture(scope="module")
+def trained_run(demo_dir, workdir):
+    """A short embedding run on the demo data, whose model.bin holds the
+    fused variation's parameters and the class semantics (``sem.*``)."""
+    cfg = workdir / "run.cfg"
+    cfg.write_text(
+        f"split = {demo_dir / 'split.cfg'}\nword_vectors = {demo_dir / 'word_vectors.txt'}\n"
+        f"variation = ours\nmethod = embed\nepochs = 5\nout_dir = {workdir / 'run'}\n"
+    )
+    assert main(["train", "--config", str(cfg)]) == 0
+    binary = workdir / "run" / "model.bin"
+    values, bound = ad.load_params(binary)
+    assert {"sem.ids", "sem.e_c", "sem.e_p"} <= set(values)
+    return cfg, binary, binary.read_bytes(), values, bound
+
+
+# corrupted weights may overflow while scoring; the property is the exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_mutated_model_bin_loads_or_is_refused_and_eval_never_fails_raw(
+    trained_run, workdir, data
+):
+    cfg, binary, valid, values, bound = trained_run
+    binary.write_bytes(data.draw(mutated(valid)))
+    loaded = loaded_or_refused(ad.load_params, binary)
+    code = main(["eval", "--config", str(cfg), "--mode", "zsl",
+                 "--out", str(workdir / "report.csv")])
+    if loaded is None:
+        assert code == 3
+        return
+    # model.bin carries no checksum of its values: only a file whose
+    # header, names and shapes are intact may evaluate
+    same_layout = loaded[1] == bound and [(k, v.shape) for k, v in loaded[0].items()] == [
+        (k, v.shape) for k, v in values.items()
+    ]
+    assert code in ((0, 2, 3) if same_layout else (2, 3))

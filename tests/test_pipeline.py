@@ -85,11 +85,14 @@ def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
     train, test, semantics = small_data()
     cfg = replace(small_config(method), out_dir=tmp_path / "run")
     trained = pipeline.train(cfg, train, semantics)
-    assert pipeline.save_run(cfg, trained, semantics) == tmp_path / "run" / "model.ckpt"
-    restored, m = pipeline.load_run(cfg, semantics.d)
+    assert pipeline.save_run(cfg, trained) == tmp_path / "run" / "model.ckpt"
+    restored, m = pipeline.load_run(cfg, train.split)
     assert m == train.m
+    for name in ("ids", "e_c", "e_p"):  # the trained semantics, every bit kept
+        assert getattr(restored.semantics, name).tobytes() == getattr(semantics, name).tobytes()
+    assert restored.semantics.names == semantics.names
     reports = [
-        pipeline.evaluate(run, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
+        pipeline.evaluate(run, cfg, test, ("zsl", "gzsl"), seen_set=train)
         for run in (trained, restored)
     ]
     assert [r.mode for r in reports[0]] == ["zsl", "gzsl"]
@@ -101,7 +104,7 @@ def test_generative_evaluate_synthesizes_once_for_all_modes(monkeypatch):
     cfg = small_config("gen")
     trained = pipeline.train(cfg, train, semantics)
     one_mode = [
-        pipeline.evaluate(trained, cfg, test, semantics, (mode,), seen_set=train)[0]
+        pipeline.evaluate(trained, cfg, test, (mode,), seen_set=train)[0]
         for mode in ("zsl", "gzsl")
     ]
     calls = []
@@ -112,7 +115,7 @@ def test_generative_evaluate_synthesizes_once_for_all_modes(monkeypatch):
         return synthesize_set(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synthesize_set", counting)
-    both = pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"), seen_set=train)
+    both = pipeline.evaluate(trained, cfg, test, ("zsl", "gzsl"), seen_set=train)
     assert len(calls) == 1
     assert both == one_mode
 
@@ -122,8 +125,8 @@ def test_generative_gzsl_without_seen_features_is_refused():
     cfg = small_config("gen")
     trained = pipeline.train(cfg, train, semantics)
     with pytest.raises(ContractError, match="seen-class features"):
-        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"))
-    (report,) = pipeline.evaluate(trained, cfg, test, semantics, ("zsl",))
+        pipeline.evaluate(trained, cfg, test, ("zsl", "gzsl"))
+    (report,) = pipeline.evaluate(trained, cfg, test, ("zsl",))
     assert report.acc is not None
 
 
@@ -135,7 +138,7 @@ def test_generative_gzsl_refuses_a_seen_class_without_rows_before_synthesizing(m
     monkeypatch.setattr(pipeline, "synthesize_set", lambda *args: calls.append(args))
     name = train.split.class_table[1]
     with pytest.raises(ManifestError, match=rf"seen classes 1 \({name}\)$"):
-        pipeline.evaluate(trained, cfg, test, semantics, ("zsl", "gzsl"),
+        pipeline.evaluate(trained, cfg, test, ("zsl", "gzsl"),
                           seen_set=train.take(train.labels != 1))
     assert calls == []
 
