@@ -521,15 +521,11 @@ def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...
             handle.write(np.ascontiguousarray(w, dtype="<f8"))
 
 
-def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, ...]]:
-    """Read binary records back into name -> array, with the three
-    digests they are bound to.
-
-    With ``prefixes``, only records named ``<prefix>.<rest>`` for one of
-    them are kept; the values of the others are seeked past, unread.
-    Every record's header is still checked. A bad magic or version, a
-    truncated or over-long file and a duplicate name are FormatErrors
-    naming the record and its byte offset.
+def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
+    """Read every binary record back into name -> array, with the three
+    digests they are bound to. A bad magic or version, a truncated or
+    over-long file and a duplicate name are FormatErrors naming the
+    record and its byte offset.
     """
     out: dict[str, Array] = {}
     names: set[str] = set()
@@ -571,10 +567,6 @@ def load_params(path, prefixes=None) -> tuple[dict[str, Array], tuple[bytes, ...
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
             nbytes = 8 * math.prod(shape)
             need(nbytes)
-            head, dot, _ = name.partition(".")
-            if prefixes is not None and not (dot and head in prefixes):
-                handle.seek(nbytes, os.SEEK_CUR)
-                continue
             values = np.empty(shape, dtype="<f8")
             handle.readinto(values)
             out[name] = values

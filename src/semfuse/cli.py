@@ -9,15 +9,16 @@ and synthesize score with those and read no word vectors, bundles or
 descriptions.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also an
-input file that is missing, a directory or unreadable, a non-finite
-training loss, an eval or synthesize config that differs from the
-run's training config, a run directory's run.cfg or model.ckpt that is
-not the one its model.bin was written with, an eval or synthesize
-split whose class table is not the trained one or that has classes
-without stored semantics, and eval test features or GZSL seen rows of
-another width than the checkpoint's), 3 malformed data files (also a
-run directory with only a text checkpoint, or whose model.bin is of
-the older format without class semantics), 4 transport failures.
+input or output path that is missing, of the wrong kind or not readable
+or writable, a non-finite training loss, an eval or synthesize config
+that differs from the run's training config, a run directory's run.cfg
+or model.ckpt that is not the one its model.bin was written with, an
+eval or synthesize split whose class table is not the trained one or
+that has classes without stored semantics, and eval test features or
+GZSL seen rows of another width than the checkpoint's), 3 malformed
+data files (also a run directory with only a text checkpoint, or whose
+model.bin is of the older format without class semantics), 4 transport
+failures.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ def cmd_synthesize(args) -> int:
     synth = synthesize_set(
         trained.model, trained.fusion, trained.semantics, split, per_class, config.seed
     )
-    names = [split.class_table[int(c)] for c in synth.labels]
+    table = split.class_table
+    names = [table[int(c)] for c in synth.labels]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_features_csv(args.out, names, synth.features)
     print(f"wrote {synth.n} synthetic rows for {synth.n // per_class} classes to {args.out}")
@@ -418,11 +420,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ConfigError, ContractError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        # an input that is missing, a directory or unreadable; the message names it
+    except (ConfigError, ContractError, OSError) as exc:
+        # an OSError is a path that is missing, of the wrong kind or not
+        # readable or writable; its message names the path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -264,7 +264,8 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-# the smallest usable value of each count, rate and weight; q may be unset
+# the smallest usable value of each count, rate and weight and of the
+# seed; q may be unset
 _MINIMUMS = {
     "batch_size": 1,
     "epochs": 0,
@@ -278,6 +279,7 @@ _MINIMUMS = {
     "classifier_lr": 0.0,
     "lam": 0.0,
     "cls_weight": 0.0,
+    "seed": 0,
 }
 
 # each field's type, resolved once: resolving takes longer than a parse

@@ -96,9 +96,9 @@ def _class_table_digest(ids, names) -> bytes:
 def save_run(cfg: RunConfig, trained: Trained) -> Path:
     """Write the run directory ``cfg.out_dir``: ``fused_semantics.csv``
     if fusion was trained, the text checkpoint ``model.ckpt``, ``run.cfg``,
-    ``train_log.csv`` and last ``model.bin``, the binary checkpoint. It
-    holds the parameters and, as the ``sem`` group, the class semantics
-    trained with, and is bound to the sha256 of both files and of the
+    ``train_log.csv`` and last ``model.bin``, the binary checkpoint of the
+    ``cfg.method`` and ``fusion`` groups and, as ``sem``, the class
+    semantics trained with, bound to the sha256 of both files and of the
     trained class table. Returns the text checkpoint's path."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,7 +119,8 @@ def save_run(cfg: RunConfig, trained: Trained) -> Path:
     sem = {"ids": semantics.ids.astype(np.float64), "e_c": semantics.e_c, "e_p": semantics.e_p}
     bound = (ckpt_digest, sha256_file(run_cfg),
              _class_table_digest(semantics.ids.tolist(), semantics.names))
-    ad.write_params_binary(binary, {**trained.stores, "sem": sem}, bound)
+    restored = {key: trained.stores[key] for key in (cfg.method, "fusion")}
+    ad.write_params_binary(binary, {**restored, "sem": sem}, bound)
     return ckpt
 
 
@@ -172,7 +173,7 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
                 f"run {cfg.out_dir} was trained with {key} = {getattr(saved, key)}, "
                 f"this config has {key} = {getattr(cfg, key)}"
             )
-    values, (*bound, table_digest) = ad.load_params(binary, ("fusion", cfg.method, "sem"))
+    values, (*bound, table_digest) = ad.load_params(binary)
     for path, digest in zip((ckpt, run_cfg), bound):
         if sha256_file(path) != digest:
             raise ConfigError(

@@ -574,42 +574,6 @@ def test_checkpoint_bytes_and_round_trip_on_random_arrays(ckpt_dir, arrays):
     _assert_bitwise_round_trip(path, stores)
 
 
-def test_load_params_keeps_only_requested_prefixes(tmp_path):
-    rng = np.random.default_rng(2)
-    stores = {p: {"W": rng.normal(size=(2, 3)), "b": rng.normal(size=3)}
-              for p in ("gen", "disc", "fusion", "")}
-    path = tmp_path / "m.bin"
-    ad.write_params_binary(path, stores, BOUND)
-    values, bound = ad.load_params(path, ("gen", "fusion"))
-    assert bound == BOUND
-    assert sorted(values) == ["fusion.W", "fusion.b", "gen.W", "gen.b"]
-    for name, array in values.items():
-        prefix, _, key = name.partition(".")
-        assert array.tobytes() == stores[prefix][key].tobytes()
-    assert ad.load_params(path, ("cls",)) == ({}, BOUND)
-
-
-def test_load_params_does_not_parse_skipped_records(tmp_path):
-    stores = {"": _store({"gen.W": [1.0, 2.0], "disc.W": [3.0, 4.0],
-                          "cls.W": np.ones((3, 3)), "gen.b": 5.0})}
-    path = tmp_path / "m.bin"
-    ad.write_params_binary(path, stores, BOUND)
-    blob = bytearray(path.read_bytes())
-    spans = checkpoint_files.value_spans(path)
-    for name in ("disc.W", "cls.W"):  # damage the values of the skipped records
-        start, stop = spans[name]
-        blob[start:stop] = b"\xff" * (stop - start)
-    path.write_bytes(bytes(blob))
-    values, _ = ad.load_params(path, ("gen",))
-    assert list(values) == ["gen.W", "gen.b"]
-    assert values["gen.W"].tobytes() == stores[""]["gen.W"].tobytes()
-    assert values["gen.b"].tobytes() == stores[""]["gen.b"].tobytes()
-    # read in full, the damaged bytes are those records' values
-    damaged, _ = ad.load_params(path)
-    assert damaged["disc.W"].tobytes() == b"\xff" * 16
-    assert damaged["cls.W"].shape == (3, 3) and np.isnan(damaged["cls.W"]).all()
-
-
 # two records: 'gen.W' (2 values) at byte 108, 'disc.W' (1 value) at byte 145
 _GEN_AT, _DISC_AT, _END = HEADER_BYTES, HEADER_BYTES + 37, HEADER_BYTES + 67
 
@@ -641,9 +605,8 @@ def _two_records(path):
 def test_load_params_refuses_a_malformed_binary_naming_record_and_offset(tmp_path, edit, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(edit(_two_records(path)))
-    for prefixes in (None, ("gen",)):  # skipped records are checked too
-        with pytest.raises(FormatError, match="bad.bin: " + message):
-            ad.load_params(path, prefixes)
+    with pytest.raises(FormatError, match="bad.bin: " + message):
+        ad.load_params(path)
 
 
 def test_load_params_refuses_a_duplicate_record(tmp_path):
@@ -651,10 +614,9 @@ def test_load_params_refuses_a_duplicate_record(tmp_path):
     stores = {"": _store({"gen.W": [1.0], "disc.W": [2.0]}), "disc": _store({"W": [3.0]})}
     ad.write_params_binary(path, stores, BOUND)
     at = HEADER_BYTES + 2 * (4 + 4 + 8 + 8) + len("gen.W") + len("disc.W")
-    for prefixes in (None, ("gen",)):
-        with pytest.raises(FormatError, match=f"record 3 'disc.W' at byte {at}: "
-                                              "duplicate parameter 'disc.W'"):
-            ad.load_params(path, prefixes)
+    with pytest.raises(FormatError, match=f"record 3 'disc.W' at byte {at}: "
+                                          "duplicate parameter 'disc.W'"):
+        ad.load_params(path)
 
 
 def test_load_params_refuses_a_text_checkpoint(tmp_path):

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import importlib.util
+import os
 import shutil
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -475,6 +477,7 @@ def test_unusable_optimizer_exits_2_before_reading_inputs(
         ("train", "gen", "alpha_set", "0.5,5", "alpha_set value 5.0 lies outside [0, 1]"),
         ("eval", "embed", "batch_size", "0", "batch_size = 0 is below its minimum 1"),
         ("synthesize", "gen", "n_critic", "0", "n_critic = 0 is below its minimum 1"),
+        ("train", "gen", "seed", "-3", "seed = -3 is below its minimum 0"),
     ],
 )
 def test_out_of_range_count_exits_2_before_reading_inputs(
@@ -493,6 +496,13 @@ def test_epochs_flag_out_of_range_exits_2(demo_dir, tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
     assert main(["train", "--config", str(cfg), "--epochs", "-1"]) == 2
     assert capsys.readouterr().err == "config error: epochs = -1 is below its minimum 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_seed_flag_below_zero_exits_2(demo_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
+    assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed = -1 is below its minimum 0\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -657,28 +667,28 @@ def test_eval_refuses_test_features_of_another_width(
     assert not out.exists()
 
 
-def test_gen_eval_reads_no_critic_or_classifier_values(gen_run):
+def test_gen_model_bin_holds_no_critic_or_classifier_record(gen_run):
     root, cfg = gen_run
-    assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
-                 "--out", str(root / "intact.csv")]) == 0
     binary = root / "run" / "model.bin"
+    text = checkpoint_files.load_text_params(root / "run" / "model.ckpt")
+    values, bound = ad.load_params(binary)
+    training_only = [name for name in text if name.startswith(("disc.", "cls."))]
+    assert any(n.startswith("disc.") for n in training_only)
+    assert any(n.startswith("cls.") for n in training_only)
+    assert not set(training_only) & set(values)
+    assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
+                 "--out", str(root / "kept.csv")]) == 0
+    # a model.bin that also holds them, as runs trained before kept it,
+    # still restores, and scores the same
     intact = binary.read_bytes()
-    damaged = bytearray(intact)
-    spans = checkpoint_files.value_spans(binary)
-    skipped = [name for name in spans if name.startswith(("disc.", "cls."))]
-    assert any(n.startswith("disc.") for n in skipped) and any(n.startswith("cls.") for n in skipped)
-    for name in skipped:  # every value a NaN
-        start, stop = spans[name]
-        damaged[start:stop] = b"\xff" * (stop - start)
-    binary.write_bytes(bytes(damaged))
+    semantic = {name: value for name, value in values.items() if name.startswith("sem.")}
+    ad.write_params_binary(binary, {"": {**text, **semantic}}, bound)
     try:
-        values, _ = ad.load_params(binary)
-        assert all(np.isnan(values[name]).all() for name in skipped)
         assert main(["eval", "--config", str(cfg), "--mode", "gzsl",
-                     "--out", str(root / "damaged.csv")]) == 0
+                     "--out", str(root / "full.csv")]) == 0
     finally:
         binary.write_bytes(intact)
-    assert (root / "intact.csv").read_bytes() == (root / "damaged.csv").read_bytes()
+    assert (root / "kept.csv").read_bytes() == (root / "full.csv").read_bytes()
 
 
 def test_gen_gzsl_refuses_a_seen_class_without_training_rows(demo_dir, tmp_path, capsys):
@@ -899,6 +909,24 @@ def test_an_unreadable_feature_file_exits_2(demo_dir, tmp_path, capsys, monkeypa
     assert main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: [Errno 13] Permission denied: '{features}'\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,out,named,error",
+    [
+        ("train", "--out-dir", "file", "file", "[Errno 17] File exists"),
+        ("train", "--out-dir", "file/sub", "file/sub", "[Errno 20] Not a directory"),
+        ("eval", "--out", "file/r.csv", "file", "[Errno 17] File exists"),
+    ],
+    ids=["train-out-dir-is-a-file", "train-out-dir-under-a-file", "eval-out-under-a-file"],
+)
+def test_an_output_path_of_the_wrong_kind_exits_2_naming_it(
+    ours_run, tmp_path, capsys, command, flag, out, named, error
+):
+    (tmp_path / "file").write_text("")
+    argv = [command, "--config", str(ours_run), flag, str(tmp_path / out)]
+    assert main([*argv, "--mode", "zsl"] if command == "eval" else argv) == 2
+    assert capsys.readouterr().err == f"config error: {error}: '{tmp_path / named}'\n"
 
 
 def _csv_run(demo_dir, root):
@@ -1268,9 +1296,10 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
                for name in DEMO_RUN_DIGESTS[method]}
     assert digests == DEMO_RUN_DIGESTS[method]
-    # the binary records hold the text export's bits and, after them, the
-    # trained class semantics; bound to model.ckpt, run.cfg and the class table
-    text = checkpoint_files.load_text_params(run / "model.ckpt")
+    # the binary records hold the text export's bits of the method's and
+    # fusion's records and, after them, the trained class semantics; bound
+    # to model.ckpt, run.cfg and the class table
+    text = checkpoint_files.load_text_params(run / "model.ckpt", (method, "fusion"))
     values, bound = ad.load_params(run / "model.bin")
     assert list(values) == [*text, "sem.ids", "sem.e_c", "sem.e_p"]
     assert all(values[name].tobytes() == text[name].tobytes() for name in text)
@@ -1285,3 +1314,13 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
         *(hashlib.sha256((run / name).read_bytes()).digest() for name in ("model.ckpt", "run.cfg")),
         hashlib.sha256(table.encode("utf-8")).digest(),
     )
+
+
+def test_module_entry_point_lists_every_subcommand():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "semfuse", "--help"], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for command in ("fetch-descriptions", "build-semantics", "train", "train-embed",
+                    "train-gen", "eval", "synthesize", "compare", "sweep-alpha"):
+        assert command in done.stdout
