@@ -333,28 +333,61 @@ def sgd_step(params: Params, grads: dict[str, Array], lr: float) -> None:
         params[name] = w - lr * np.asarray(_gradient(grads, name, w), order="C")
 
 
-class AdamState:
-    """First/second-moment accumulators for one set of parameters."""
-
-    def __init__(self, params: Params) -> None:
-        self.m = {name: np.zeros_like(w) for name, w in params.items()}
-        self.v = {name: np.zeros_like(w) for name, w in params.items()}
-        self.t = 0
-
-
-# elements in one block of rows that `adam_step` updates at a time, so
-# that its temporaries stay in cache
+# elements in one block that `adam_step` updates at a time, so that its
+# temporaries stay in cache
 ADAM_BLOCK = 16384
 
 
-def _row_blocks(*arrays: Array) -> Sequence[Sequence[Array]]:
-    """Matching blocks of whole rows of same-shaped arrays, about
-    ADAM_BLOCK elements each; arrays that fit in one block are it."""
-    w = arrays[0]
-    if w.size <= ADAM_BLOCK:
-        return (arrays,)
-    rows = max(1, ADAM_BLOCK // (w.size // len(w)))
-    return [[a[i : i + rows] for a in arrays] for i in range(0, len(w), rows)]
+class AdamState:
+    """First/second-moment accumulators for one store of parameters.
+
+    The store's moments live in one flat buffer each, parameter after
+    parameter in C order; ``m`` and ``v`` map each name to its view,
+    shaped as the parameter. ``blocks`` plans the buffer once: runs of
+    parameters of at most ADAM_BLOCK elements are packed into one block
+    of at most that many, and a larger parameter is cut into blocks of
+    whole rows, about ADAM_BLOCK elements each.
+    """
+
+    def __init__(self, params: Params) -> None:
+        # per parameter: its start and stop in the buffers, and its shape
+        self.spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        # per block: [start, stop, parts], and per part the name of a
+        # parameter in the block and the rows it holds (None: all of it)
+        self.blocks: list[list] = []
+        size, packed = 0, False  # packed: the last block takes small parameters
+        for name, w in params.items():
+            shape = np.shape(w)
+            n = math.prod(shape)
+            self.spans[name] = (size, size + n, shape)
+            if n <= ADAM_BLOCK:
+                if not (packed and size + n - self.blocks[-1][0] <= ADAM_BLOCK):
+                    self.blocks.append([size, size, []])
+                self.blocks[-1][1] += n
+                self.blocks[-1][2].append((name, None))
+                packed = True
+            else:
+                row = n // shape[0]
+                rows = max(1, ADAM_BLOCK // row)
+                for i in range(0, shape[0], rows):
+                    stop = min(i + rows, shape[0])
+                    self.blocks.append([size + i * row, size + stop * row,
+                                        [(name, slice(i, stop))]])
+                packed = False
+            size += n
+        self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
+        self.m = {name: self.flat_m[a:b].reshape(s) for name, (a, b, s) in self.spans.items()}
+        self.v = {name: self.flat_v[a:b].reshape(s) for name, (a, b, s) in self.spans.items()}
+        self.t = 0
+
+
+def _block(arrays: dict[str, Array], parts) -> Array:
+    """The elements a block of `AdamState.blocks` holds of ``arrays``,
+    flat in C order: a view where they lie so already, else a copy."""
+    if len(parts) > 1:  # whole small parameters, packed
+        return np.concatenate([arrays[name] for name, _ in parts], axis=None)
+    ((name, rows),) = parts
+    return (arrays[name] if rows is None else arrays[name][rows]).ravel()
 
 
 def adam_step(
@@ -368,40 +401,51 @@ def adam_step(
 ) -> None:
     """Adam update with bias correction; lr == 0 leaves parameters fixed.
 
-    Each parameter is updated a block of rows at a time (`_row_blocks`):
-    its moments in ``state`` in place, the parameter itself into one
-    fresh C-ordered array that replaces it. Every element takes the
-    same operations in the same order, so the bits do not depend on the
-    blocks or on the gradient's memory layout.
+    The store is updated a block of ``state.blocks`` at a time: its
+    moments in ``state`` in place, the parameters into one fresh flat
+    buffer of which each ``params[name]`` becomes a C-ordered view, so
+    an array held from before the step keeps its values. Every element
+    takes the same operations in the same order, so the bits do not
+    depend on the blocks or on the gradient's memory layout.
     """
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
+    for name, w in params.items():
+        _gradient(grads, name, w)
+        if name not in state.spans:
+            raise ContractError(f"no Adam moments for parameter {name!r}")
+        shape = state.spans[name][2]
+        if w.shape != shape:
+            raise ShapeError(
+                f"parameter {name!r} has shape {w.shape}, its Adam moments {shape}"
+            )
+    if len(params) != len(state.spans):
+        missing = next(name for name in state.spans if name not in params)
+        raise ContractError(f"parameter {missing!r} of the Adam moments is missing")
     state.t += 1
     c1, c2 = 1 - beta1**state.t, 1 - beta2**state.t
-    for name, w in params.items():
-        g = _gradient(grads, name, w)
-        if name not in state.m:
-            raise ContractError(f"no Adam moments for parameter {name!r}")
-        new = np.empty(w.shape)
-        for wb, gb, mb, vb, nb in _row_blocks(w, g, state.m[name], state.v[name], new):
-            gb = np.asarray(gb, order="C")
-            # the new block holds each moment's gradient term, then the
-            # denominator, then the result
-            np.multiply(gb, 1 - beta1, out=nb)
-            mb *= beta1
-            mb += nb
-            np.multiply(gb, 1 - beta2, out=nb)
-            nb *= gb
-            vb *= beta2
-            vb += nb
-            np.divide(vb, c2, out=nb)
-            np.sqrt(nb, out=nb)
-            nb += eps
-            step = mb / c1
-            step *= lr
-            step /= nb
-            np.subtract(wb, step, out=nb)
-        params[name] = new
+    new = np.empty(state.flat_m.size)
+    for start, stop, parts in state.blocks:
+        gb, wb = _block(grads, parts), _block(params, parts)
+        mb, vb, nb = state.flat_m[start:stop], state.flat_v[start:stop], new[start:stop]
+        # the new block holds each moment's gradient term, then the
+        # denominator, then the result
+        np.multiply(gb, 1 - beta1, out=nb)
+        mb *= beta1
+        mb += nb
+        np.multiply(gb, 1 - beta2, out=nb)
+        nb *= gb
+        vb *= beta2
+        vb += nb
+        np.divide(vb, c2, out=nb)
+        np.sqrt(nb, out=nb)
+        nb += eps
+        step = mb / c1
+        step *= lr
+        step /= nb
+        np.subtract(wb, step, out=nb)
+    for name, (start, stop, shape) in state.spans.items():
+        params[name] = new[start:stop].reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ failures.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +154,19 @@ def _require(value, message: str):
     return value
 
 
+def _require_directory_path(path: Path) -> None:
+    """Refuse, with the error making it would raise, a run directory
+    ``path`` that exists as a non-directory or whose nearest existing
+    ancestor is not a directory; creates nothing."""
+    if path.is_dir():
+        return
+    if path.exists():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+    ancestor = next((p for p in path.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+
+
 def _features(split, key: str, m: int | None = None) -> FeatureSet:
     """The split's ``train_features`` or ``test_features`` file, read;
     with ``m``, refused unless its width is the checkpoint's ``m``."""
@@ -168,6 +183,7 @@ def _features(split, key: str, m: int | None = None) -> FeatureSet:
 def run_train(config: RunConfig) -> Path:
     """Train per the config and write its run directory; returns the
     text checkpoint's path."""
+    _require_directory_path(Path(config.out_dir))
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)
     trained = pipeline.train(config, _features(split, "train_features"), semantics)

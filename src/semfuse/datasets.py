@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
@@ -171,6 +172,8 @@ def load_split(path) -> SplitSpec:
         value = kv.pop(key, None)
         if value is None:
             return None
+        if "\0" in value:
+            raise ManifestError(f"{key} holds a NUL byte")  # prefixed with path below
         p = Path(value)
         return p if p.is_absolute() else path.parent / p
 
@@ -249,6 +252,10 @@ class RunConfig:
             raise ConfigError(
                 f"alpha {self.alpha} is not in the sweep set {list(self.alpha_set)}"
             )
+        for f in fields(self):  # the checks above pass an infinite rate or weight
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isinf(value):
+                raise ConfigError(f"{f.name} = {value} is not finite")
 
     def to_text(self) -> str:
         """``key = value`` lines that `load_run_config` reads back; it
@@ -311,6 +318,8 @@ def _parse_value(kind, raw: str, base: Path):
         item = get_args(kind)[0]
         return tuple(item(v) for v in raw.split(",") if v.strip())
     if kind is Path:
+        if "\0" in raw:
+            raise ValueError("a path holds no NUL byte")
         return base / raw  # an absolute raw path replaces base
     return kind(raw)
 
@@ -325,11 +334,12 @@ def _parse_value(kind, raw: str, base: Path):
 #
 # A CSV file's sidecar, "<file>.fset" beside it, holds the file once
 # parsed: magic "FCSV", uint32 format version, the sha256 of the CSV's
-# bytes, then the binary layout above. A load reads the sidecar instead
-# of parsing when magic, version and digest match; anything else parses
-# the CSV and writes the sidecar anew.
+# bytes, the uint32 CRC-32 of the rest of the sidecar, then the binary
+# layout above. A load reads the sidecar instead of parsing when magic,
+# version, digest and CRC match; anything else parses the CSV and writes
+# the sidecar anew.
 
-_SIDECAR_HEAD = b"FCSV" + struct.pack("<I", 1)  # magic, format version
+_SIDECAR_HEAD = b"FCSV" + struct.pack("<I", 2)  # magic, format version
 
 
 def load_features(path, split: SplitSpec) -> FeatureSet:
@@ -384,12 +394,25 @@ def _sha256(handle) -> bytes:
     return digest.digest()
 
 
+def _crc32(handle) -> bytes:
+    """The CRC-32 of the rest of ``handle``, as a little-endian uint32."""
+    crc = 0
+    for block in iter(lambda: handle.read(1 << 16), b""):
+        crc = zlib.crc32(block, crc)
+    return struct.pack("<I", crc)
+
+
 def _read_sidecar(sidecar: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
     """Names and matrix from the file ``sidecar`` if it starts with
-    ``key`` and holds well-formed records; else None."""
+    ``key`` and holds well-formed records of the CRC it gives; else
+    None."""
     try:
         with sidecar.open("rb") as handle:
-            if handle.read(len(key) + 4) != key + _BINARY_MAGIC:
+            head = handle.read(len(key) + 4)
+            if head[: len(key)] != key or _crc32(handle) != head[len(key):]:
+                return None
+            handle.seek(len(head))
+            if handle.read(4) != _BINARY_MAGIC:
                 return None
             return _read_binary(sidecar, handle)
     except (OSError, FormatError):
@@ -397,15 +420,20 @@ def _read_sidecar(sidecar: Path, key: bytes) -> tuple[list[str], np.ndarray] | N
 
 
 def _write_sidecar(sidecar: Path, key: bytes, names: list[str], matrix: np.ndarray) -> None:
-    """Write ``key`` and the records to ``sidecar`` whole or not at all,
-    through a temporary file beside it. A directory that cannot take it
-    is left as it was: the CSV is then parsed on every load."""
+    """Write ``key``, the records' CRC and the records to ``sidecar``
+    whole or not at all, through a temporary file beside it. A directory
+    that cannot take it is left as it was: the CSV is then parsed on
+    every load."""
     try:
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=".tmp-", suffix=".fset")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(key)
+            with os.fdopen(fd, "w+b") as handle:
+                handle.write(key + bytes(4))
                 _write_records(handle, names, matrix)
+                handle.seek(len(key) + 4)
+                crc = _crc32(handle)
+                handle.seek(len(key))
+                handle.write(crc)
             os.replace(tmp, sidecar)
         except BaseException:
             os.unlink(tmp)

@@ -264,16 +264,17 @@ BLOCK_SHAPES = [(), (0,), (B - 1,), (B + 1,), (3 * B + 7,), (2, B + 5),
                 (162, 100), (163, 100), (164, 100), (327, 100)]
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.9)])
-def test_blocked_adam_keeps_the_bits_of_the_whole_array_update(order, betas):
+def _steps_keep_the_oracle_bits(shapes, order, betas):
+    """Five Adam steps over parameters of ``shapes`` with gradients in
+    ``order``: every parameter is replaced, none written, and the
+    parameters and moments have the whole-array update's bits."""
     rng = np.random.default_rng(15)
-    start = {f"p{i}": np.array(rng.normal(size=s)) for i, s in enumerate(BLOCK_SHAPES)}
+    start = {f"p{i}": np.array(rng.normal(size=s)) for i, s in enumerate(shapes)}
     # gradients over many scales, so the moments' bits vary
     grads = [{name: np.array(rng.normal(size=w.shape) * np.exp(3 * rng.normal(size=w.shape)),
                              order=order)
               for name, w in start.items()} for _ in range(5)]
-    assert order == "C" or not grads[0]["p6"].flags.c_contiguous
+    assert order == "C" or not all(g.flags.c_contiguous for g in grads[0].values())
     blocked = {name: w.copy() for name, w in start.items()}
     reference = {name: w.copy() for name, w in start.items()}
     state, ref_state = ad.AdamState(blocked), ad.AdamState(reference)
@@ -288,6 +289,47 @@ def test_blocked_adam_keeps_the_bits_of_the_whole_array_update(order, betas):
         for name, w in ours.items():
             assert w.shape == np.shape(theirs[name]) and w.flags.c_contiguous, name
             assert w.tobytes() == np.asarray(theirs[name]).tobytes(), name
+    return state
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.9)])
+def test_blocked_adam_keeps_the_bits_of_the_whole_array_update(order, betas):
+    _steps_keep_the_oracle_bits(BLOCK_SHAPES, order, betas)
+
+
+# tiny parameters packed up to exactly a block and one past it, around a
+# wide parameter of 100-wide rows
+PACKED_SHAPES = [(), (1,), (3, 2), (0,), (B - 8,), (1,), (B // 2,), (B // 2 - 1,), (2,),
+                 (331, 100), (5,), (B,), (1, 1), (4,)]
+# the blocks' sizes: packed, packed, one alone, the wide rows, packed
+PACKED_BLOCKS = [B, B, 2, 16300, 16300, 500, 5, B, 5]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_packed_adam_keeps_the_bits_of_the_whole_array_update(order):
+    state = _steps_keep_the_oracle_bits(PACKED_SHAPES, order, (0.5, 0.9))
+    assert [stop - start for start, stop, _ in state.blocks] == PACKED_BLOCKS
+
+
+def test_adam_refuses_a_parameter_reshaped_after_its_state_was_built():
+    params = {"b": np.zeros(3), "W": np.zeros((2, 3))}
+    state = ad.AdamState(params)
+    held = params["b"]
+    params["W"] = params["W"].reshape(3, 2)
+    grads = {name: np.ones(w.shape) for name, w in params.items()}
+    with pytest.raises(ShapeError, match=re.escape(
+        "parameter 'W' has shape (3, 2), its Adam moments (2, 3)"
+    )):
+        ad.adam_step(params, grads, state, lr=0.01)
+    # refused before any update
+    assert state.t == 0 and params["b"] is held and not state.m["b"].any()
+
+
+def test_adam_on_a_store_without_a_parameter_of_its_state_is_contract_error():
+    state = ad.AdamState({"W": np.zeros(2), "X": np.zeros(2)})
+    with pytest.raises(ContractError, match="parameter 'X' of the Adam moments is missing"):
+        ad.adam_step({"W": np.zeros(2)}, {"W": np.ones(2)}, state, lr=0.01)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

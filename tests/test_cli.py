@@ -478,6 +478,11 @@ def test_unusable_optimizer_exits_2_before_reading_inputs(
         ("eval", "embed", "batch_size", "0", "batch_size = 0 is below its minimum 1"),
         ("synthesize", "gen", "n_critic", "0", "n_critic = 0 is below its minimum 1"),
         ("train", "gen", "seed", "-3", "seed = -3 is below its minimum 0"),
+        ("train", "embed", "lr", "inf", "lr = inf is not finite"),
+        ("train", "gen", "eta", "1e999", "eta = inf is not finite"),
+        ("train", "gen", "cls_weight", "inf", "cls_weight = inf is not finite"),
+        ("train", "gen", "classifier_lr", "inf", "classifier_lr = inf is not finite"),
+        ("eval", "embed", "lam", "inf", "lam = inf is not finite"),
     ],
 )
 def test_out_of_range_count_exits_2_before_reading_inputs(
@@ -927,6 +932,29 @@ def test_an_output_path_of_the_wrong_kind_exits_2_naming_it(
     argv = [command, "--config", str(ours_run), flag, str(tmp_path / out)]
     assert main([*argv, "--mode", "zsl"] if command == "eval" else argv) == 2
     assert capsys.readouterr().err == f"config error: {error}: '{tmp_path / named}'\n"
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "sweep"])
+def test_an_unusable_out_dir_is_refused_before_training(
+    demo_dir, tmp_path, capsys, monkeypatch, out
+):
+    (tmp_path / "file").write_text("")
+
+    def train(*args):
+        raise AssertionError("trained into an unusable run directory")
+
+    monkeypatch.setattr(pipeline, "train", train)
+    if out == "sweep":  # each alpha's run directory lies under the file
+        cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "file")
+        assert main(["sweep-alpha", "--config", str(cfg), "--alphas", "0.5"]) == 2
+        named, error = tmp_path / "file" / "alpha_0.5", "[Errno 20] Not a directory"
+    else:
+        cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / out)]) == 2
+        named = tmp_path / out
+        error = "[Errno 17] File exists" if out == "file" else "[Errno 20] Not a directory"
+    assert capsys.readouterr().err == f"config error: {error}: '{named}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "file"]
 
 
 def _csv_run(demo_dir, root):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -82,6 +83,14 @@ def test_manifest_paths_resolve_relative_to_file(tmp_path):
     assert spec.train_features == tmp_path / "feats.csv"
 
 
+def test_a_manifest_path_with_a_nul_byte_is_refused_naming_the_manifest(tmp_path):
+    manifest = tmp_path / "nul.cfg"
+    manifest.write_text("dataset = toy\nseen = a, b\nunseen = c, d\ntest_features = fe\0ats.csv\n")
+    with pytest.raises(ManifestError) as err:
+        load_split(manifest)
+    assert str(err.value) == f"{manifest}: test_features holds a NUL byte"
+
+
 def test_manifest_unknown_key_rejected(tmp_path):
     manifest = tmp_path / "odd.cfg"
     manifest.write_text("dataset = toy\nseen = a, b\nunseen = c, d\nwhat = ever\n")
@@ -144,6 +153,7 @@ def test_run_config_relative_paths_resolve_against_the_file(tmp_path):
         ("turbo = yes", "unknown config key 'turbo'"),
         ("epochs = many", "bad value for 'epochs': invalid literal for int() with base 10: 'many'"),
         ("alpha_set = 0.5,x", "bad value for 'alpha_set': could not convert string to float: 'x'"),
+        ("split = sp\0lit.cfg", "bad value for 'split': a path holds no NUL byte"),
     ],
 )
 def test_run_config_errors_name_the_file_and_key(tmp_path, line, message):
@@ -325,14 +335,16 @@ def sidecar_of(path: Path) -> Path:
 
 
 def sidecar_bytes(csv: Path) -> bytes:
-    """The sidecar a load of the CSV file ``csv`` writes: its key, then
-    the binary layout `write_features_binary` writes."""
+    """The sidecar a load of the CSV file ``csv`` writes: its key, the
+    CRC-32 of the rest, then the binary layout `write_features_binary`
+    writes."""
     fs_path = csv.with_name("expected.bin")
     names, matrix = parse_csv(csv)
     write_features_binary(fs_path, names, matrix)
     blob = fs_path.read_bytes()
     fs_path.unlink()
-    return b"FCSV" + struct.pack("<I", 1) + hashlib.sha256(csv.read_bytes()).digest() + blob
+    key = b"FCSV" + struct.pack("<I", 2) + hashlib.sha256(csv.read_bytes()).digest()
+    return key + struct.pack("<I", zlib.crc32(blob)) + blob
 
 
 def parse_csv(path: Path):
@@ -384,13 +396,15 @@ def test_a_csv_edited_in_place_is_parsed_again(tmp_path, split, monkeypatch):
     lambda blob: blob[:20],
     lambda blob: b"garbage",
     lambda blob: b"",
-    lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+    lambda blob: blob[:4] + struct.pack("<I", 1) + blob[8:],
     lambda blob: blob[:8] + bytes(32) + blob[40:],
+    lambda blob: blob[:40] + bytes(b ^ 0xFF for b in blob[40:44]) + blob[44:],
     lambda blob: blob + b"\0",
-    lambda blob: blob[:44] + struct.pack("<I", 2) + blob[48:],
-    lambda blob: blob[:48] + struct.pack("<I", 3) + blob[52:],
+    lambda blob: blob[:48] + struct.pack("<I", 2) + blob[52:],
+    lambda blob: blob[:52] + struct.pack("<I", 3) + blob[56:],
+    lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
 ], ids=["truncated", "short", "garbage", "empty", "other-version", "other-digest",
-        "trailing-byte", "fewer-rows", "other-width"])
+        "other-crc", "trailing-byte", "fewer-rows", "other-width", "other-value"])
 def test_a_spoilt_sidecar_is_ignored_and_rewritten(tmp_path, split, spoil):
     path = tmp_path / "feats.csv"
     write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)

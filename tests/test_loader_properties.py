@@ -1,8 +1,12 @@
 """Mutated input files: each loader either loads what it documents or
-refuses the file with a FormatError or ManifestError that starts with
-the file's path. Any other exception fails the property."""
+refuses the file with a FormatError or ManifestError (for a run config
+also a ConfigError) that starts with the file's path. Any other
+exception fails the property."""
 
+import math
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,14 @@ from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
 from semfuse.cli import main
-from semfuse.datasets import load_split
-from semfuse.errors import FormatError, ManifestError
+from semfuse.datasets import (
+    SplitSpec,
+    load_features,
+    load_run_config,
+    load_split,
+    write_features_binary,
+)
+from semfuse.errors import ConfigError, FormatError, ManifestError
 from semfuse.fusion import read_bundles
 from semfuse.wordvec import load_word_vectors
 
@@ -60,12 +70,12 @@ def _is_float(text: bytes) -> bool:
     return True
 
 
-def loaded_or_refused(load, path):
-    """``load(path)``'s result, or None when it refused the file as a
-    FormatError or ManifestError starting with ``path``."""
+def loaded_or_refused(load, path, errors=(FormatError, ManifestError)):
+    """``load(path)``'s result, or None when it refused the file as one
+    of ``errors`` starting with ``path``."""
     try:
         return load(path)
-    except (FormatError, ManifestError) as exc:
+    except errors as exc:
         assert str(exc).startswith(str(path)), exc
         return None
 
@@ -138,6 +148,118 @@ def test_mutated_splits_load_valid_or_are_refused_naming_the_file(workdir, data)
         names = split.seen + split.unseen
         assert split.seen and split.unseen and len(set(names)) == len(names)
         assert all(names)
+        paths = (split.train_features, split.test_features, split.description_dir)
+        assert all("\0" not in str(p) for p in paths if p)  # paths the system can open
+
+
+FEATURE_SPLIT = SplitSpec("demo", ["bed", "chair", "desk"], ["sofa", "table"])
+FEATURES = (
+    b"# features m=3\n"
+    b"bed,0.125,-1.5,0.25\n"
+    b"chair,2,0.75,-0.5\n"
+    b"desk,-0.25,1e-3,3.5\n"
+    b"sofa,1.5,-2.25,0\n"
+    b"table,0.5,0.5,-1\n"
+)
+
+
+def _features_of(path):
+    return load_features(path, FEATURE_SPLIT)
+
+
+def _check_features(loaded) -> None:
+    assert loaded.features.ndim == 2 and loaded.m >= 1 and loaded.n >= 1
+    assert loaded.labels.shape == (loaded.n,) and np.isfinite(loaded.features).all()
+
+
+@given(data=mutated(FEATURES))
+@settings(max_examples=150, deadline=None)
+def test_mutated_feature_csvs_load_finite_or_are_refused_naming_the_file(workdir, data):
+    path = workdir / "features.csv"
+    path.write_bytes(data)
+    loaded = loaded_or_refused(_features_of, path)
+    if loaded is not None:
+        _check_features(loaded)
+        again = _features_of(path)  # from the sidecar the first load wrote
+        assert again.features.tobytes() == loaded.features.tobytes()
+        assert again.labels.tolist() == loaded.labels.tolist()
+
+
+@pytest.fixture(scope="module")
+def valid_fset(workdir):
+    path = workdir / "valid.fset"
+    write_features_binary(path, ["bed", "chair", "sofa"], [[0.125, -1.5], [2, 0.75], [0, 1e-3]])
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_fset_files_load_finite_or_are_refused_naming_the_file(workdir, valid_fset, data):
+    path = workdir / "features.fset"
+    path.write_bytes(data.draw(mutated(valid_fset)))
+    loaded = loaded_or_refused(_features_of, path)
+    if loaded is not None:
+        _check_features(loaded)
+
+
+@pytest.fixture(scope="module")
+def sidecar(workdir):
+    """A CSV feature file loaded once, its sidecar, and what it loaded."""
+    path = workdir / "sidecar" / "features.csv"
+    path.parent.mkdir()
+    path.write_bytes(FEATURES)
+    loaded = _features_of(path)
+    sidecar = path.with_name("features.csv.fset")
+    return path, sidecar, sidecar.read_bytes(), loaded
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_sidecar_never_changes_what_its_csv_loads(sidecar, data):
+    path, sidecar, valid, expected = sidecar
+    sidecar.write_bytes(data.draw(mutated(valid)))
+    loaded = _features_of(path)
+    assert loaded.features.tobytes() == expected.features.tobytes()
+    assert loaded.labels.tolist() == expected.labels.tolist()
+
+
+RUN_CONFIG = (
+    b"# a generative run\n"
+    b"split = split.cfg\n"
+    b"bundles = bundles.csv\n"
+    b"variation = ours\n"
+    b"alpha = 0.5\n"
+    b"alpha_set = 0.1,0.5,1.0\n"
+    b"method = gen\n"
+    b"lr = 0.001\n"
+    b"epochs = 20\n"
+    b"q = 8\n"
+    b"eta = 10.0\n"
+    b"seed = 3\n"
+    b"out_dir = runs/x\n"
+)
+
+
+@given(data=mutated(RUN_CONFIG))
+@settings(max_examples=150, deadline=None)
+def test_mutated_run_configs_validate_finite_or_are_refused(workdir, data):
+    """A config either is refused on load, naming the file, or loads
+    openable paths; every command then validates it, and a config that
+    validates holds finite values only."""
+    path = workdir / "run.cfg"
+    path.write_bytes(data)
+    config = loaded_or_refused(load_run_config, path, (FormatError, ConfigError))
+    if config is None:
+        return
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    assert not any("\0" in str(v) for v in values.values() if isinstance(v, Path))
+    try:
+        config.validate()
+    except ConfigError:  # names the key and its value
+        return
+    for name, value in values.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(v, float) or math.isfinite(v), name
 
 
 @pytest.fixture(scope="module")
