@@ -20,6 +20,7 @@ import hashlib
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -206,14 +207,23 @@ def softmax_xent_grad(logits: Array, onehot: Array, g=1.0) -> tuple[float, Array
     stable log-sum-exp, with a per-row max shift): softmax cross-entropy
     of (n, k) logits against an (n, k) target, and its logits adjoint
     for the output adjoint ``g``."""
-    row_max = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - row_max)
-    s = e.sum(axis=1, keepdims=True)
-    lse = np.log(s) + row_max
+    # the operations of ``lse - sum(logits * onehot)`` and of ``(a / s) *
+    # e + (-a) * onehot`` in that order, each (n, k) one into a buffer
+    # reused for the next
+    row_max = np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.subtract(logits, row_max)
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=1, keepdims=True)
+    lse = np.log(s)
+    lse += row_max
+    picked = np.multiply(logits, onehot)
+    lse -= np.add.reduce(picked, axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = (lse - (logits * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+    loss = np.add.reduce(lse, axis=None) * (1.0 / n)
     a = g * (1.0 / n)
-    return float(loss), (a / s) * e + (-a) * onehot
+    e *= a / s
+    e += np.multiply(onehot, -a, out=picked)
+    return float(loss), e
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -457,9 +467,10 @@ def adam_step(
 #
 # The binary records, which runs are restored from, are little-endian:
 # magic "SFCK", uint32 format version, the three sha256 digests the
-# records are bound to, uint32 record count, then per record a uint32
-# name length, the UTF-8 name, uint32 ndim, ndim uint64 dims and the raw
-# float64 values in C order.
+# records are bound to, uint32 record count, the uint32 CRC-32 of every
+# byte after the header, then per record a uint32 name length, the UTF-8
+# name, uint32 ndim, ndim uint64 dims and the raw float64 values in C
+# order.
 
 # values formatted at a time, so a record's text is never held whole
 SAVE_CHUNK = 16384
@@ -468,9 +479,10 @@ SAVE_CHUNK = 16384
 SAVE_POOL_MIN = 4 * SAVE_CHUNK
 
 _BINARY_MAGIC = b"SFCK"
-_BINARY_VERSION = 2
-# after the magic and the uint32 version: the three bound digests, record count
-_HEADER = struct.Struct("<32s32s32sI")
+_BINARY_VERSION = 3
+# after the magic and the uint32 version: the three bound digests, record
+# count, CRC-32 of the records
+_HEADER = struct.Struct("<32s32s32sII")
 
 
 def _records(stores: dict[str, Params]):
@@ -552,27 +564,36 @@ def save_params(path, stores: dict[str, Params]) -> bytes:
 
 def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...]) -> None:
     """Write the binary records of ``stores``, bound to three sha256
-    digests. Each array's values are written from its own buffer, which
-    a C-ordered float64 array needs no copy for."""
+    digests, with the CRC-32 of the records, which is computed as they
+    are written and then put in the header. Each array's values are
+    written from its own buffer, which a C-ordered float64 array needs
+    no copy for."""
     records = list(_records(stores))
+    crc = 0
     with Path(path).open("wb") as handle:
         handle.write(_BINARY_MAGIC + struct.pack("<I", _BINARY_VERSION))
-        handle.write(_HEADER.pack(*bound, len(records)))
+        handle.write(_HEADER.pack(*bound, len(records), crc))
         for full, w in records:
             name = full.encode("utf-8")
-            head = f"<I{len(name)}sI{w.ndim}Q"
-            handle.write(struct.pack(head, len(name), name, w.ndim, *w.shape))
-            handle.write(np.ascontiguousarray(w, dtype="<f8"))
+            head = struct.pack(f"<I{len(name)}sI{w.ndim}Q", len(name), name, w.ndim, *w.shape)
+            values = np.ascontiguousarray(w, dtype="<f8")
+            crc = zlib.crc32(values, zlib.crc32(head, crc))
+            handle.write(head)
+            handle.write(values)
+        handle.seek(len(_BINARY_MAGIC) + 4 + _HEADER.size - 4)
+        handle.write(struct.pack("<I", crc))
 
 
 def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
     """Read every binary record back into name -> array, with the three
     digests they are bound to. A bad magic or version, a truncated or
     over-long file and a duplicate name are FormatErrors naming the
-    record and its byte offset.
+    record and its byte offset; records whose CRC-32, taken as they are
+    read, is not the header's are a FormatError naming the file.
     """
     out: dict[str, Array] = {}
     names: set[str] = set()
+    crc = 0
     with Path(path).open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         where = "header at byte 0"
@@ -582,8 +603,11 @@ def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
                 raise FormatError(f"{path}: {where}: truncated at byte {size}")
 
         def read(n: int) -> bytes:
+            nonlocal crc
             need(n)
-            return handle.read(n)
+            data = handle.read(n)
+            crc = zlib.crc32(data, crc)
+            return data
 
         magic = read(len(_BINARY_MAGIC))
         if magic != _BINARY_MAGIC:
@@ -594,7 +618,8 @@ def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
                 f"{path}: {where}: format version {version}, expected {_BINARY_VERSION}; "
                 "retrain the run"
             )
-        *bound, count = _HEADER.unpack(read(_HEADER.size))
+        *bound, count, expected = _HEADER.unpack(read(_HEADER.size))
+        crc = 0  # of the records alone
         for index in range(1, count + 1):
             start = handle.tell()
             where = f"record {index} at byte {start}"
@@ -613,6 +638,7 @@ def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
             need(nbytes)
             values = np.empty(shape, dtype="<f8")
             handle.readinto(values)
+            crc = zlib.crc32(values, crc)
             out[name] = values
         end = handle.tell()
         if end != size:
@@ -620,17 +646,28 @@ def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
                 f"{path}: {size - end} bytes after the last record (record {count}) "
                 f"at byte {end}"
             )
+    if crc != expected:
+        raise FormatError(
+            f"{path}: the records' CRC-32 is {crc:08x}, the header says {expected:08x}; "
+            "the file was changed after it was written"
+        )
     return out, tuple(bound)
 
 
-def restore_store(params: Params, values: dict[str, Array], prefix: str = "") -> None:
-    """Replace each of ``params`` by its checkpoint array, by name; a
-    missing record is a FormatError, one of another shape a ShapeError."""
-    for name, w in params.items():
+def restore_store(
+    shapes: Sequence[tuple[str, tuple[int, ...]]], values: dict[str, Array], prefix: str = ""
+) -> Params:
+    """The store of the parameters ``shapes`` lists as (name, shape) in
+    store order, each the checkpoint array ``values[<prefix>.<name>]``
+    itself; a missing record is a FormatError, one of another shape a
+    ShapeError."""
+    params = {}
+    for name, shape in shapes:
         full = f"{prefix}.{name}" if prefix else name
         if full not in values:
             raise FormatError(f"checkpoint is missing parameter {full!r}")
-        value = np.asarray(values[full], dtype=np.float64)
-        if value.shape != w.shape:
-            raise ShapeError(f"value for {name!r} has shape {value.shape}, expected {w.shape}")
+        value = values[full]
+        if value.shape != shape:
+            raise ShapeError(f"value for {full!r} has shape {value.shape}, expected {shape}")
         params[name] = value
+    return params

@@ -8,17 +8,25 @@ train stores the class semantics it trained with in model.bin; eval
 and synthesize score with those and read no word vectors, bundles or
 descriptions.
 
-Exit codes: 0 success, 2 configuration or manifest problems (also an
-input or output path that is missing, of the wrong kind or not readable
-or writable, a non-finite training loss, an eval or synthesize config
-that differs from the run's training config, a run directory's run.cfg
-or model.ckpt that is not the one its model.bin was written with, an
-eval or synthesize split whose class table is not the trained one or
-that has classes without stored semantics, and eval test features or
-GZSL seen rows of another width than the checkpoint's), 3 malformed
-data files (also a run directory with only a text checkpoint, or whose
-model.bin is of the older format without class semantics), 4 transport
-failures.
+Exit codes: 0 success, 2 configuration or manifest problems (also a
+config value out of range, named after its config file or the flag
+that set it, an input or output path that is missing, of the wrong
+kind or not readable or writable, a non-finite training loss, an eval
+or synthesize config that differs from the run's training config, a
+run directory's run.cfg or model.ckpt that is not the one its
+model.bin was written with, an eval or synthesize split whose class
+table is not the trained one or that has classes without stored
+semantics, a model.bin record of another shape than the model's, and
+eval test features or GZSL seen rows of another width than the
+checkpoint's), 3 malformed data files (also a run directory with only a
+text checkpoint, a model.bin of an older format, one missing a record
+the model needs, and one whose records do not match its CRC-32), 4
+transport failures.
+
+`main` builds the arguments of the invoked subcommand only; every
+subcommand is registered with its help text, so usage lines and errors
+read as with the full parser, which `--help`, no command and an
+unknown command get.
 """
 
 from __future__ import annotations
@@ -68,15 +76,30 @@ EXIT_FORMAT = 3
 EXIT_TRANSPORT = 4
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    for name in ("seed", "alpha", "variation", "method", "epochs"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            config = replace(config, **{name: value})
-    if getattr(args, "out_dir", None) is not None:
-        config = replace(config, out_dir=Path(args.out_dir))
-    config.validate()
+# the run-config keys that command-line flags override, and the flags
+_FLAGS = {"seed": "--seed", "alpha": "--alpha", "variation": "--variation",
+          "method": "--method", "epochs": "--epochs", "out_dir": "--out-dir"}
+
+
+def _validated(config: RunConfig, path, flags: dict[str, str]) -> RunConfig:
+    """``config``, validated; a refusal starts with where the values it
+    names came from: the flag in ``flags`` of each key the command line
+    set, the config file ``path`` for the others."""
+    config.validate(lambda keys: ", ".join(dict.fromkeys(flags.get(k, str(path)) for k in keys)))
     return config
+
+
+def _apply_overrides(path, args) -> RunConfig:
+    """The run config at ``path`` with the values of the command line's
+    flags, validated."""
+    config, flags = load_run_config(path), {}
+    for name, flag in _FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            # an alias such as train-gen sets the method, not --method
+            flags[name] = args.command if name == "method" and args.command != "train" else flag
+            config = replace(config, **{name: Path(value) if name == "out_dir" else value})
+    return _validated(config, path, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +261,14 @@ def cmd_build_semantics(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _apply_overrides(args.config, args)
     ckpt = run_train(config)
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _apply_overrides(args.config, args)
     (report,) = run_eval(config, (args.mode,), args.micro)
     out = Path(args.out) if args.out else Path(config.out_dir) / f"report_{args.mode}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -258,7 +281,7 @@ def cmd_eval(args) -> int:
 def cmd_synthesize(args) -> int:
     if args.per_class is not None and args.per_class < 1:
         raise ConfigError(f"--per-class {args.per_class} is below its minimum 1")
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _apply_overrides(args.config, args)
     if config.method != "gen":
         raise ConfigError("synthesize needs a generative-method config")
     split = load_split(_require(config.split, "config needs a split manifest"))
@@ -300,7 +323,7 @@ def cmd_compare(args) -> int:
             blocks.append(merge_modes(rows))
     else:
         modes = _parse_modes(args.modes)
-        configs = [_apply_overrides(load_run_config(path), args) for path in args.configs]
+        configs = [_apply_overrides(path, args) for path in args.configs]
         for config in configs:
             run_train(config)
             blocks.append(merge_modes(run_eval(config, modes)))
@@ -329,11 +352,11 @@ def cmd_sweep_alpha(args) -> int:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ConfigError(f"--alphas: more than one alpha runs as alpha={label}")
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _apply_overrides(args.config, args)
     modes = _parse_modes(args.modes)
     # the runs differ only in an alpha from the set, so one check covers all
     config = replace(config, variation="ours", alpha=alphas[0], alpha_set=tuple(alphas))
-    config.validate()
+    _validated(config, args.config, {"alpha": "--alphas", "alpha_set": "--alphas"})
     reports: list[EvalReport] = []
     base_out = Path(config.out_dir)
     for alpha, label in zip(alphas, labels):
@@ -354,14 +377,18 @@ def cmd_sweep_alpha(args) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semfuse",
-        description="zero-shot classification with fused class semantics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _config_options(p, with_mode=False) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--variation", choices=VARIATIONS, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--out-dir", default=None)
+    if with_mode:
+        p.add_argument("--mode", choices=("zsl", "gzsl"), default="gzsl")
 
-    p = sub.add_parser("fetch-descriptions", help="populate the description cache")
+
+def _fetch_descriptions_arguments(p) -> None:
     p.add_argument("--split", required=True)
     p.add_argument("--cache", default=None)
     p.add_argument("--endpoint-url", default=None)
@@ -369,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--api-key-env", default="CHAT_API_KEY")
     p.set_defaults(func=cmd_fetch_descriptions)
 
-    p = sub.add_parser("build-semantics", help="embed class names and descriptions")
+
+def _build_semantics_arguments(p) -> None:
     p.add_argument("--split", required=True)
     p.add_argument("--word-vectors", required=True)
     p.add_argument("--variation", choices=VARIATIONS, default="ours")
@@ -377,37 +405,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_semantics)
 
-    def add_config_options(p, with_mode=False):
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--variation", choices=VARIATIONS, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--out-dir", default=None)
-        if with_mode:
-            p.add_argument("--mode", choices=("zsl", "gzsl"), default="gzsl")
 
-    for name, forced in (("train", None), ("train-embed", "embed"), ("train-gen", "gen")):
-        p = sub.add_parser(name, help=f"train the {forced or 'configured'} model")
-        add_config_options(p)
+def _train_arguments(forced: str | None):
+    def add(p) -> None:
+        _config_options(p)
         if forced is None:
             p.add_argument("--method", choices=("embed", "gen"), default=None)
         # an alias's method overrides the config's like --method does
         p.set_defaults(func=cmd_train, method=forced)
 
-    p = sub.add_parser("eval", help="evaluate a trained run")
-    add_config_options(p, with_mode=True)
+    return add
+
+
+def _eval_arguments(p) -> None:
+    _config_options(p, with_mode=True)
     p.add_argument("--micro", action="store_true", help="per-sample averaging")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synthesize", help="write synthetic unseen-class features")
-    add_config_options(p)
+
+def _synthesize_arguments(p) -> None:
+    _config_options(p)
     p.add_argument("--per-class", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("compare", help="borda-count comparison of variations")
+
+def _compare_arguments(p) -> None:
     p.add_argument("--reports", nargs="+", default=None)
     p.add_argument("--configs", nargs="+", default=None)
     p.add_argument("--modes", default="zsl,gzsl")
@@ -415,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep-alpha", help="train and evaluate over an alpha set")
+
+def _sweep_alpha_arguments(p) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--alphas", default=",".join(str(a) for a in ALPHA_SWEEP))
     p.add_argument("--modes", default="zsl,gzsl")
@@ -423,11 +448,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep_alpha)
 
+
+# name -> (help text, adds the subcommand's arguments), in --help order
+SUBCOMMANDS = {
+    "fetch-descriptions": ("populate the description cache", _fetch_descriptions_arguments),
+    "build-semantics": ("embed class names and descriptions", _build_semantics_arguments),
+    "train": ("train the configured model", _train_arguments(None)),
+    "train-embed": ("train the embed model", _train_arguments("embed")),
+    "train-gen": ("train the gen model", _train_arguments("gen")),
+    "eval": ("evaluate a trained run", _eval_arguments),
+    "synthesize": ("write synthetic unseen-class features", _synthesize_arguments),
+    "compare": ("borda-count comparison of variations", _compare_arguments),
+    "sweep-alpha": ("train and evaluate over an alpha set", _sweep_alpha_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand; with ``command``, every
+    subcommand is registered with its help text but only ``command``
+    gets its arguments, which parses its command lines alike."""
+    parser = argparse.ArgumentParser(
+        prog="semfuse",
+        description="zero-shot classification with fused class semantics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        built = command in (None, name)  # a subcommand that parses nothing needs no -h
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, no command and an unknown one get every subcommand's arguments
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except TransportError as exc:

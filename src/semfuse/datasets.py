@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -227,35 +227,42 @@ class RunConfig:
     seed: int = 0
     out_dir: Path = Path("runs/out")
 
-    def validate(self) -> None:
+    def validate(self, origin: Callable[[tuple[str, ...]], str] | None = None) -> None:
+        """Refuse a value outside its range, naming the key. With
+        ``origin``, the message starts with ``origin(keys)``: where the
+        values of the keys the failed check reads came from."""
+
+        def refuse(message: str, *keys: str) -> NoReturn:
+            raise ConfigError(f"{origin(keys)}: {message}" if origin else message)
+
         for key, low in _MINIMUMS.items():
             value = getattr(self, key)
             if value is not None and not value >= low:
-                raise ConfigError(f"{key} = {value} is below its minimum {low}")
+                refuse(f"{key} = {value} is below its minimum {low}", key)
         if not self.eta > 0:
-            raise ConfigError(f"eta = {self.eta} must be positive")
+            refuse(f"eta = {self.eta} must be positive", "eta")
         for key, values in (("alpha", [self.alpha]), ("alpha_set", self.alpha_set)):
             for value in values:
                 if not 0.0 <= value <= 1.0:
-                    raise ConfigError(f"{key} value {value} lies outside [0, 1]")
+                    refuse(f"{key} value {value} lies outside [0, 1]", key)
         if self.variation not in VARIATIONS:
-            raise ConfigError(f"unknown variation {self.variation!r}")
+            refuse(f"unknown variation {self.variation!r}", "variation")
         if self.method not in ("embed", "gen"):
-            raise ConfigError(f"unknown method {self.method!r}")
+            refuse(f"unknown method {self.method!r}", "method")
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+            refuse(f"unknown optimizer {self.optimizer!r}", "optimizer")
         if self.method == "gen" and self.optimizer != "adam":
-            raise ConfigError(f"method gen trains with adam only, not {self.optimizer!r}")
+            refuse(f"method gen trains with adam only, not {self.optimizer!r}",
+                   "method", "optimizer")
         if self.variation == "ours" and not any(
             math.isclose(self.alpha, a) for a in self.alpha_set
         ):
-            raise ConfigError(
-                f"alpha {self.alpha} is not in the sweep set {list(self.alpha_set)}"
-            )
+            refuse(f"alpha {self.alpha} is not in the sweep set {list(self.alpha_set)}",
+                   "variation", "alpha", "alpha_set")
         for f in fields(self):  # the checks above pass an infinite rate or weight
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isinf(value):
-                raise ConfigError(f"{f.name} = {value} is not finite")
+                refuse(f"{f.name} = {value} is not finite", f.name)
 
     def to_text(self) -> str:
         """``key = value`` lines that `load_run_config` reads back; it

@@ -33,17 +33,25 @@ class EmbedModel:
         return e @ self.store["W_e"].T + self.store["b_e"]
 
 
+def embed_shapes(q: int, m: int, d: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each parameter of the two branches, in store
+    order."""
+    return [("W_z", (q, m)), ("b_z", (q,)), ("W_e", (q, d)), ("b_e", (q,))]
+
+
 def init_embed_model(q: int, m: int, d: int, lam: float, seed: int) -> EmbedModel:
+    """Weights uniform with bound sqrt(6 / (fan_in + fan_out)), biases
+    zero; deterministic in ``seed``."""
     if q <= 0 or m <= 0 or d <= 0:
         raise ContractError("dimensions must be positive")
     if lam < 0 or not np.isfinite(lam):
         raise ContractError("lambda must be finite and non-negative")
     rng = np.random.default_rng(seed)
-    store = {}
-    store["W_z"] = rng.uniform(-1, 1, size=(q, m)) * np.sqrt(6.0 / (q + m))
-    store["b_z"] = np.zeros(q)
-    store["W_e"] = rng.uniform(-1, 1, size=(q, d)) * np.sqrt(6.0 / (q + d))
-    store["b_e"] = np.zeros(q)
+    store = {
+        name: rng.uniform(-1, 1, size=shape) * np.sqrt(6.0 / sum(shape))
+        if len(shape) == 2 else np.zeros(shape)
+        for name, shape in embed_shapes(q, m, d)
+    }
     return EmbedModel(store, m, lam)
 
 

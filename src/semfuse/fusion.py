@@ -87,6 +87,14 @@ class FusionParams:
 FUSION_INIT_SCALE = 0.1
 
 
+def fusion_shapes(d: int, variation: str) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each fusion parameter, in store order: the
+    layers under "ours", none for the fixed variations."""
+    if variation != "ours":
+        return []
+    return [("W_sigma", (d, d)), ("b_sigma", (d,)), ("W_phi", (d, d)), ("b_phi", (d,))]
+
+
 def init_fusion(d: int, seed: int, alpha: float, variation: str = "ours") -> FusionParams:
     """Uniform init with bound FUSION_INIT_SCALE * sqrt(6 / (2 d));
     biases zero. Deterministic in ``seed``; no layers unless "ours"."""
@@ -94,12 +102,10 @@ def init_fusion(d: int, seed: int, alpha: float, variation: str = "ours") -> Fus
         raise ContractError("fusion dimension must be positive")
     rng = np.random.default_rng(seed)
     bound = FUSION_INIT_SCALE * np.sqrt(6.0 / (2 * d))
-    store = {}
-    if variation == "ours":
-        store["W_sigma"] = rng.uniform(-bound, bound, size=(d, d))
-        store["b_sigma"] = np.zeros(d)
-        store["W_phi"] = rng.uniform(-bound, bound, size=(d, d))
-        store["b_phi"] = np.zeros(d)
+    store = {
+        name: rng.uniform(-bound, bound, size=shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in fusion_shapes(d, variation)
+    }
     return FusionParams(store, alpha, d, variation)
 
 

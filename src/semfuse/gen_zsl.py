@@ -99,21 +99,36 @@ class Mlp:
         return grads, g if inputs else None
 
 
+def mlp_shapes(sizes: list[int]) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each layer's weight and bias, in store order."""
+    shapes = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes += [(f"l{i}.W", (fan_out, fan_in)), (f"l{i}.b", (fan_out,))]
+    return shapes
+
+
 def _init_mlp(sizes: list[int], d: int, seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     store = {}
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        store[f"l{i}.W"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        store[f"l{i}.b"] = np.zeros(fan_out)
+    for name, shape in mlp_shapes(sizes):
+        if len(shape) == 2:
+            bound = np.sqrt(6.0 / sum(shape))
+            store[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            store[name] = np.zeros(shape)
     return Mlp(store, sizes, d)
+
+
+def generator_sizes(m: int, d: int, noise_dim: int, hidden: list[int]) -> list[int]:
+    """Layer widths of the generator: (noise, semantics) in, m out."""
+    return [noise_dim + d, *hidden, m]
 
 
 def init_generator(m: int, d: int, noise_dim: int, seed: int, hidden: list[int]) -> Mlp:
     """Generator: (noise, semantics) to an m-wide feature vector."""
     if noise_dim <= 0:
         raise ContractError("noise dimension must be positive")
-    return _init_mlp([noise_dim + d, *hidden, m], d, seed)
+    return _init_mlp(generator_sizes(m, d, noise_dim, hidden), d, seed)
 
 
 def init_discriminator(m: int, d: int, seed: int, hidden: list[int]) -> Mlp:

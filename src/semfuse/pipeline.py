@@ -21,14 +21,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, SplitSpec, load_run_config, sha256_file
-from .embed_zsl import EmbedModel, classify_batch, init_embed_model, train_embed
-from .errors import ConfigError, ContractError, FormatError, ManifestError
+from .embed_zsl import EmbedModel, classify_batch, embed_shapes, train_embed
+from .errors import ConfigError, ContractError, FormatError, ManifestError, ShapeError
 from .evaluation import EvalReport, evaluate_run
-from .fusion import ClassSemantics, FusionParams, export_fused_csv, init_fusion, resolve_semantics
+from .fusion import (
+    ClassSemantics,
+    FusionParams,
+    export_fused_csv,
+    fusion_shapes,
+    resolve_semantics,
+)
 from .gen_zsl import (
     GanTrainer,
     Mlp,
-    init_generator,
+    generator_sizes,
+    mlp_shapes,
     pretrain_classifier,
     synthesize_set,
     train_final_classifier,
@@ -155,7 +162,9 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
     or run.cfg is not the one its model.bin was written with, or if
     ``split`` names its classes otherwise or has classes it has no
     semantics of; returned with the feature width ``m`` read from
-    model.bin."""
+    model.bin. The parameters are model.bin's arrays, each checked by
+    name and shape against its family's table (`fusion_shapes`,
+    `embed_shapes`, `mlp_shapes`); no model is initialized."""
     out_dir = Path(cfg.out_dir)
     ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
     for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
@@ -200,18 +209,21 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
     if key not in values or values[key].ndim != 2:
         raise FormatError(f"{binary}: no 2-d parameter {key!r} to read the feature width from")
     m, d = values[key].shape[axis], semantics.d
-    fusion = init_fusion(d, 0, cfg.alpha, cfg.variation)
+    if m <= 0:
+        raise ContractError(f"{binary}: {key!r} gives a feature width of {m}")
     if cfg.method == "embed":
-        model = init_embed_model(cfg.q or d, m, d, cfg.lam, 0)
+        shapes = embed_shapes(cfg.q or d, m, d)
     else:
-        model = init_generator(m, d, cfg.noise_dim, 0, [cfg.hidden_mult * m])
+        sizes = generator_sizes(m, d, cfg.noise_dim, [cfg.hidden_mult * m])
+        shapes = mlp_shapes(sizes)
     try:
-        ad.restore_store(fusion.store, values, "fusion")
-        ad.restore_store(model.store, values, cfg.method)
-    except FormatError as exc:
-        raise FormatError(f"{binary}: {exc}") from None
-    stores = {cfg.method: model.store, "fusion": fusion.store}
-    return Trained(stores, fusion, model, semantics), m
+        fusion_store = ad.restore_store(fusion_shapes(d, cfg.variation), values, "fusion")
+        store = ad.restore_store(shapes, values, cfg.method)
+    except (FormatError, ShapeError) as exc:
+        raise type(exc)(f"{binary}: {exc}") from None
+    fusion = FusionParams(fusion_store, cfg.alpha, d, cfg.variation)
+    model = EmbedModel(store, m, cfg.lam) if cfg.method == "embed" else Mlp(store, sizes, d)
+    return Trained({cfg.method: store, "fusion": fusion_store}, fusion, model, semantics), m
 
 
 def evaluate(

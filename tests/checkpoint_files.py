@@ -58,8 +58,9 @@ def load_text_params(path, prefixes=None) -> dict[str, np.ndarray]:
 def value_spans(path) -> dict[str, tuple[int, int]]:
     """Byte range of each binary record's values, by record name."""
     blob = Path(path).read_bytes()
-    (count,) = struct.unpack_from("<I", blob, 104)  # after magic, version, three digests
-    offset, spans = 108, {}
+    # after magic, version and three digests; then the records' CRC-32
+    (count,) = struct.unpack_from("<I", blob, 104)
+    offset, spans = 112, {}
     for _ in range(count):
         (length,) = struct.unpack_from("<I", blob, offset)
         name = blob[offset + 4 : offset + 4 + length].decode("utf-8")

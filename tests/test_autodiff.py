@@ -361,7 +361,7 @@ def test_gradient_shapes_match_parameters():
 
 # stand-ins for the sha256 digests of the files binary records are bound to
 BOUND = (bytes(range(32)), bytes(range(32, 64)), bytes(range(64, 96)))
-HEADER_BYTES = 108  # magic, version, three digests, record count
+HEADER_BYTES = 112  # magic, version, three digests, record count, records' CRC-32
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -378,24 +378,22 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_restore_into_store(tmp_path):
     path = tmp_path / "m.bin"
-    ad.write_params_binary(path, {"": {"W": np.ones((2, 2))}}, BOUND)
-    fresh = {"W": np.zeros((2, 2))}
+    ad.write_params_binary(path, {"": {"b": np.zeros(2), "W": np.ones((2, 2))}}, BOUND)
     values, _ = ad.load_params(path)
-    ad.restore_store(fresh, values)
-    assert np.array_equal(fresh["W"], np.ones((2, 2)))
-    assert fresh["W"] is values["W"]  # held once, not copied again
+    store = ad.restore_store([("W", (2, 2)), ("b", (2,))], values)
+    assert list(store) == ["W", "b"]  # in the order of the shapes
+    assert np.array_equal(store["W"], np.ones((2, 2)))
+    assert store["W"] is values["W"]  # held once, not copied again
 
 
 def test_checkpoint_restore_refuses_a_record_of_another_shape(tmp_path):
     path = tmp_path / "m.bin"
     ad.write_params_binary(path, {"net": {"W": np.ones((2, 3))}}, BOUND)
     values, _ = ad.load_params(path)
-    fresh = {"W": np.zeros((3, 2))}
-    with pytest.raises(ShapeError, match=r"'W' has shape \(2, 3\), expected \(3, 2\)"):
-        ad.restore_store(fresh, values, "net")
+    with pytest.raises(ShapeError, match=r"'net.W' has shape \(2, 3\), expected \(3, 2\)"):
+        ad.restore_store([("W", (3, 2))], values, "net")
     with pytest.raises(FormatError, match="missing parameter 'other.W'"):
-        ad.restore_store(fresh, values, "other")
-    assert np.array_equal(fresh["W"], np.zeros((3, 2)))
+        ad.restore_store([("W", (2, 3))], values, "other")
 
 
 def test_checkpoint_rejects_malformed_file(tmp_path):
@@ -616,8 +614,12 @@ def test_checkpoint_bytes_and_round_trip_on_random_arrays(ckpt_dir, arrays):
     _assert_bitwise_round_trip(path, stores)
 
 
-# two records: 'gen.W' (2 values) at byte 108, 'disc.W' (1 value) at byte 145
+# two records: 'gen.W' (2 values) at byte 112, 'disc.W' (1 value) at byte 149
 _GEN_AT, _DISC_AT, _END = HEADER_BYTES, HEADER_BYTES + 37, HEADER_BYTES + 67
+
+
+_CRC_MISMATCH = ("the records' CRC-32 is [0-9a-f]{8}, the header says [0-9a-f]{8}; "
+                 "the file was changed after it was written")
 
 
 def _two_records(path):
@@ -632,7 +634,7 @@ def _two_records(path):
     [
         (lambda b: b"gen." + b[4:], r"header at byte 0: bad magic b'gen\.'"),
         (lambda b: b[:4] + (1).to_bytes(4, "little") + b[8:],
-         "header at byte 0: format version 1, expected 2; retrain the run"),
+         "header at byte 0: format version 1, expected 3; retrain the run"),
         (lambda b: b[:50], "header at byte 0: truncated at byte 50"),
         (lambda b: b[:-8], f"record 2 'disc.W' at byte {_DISC_AT}: truncated at byte {_END - 8}"),
         (lambda b: b[:_GEN_AT + 20],
@@ -640,9 +642,12 @@ def _two_records(path):
         (lambda b: b[:104] + (3).to_bytes(4, "little") + b[108:],
          f"record 3 at byte {_END}: truncated at byte {_END}"),
         (lambda b: b + b"\0\0\0", f"3 bytes after the last record \\(record 2\\) at byte {_END}"),
+        (lambda b: b[:-1] + bytes([b[-1] ^ 1]), _CRC_MISMATCH),
+        (lambda b: b.replace(b"gen.W", b"gen.V"), _CRC_MISMATCH),
+        (lambda b: b[:108] + bytes([b[108] ^ 0x80]) + b[109:], _CRC_MISMATCH),
     ],
     ids=["magic", "version", "short-header", "short-values", "short-dims", "missing-record",
-         "over-long"],
+         "over-long", "value-byte", "name-byte", "crc-byte"],
 )
 def test_load_params_refuses_a_malformed_binary_naming_record_and_offset(tmp_path, edit, message):
     path = tmp_path / "bad.bin"
@@ -850,6 +855,47 @@ def test_softmax_xent_grad_is_the_graph_rule_bit_for_bit(logits, seed):
     assert type(loss) is float
     assert np.float64(loss).tobytes() == node.data.tobytes()
     assert g.tobytes() == g_graph.data.tobytes()
+
+
+def _softmax_xent_whole_arrays(logits, onehot, g=1.0):
+    """`ad.softmax_xent_grad` as whole-array expressions, a fresh array
+    per operation: the operations it runs in place, in the same order."""
+    row_max = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - row_max)
+    s = e.sum(axis=1, keepdims=True)
+    lse = np.log(s) + row_max
+    n = logits.shape[0]
+    loss = (lse - (logits * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+    a = g * (1.0 / n)
+    return float(loss), (a / s) * e + (-a) * onehot
+
+
+def test_softmax_xent_grad_keeps_the_bits_of_the_whole_array_form():
+    rng = np.random.default_rng(26)
+    for case in range(300):
+        n, k = int(rng.integers(1, 80)), int(rng.integers(2, 40))
+        logits = rng.normal(scale=[0.1, 1.0, 30.0][case % 3], size=(n, k))
+        if case % 4 == 3:  # a transposed view, as a product's result may be
+            logits = np.ascontiguousarray(logits.T).T
+        onehot = _onehot(rng.integers(0, k, size=n), k)
+        g = [1.0, 0.01, -2.5, np.array(0.7)][case % 4]
+        loss, adjoint = ad.softmax_xent_grad(logits, onehot, g)
+        want_loss, want_adjoint = _softmax_xent_whole_arrays(logits, onehot, g)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), case
+        assert adjoint.shape == want_adjoint.shape, case
+        assert adjoint.tobytes() == want_adjoint.tobytes(), case
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("target", [True, False], ids=["on-target", "off-target"])
+def test_softmax_xent_grad_of_a_non_finite_logit_fails_the_loss_check(bad, target):
+    logits = np.random.default_rng(27).normal(size=(4, 3))
+    onehot = _onehot([0, 1, 2, 1], 3)
+    logits[1, 1 if target else 0] = bad
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        loss, _ = ad.softmax_xent_grad(logits, onehot)
+    with pytest.raises(ContractError, match="training diverged"):
+        ad.require_finite_loss(loss)
 
 
 def test_softmax_xent_passes_grad_check():

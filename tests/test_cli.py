@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from semfuse import autodiff as ad
-from semfuse import pipeline
+from semfuse import cli, embed_zsl, fusion, gen_zsl, pipeline
 from semfuse.cli import main, obtain_bundles
 from semfuse.datasets import load_run_config, load_split
 from semfuse.evaluation import read_report_csv
@@ -451,7 +451,9 @@ def test_unusable_optimizer_exits_2_before_reading_inputs(
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", method=method,
                        optimizer=optimizer, split=tmp_path / "absent.cfg")
     assert main([command, "--config", str(cfg), "--epochs", epochs]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    # a refusal names the file, and the alias that set the method it reads
+    where = f"train-gen, {cfg}" if command == "train-gen" else cfg
+    assert capsys.readouterr().err == f"config error: {where}: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -493,21 +495,65 @@ def test_out_of_range_count_exits_2_before_reading_inputs(
                        split=tmp_path / "absent.cfg", **{key: value})
     extra = ["--out", str(tmp_path / "synth.csv")] if command == "synthesize" else []
     assert main([command, "--config", str(cfg), *extra]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
 def test_epochs_flag_out_of_range_exits_2(demo_dir, tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
     assert main(["train", "--config", str(cfg), "--epochs", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: epochs = -1 is below its minimum 0\n"
+    assert capsys.readouterr().err == "config error: --epochs: epochs = -1 is below its minimum 0\n"
     assert not (tmp_path / "run").exists()
 
 
 def test_seed_flag_below_zero_exits_2(demo_dir, tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run")
     assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed = -1 is below its minimum 0\n"
+    assert capsys.readouterr().err == "config error: --seed: seed = -1 is below its minimum 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "synthesize", "compare", "sweep-alpha"])
+def test_a_refused_config_value_names_its_file(demo_dir, tmp_path, capsys, command):
+    # the split does not exist: refusing the config must come first
+    good, bad = (
+        write_config(tmp_path / f"{name}.cfg", demo_dir, tmp_path / name,
+                     split=tmp_path / "absent.cfg", **extra)
+        for name, extra in (("good", {}), ("bad", {"lr": "inf"}))
+    )
+    argv = {
+        "train": ["train", "--config", str(bad)],
+        "eval": ["eval", "--config", str(bad), "--mode", "zsl"],
+        "synthesize": ["synthesize", "--config", str(bad), "--out", str(tmp_path / "s.csv")],
+        "compare": ["compare", "--configs", str(good), str(bad), "--modes", "zsl"],
+        "sweep-alpha": ["sweep-alpha", "--config", str(bad), "--alphas", "0.5"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {bad}: lr = inf is not finite\n"
+    assert not (tmp_path / "good").exists() and not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,where,message",
+    [
+        (["--alpha", "2"], "--alpha", "alpha value 2.0 lies outside [0, 1]"),
+        (["--seed", "-2", "--epochs", "3"], "--seed", "seed = -2 is below its minimum 0"),
+        # the check reads the variation and alpha set of the file too
+        (["--alpha", "0.42"], "{cfg}, --alpha", "alpha 0.42 is not in the sweep set"),
+        (["--variation", "nonsense"], None, "argument --variation: invalid choice"),
+    ],
+)
+def test_a_refused_flag_value_names_the_flag(demo_dir, tmp_path, capsys, flags, where, message):
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run",
+                       split=tmp_path / "absent.cfg")
+    if where is None:  # argparse refuses it first
+        with pytest.raises(SystemExit):
+            main(["train", "--config", str(cfg), *flags])
+        assert message in capsys.readouterr().err
+        return
+    assert main(["train", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where.format(cfg=cfg)}: {message}"), err
     assert not (tmp_path / "run").exists()
 
 
@@ -524,7 +570,8 @@ def test_sweep_alpha_refuses_its_flags_before_training(
 ):
     cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", epochs=2)
     assert main(["sweep-alpha", "--config", str(cfg), *flags]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    where = "" if message.startswith("--") else "--alphas: "  # a value the flag set
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -1102,14 +1149,16 @@ def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
 def test_eval_of_a_binary_checkpoint_of_the_old_format_exits_3(ours_run, tmp_path, capsys):
     run, out = _copy_run(ours_run, tmp_path)
     blob = bytearray((run / "model.bin").read_bytes())
-    blob[4:8] = (1).to_bytes(4, "little")  # as written before the class semantics
-    (run / "model.bin").write_bytes(bytes(blob))
-    assert _eval_copied_run(ours_run, run, out) == 3
-    assert capsys.readouterr().err == (
-        f"data format error: {run / 'model.bin'}: header at byte 0: format version 1, "
-        "expected 2; retrain the run\n"
-    )
-    assert not out.exists()
+    # as written before the class semantics (1) and before the records' CRC-32 (2)
+    for version in (1, 2):
+        blob[4:8] = version.to_bytes(4, "little")
+        (run / "model.bin").write_bytes(bytes(blob))
+        assert _eval_copied_run(ours_run, run, out) == 3
+        assert capsys.readouterr().err == (
+            f"data format error: {run / 'model.bin'}: header at byte 0: format version "
+            f"{version}, expected 3; retrain the run\n"
+        )
+        assert not out.exists()
 
 
 def _with_split(cfg, demo_dir, split, path):
@@ -1352,3 +1401,133 @@ def test_module_entry_point_lists_every_subcommand():
     for command in ("fetch-descriptions", "build-semantics", "train", "train-embed",
                     "train-gen", "eval", "synthesize", "compare", "sweep-alpha"):
         assert command in done.stdout
+
+
+# a representative command line of each subcommand, after its name
+REPRESENTATIVE_ARGV = {
+    "fetch-descriptions": ["--split", "s.cfg", "--endpoint-url", "http://localhost:9"],
+    "build-semantics": ["--split", "s.cfg", "--word-vectors", "w.txt", "--variation",
+                        "only-chatgpt", "--out", "b.csv"],
+    "train": ["--config", "c.cfg", "--seed", "3", "--method", "gen"],
+    "train-embed": ["--config", "c.cfg", "--alpha", "0.3"],
+    "train-gen": ["--config", "c.cfg", "--epochs", "2", "--out-dir", "o"],
+    "eval": ["--config", "c.cfg", "--mode", "zsl", "--micro", "--out", "r.csv"],
+    "synthesize": ["--config", "c.cfg", "--per-class", "4", "--out", "s.csv"],
+    "compare": ["--configs", "a.cfg", "b.cfg", "--modes", "zsl"],
+    "sweep-alpha": ["--config", "c.cfg", "--alphas", "0.1,0.5", "--seed", "1"],
+}
+
+
+def _parsed(parser, argv, capsys):
+    """``parser.parse_args(argv)``, or its exit code with what it printed."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+def test_one_subcommand_parser_parses_as_the_full_parser(command, capsys, monkeypatch):
+    assert set(REPRESENTATIVE_ARGV) == set(cli.SUBCOMMANDS)
+    one, full = cli.build_parser(command), cli.build_parser()
+    for argv in ([command, *REPRESENTATIVE_ARGV[command]], [command, "--help"],
+                 [command, "--bogus"], [command, *REPRESENTATIVE_ARGV[command], "extra"]):
+        got = _parsed(one, argv, capsys)
+        assert got == _parsed(full, argv, capsys), argv
+    # main parses with the one-subcommand parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or one)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert built == [command]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--bogus"], ["-h", "train"]])
+def test_a_command_line_without_a_known_subcommand_sees_every_subcommand(argv, capsys):
+    full = _parsed(cli.build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == full
+    for command in cli.SUBCOMMANDS:  # the usage line lists them all
+        assert command in full[1].out + full[1].err
+
+
+def _refuse_to_initialize(monkeypatch):
+    """Make every model initializer raise, wherever it is bound."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was initialized")
+
+    for module in (fusion, embed_zsl, gen_zsl, pipeline):
+        for name in ("init_fusion", "init_embed_model", "init_generator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("method", ["embed", "gen"])
+def test_eval_and_synthesize_restore_a_run_without_initializing_a_model(
+    ours_run, gen_run, tmp_path, monkeypatch, method
+):
+    cfg = ours_run if method == "embed" else gen_run[1]
+    outputs = {f"report_{mode}.csv": ["eval", "--mode", mode] for mode in ("zsl", "gzsl")}
+    if method == "gen":
+        outputs["synth.csv"] = ["synthesize"]
+
+    def run_all(directory):
+        directory.mkdir()
+        for name, command in outputs.items():
+            out = directory / name
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        return {name: (directory / name).read_bytes() for name in outputs}
+
+    drawn = run_all(tmp_path / "drawn")
+    _refuse_to_initialize(monkeypatch)
+    assert run_all(tmp_path / "restored") == drawn
+
+
+def _edited_run(cfg, tmp_path, edit):
+    """A copy of the run trained under ``cfg`` whose model.bin records
+    ``edit`` has changed, written with a valid CRC-32."""
+    run, out = _copy_run(cfg, tmp_path)
+    values, bound = ad.load_params(run / "model.bin")
+    edit(values)
+    ad.write_params_binary(run / "model.bin", {"": values}, bound)
+    return run, out
+
+
+def _without_w_phi(values):
+    del values["fusion.W_phi"]
+
+
+def _narrow_gen_output_layer(values):
+    values["gen.l1.W"] = values["gen.l1.W"][:, 1:]
+
+
+def _zero_width_w_z(values):
+    values["embed.W_z"] = values["embed.W_z"][:, :0]
+
+
+@pytest.mark.parametrize(
+    "method,edit,code,message",
+    [
+        ("embed", _without_w_phi, 3, "checkpoint is missing parameter 'fusion.W_phi'"),
+        ("gen", _narrow_gen_output_layer, 2, "'gen.l1.W' has shape"),
+        ("embed", _zero_width_w_z, 2, "'embed.W_z' gives a feature width of 0"),
+    ],
+    ids=["missing-record", "wrong-shape", "zero-width"],
+)
+def test_a_restore_refuses_records_that_do_not_fit_the_model(
+    ours_run, gen_run, tmp_path, monkeypatch, capsys, method, edit, code, message
+):
+    cfg = ours_run if method == "embed" else gen_run[1]
+    run, out = _edited_run(cfg, tmp_path, edit)
+    _refuse_to_initialize(monkeypatch)
+    assert _eval_copied_run(cfg, run, out) == code
+    err = capsys.readouterr().err
+    assert f"{run / 'model.bin'}: " in err and message in err, err
+    assert not out.exists()
+    if method == "gen":
+        synth = tmp_path / "synth.csv"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(run),
+                     "--out", str(synth)]) == code
+        assert not synth.exists()

@@ -273,29 +273,25 @@ def trained_run(demo_dir, workdir):
     )
     assert main(["train", "--config", str(cfg)]) == 0
     binary = workdir / "run" / "model.bin"
-    values, bound = ad.load_params(binary)
+    values, _ = ad.load_params(binary)
     assert {"sem.ids", "sem.e_c", "sem.e_p"} <= set(values)
-    return cfg, binary, binary.read_bytes(), values, bound
+    return cfg, binary, binary.read_bytes()
 
 
-# corrupted weights may overflow while scoring; the property is the exit code
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_mutated_model_bin_loads_or_is_refused_and_eval_never_fails_raw(
     trained_run, workdir, data
 ):
-    cfg, binary, valid, values, bound = trained_run
-    binary.write_bytes(data.draw(mutated(valid)))
+    cfg, binary, valid = trained_run
+    blob = data.draw(mutated(valid))
+    binary.write_bytes(blob)
     loaded = loaded_or_refused(ad.load_params, binary)
     code = main(["eval", "--config", str(cfg), "--mode", "zsl",
                  "--out", str(workdir / "report.csv")])
     if loaded is None:
         assert code == 3
         return
-    # model.bin carries no checksum of its values: only a file whose
-    # header, names and shapes are intact may evaluate
-    same_layout = loaded[1] == bound and [(k, v.shape) for k, v in loaded[0].items()] == [
-        (k, v.shape) for k, v in values.items()
-    ]
-    assert code in ((0, 2, 3) if same_layout else (2, 3))
+    # the header's digests bind the other files and the class table, and
+    # its CRC-32 the records: only the file as written may evaluate
+    assert code in ((0,) if blob == valid else (2, 3))
