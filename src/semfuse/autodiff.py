@@ -16,7 +16,6 @@ shapes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -75,9 +74,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(x) -> Tensor:
@@ -466,11 +462,11 @@ def adam_step(
 # parameter.
 #
 # The binary records, which runs are restored from, are little-endian:
-# magic "SFCK", uint32 format version, the three sha256 digests the
+# magic "SFCK", uint32 format version, the two sha256 digests the
 # records are bound to, uint32 record count, the uint32 CRC-32 of every
-# byte after the header, then per record a uint32 name length, the UTF-8
-# name, uint32 ndim, ndim uint64 dims and the raw float64 values in C
-# order.
+# byte after this 80-byte header, then per record a uint32 name length,
+# the UTF-8 name, uint32 ndim, ndim uint64 dims and the raw float64
+# values in C order.
 
 # values formatted at a time, so a record's text is never held whole
 SAVE_CHUNK = 16384
@@ -479,10 +475,10 @@ SAVE_CHUNK = 16384
 SAVE_POOL_MIN = 4 * SAVE_CHUNK
 
 _BINARY_MAGIC = b"SFCK"
-_BINARY_VERSION = 3
-# after the magic and the uint32 version: the three bound digests, record
+_BINARY_VERSION = 4
+# after the magic and the uint32 version: the two bound digests, record
 # count, CRC-32 of the records
-_HEADER = struct.Struct("<32s32s32sII")
+_HEADER = struct.Struct("<32s32sII")
 
 
 def _records(stores: dict[str, Params]):
@@ -516,30 +512,23 @@ def _save_workers(values: int) -> int:
     return workers if workers > 1 and values >= SAVE_POOL_MIN * workers else 0
 
 
-def save_params(path, stores: dict[str, Params]) -> bytes:
-    """Write ordered (name, shape, values) records as UTF-8 text; returns
-    the sha256 digest of the bytes written, hashed as they are written.
+def save_params(path, stores: dict[str, Params]) -> None:
+    """Write ordered (name, shape, values) records as UTF-8 text.
 
     A large export's chunks are formatted by forked workers (see
     `_save_workers`), which only convert values to text; this process
     writes their pieces in record order, so the bytes are the same."""
     records = list(_records(stores))
     workers = _save_workers(sum(w.size for _, w in records))
-    digest = hashlib.sha256()
-    with Path(path).open("wb") as handle:
-
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
-            digest.update(data)
-            handle.write(data)
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
 
         def write_records(rendered) -> None:
             for full, w in records:
                 dims = ",".join(str(s) for s in w.shape) or "-"
-                write(f"{full} {dims}")
+                handle.write(f"{full} {dims}")
                 for _ in range(0, w.size, SAVE_CHUNK):
-                    write(next(rendered))
-                write("\n")
+                    handle.write(next(rendered))
+                handle.write("\n")
 
         if workers:
             from concurrent.futures import ProcessPoolExecutor
@@ -558,12 +547,11 @@ def save_params(path, stores: dict[str, Params]) -> bytes:
         else:
             write_records(map(render_values, _chunks(records)))
         if not handle.tell():  # no records: one empty line
-            write("\n")
-    return digest.digest()
+            handle.write("\n")
 
 
 def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...]) -> None:
-    """Write the binary records of ``stores``, bound to three sha256
+    """Write the binary records of ``stores``, bound to two sha256
     digests, with the CRC-32 of the records, which is computed as they
     are written and then put in the header. Each array's values are
     written from its own buffer, which a C-ordered float64 array needs
@@ -585,7 +573,7 @@ def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...
 
 
 def load_params(path) -> tuple[dict[str, Array], tuple[bytes, ...]]:
-    """Read every binary record back into name -> array, with the three
+    """Read every binary record back into name -> array, with the two
     digests they are bound to. A bad magic or version, a truncated or
     over-long file and a duplicate name are FormatErrors naming the
     record and its byte offset; records whose CRC-32, taken as they are

@@ -2,26 +2,26 @@
 
 Subcommands cover the experiment flow end to end: fetch-descriptions,
 build-semantics, train (plus train-embed / train-gen aliases),
-synthesize, eval, compare, and sweep-alpha. Runs are deterministic
-given config file plus seed; reports are CSV plus an aligned table.
-train stores the class semantics it trained with in model.bin; eval
-and synthesize score with those and read no word vectors, bundles or
-descriptions.
+synthesize, eval, compare, and sweep-alpha. Reports are CSV plus an
+aligned table, byte-identical given config file plus seed. train stores
+the class semantics it trained with in model.bin; eval and synthesize
+score with those and read no word vectors, bundles or descriptions.
 
 Exit codes: 0 success, 2 configuration or manifest problems (also a
 config value out of range, named after its config file or the flag
 that set it, an input or output path that is missing, of the wrong
-kind or not readable or writable, a non-finite training loss, an eval
-or synthesize config that differs from the run's training config, a
-run directory's run.cfg or model.ckpt that is not the one its
-model.bin was written with, an eval or synthesize split whose class
-table is not the trained one or that has classes without stored
-semantics, a model.bin record of another shape than the model's, and
-eval test features or GZSL seen rows of another width than the
-checkpoint's), 3 malformed data files (also a run directory with only a
-text checkpoint, a model.bin of an older format, one missing a record
-the model needs, and one whose records do not match its CRC-32), 4
-transport failures.
+kind or not readable or writable, split class names sharing a
+description file, a bundle file lacking a class of the split, a
+non-finite training loss, an eval or synthesize config that differs
+from the run's training config, a run directory with neither model.bin
+nor model.ckpt, or whose run.cfg is not the one its model.bin was
+written with, an eval or synthesize split whose class table is not the
+trained one or that has classes without stored semantics, a model.bin
+record of another shape than the model's, and eval test features or
+GZSL seen rows of another width than the checkpoint's), 3 malformed
+data files (also a run directory with only a text checkpoint, a
+model.bin of an older format, one missing a record the model needs,
+and one whose records do not match its CRC-32), 4 transport failures.
 
 `main` builds the arguments of the invoked subcommand only; every
 subcommand is registered with its help text, so usage lines and errors
@@ -144,8 +144,8 @@ def build_bundles(split, word_vectors, variation: str, cache_dir=None) -> ClassS
 
 
 def obtain_bundles(config: RunConfig, split) -> ClassSemantics:
-    """The config's bundle file, whose rows must name the split's class
-    of each id, or else semantics built from its word vectors."""
+    """The config's bundle file, whose rows must name every class of the
+    split by its id, or else semantics built from its word vectors."""
     if config.bundles is not None:
         semantics, variation = read_bundles(config.bundles)
         if variation != config.variation:
@@ -161,6 +161,9 @@ def obtain_bundles(config: RunConfig, split) -> ClassSemantics:
                     f"{config.bundles}: class {cid} is {name!r} in the bundle file "
                     f"and {where}"
                 )
+        missing = sorted(set(table) - set(semantics.ids.tolist()))
+        if missing:
+            raise ManifestError(f"{config.bundles}: classes without semantics: {missing}")
         return semantics
     if config.word_vectors is None:
         raise ConfigError("config needs either 'bundles' or 'word_vectors'")
@@ -310,8 +313,9 @@ def _parse_modes(text: str) -> list[str]:
 
 def cmd_compare(args) -> int:
     blocks: list[EvalReport] = []
-    if bool(args.reports) == bool(args.configs):
-        raise ConfigError("compare needs either --reports or --configs, not both")
+    if bool(args.reports) == bool(args.configs):  # neither, or both
+        both = ", not both" if args.reports else ""
+        raise ConfigError(f"compare needs either --reports or --configs{both}")
     if args.reports:
         for path in args.reports:
             rows = read_report_csv(path)

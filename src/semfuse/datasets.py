@@ -35,6 +35,7 @@ from .errors import (
     open_utf8,
 )
 from .fusion import ALPHA_SWEEP, VARIATIONS, ClassSemantics
+from .llm_client import class_slug
 
 _BINARY_MAGIC = b"FSET"
 
@@ -119,6 +120,15 @@ class SplitSpec:
         names = self.seen + self.unseen
         if len(set(names)) != len(names):
             raise ManifestError(f"split {self.dataset!r}: duplicate class name")
+        slugs: dict[str, str] = {}
+        for name in names:
+            try:  # a name no description is cached under shares none
+                other = slugs.setdefault(class_slug(name), name)
+            except ContractError:
+                continue
+            if other != name:
+                raise ManifestError(f"split {self.dataset!r}: classes {other!r} and {name!r} "
+                                    f"share the description file {class_slug(name)}.txt")
 
     @property
     def class_ids(self) -> dict[str, int]:
@@ -385,12 +395,6 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
             )
         labels.append(ids[name])
     return FeatureSet(matrix, np.array(labels, dtype=np.int64), split)
-
-
-def sha256_file(path) -> bytes:
-    """The sha256 digest of the file ``path``."""
-    with open(path, "rb") as handle:
-        return _sha256(handle)
 
 
 def _sha256(handle) -> bytes:

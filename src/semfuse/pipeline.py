@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import FeatureSet, RunConfig, SplitSpec, load_run_config, sha256_file
+from .datasets import FeatureSet, RunConfig, SplitSpec, load_run_config
 from .embed_zsl import EmbedModel, classify_batch, embed_shapes, train_embed
 from .errors import ConfigError, ContractError, FormatError, ManifestError, ShapeError
 from .evaluation import EvalReport, evaluate_run
@@ -101,30 +101,34 @@ def _class_table_digest(ids, names) -> bytes:
 
 
 def save_run(cfg: RunConfig, trained: Trained) -> Path:
-    """Write the run directory ``cfg.out_dir``: ``fused_semantics.csv``
-    if fusion was trained, the text checkpoint ``model.ckpt``, ``run.cfg``,
-    ``train_log.csv`` and last ``model.bin``, the binary checkpoint of the
-    ``cfg.method`` and ``fusion`` groups and, as ``sem``, the class
-    semantics trained with, bound to the sha256 of both files and of the
-    trained class table. Returns the text checkpoint's path."""
+    """Write the run directory ``cfg.out_dir``, once an earlier run's
+    model.bin, model.ckpt and fused_semantics.csv are removed:
+    ``fused_semantics.csv`` if fusion was trained, the text export
+    ``model.ckpt``, ``run.cfg``, ``train_log.csv`` and last ``model.bin``,
+    the binary checkpoint of the ``cfg.method`` and ``fusion`` groups and,
+    as ``sem``, the class semantics trained with, bound to the sha256 of
+    ``run.cfg`` and of the trained class table. Returns model.ckpt's path."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("model.bin", "model.ckpt", "fused_semantics.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     semantics = trained.semantics
     if trained.fusion.store:
         fused = resolve_semantics(semantics, trained.fusion)
         export_fused_csv(out_dir / "fused_semantics.csv", semantics.ids, fused)
     ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
-    ckpt_digest = ad.save_params(ckpt, trained.stores)
+    ad.save_params(ckpt, trained.stores)
     # paths relative to the run directory, so that identical runs in
     # different directories write identical run.cfg and model.bin bytes
     relative = {key: Path(os.path.relpath(value.resolve(), out_dir.resolve()))
                 for key, value in vars(cfg).items() if isinstance(value, Path)}
-    run_cfg.write_text(replace(cfg, **relative).to_text(), encoding="utf-8")
+    run_text = replace(cfg, **relative).to_text().encode("utf-8")
+    run_cfg.write_bytes(run_text)
     (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
     # last, so a run directory that holds it is complete; class ids are
     # split positions, exact in float64
     sem = {"ids": semantics.ids.astype(np.float64), "e_c": semantics.e_c, "e_p": semantics.e_p}
-    bound = (ckpt_digest, sha256_file(run_cfg),
+    bound = (hashlib.sha256(run_text).digest(),
              _class_table_digest(semantics.ids.tolist(), semantics.names))
     restored = {key: trained.stores[key] for key in (cfg.method, "fusion")}
     ad.write_params_binary(binary, {**restored, "sem": sem}, bound)
@@ -158,8 +162,8 @@ def _stored_semantics(binary: Path, values) -> tuple[list[int], np.ndarray, np.n
 def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
     """The ``fusion`` and ``embed`` or ``gen`` groups of the run in
     ``cfg.out_dir`` with the class semantics it was trained with,
-    refused if trained under other ``_TRAINED_KEYS``, if its model.ckpt
-    or run.cfg is not the one its model.bin was written with, or if
+    refused if trained under other ``_TRAINED_KEYS``, if its run.cfg is
+    not the one its model.bin was written with, or if
     ``split`` names its classes otherwise or has classes it has no
     semantics of; returned with the feature width ``m`` read from
     model.bin. The parameters are model.bin's arrays, each checked by
@@ -167,14 +171,14 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
     `embed_shapes`, `mlp_shapes`); no model is initialized."""
     out_dir = Path(cfg.out_dir)
     ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
-    for what, path in (("checkpoint", ckpt), ("run config", run_cfg)):
-        if not path.exists():
-            raise ConfigError(f"{what} not found: {path} (run train first)")
-    if not binary.exists():
+    if ckpt.exists() and not binary.exists():
         raise FormatError(
             f"{ckpt}: a text-only checkpoint without {binary.name}, a format eval and "
             "synthesize no longer read; retrain the run"
         )
+    for what, path in (("checkpoint", binary), ("run config", run_cfg)):
+        if not path.exists():
+            raise ConfigError(f"{what} not found: {path} (run train first)")
     saved = load_run_config(run_cfg)
     for key in _TRAINED_KEYS:
         if getattr(saved, key) != getattr(cfg, key):
@@ -182,13 +186,12 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
                 f"run {cfg.out_dir} was trained with {key} = {getattr(saved, key)}, "
                 f"this config has {key} = {getattr(cfg, key)}"
             )
-    values, (*bound, table_digest) = ad.load_params(binary)
-    for path, digest in zip((ckpt, run_cfg), bound):
-        if sha256_file(path) != digest:
-            raise ConfigError(
-                f"{path} is not the file {binary} was written with (its sha256 differs); "
-                "retrain the run"
-            )
+    values, (cfg_digest, table_digest) = ad.load_params(binary)
+    if hashlib.sha256(run_cfg.read_bytes()).digest() != cfg_digest:
+        raise ConfigError(
+            f"{run_cfg} is not the file {binary} was written with (its sha256 differs); "
+            "retrain the run"
+        )
     ids, e_c, e_p = _stored_semantics(binary, values)
     table = split.class_table
     names = [table.get(cid) for cid in ids]

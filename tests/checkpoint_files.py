@@ -4,7 +4,7 @@ Runs are restored from the binary records (`model.bin`) alone, through
 `autodiff.load_params`. `load_text_params` reads the `%.17g` text export
 (`model.ckpt`) and is the oracle that it holds the same bits;
 `value_spans` walks the binary layout on its own, so tests can find and
-damage a record's value bytes.
+damage a record's value bytes. `HEADER_AT` pins the header's layout.
 """
 
 import struct
@@ -13,6 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from semfuse.errors import FormatError
+
+# byte offset of each field of model.bin's 80-byte header (format
+# version 4), little-endian: magic "SFCK", uint32 version, the sha256 of
+# run.cfg and of the trained class table, uint32 record count, uint32
+# CRC-32 of the records; the first record starts at "records"
+HEADER_AT = {"magic": 0, "version": 4, "run_cfg": 8, "class_table": 40, "count": 72,
+             "crc": 76, "records": 80}
 
 
 def load_text_params(path, prefixes=None) -> dict[str, np.ndarray]:
@@ -58,9 +65,8 @@ def load_text_params(path, prefixes=None) -> dict[str, np.ndarray]:
 def value_spans(path) -> dict[str, tuple[int, int]]:
     """Byte range of each binary record's values, by record name."""
     blob = Path(path).read_bytes()
-    # after magic, version and three digests; then the records' CRC-32
-    (count,) = struct.unpack_from("<I", blob, 104)
-    offset, spans = 112, {}
+    (count,) = struct.unpack_from("<I", blob, HEADER_AT["count"])
+    offset, spans = HEADER_AT["records"], {}
     for _ in range(count):
         (length,) = struct.unpack_from("<I", blob, offset)
         name = blob[offset + 4 : offset + 4 + length].decode("utf-8")

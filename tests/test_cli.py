@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import importlib.util
 import os
@@ -179,6 +180,42 @@ def test_bundle_rows_must_name_the_split_classes(demo_dir, tmp_path, capsys):
     assert "class 5 is 'toilet' in the bundle file and not in the split" in capsys.readouterr().err
 
 
+def test_a_bundle_file_without_a_class_of_the_split_is_refused_before_reading_features(
+    demo_dir, tmp_path, capsys, monkeypatch
+):
+    bundles = tmp_path / "bundles.csv"
+    argv = ["build-semantics", "--split", str(demo_dir / "split.cfg"),
+            "--word-vectors", str(demo_dir / "word_vectors.txt"), "--out", str(bundles)]
+    assert main(argv) == 0
+    lines = bundles.read_text().splitlines(keepends=True)
+    bundles.write_text("".join(line for line in lines if not line.startswith("4,")))
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", bundles=bundles)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("features were read")
+
+    monkeypatch.setattr(cli, "load_features", refused)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {bundles}: classes without semantics: [4]\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_split_whose_class_names_share_a_description_file_exits_2(
+    demo_dir, tmp_path, capsys
+):
+    text = (demo_dir / "split.cfg").read_text().replace("seen = bed,", "seen = night stand, bed,")
+    split = tmp_path / "split.cfg"
+    split.write_text(text.replace(", toilet", ", toilet, night_stand"))
+    cfg = write_config(tmp_path / "c.cfg", demo_dir, tmp_path / "run", split=split)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {split}: split 'demo': classes 'night stand' and 'night_stand' share "
+        "the description file night_stand.txt\n"
+    )
+
+
 def test_train_and_eval_reports_are_byte_identical(demo_dir, tmp_path):
     cfg_a = write_config(tmp_path / "a.cfg", demo_dir, tmp_path / "run_a")
     cfg_b = write_config(tmp_path / "b.cfg", demo_dir, tmp_path / "run_b")
@@ -251,8 +288,9 @@ def test_compare_on_stub_reports_matches_borda_oracle(tmp_path, capsys):
     assert points == {"only-class-name": 0, "only-chatgpt": 1, "ours": 3}
 
 
-def test_compare_needs_inputs(tmp_path):
+def test_compare_needs_inputs(tmp_path, capsys):
     assert main(["compare", "--modes", "zsl"]) == 2
+    assert capsys.readouterr().err == "config error: compare needs either --reports or --configs\n"
 
 
 def test_compare_refuses_reports_and_configs_together(demo_dir, tmp_path, capsys):
@@ -1119,18 +1157,6 @@ def test_eval_of_a_truncated_binary_checkpoint_exits_3_naming_record_and_offset(
     assert not out.exists()
 
 
-def test_eval_refuses_a_text_checkpoint_its_binary_was_not_written_with(
-    ours_run, tmp_path, capsys
-):
-    run, out = _copy_run(ours_run, tmp_path)
-    with (run / "model.ckpt").open("a") as handle:
-        handle.write("\n")
-    assert _eval_copied_run(ours_run, run, out) == 2
-    err = capsys.readouterr().err
-    assert f"{run / 'model.ckpt'} is not the file {run / 'model.bin'} was written with" in err
-    assert not out.exists()
-
-
 def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
     ours_run, tmp_path, capsys
 ):
@@ -1138,8 +1164,7 @@ def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
     assert main(["train", "--config", str(ours_run), "--seed", "2",
                  "--out-dir", str(other)]) == 0
     run, out = _copy_run(ours_run, tmp_path)
-    for name in ("model.ckpt", "model.bin"):
-        shutil.copy(other / name, run / name)
+    shutil.copy(other / "model.bin", run / "model.bin")
     assert _eval_copied_run(ours_run, run, out) == 2
     err = capsys.readouterr().err
     assert f"{run / 'run.cfg'} is not the file {run / 'model.bin'} was written with" in err
@@ -1149,14 +1174,15 @@ def test_eval_refuses_a_checkpoint_trained_under_another_run_config(
 def test_eval_of_a_binary_checkpoint_of_the_old_format_exits_3(ours_run, tmp_path, capsys):
     run, out = _copy_run(ours_run, tmp_path)
     blob = bytearray((run / "model.bin").read_bytes())
-    # as written before the class semantics (1) and before the records' CRC-32 (2)
-    for version in (1, 2):
+    # as written before the class semantics (1), before the records' CRC-32 (2)
+    # and while it was bound to model.ckpt (3)
+    for version in (1, 2, 3):
         blob[4:8] = version.to_bytes(4, "little")
         (run / "model.bin").write_bytes(bytes(blob))
         assert _eval_copied_run(ours_run, run, out) == 3
         assert capsys.readouterr().err == (
             f"data format error: {run / 'model.bin'}: header at byte 0: format version "
-            f"{version}, expected 3; retrain the run\n"
+            f"{version}, expected 4; retrain the run\n"
         )
         assert not out.exists()
 
@@ -1231,6 +1257,41 @@ def test_eval_and_synthesize_call_no_semantic_loader(demo_dir, tmp_path, monkeyp
                         (llm_client.DescriptionCache, "get")):
         monkeypatch.setattr(owner, name, refused)
     _eval_and_synthesize(cfg, method, tmp_path)
+
+
+@pytest.mark.parametrize("method", ["embed", "gen"])
+def test_eval_and_synthesize_ignore_the_text_export(demo_dir, tmp_path, method):
+    cfg = _semantic_run(demo_dir, tmp_path, method, "word_vectors")
+    ckpt = tmp_path / "run" / "model.ckpt"
+    before = _eval_and_synthesize(cfg, method, tmp_path / "before")
+    ckpt.write_text(ckpt.read_text().replace("1", "2"))
+    assert _eval_and_synthesize(cfg, method, tmp_path / "altered") == before
+    ckpt.unlink()
+    assert _eval_and_synthesize(cfg, method, tmp_path / "deleted") == before
+
+
+def test_a_retrain_that_fails_leaves_no_checkpoint(ours_run, tmp_path, capsys, monkeypatch):
+    run, out = _copy_run(ours_run, tmp_path)
+
+    def failing(path, stores):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ad, "save_params", failing)
+    assert main(["train", "--config", str(ours_run), "--out-dir", str(run)]) == 2
+    assert not (run / "model.bin").exists()
+    capsys.readouterr()
+    assert _eval_copied_run(ours_run, run, out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
+    )
+
+
+def test_a_retrain_without_fusion_leaves_no_fused_semantics(ours_run, tmp_path):
+    run, _ = _copy_run(ours_run, tmp_path)
+    assert (run / "fused_semantics.csv").exists()
+    argv = ["train", "--config", str(ours_run), "--out-dir", str(run)]
+    assert main([*argv, "--variation", "only-class-name", "--epochs", "2"]) == 0
+    assert not (run / "fused_semantics.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "synthesize"])
@@ -1343,6 +1404,28 @@ DEMO_RUN_DIGESTS = {
         "synth.csv": "b7bbdfd7f03920fd34e2871ee312c3958b4738099a3b950cbe28ca7ba0a93ae8",
     },
 }
+# the OpenBLAS kernel and thread count DEMO_RUN_DIGESTS were taken under;
+# these files depend on both, the report CSVs on neither
+DEMO_RUN_BLAS = {"kernel": "SkylakeX", "threads": 2}
+
+
+def running_blas() -> dict:
+    """The kernel and thread count of the OpenBLAS this process loaded,
+    None where it does not name them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:  # no /proc: the loaded libraries are not listed
+        libs = set()
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        if hasattr(handle, "scipy_openblas_get_corename64_"):
+            corename = handle.scipy_openblas_get_corename64_
+            threads = handle.scipy_openblas_get_num_threads64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return {"kernel": corename().decode(), "threads": threads()}
+    return {"kernel": None, "threads": None}
 
 
 @pytest.mark.parametrize("method", ["embed", "gen"])
@@ -1357,25 +1440,18 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     # 84 training rows: shuffled minibatches of 64 for either family
     epochs = {"embed": "40", "gen": "4"}[method]
     argv = ["train", "--config", str(demo / "run.cfg"), "--out-dir", str(run)]
-    save_params, saved = ad.save_params, []
-
-    def recording(*args):
-        saved.append(save_params(*args))
-        return saved[-1]
-
-    monkeypatch.setattr(ad, "save_params", recording)
     assert main([*argv, "--method", method, "--epochs", epochs]) == 0
-    # the digest the export returns is that of the bytes it wrote
-    assert saved == [hashlib.sha256((run / "model.ckpt").read_bytes()).digest()]
     if method == "gen":
         argv = ["synthesize", "--config", str(run / "run.cfg"), "--per-class", "20"]
         assert main([*argv, "--out", str(run / "synth.csv")]) == 0
     digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
                for name in DEMO_RUN_DIGESTS[method]}
-    assert digests == DEMO_RUN_DIGESTS[method]
+    assert digests == DEMO_RUN_DIGESTS[method], (
+        f"digests taken under OpenBLAS {DEMO_RUN_BLAS}, this run under {running_blas()}"
+    )
     # the binary records hold the text export's bits of the method's and
     # fusion's records and, after them, the trained class semantics; bound
-    # to model.ckpt, run.cfg and the class table
+    # to run.cfg and the class table
     text = checkpoint_files.load_text_params(run / "model.ckpt", (method, "fusion"))
     values, bound = ad.load_params(run / "model.bin")
     assert list(values) == [*text, "sem.ids", "sem.e_c", "sem.e_p"]
@@ -1388,7 +1464,7 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     assert values["sem.e_p"].tobytes() == semantics.e_p.tobytes()
     table = "".join(f"{cid} {name}\n" for cid, name in split.class_table.items())
     assert bound == (
-        *(hashlib.sha256((run / name).read_bytes()).digest() for name in ("model.ckpt", "run.cfg")),
+        hashlib.sha256((run / "run.cfg").read_bytes()).digest(),
         hashlib.sha256(table.encode("utf-8")).digest(),
     )
 

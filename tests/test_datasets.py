@@ -64,7 +64,9 @@ def test_split_rejects_empty_side():
     ("seen = a, b\nunseen = c, a\n", SplitViolationError, "seen and unseen class names overlap"),
     ("seen = a, b, a\nunseen = c\n", ManifestError, "duplicate class name"),
     ("seen = a\nunseen = ,\n", ManifestError, "empty class list"),
-], ids=["overlap", "duplicate", "empty"])
+    ("seen = night stand, bed\nunseen = night_stand\n", ManifestError,
+     "classes 'night stand' and 'night_stand' share the description file night_stand.txt"),
+], ids=["overlap", "duplicate", "empty", "shared-slug"])
 def test_split_errors_start_with_the_manifest_path(tmp_path, classes, error, message):
     manifest = tmp_path / "bad.cfg"
     manifest.write_text("dataset = toy\n" + classes)
