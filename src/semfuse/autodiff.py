@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -198,27 +199,41 @@ def linear_grads(x: Array, g: Array) -> tuple[Array, Array]:
     return (x.T @ g).T, g.sum(axis=0)
 
 
-def softmax_xent_grad(logits: Array, onehot: Array, g=1.0) -> tuple[float, Array]:
-    """Mean over rows of ``logsumexp(row) - <row, onehot row>`` (the
-    stable log-sum-exp, with a per-row max shift): softmax cross-entropy
-    of (n, k) logits against an (n, k) target, and its logits adjoint
-    for the output adjoint ``g``."""
-    # the operations of ``lse - sum(logits * onehot)`` and of ``(a / s) *
-    # e + (-a) * onehot`` in that order, each (n, k) one into a buffer
-    # reused for the next
+def softmax_xent_grad(logits: Array, targets: Array, g=1.0) -> tuple[float, Array]:
+    """Mean over rows of ``logsumexp(row) - row[target]`` (the stable
+    log-sum-exp, with a per-row max shift): softmax cross-entropy of
+    (n, k) logits against the (n,) target column of each row, and its
+    logits adjoint for the output adjoint ``g``. A non-finite logit
+    anywhere gives a non-finite loss.
+
+    The bits are those of the one-hot form ``lse - sum(logits *
+    onehot)`` and ``(a / s) * e + (-a) * onehot``: a one-hot row sums to
+    its target logit exactly, and adds ``-a`` to the target entry and
+    ``0 * -a`` to the others."""
+    if targets.shape != logits.shape[:1]:
+        raise ShapeError(
+            f"softmax_xent_grad shape mismatch: logits {logits.shape} vs targets {targets.shape}"
+        )
+    # each (n, k) operation into a buffer reused for the next
     row_max = np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.subtract(logits, row_max)
     np.exp(e, out=e)
     s = np.add.reduce(e, axis=1, keepdims=True)
     lse = np.log(s)
     lse += row_max
-    picked = np.multiply(logits, onehot)
-    lse -= np.add.reduce(picked, axis=1, keepdims=True)
     n = logits.shape[0]
+    rows = np.arange(n)
+    lse[:, 0] -= logits[rows, targets]
     loss = np.add.reduce(lse, axis=None) * (1.0 / n)
+    # NaN and +inf already reach the loss; an off-target -inf does not,
+    # where the one-hot form's 0 * -inf is NaN
+    if np.minimum.reduce(logits, axis=None) == -math.inf:
+        loss = math.nan
     a = g * (1.0 / n)
     e *= a / s
-    e += np.multiply(onehot, -a, out=picked)
+    if math.copysign(1.0, a) < 0:  # 0 * -a is then +0.0, which turns a -0.0 to +0.0
+        e += 0.0
+    np.subtract.at(e, (rows, targets), a)
     return float(loss), e
 
 
@@ -311,7 +326,7 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor | None]:
 
 def require_finite_loss(loss: float) -> None:
     """A non-finite loss is a ContractError: training diverged."""
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise ContractError(f"loss is {loss}: training diverged")
 
 
@@ -352,7 +367,9 @@ class AdamState:
     shaped as the parameter. ``blocks`` plans the buffer once: runs of
     parameters of at most ADAM_BLOCK elements are packed into one block
     of at most that many, and a larger parameter is cut into blocks of
-    whole rows, about ADAM_BLOCK elements each.
+    whole rows, about ADAM_BLOCK elements each. ``buffer`` is the flat
+    buffer the last step wrote the parameters to, and ``views`` the view
+    of it each parameter became.
     """
 
     def __init__(self, params: Params) -> None:
@@ -385,6 +402,8 @@ class AdamState:
         self.m = {name: self.flat_m[a:b].reshape(s) for name, (a, b, s) in self.spans.items()}
         self.v = {name: self.flat_v[a:b].reshape(s) for name, (a, b, s) in self.spans.items()}
         self.t = 0
+        self.buffer: Array | None = None
+        self.views: Params = {}
 
 
 def _block(arrays: dict[str, Array], parts) -> Array:
@@ -410,7 +429,9 @@ def adam_step(
     The store is updated a block of ``state.blocks`` at a time: its
     moments in ``state`` in place, the parameters into one fresh flat
     buffer of which each ``params[name]`` becomes a C-ordered view, so
-    an array held from before the step keeps its values. Every element
+    an array held from before the step keeps its values. While every
+    parameter is still the view the last step made it, the parameters
+    are read from that step's buffer, not gathered again. Every element
     takes the same operations in the same order, so the bits do not
     depend on the blocks or on the gradient's memory layout.
     """
@@ -430,9 +451,11 @@ def adam_step(
         raise ContractError(f"parameter {missing!r} of the Adam moments is missing")
     state.t += 1
     c1, c2 = 1 - beta1**state.t, 1 - beta2**state.t
+    last = state.buffer if all(params[k] is w for k, w in state.views.items()) else None
     new = np.empty(state.flat_m.size)
     for start, stop, parts in state.blocks:
-        gb, wb = _block(grads, parts), _block(params, parts)
+        gb = _block(grads, parts)
+        wb = _block(params, parts) if last is None else last[start:stop]
         mb, vb, nb = state.flat_m[start:stop], state.flat_v[start:stop], new[start:stop]
         # the new block holds each moment's gradient term, then the
         # denominator, then the result
@@ -450,8 +473,9 @@ def adam_step(
         step *= lr
         step /= nb
         np.subtract(wb, step, out=nb)
+    state.buffer, state.views = new, {}
     for name, (start, stop, shape) in state.spans.items():
-        params[name] = new[start:stop].reshape(shape)
+        params[name] = state.views[name] = new[start:stop].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +511,22 @@ def _records(stores: dict[str, Params]):
             yield (f"{prefix}.{name}" if prefix else name), w
 
 
+@contextmanager
+def _written_whole(path, mode: str, **kwargs):
+    """A file opened with ``mode`` that ``path`` becomes whole or not at
+    all: written under a temporary name beside it, it replaces ``path``
+    once the block ends, and is removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".tmp-{path.name}")
+    try:
+        with tmp.open(mode, **kwargs) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def render_values(values: Array, sep: str = " ") -> str:
     """``values`` at %.17g, each after ``sep``: the text export's and the
     feature CSV's number format."""
@@ -513,14 +553,15 @@ def _save_workers(values: int) -> int:
 
 
 def save_params(path, stores: dict[str, Params]) -> None:
-    """Write ordered (name, shape, values) records as UTF-8 text.
+    """Write ordered (name, shape, values) records as UTF-8 text, whole
+    or not at all.
 
     A large export's chunks are formatted by forked workers (see
     `_save_workers`), which only convert values to text; this process
     writes their pieces in record order, so the bytes are the same."""
     records = list(_records(stores))
     workers = _save_workers(sum(w.size for _, w in records))
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with _written_whole(path, "w", encoding="utf-8", newline="") as handle:
 
         def write_records(rendered) -> None:
             for full, w in records:
@@ -551,14 +592,14 @@ def save_params(path, stores: dict[str, Params]) -> None:
 
 
 def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...]) -> None:
-    """Write the binary records of ``stores``, bound to two sha256
-    digests, with the CRC-32 of the records, which is computed as they
-    are written and then put in the header. Each array's values are
-    written from its own buffer, which a C-ordered float64 array needs
-    no copy for."""
+    """Write the binary records of ``stores``, whole or not at all,
+    bound to two sha256 digests, with the CRC-32 of the records, which
+    is computed as they are written and then put in the header. Each
+    array's values are written from its own buffer, which a C-ordered
+    float64 array needs no copy for."""
     records = list(_records(stores))
     crc = 0
-    with Path(path).open("wb") as handle:
+    with _written_whole(path, "wb") as handle:
         handle.write(_BINARY_MAGIC + struct.pack("<I", _BINARY_VERSION))
         handle.write(_HEADER.pack(*bound, len(records), crc))
         for full, w in records:

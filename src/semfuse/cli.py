@@ -23,10 +23,9 @@ data files (also a run directory with only a text checkpoint, a
 model.bin of an older format, one missing a record the model needs,
 and one whose records do not match its CRC-32), 4 transport failures.
 
-`main` builds the arguments of the invoked subcommand only; every
-subcommand is registered with its help text, so usage lines and errors
-read as with the full parser, which `--help`, no command and an
-unknown command get.
+`main` builds the parser of the invoked subcommand only. Its usage
+line names every subcommand, so usage lines and errors read as with the
+full parser, which `--help`, no command and an unknown command get.
 """
 
 from __future__ import annotations
@@ -468,19 +467,19 @@ SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser of every subcommand; with ``command``, every
-    subcommand is registered with its help text but only ``command``
-    gets its arguments, which parses its command lines alike."""
+    """The argument parser of every subcommand, or of ``command`` alone,
+    which parses its command lines alike: the usage line lists every
+    subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="semfuse",
         description="zero-shot classification with fused class semantics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(SUBCOMMANDS) + "}"
+    )
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        built = command in (None, name)  # a subcommand that parses nothing needs no -h
-        p = sub.add_parser(name, help=help_text, add_help=built)
-        if built:
-            add_arguments(p)
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 

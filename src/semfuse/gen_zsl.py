@@ -257,14 +257,12 @@ def _train_softmax(
     state = ad.AdamState(clf.store)
     rng = np.random.default_rng(cfg.seed)
     n = labels.shape[0]
-    targets = np.eye(len(class_ids))[clf.rows_of(labels)]
+    targets = clf.rows_of(labels)
     for _ in range(cfg.classifier_epochs):
         order = np.arange(n)
         if n > cfg.batch_size:
             rng.shuffle(order)
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            x = _gather(parts, rows)
+        for rows, x in _batches(parts, order, cfg.batch_size):
             loss, g = ad.softmax_xent_grad(clf.logits(x), targets[rows])
             ad.require_finite_loss(loss)
             grads = dict(zip(("W", "b"), ad.linear_grads(x, g)))
@@ -273,19 +271,28 @@ def _train_softmax(
     return clf
 
 
-def _gather(parts: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows``, in that order, of the one or two arrays ``parts``
-    taken one after the other."""
+def _batches(parts: tuple[np.ndarray, ...], order: np.ndarray, size: int):
+    """Each run of ``size`` rows of ``order`` in turn, with those rows,
+    in that order, of the one or two arrays ``parts`` taken one after
+    the other."""
     if len(parts) == 1:
-        return parts[0][rows]
+        for start in range(0, order.size, size):
+            rows = order[start : start + size]
+            yield rows, parts[0][rows]
+        return
     first, second = parts
-    n = first.shape[0]
-    # clip maps each row that lies in ``first`` to a row of ``second``;
-    # those are overwritten next (a boolean-mask assignment costs ~10x more)
-    x = second.take(rows - n, axis=0, mode="clip")
-    in_first = np.flatnonzero(rows < n)
-    x[in_first] = first[rows[in_first]]
-    return x
+    # planned once for all batches: each row's place in ``second``, and
+    # whether it lies in ``first`` instead
+    local = order - first.shape[0]
+    in_first = local < 0
+    for start in range(0, order.size, size):
+        rows, batch = order[start : start + size], slice(start, start + size)
+        # clip maps each row that lies in ``first`` to a row of ``second``;
+        # those are overwritten next (a boolean-mask assignment costs ~10x more)
+        x = second.take(local[batch], axis=0, mode="clip")
+        (from_first,) = in_first[batch].nonzero()
+        x[from_first] = first[rows[from_first]]
+        yield rows, x
 
 
 def pretrain_classifier(seen_data: FeatureSet, cfg: RunConfig) -> SoftmaxClassifier:
@@ -370,8 +377,8 @@ def generator_loss_grads(
     fake, trace_gen = gen.run(h, e)
     out, trace_disc = disc.run(fake, e)
     score, g_score = _mean_and_adjoint(out, -1.0)
-    onehot = np.eye(len(classifier.class_ids))[classifier.rows_of(labels)]
-    cls_term, g_logits = ad.softmax_xent_grad(classifier.logits(fake), onehot, cls_weight)
+    targets = classifier.rows_of(labels)
+    cls_term, g_logits = ad.softmax_xent_grad(classifier.logits(fake), targets, cls_weight)
     loss = float(-score + cls_term * cls_weight)
     ad.require_finite_loss(loss)
     _, g_disc = disc.back(trace_disc, g_score, params=False, inputs=True)

@@ -102,7 +102,8 @@ def _class_table_digest(ids, names) -> bytes:
 
 def save_run(cfg: RunConfig, trained: Trained) -> Path:
     """Write the run directory ``cfg.out_dir``, once an earlier run's
-    model.bin, model.ckpt and fused_semantics.csv are removed:
+    model.bin, model.ckpt, fused_semantics.csv and default reports are
+    removed:
     ``fused_semantics.csv`` if fusion was trained, the text export
     ``model.ckpt``, ``run.cfg``, ``train_log.csv`` and last ``model.bin``,
     the binary checkpoint of the ``cfg.method`` and ``fusion`` groups and,
@@ -110,7 +111,8 @@ def save_run(cfg: RunConfig, trained: Trained) -> Path:
     ``run.cfg`` and of the trained class table. Returns model.ckpt's path."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("model.bin", "model.ckpt", "fused_semantics.csv"):
+    for name in ("model.bin", "model.ckpt", "fused_semantics.csv",
+                 "report_zsl.csv", "report_gzsl.csv"):
         (out_dir / name).unlink(missing_ok=True)
     semantics = trained.semantics
     if trained.fusion.store:

@@ -73,21 +73,20 @@ def sum_sq(x: Tensor) -> Tensor:
     return ad.sum_all(ad.square(x))
 
 
-def softmax_xent(logits: Tensor, onehot) -> Tensor:
-    """`ad.softmax_xent_grad`'s loss as one node whose rule returns its
-    logits adjoint as a constant, so there is no second-order rule: a
-    graph-building `grad` through it is a ContractError."""
+def softmax_xent(logits: Tensor, targets) -> Tensor:
+    """`ad.softmax_xent_grad`'s loss against the target column of each
+    row as one node whose rule returns its logits adjoint as a constant,
+    so there is no second-order rule: a graph-building `grad` through it
+    is a ContractError."""
     ad._require_2d(logits, "softmax_xent")
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if onehot.shape != logits.shape:
-        raise ShapeError(f"softmax_xent shape mismatch: {logits.shape} vs {onehot.shape}")
+    targets = np.asarray(targets, dtype=np.int64)
 
     def rule(g: Tensor) -> Tensor:
         if ad._record:
             raise ContractError("softmax_xent has no second-order rule")
-        return ad.constant(ad.softmax_xent_grad(logits.data, onehot, g.data)[1])
+        return ad.constant(ad.softmax_xent_grad(logits.data, targets, g.data)[1])
 
-    return Tensor(ad.softmax_xent_grad(logits.data, onehot)[0], (logits,), (rule,))
+    return Tensor(ad.softmax_xent_grad(logits.data, targets)[0], (logits,), (rule,))
 
 
 def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
@@ -296,12 +295,10 @@ def cls_loss_batch(classifier, w: dict[str, Tensor], z_hat: Tensor, labels) -> T
     """
     rows = classifier.rows_of(labels)
     logits = linear(z_hat, w["W"], w["b"])
-    n, k = logits.shape
+    n = logits.shape[0]
     if len(rows) != n:
         raise ContractError(f"{len(rows)} labels for {n} rows")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), rows] = 1.0
-    return softmax_xent(logits, onehot)
+    return softmax_xent(logits, rows)
 
 
 def gradient_penalty(disc, w, z_real, z_fake, e, beta) -> Tensor:

@@ -1,7 +1,9 @@
+import concurrent.futures
 import csv
 import ctypes
 import hashlib
 import importlib.util
+import multiprocessing
 import os
 import shutil
 import struct
@@ -1284,6 +1286,58 @@ def test_a_retrain_that_fails_leaves_no_checkpoint(ours_run, tmp_path, capsys, m
     assert capsys.readouterr().err == (
         f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
     )
+
+
+# chunks of the text export rendered so far: a counter the test shares
+# with the workers it forks
+_RENDERED = None
+_RENDER = ad.render_values
+
+
+def _fail_on_the_second_chunk(values, sep=" "):
+    with _RENDERED.get_lock():
+        _RENDERED.value += 1
+        second = _RENDERED.value == 2
+    if second:
+        raise OSError("No space left on device")
+    return _RENDER(values, sep)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+def test_a_retrain_that_fails_inside_the_text_export_leaves_no_checkpoint(
+    ours_run, tmp_path, capsys, monkeypatch, pooled
+):
+    run, out = _copy_run(ours_run, tmp_path)
+    pools, executor = [], concurrent.futures.ProcessPoolExecutor
+    if pooled:  # two workers, each with chunks of the demo's few values
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "SAVE_CHUNK", 8)
+        monkeypatch.setattr(ad, "SAVE_POOL_MIN", 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda workers, **kwargs: pools.append(workers)
+                            or executor(workers, **kwargs))
+    monkeypatch.setattr(sys.modules[__name__], "_RENDERED", multiprocessing.Value("i", 0))
+    monkeypatch.setattr(ad, "render_values", _fail_on_the_second_chunk)
+    assert main(["train", "--config", str(ours_run), "--out-dir", str(run)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert _RENDERED.value >= 2 and pools == ([2] if pooled else [])
+    assert multiprocessing.active_children() == []
+    assert not {"model.ckpt", "model.bin"} & {p.name for p in run.iterdir()}
+    assert not [p for p in run.iterdir() if p.name.startswith(".tmp-")]
+    assert _eval_copied_run(ours_run, run, out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
+    )
+
+
+def test_a_retrain_removes_the_earlier_runs_default_reports(ours_run, tmp_path):
+    run, _ = _copy_run(ours_run, tmp_path)
+    argv = ["--config", str(ours_run), "--out-dir", str(run)]
+    for mode in ("zsl", "gzsl"):
+        assert main(["eval", *argv, "--mode", mode]) == 0
+        assert (run / f"report_{mode}.csv").exists()
+    assert main(["train", *argv, "--variation", "only-class-name", "--epochs", "2"]) == 0
+    assert not (run / "report_zsl.csv").exists() and not (run / "report_gzsl.csv").exists()
 
 
 def test_a_retrain_without_fusion_leaves_no_fused_semantics(ours_run, tmp_path):
