@@ -20,13 +20,12 @@ import math
 import os
 import struct
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, ShapeError, written_whole
 
 Array = np.ndarray
 # a model's parameters, name -> array; an update replaces each array
@@ -511,22 +510,6 @@ def _records(stores: dict[str, Params]):
             yield (f"{prefix}.{name}" if prefix else name), w
 
 
-@contextmanager
-def _written_whole(path, mode: str, **kwargs):
-    """A file opened with ``mode`` that ``path`` becomes whole or not at
-    all: written under a temporary name beside it, it replaces ``path``
-    once the block ends, and is removed if the block raises."""
-    path = Path(path)
-    tmp = path.with_name(f".tmp-{path.name}")
-    try:
-        with tmp.open(mode, **kwargs) as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def render_values(values: Array, sep: str = " ") -> str:
     """``values`` at %.17g, each after ``sep``: the text export's and the
     feature CSV's number format."""
@@ -561,7 +544,7 @@ def save_params(path, stores: dict[str, Params]) -> None:
     writes their pieces in record order, so the bytes are the same."""
     records = list(_records(stores))
     workers = _save_workers(sum(w.size for _, w in records))
-    with _written_whole(path, "w", encoding="utf-8", newline="") as handle:
+    with written_whole(path, "w", encoding="utf-8", newline="") as handle:
 
         def write_records(rendered) -> None:
             for full, w in records:
@@ -599,7 +582,7 @@ def write_params_binary(path, stores: dict[str, Params], bound: tuple[bytes, ...
     float64 array needs no copy for."""
     records = list(_records(stores))
     crc = 0
-    with _written_whole(path, "wb") as handle:
+    with written_whole(path, "wb") as handle:
         handle.write(_BINARY_MAGIC + struct.pack("<I", _BINARY_VERSION))
         handle.write(_HEADER.pack(*bound, len(records), crc))
         for full, w in records:

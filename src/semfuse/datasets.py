@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 import struct
-import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass, fields
@@ -33,6 +32,7 @@ from .errors import (
     ManifestError,
     SplitViolationError,
     open_utf8,
+    written_whole,
 )
 from .fusion import ALPHA_SWEEP, VARIATIONS, ClassSemantics
 from .llm_client import class_slug
@@ -432,23 +432,16 @@ def _read_sidecar(sidecar: Path, key: bytes) -> tuple[list[str], np.ndarray] | N
 
 def _write_sidecar(sidecar: Path, key: bytes, names: list[str], matrix: np.ndarray) -> None:
     """Write ``key``, the records' CRC and the records to ``sidecar``
-    whole or not at all, through a temporary file beside it. A directory
-    that cannot take it is left as it was: the CSV is then parsed on
-    every load."""
+    whole or not at all. A directory that cannot take it is left as it
+    was: the CSV is then parsed on every load."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=".tmp-", suffix=".fset")
-        try:
-            with os.fdopen(fd, "w+b") as handle:
-                handle.write(key + bytes(4))
-                _write_records(handle, names, matrix)
-                handle.seek(len(key) + 4)
-                crc = _crc32(handle)
-                handle.seek(len(key))
-                handle.write(crc)
-            os.replace(tmp, sidecar)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with written_whole(sidecar, "w+b") as handle:
+            handle.write(key + bytes(4))
+            _write_records(handle, names, matrix)
+            handle.seek(len(key) + 4)
+            crc = _crc32(handle)
+            handle.seek(len(key))
+            handle.write(crc)
     except OSError:
         pass
 
@@ -518,9 +511,9 @@ def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
 
 
 def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:
-    """Write ``label,v1,...,vm`` rows at %.17g, a row at a time; no rows
-    write one empty line."""
-    with Path(path).open("w", encoding="utf-8") as handle:
+    """Write ``label,v1,...,vm`` rows at %.17g, a row at a time, whole or
+    not at all; no rows write one empty line."""
+    with written_whole(path, "w", encoding="utf-8") as handle:
         for name, row in zip(names, matrix):
             handle.write(name + render_values(row, ",") + "\n")
         if not handle.tell():
@@ -528,8 +521,8 @@ def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:
 
 
 def write_features_binary(path, names: list[str], matrix: np.ndarray) -> None:
-    """Write the binary layout, a row at a time."""
-    with Path(path).open("wb") as handle:
+    """Write the binary layout, a row at a time, whole or not at all."""
+    with written_whole(path, "wb") as handle:
         _write_records(handle, names, matrix)
 
 

@@ -3,10 +3,13 @@
 The CLI maps these onto distinct exit codes: configuration and manifest
 problems, malformed data files, and network transport failures each get
 their own code so scripted callers can react. `open_utf8` opens the
-text inputs so that a byte that is not UTF-8 is one of these errors.
+text inputs so that a byte that is not UTF-8 is one of these errors;
+`written_whole` writes every file the package writes.
 """
 
+import os
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ConfigError(Exception):
@@ -50,6 +53,25 @@ def _not_utf8(path) -> FormatError:
                     f"(0x{exc.object[exc.start]:02x}) is not UTF-8"
                 )
     return FormatError(f"{path}: not UTF-8")
+
+
+@contextmanager
+def written_whole(path, mode: str, **kwargs):
+    """A handle, opened with ``mode`` ("w", "wb" or "w+b") and
+    ``kwargs`` as by `open`, on a new file that becomes ``path`` whole
+    or not at all: created beside it as ``.tmp-<name>.<8 hex digits>``
+    (exclusively, at mode 0o666 less the umask), it replaces ``path``
+    once the block ends and is removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".tmp-{path.name}.{os.urandom(4).hex()}")
+    handle = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class OutOfVocabularyError(FormatError):

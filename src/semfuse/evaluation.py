@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .datasets import FeatureSet
-from .errors import ContractError, FormatError, ManifestError, open_utf8
+from .errors import ContractError, FormatError, ManifestError, open_utf8, written_whole
 
 METRIC_ORDER = ("acc", "acc_s", "acc_u", "hm")
 
@@ -212,7 +211,7 @@ def _fmt(value) -> str:
 
 def write_report_csv(path, reports: list[EvalReport]) -> None:
     """Deterministic CSV: fixed column order and float formatting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with written_whole(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(REPORT_COLUMNS))
         for r in reports:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, FormatError, ManifestError, ShapeError, open_utf8
+from .errors import ContractError, FormatError, ManifestError, ShapeError, open_utf8, written_whole
 
 VARIATIONS = ("only-class-name", "only-chatgpt", "ours")
 
@@ -166,7 +166,7 @@ def write_bundles(path, semantics: ClassSemantics, variation: str) -> None:
     if variation not in VARIATIONS:
         raise ContractError(f"unknown variation {variation!r}")
     d = semantics.d
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with written_whole(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# bundles variation={variation} d={d}\n")
         writer = csv.writer(handle)
         header = ["class_id", "name"]
@@ -230,9 +230,8 @@ def read_bundles(path) -> tuple[ClassSemantics, str]:
 
 
 def export_fused_csv(path, ids, rows: np.ndarray) -> None:
-    """Write fused vectors (class id + d values per row) for plotting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["class_id"] + [f"v{i}" for i in range(rows.shape[1])])
+    """Write fused vectors (class id + d values per row, at %.17g) for plotting."""
+    with written_whole(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(["class_id"] + [f"v{i}" for i in range(rows.shape[1])]) + "\r\n")
         for cid, row in zip(ids, rows):
-            writer.writerow([str(cid)] + [format(v, ".17g") for v in row])
+            handle.write(f"{cid}{ad.render_values(row, ',')}\r\n")

@@ -10,12 +10,11 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ContractError, ProviderError, TransportError, open_utf8
+from .errors import ContractError, ProviderError, TransportError, open_utf8, written_whole
 
 PROMPT_TEMPLATE = (
     "Describe the {name} object in at most ten sentences using the specific "
@@ -70,7 +69,8 @@ class DescriptionCache:
 
     def put(self, class_name: str, text: str) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.path_for(class_name), text)
+        with written_whole(self.path_for(class_name), "w", encoding="utf-8") as handle:
+            handle.write(text)
 
     def write_meta(self, endpoint: EndpointConfig) -> None:
         meta = (
@@ -80,23 +80,12 @@ class DescriptionCache:
             f"fetched_at = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n"
         )
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.directory / "meta.txt", meta)
+        with written_whole(self.directory / "meta.txt", "w", encoding="utf-8") as handle:
+            handle.write(meta)
 
 
 def prompt_hash() -> str:
     return hashlib.sha256(PROMPT_TEMPLATE.encode("utf-8")).hexdigest()[:16]
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".txt")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> dict:

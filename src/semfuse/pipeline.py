@@ -22,7 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import FeatureSet, RunConfig, SplitSpec, load_run_config
 from .embed_zsl import EmbedModel, classify_batch, embed_shapes, train_embed
-from .errors import ConfigError, ContractError, FormatError, ManifestError, ShapeError
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    ManifestError,
+    ShapeError,
+    written_whole,
+)
 from .evaluation import EvalReport, evaluate_run
 from .fusion import (
     ClassSemantics,
@@ -125,8 +132,10 @@ def save_run(cfg: RunConfig, trained: Trained) -> Path:
     relative = {key: Path(os.path.relpath(value.resolve(), out_dir.resolve()))
                 for key, value in vars(cfg).items() if isinstance(value, Path)}
     run_text = replace(cfg, **relative).to_text().encode("utf-8")
-    run_cfg.write_bytes(run_text)
-    (out_dir / "train_log.csv").write_text(trained.train_log, encoding="utf-8")
+    with written_whole(run_cfg, "wb") as handle:
+        handle.write(run_text)
+    with written_whole(out_dir / "train_log.csv", "w", encoding="utf-8") as handle:
+        handle.write(trained.train_log)
     # last, so a run directory that holds it is complete; class ids are
     # split positions, exact in float64
     sem = {"ids": semantics.ids.astype(np.float64), "e_c": semantics.e_c, "e_p": semantics.e_p}

@@ -32,6 +32,8 @@ from semfuse.errors import (
     SplitViolationError,
 )
 
+import failing_writes
+
 
 @pytest.fixture
 def split(tmp_path):
@@ -434,20 +436,15 @@ def test_a_csv_that_fails_to_load_fails_alike_every_time(tmp_path, split, last, 
     assert sidecar_of(path).exists() == last.startswith("ghost")
 
 
-@pytest.mark.parametrize("fail", ["mkstemp", "write", "replace"])
+@pytest.mark.parametrize("fail", ["create", "write", "replace"])
 def test_a_sidecar_that_cannot_be_written_leaves_no_file(tmp_path, split, monkeypatch, fail):
     path = tmp_path / "feats.csv"
     write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)
-
-    def refuse(*args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(tmp_path))
-
-    owner = {"mkstemp": datasets.tempfile, "write": datasets, "replace": datasets.os}[fail]
-    name = {"mkstemp": "mkstemp", "write": "_write_records", "replace": "replace"}[fail]
     with monkeypatch.context() as patch:
-        patch.setattr(owner, name, refuse)
+        hit = failing_writes.inject(patch, fail, "feats.csv.fset")
         for _ in range(2):
             assert load_features(path, split).features.tobytes() == EDGE_MATRIX.tobytes()
+    assert len(hit) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv", "toy.cfg"]
 
 
