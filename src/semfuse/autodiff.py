@@ -6,9 +6,11 @@ affine map's rule `linear_grads` and the cross-entropy's
 one term whose value is itself an input gradient, the Wasserstein
 gradient penalty: every operation returns a new `Tensor` holding its
 value, its parents, and one vector-Jacobian rule per parent written in
-terms of the same operations. `grad` walks only the nodes on a path from
-its output to one of its inputs, calls a rule only for a parent on such
-a path, and its rules build plain constants (no parents, no rules).
+terms of the same operations. The penalty's norm tail is one node,
+`unit_norm_penalty`, whose closed-form rule is written on arrays. `grad`
+walks only the nodes on a path from its output to one of its inputs,
+calls a rule only for a parent on such a path, and its rules build plain
+constants (no parents, no rules).
 
 Scalars are tensors of shape ``()``; every operation requires exact
 shapes.
@@ -126,22 +128,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, (a, b), (_identity, _identity))
 
 
-def neg(x: Tensor) -> Tensor:
-    return Tensor(-x.data, (x,), (neg,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     return Tensor(a.data * b.data, (a, b), (lambda g: mul(g, b), lambda g: mul(g, a)))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "div")
-    return Tensor(
-        a.data / b.data,
-        (a, b),
-        (lambda g: div(g, b), lambda g: neg(div(mul(g, a), mul(b, b)))),
-    )
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -149,47 +138,35 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, (x,), (lambda g: scale(g, c),))
 
 
-def shift(x: Tensor, c: float) -> Tensor:
-    """Add a python float constant elementwise."""
-    return Tensor(x.data + c, (x,), (_identity,))
+def unit_norm_penalty(g: Tensor, width: int) -> Tensor:
+    """Mean over the rows of an (n, k) ``g`` of ``(|g[:, :width]| - 1)**2``
+    as one node: the gradient penalty's tail.
 
+    Value and rule run, on arrays, the operations of the chain slice,
+    square, row sum, sqrt, shift by -1, square, mean, in the chain's
+    order, so the bits are the chain's. The sqrt's denominator is
+    floored at _TINY, so a zero row keeps a finite adjoint. The rule
+    builds a plain constant: there is no second-order rule.
+    """
+    _require_2d(g, "unit_norm_penalty")
+    n, k = g.shape
+    if not 0 <= width <= k:
+        raise ShapeError(f"unit_norm_penalty width {width} out of range for shape {g.shape}")
+    gs = g.data[:, :width]
+    norms = np.sqrt((gs * gs).sum(axis=1, keepdims=True))
+    u = norms + -1.0
 
-def sum_last(x: Tensor) -> Tensor:
-    """(n, k) -> (n, 1), summing over the last axis."""
-    _require_2d(x, "sum_last")
-    k = x.shape[1]
-    return Tensor(
-        x.data.sum(axis=1, keepdims=True), (x,), (lambda g: tile_cols(g, k),)
-    )
+    def rule(c: Tensor) -> Tensor:
+        if _record:
+            raise ContractError("unit_norm_penalty has no second-order rule")
+        a = np.full((n, 1), c.data * (1.0 / n))
+        au = a * u + a * u
+        asl = (au * 0.5) / np.maximum(norms, _TINY)
+        out = np.zeros((n, k))
+        out[:, :width] = asl * gs + asl * gs
+        return constant(out)
 
-
-def tile_cols(v: Tensor, k: int) -> Tensor:
-    """(n, 1) -> (n, k), repeating the column."""
-    if v.data.ndim != 2 or v.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects shape (n, 1), got {v.shape}")
-    return Tensor(np.broadcast_to(v.data, (v.shape[0], k)).copy(), (v,), (sum_last,))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries as a scalar tensor."""
-    shape = x.data.shape
-    return Tensor(x.data.sum(), (x,), (lambda g: fill(g, shape),))
-
-
-def fill(s: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Broadcast a scalar tensor to a full tensor of ``shape``."""
-    if s.data.size != 1:
-        raise ShapeError(f"fill expects a scalar, got shape {s.shape}")
-    return Tensor(np.full(shape, s.data.reshape(())), (s,), (sum_all,))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Arithmetic mean of all entries."""
-    return scale(sum_all(x), 1.0 / x.data.size)
-
-
-def square(x: Tensor) -> Tensor:
-    return mul(x, x)
+    return Tensor((u * u).sum() * (1.0 / n), (g,), (rule,))
 
 
 def linear_grads(x: Array, g: Array) -> tuple[Array, Array]:
@@ -234,35 +211,6 @@ def softmax_xent_grad(logits: Array, targets: Array, g=1.0) -> tuple[float, Arra
         e += 0.0
     np.subtract.at(e, (rows, targets), a)
     return float(loss), e
-
-
-def sqrt(x: Tensor) -> Tensor:
-    # denominator floored so the rule stays finite at exactly zero, and a
-    # constant, so the (first-order) rule holds no cycle through its node
-    value = np.sqrt(x.data)
-    floored = constant(np.maximum(value, _TINY))
-    return Tensor(value, (x,), (lambda g: div(scale(g, 0.5), floored),))
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis."""
-    total = x.shape[-1]
-    if not 0 <= start <= stop <= total:
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {x.shape}")
-    return Tensor(
-        x.data[..., start:stop].copy(),
-        (x,),
-        (lambda g: pad_cols(g, start, total - stop),),
-    )
-
-
-def pad_cols(x: Tensor, before: int, after: int) -> Tensor:
-    """Zero-pad along the last axis."""
-    width = [(0, 0)] * (x.data.ndim - 1) + [(before, after)]
-    k = x.shape[-1]
-    return Tensor(
-        np.pad(x.data, width), (x,), (lambda g: slice_cols(g, before, before + k),)
-    )
 
 
 # ---------------------------------------------------------------------------

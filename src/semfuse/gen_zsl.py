@@ -154,10 +154,11 @@ def gradient_penalty(
     The critic runs on the interpolate ``beta * z_real + (1 - beta) *
     z_fake``; its input gradient is built as graph nodes over leaves
     wrapping the critic's weights, and `ad.grad` of the scaled penalty
-    gives their gradients (the biases get none). Accepts single vectors
-    or row-aligned batches; ``beta`` may be a scalar or one value per
-    row. Always >= 0, and exactly 0 only when the critic's input-gradient
-    norm is 1 everywhere.
+    gives their gradients (the biases get none); the norm's tail is one
+    node, `ad.unit_norm_penalty`. Accepts single vectors or row-aligned
+    batches; ``beta`` may be a scalar or one value per row, and any
+    other shape is a ShapeError. Always >= 0, and exactly 0 only when
+    the critic's input-gradient norm is 1 everywhere.
     """
     z_real = np.atleast_2d(np.asarray(z_real, dtype=np.float64))
     z_fake = np.atleast_2d(np.asarray(z_fake, dtype=np.float64))
@@ -166,20 +167,22 @@ def gradient_penalty(
         raise ShapeError(
             f"penalty inputs disagree: {z_real.shape}, {z_fake.shape}, {e.shape}"
         )
-    beta_col = np.broadcast_to(
-        np.asarray(beta, dtype=np.float64).reshape(-1, 1), (z_real.shape[0], 1)
-    )
+    n = z_real.shape[0]
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.size != 1 and beta.shape not in ((n,), (n, 1)):
+        raise ShapeError(
+            f"beta of shape {beta.shape} is neither a scalar nor one value for each of {n} rows"
+        )
+    beta_col = np.broadcast_to(beta.reshape(-1, 1), (n, 1))
     _, (_, masks) = disc.run(beta_col * z_real + (1.0 - beta_col) * z_fake, e)
     names = [f"l{i}.W" for i in range(disc.n_layers)]
     leaves = [ad.leaf(disc.store[name]) for name in names]
-    g = ad.constant(np.ones((z_real.shape[0], 1)))
+    g = ad.constant(np.ones((n, 1)))
     for i in reversed(range(disc.n_layers)):
         if i < disc.n_layers - 1:
             g = ad.mul(g, ad.constant(masks[i]))
         g = ad.matmul(g, leaves[i])
-    g = ad.slice_cols(g, 0, disc.x_dim)
-    norms = ad.sqrt(ad.sum_last(ad.square(g)))
-    gp = ad.mean_all(ad.square(ad.shift(norms, -1.0)))
+    gp = ad.unit_norm_penalty(g, disc.x_dim)
     grads = ad.grad(ad.scale(gp, eta), leaves)
     return gp.item(), {name: g.data for name, g in zip(names, grads)}
 

@@ -3,7 +3,8 @@ the array gradients are compared against.
 
 `semfuse.autodiff` keeps the graph operations the gradient penalty needs
 and a first-order `grad`. This module adds the operations the trained
-objectives were once written in, a `grad` that can build its adjoints
+objectives and the penalty's norm tail (`ad.unit_norm_penalty`, one node
+in `semfuse`) were once written in, a `grad` that can build its adjoints
 as graph nodes (``create_graph``), `backward` and `grad_check`, and the
 graph form of every trained objective: the embedding loss, the critic
 loss with its penalty taken by a double backward, the generator loss
@@ -32,9 +33,94 @@ Tensor = ad.Tensor
 # operations
 
 
+def neg(x: Tensor) -> Tensor:
+    return Tensor(-x.data, (x,), (neg,))
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     ad._require_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, (a, b), (ad._identity, ad.neg))
+    return Tensor(a.data - b.data, (a, b), (ad._identity, neg))
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    ad._require_same_shape(a, b, "div")
+    return Tensor(
+        a.data / b.data,
+        (a, b),
+        (lambda g: div(g, b), lambda g: neg(div(ad.mul(g, a), ad.mul(b, b)))),
+    )
+
+
+def shift(x: Tensor, c: float) -> Tensor:
+    """Add a python float constant elementwise."""
+    return Tensor(x.data + c, (x,), (ad._identity,))
+
+
+def square(x: Tensor) -> Tensor:
+    return ad.mul(x, x)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    # denominator floored so the rule stays finite at exactly zero, and a
+    # constant, so the (first-order) rule holds no cycle through its node
+    value = np.sqrt(x.data)
+    floored = ad.constant(np.maximum(value, ad._TINY))
+    return Tensor(value, (x,), (lambda g: div(ad.scale(g, 0.5), floored),))
+
+
+def sum_last(x: Tensor) -> Tensor:
+    """(n, k) -> (n, 1), summing over the last axis."""
+    ad._require_2d(x, "sum_last")
+    k = x.shape[1]
+    return Tensor(
+        x.data.sum(axis=1, keepdims=True), (x,), (lambda g: tile_cols(g, k),)
+    )
+
+
+def tile_cols(v: Tensor, k: int) -> Tensor:
+    """(n, 1) -> (n, k), repeating the column."""
+    if v.data.ndim != 2 or v.shape[1] != 1:
+        raise ShapeError(f"tile_cols expects shape (n, 1), got {v.shape}")
+    return Tensor(np.broadcast_to(v.data, (v.shape[0], k)).copy(), (v,), (sum_last,))
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of all entries as a scalar tensor."""
+    shape = x.data.shape
+    return Tensor(x.data.sum(), (x,), (lambda g: fill(g, shape),))
+
+
+def fill(s: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Broadcast a scalar tensor to a full tensor of ``shape``."""
+    if s.data.size != 1:
+        raise ShapeError(f"fill expects a scalar, got shape {s.shape}")
+    return Tensor(np.full(shape, s.data.reshape(())), (s,), (sum_all,))
+
+
+def mean_all(x: Tensor) -> Tensor:
+    """Arithmetic mean of all entries."""
+    return ad.scale(sum_all(x), 1.0 / x.data.size)
+
+
+def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous slice along the last axis."""
+    total = x.shape[-1]
+    if not 0 <= start <= stop <= total:
+        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {x.shape}")
+    return Tensor(
+        x.data[..., start:stop].copy(),
+        (x,),
+        (lambda g: pad_cols(g, start, total - stop),),
+    )
+
+
+def pad_cols(x: Tensor, before: int, after: int) -> Tensor:
+    """Zero-pad along the last axis."""
+    width = [(0, 0)] * (x.data.ndim - 1) + [(before, after)]
+    k = x.shape[-1]
+    return Tensor(
+        np.pad(x.data, width), (x,), (lambda g: slice_cols(g, before, before + k),)
+    )
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -70,7 +156,7 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
 
 def sum_sq(x: Tensor) -> Tensor:
     """Sum of squared entries as a scalar."""
-    return ad.sum_all(ad.square(x))
+    return sum_all(square(x))
 
 
 def softmax_xent(logits: Tensor, targets) -> Tensor:
@@ -104,7 +190,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(
         np.concatenate([a.data, b.data], axis=-1),
         (a, b),
-        (lambda g: ad.slice_cols(g, 0, ka), lambda g: ad.slice_cols(g, ka, ka + kb)),
+        (lambda g: slice_cols(g, 0, ka), lambda g: slice_cols(g, ka, ka + kb)),
     )
 
 
@@ -312,17 +398,17 @@ def gradient_penalty(disc, w, z_real, z_fake, e, beta) -> Tensor:
         np.asarray(beta, dtype=np.float64).reshape(-1, 1), (z_real.shape[0], 1)
     )
     z_tilde = ad.leaf(beta_col * z_real + (1.0 - beta_col) * z_fake)
-    score_sum = ad.sum_all(mlp_forward(disc, w, z_tilde, ad.constant(e)))
+    score_sum = sum_all(mlp_forward(disc, w, z_tilde, ad.constant(e)))
     (g,) = grad(score_sum, [z_tilde], create_graph=True)
-    norms = ad.sqrt(ad.sum_last(ad.square(g)))
-    return ad.mean_all(ad.square(ad.shift(norms, -1.0)))
+    norms = sqrt(sum_last(square(g)))
+    return mean_all(square(shift(norms, -1.0)))
 
 
 def critic_loss_graph(disc, w, z_real, z_fake, e, beta, eta) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """The critic loss graph over the critic's leaves ``w``, with its real
     and fake scores and penalty."""
-    score_real = ad.mean_all(mlp_forward(disc, w, ad.constant(z_real), ad.constant(e)))
-    score_fake = ad.mean_all(mlp_forward(disc, w, ad.constant(z_fake), ad.constant(e)))
+    score_real = mean_all(mlp_forward(disc, w, ad.constant(z_real), ad.constant(e)))
+    score_fake = mean_all(mlp_forward(disc, w, ad.constant(z_fake), ad.constant(e)))
     gp = gradient_penalty(disc, w, z_real, z_fake, e, beta)
     loss = ad.add(sub(score_fake, score_real), ad.scale(gp, eta))
     return loss, score_real, score_fake, gp
@@ -342,9 +428,9 @@ def generator_loss_graph(gen, disc, classifier, fusion, h, e_c, e_p, labels, cls
     leaves ``w`` of each network by name: gen, disc, cls and fusion."""
     e = fuse(fusion, w["fusion"], ad.constant(e_c), ad.constant(e_p))
     fake = mlp_forward(gen, w["gen"], ad.constant(h), e)
-    score = ad.mean_all(mlp_forward(disc, w["disc"], fake, e))
+    score = mean_all(mlp_forward(disc, w["disc"], fake, e))
     cls_term = cls_loss_batch(classifier, w["cls"], fake, labels)
-    return ad.add(ad.neg(score), ad.scale(cls_term, cls_weight)), cls_term
+    return ad.add(neg(score), ad.scale(cls_term, cls_weight)), cls_term
 
 
 def generator_loss_grads(gen, disc, classifier, fusion, h, e_c, e_p, labels, cls_weight):

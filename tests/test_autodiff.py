@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -40,7 +40,7 @@ def test_leaky_relu_applies_slope_below_zero():
 
 def test_mean_all_value_and_gradient():
     w = {"x": ad.leaf([[1.0, 2.0], [3.0, 6.0]])}
-    loss = ad.mean_all(w["x"])
+    loss = go.mean_all(w["x"])
     assert loss.item() == 3.0
     (grads,) = go.backward(loss, w)
     assert np.allclose(grads["x"], np.full((2, 2), 0.25))
@@ -97,7 +97,7 @@ def test_backward_quadratic_form_matches_finite_differences():
 
     def loss_fn():
         x = w["x"]
-        return ad.sum_all(ad.matmul(ad.transpose(x), ad.matmul(ad.constant(a), x)))
+        return go.sum_all(ad.matmul(ad.transpose(x), ad.matmul(ad.constant(a), x)))
 
     assert go.grad_check(loss_fn, w) < 1e-6
     # closed form: grad of x'Ax is 2Ax for symmetric A
@@ -120,7 +120,7 @@ def test_backward_rejects_non_scalar_loss():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_backward_rejects_non_finite_loss_and_names_it(value):
     w = {"x": ad.leaf([1.0])}
-    loss = ad.scale(ad.sum_all(w["x"]), value)
+    loss = ad.scale(go.sum_all(w["x"]), value)
     with pytest.raises(ContractError, match=str(loss.item())):
         go.backward(loss, w)
 
@@ -135,7 +135,7 @@ def test_grad_check_relu_network_off_kink():
 
     def loss_fn():
         h = go.leaky_relu(go.linear(x, w["W"], w["b"]), slope=0.0)
-        return ad.mean_all(h)
+        return go.mean_all(h)
 
     assert go.grad_check(loss_fn, w) < 1e-4
 
@@ -157,7 +157,7 @@ def test_backward_is_linear_in_the_loss(a, b):
         return go.sum_sq(w["x"])
 
     def l2():
-        return ad.sum_all(ad.mul(w["x"], ad.constant([1.0, -2.0, 0.5])))
+        return go.sum_all(ad.mul(w["x"], ad.constant([1.0, -2.0, 0.5])))
 
     (g1,) = go.backward(l1(), w)
     (g2,) = go.backward(l2(), w)
@@ -730,10 +730,10 @@ def test_second_order_gradients_through_first_backward():
     # d/dx of (dy/dx) for y = x^3: first grad is 3x^2, its grad is 6x
     w = {"x": ad.leaf([2.0])}
     x = w["x"]
-    y = ad.sum_all(ad.mul(ad.mul(x, x), x))
+    y = go.sum_all(ad.mul(ad.mul(x, x), x))
     (g,) = go.grad(y, [x], create_graph=True)
     assert np.allclose(g.data, [12.0])
-    (grads,) = go.backward(ad.sum_all(g), w)
+    (grads,) = go.backward(go.sum_all(g), w)
     assert np.allclose(grads["x"], [12.0])
 
 
@@ -767,7 +767,7 @@ def test_grad_restores_graph_building_when_a_rule_raises():
 
     y = ad.Tensor(x.data * 2.0, (x,), (broken,))
     with pytest.raises(RuntimeError, match="rule failed"):
-        ad.grad(ad.sum_all(y), [x])
+        ad.grad(go.sum_all(y), [x])
     assert ad.mul(x, x).parents == (x, x)
 
 
@@ -779,13 +779,13 @@ def test_grad_accumulates_adjoints_through_add(create_graph):
         return ad.grad(output, inputs)
 
     x = ad.leaf([1.0, 2.0, 3.0])
-    (g,) = grad(ad.sum_all(ad.mul(x, x)), [x])
+    (g,) = grad(go.sum_all(ad.mul(x, x)), [x])
     assert np.array_equal(g.data, 2.0 * x.data)
     assert bool(g.parents) is create_graph
     # a rule returning a broadcastable adjoint of the wrong shape is refused
     y = ad.Tensor(x.data, (x, x), (lambda g: g, lambda g: ad.constant([1.0])))
     with pytest.raises(ShapeError, match=r"add shape mismatch: \(3,\) vs \(1,\)"):
-        grad(ad.sum_all(y), [x])
+        grad(go.sum_all(y), [x])
 
 
 def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
@@ -811,7 +811,7 @@ def test_grad_calls_rules_only_for_parents_on_a_path_to_an_input():
 def test_grad_of_a_constant_input_is_none():
     x = ad.leaf([1.0, 2.0])
     c = ad.constant([3.0, 4.0])
-    assert ad.grad(ad.sum_all(ad.mul(x, c)), [c, x])[0] is None
+    assert ad.grad(go.sum_all(ad.mul(x, c)), [c, x])[0] is None
 
 
 def test_backward_stores_c_ordered_gradients():
@@ -824,7 +824,7 @@ def test_backward_stores_c_ordered_gradients():
 
 def _log(x):
     """Elementwise natural log as a graph op."""
-    return ad.Tensor(np.log(x.data), (x,), (lambda g: ad.div(g, x),))
+    return ad.Tensor(np.log(x.data), (x,), (lambda g: go.div(g, x),))
 
 
 def _exp(x):
@@ -837,10 +837,10 @@ def _xent_as_op_chain(logits, onehot):
     """Softmax cross-entropy spelled out in primitive ops."""
     n, k = logits.shape
     shift = ad.constant(logits.data.max(axis=1, keepdims=True))
-    shifted = go.sub(logits, ad.tile_cols(shift, k))
-    lse = ad.add(_log(ad.sum_last(_exp(shifted))), shift)
-    true_logit = ad.sum_last(ad.mul(logits, ad.constant(onehot)))
-    return ad.mean_all(go.sub(lse, true_logit))
+    shifted = go.sub(logits, go.tile_cols(shift, k))
+    lse = ad.add(_log(go.sum_last(_exp(shifted))), shift)
+    true_logit = go.sum_last(ad.mul(logits, ad.constant(onehot)))
+    return go.mean_all(go.sub(lse, true_logit))
 
 
 def _onehot(rows, k):
@@ -869,6 +869,47 @@ def test_softmax_xent_matches_the_op_chain_bit_for_bit(logits, seed, weight):
     (g_new,) = ad.grad(ad.scale(new, weight), [fused])
     (g_old,) = ad.grad(ad.scale(old, weight), [chain])
     assert g_new.data.tobytes() == g_old.data.tobytes()
+
+
+def _penalty_tail_as_op_chain(g, width):
+    """The gradient penalty's norm tail spelled out in primitive ops."""
+    norms = go.sqrt(go.sum_last(go.square(go.slice_cols(g, 0, width))))
+    return go.mean_all(go.square(go.shift(norms, -1.0)))
+
+
+@given(
+    g=st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 7).flatmap(
+            lambda k: hnp.arrays(np.float64, (n, k), elements=st.floats(-1e3, 1e3),
+                                 fill=st.just(0.0))
+        )
+    ),
+    cut=st.integers(0, 7),
+    eta=st.sampled_from([0.3, 1.0, 10.0]) | st.floats(-10, 10),
+)
+# n = 1 with a zero row (the sqrt's floored denominator) and width the
+# full width (no pad); a zero row beside a non-zero one, with a pad
+@example(g=np.zeros((1, 3)), cut=3, eta=1.0)
+@example(g=np.array([[0.0, 0.0, 2.0], [1.0, -2.0, 0.5]]), cut=2, eta=10.0)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_unit_norm_penalty_matches_the_op_chain_bit_for_bit(g, cut, eta):
+    width = min(cut, g.shape[1])
+    fused, chain = ad.leaf(g), ad.leaf(g)
+    new = ad.unit_norm_penalty(fused, width)
+    old = _penalty_tail_as_op_chain(chain, width)
+    assert new.data.tobytes() == old.data.tobytes()
+    (g_new,) = ad.grad(ad.scale(new, eta), [fused])
+    (g_old,) = ad.grad(ad.scale(old, eta), [chain])
+    assert g_new.data.tobytes() == g_old.data.tobytes()
+    assert g_new.parents == () and not g_new.requires_grad
+
+
+def test_unit_norm_penalty_refuses_a_width_past_the_columns_and_a_second_order_grad():
+    x = ad.leaf(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"width 4 out of range for shape \(2, 3\)"):
+        ad.unit_norm_penalty(x, 4)
+    with pytest.raises(ContractError, match="no second-order rule"):
+        go.grad(ad.unit_norm_penalty(x, 2), [x], create_graph=True)
 
 
 @given(

@@ -3,6 +3,7 @@ import csv
 import ctypes
 import hashlib
 import importlib.util
+import json
 import multiprocessing
 import os
 import shutil
@@ -1523,6 +1524,77 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
         hashlib.sha256((run / "run.cfg").read_bytes()).digest(),
         hashlib.sha256(table.encode("utf-8")).digest(),
     )
+
+
+# one child process's demo runs: each family's train, then eval in both
+# modes; argv is the demo directory and the output directory. Prints the
+# child's running_blas() last. At these epochs both GZSL reports sit away
+# from 0 and 100, so one test row predicted otherwise changes their bytes,
+# and under the Haswell kernel the gen run's model.bin has other bits.
+DEMO_REPORTS_SCRIPT = """
+import json, sys
+from pathlib import Path
+from semfuse.cli import main
+from test_cli import running_blas
+demo, out = Path(sys.argv[1]), Path(sys.argv[2])
+for method, epochs in (("embed", "3"), ("gen", "8")):
+    run = out / method
+    commands = [["train", "--config", str(demo / "run.cfg"), "--out-dir", str(run),
+                 "--method", method, "--epochs", epochs]]
+    commands += [["eval", "--config", str(run / "run.cfg"), "--mode", mode,
+                  "--out", str(out / f"{method}_{mode}.csv")] for mode in ("zsl", "gzsl")]
+    for argv in commands:
+        if main(argv):
+            sys.exit(f"{argv} failed")
+print(json.dumps(running_blas()))
+"""
+
+
+def demo_reports(demo: Path, out: Path, blas_env: dict) -> tuple[dict, dict]:
+    """The report CSVs of `DEMO_REPORTS_SCRIPT` run in a child process
+    whose environment adds ``blas_env``, by name, and the child's
+    running_blas()."""
+    env = {**os.environ, **blas_env,
+           "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])}
+    done = subprocess.run([sys.executable, "-c", DEMO_REPORTS_SCRIPT, str(demo), str(out)],
+                          cwd=out.parent, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    reports = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    return reports, json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def default_blas_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("blas_reports")
+    script = REPO_ROOT / "scripts" / "make_demo_data.py"
+    done = subprocess.run([sys.executable, str(script), "--out-dir", str(root / "demo"),
+                           "--per-class", "12"], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return root / "demo", demo_reports(root / "demo", root / "default", {})[0]
+
+
+@pytest.mark.parametrize(
+    "blas_env,expected",
+    [({"OPENBLAS_NUM_THREADS": "1"}, {"threads": 1}),
+     ({"OPENBLAS_CORETYPE": "Haswell"}, {"kernel": "Haswell"})],
+    ids=["one-thread", "haswell"],
+)
+def test_report_csvs_keep_their_bytes_under_another_blas_kernel_or_thread_count(
+    default_blas_reports, tmp_path, blas_env, expected
+):
+    # the README's determinism contract: model files may change with the
+    # kernel and the thread count, the report CSVs may not
+    running = running_blas()
+    if running["kernel"] is None:
+        pytest.skip("the BLAS is not scipy-openblas: its kernel and threads cannot be set")
+    if running["kernel"] == expected.get("kernel"):
+        pytest.skip(f"the running kernel is already {running['kernel']}")
+    demo, default = default_blas_reports
+    reports, child = demo_reports(demo, tmp_path / "run", blas_env)
+    assert {key: child[key] for key in expected} == expected
+    assert sorted(default) == [f"{m}_{mode}.csv" for m in ("embed", "gen") for mode in ("gzsl", "zsl")]
+    assert reports == default
 
 
 def test_module_entry_point_lists_every_subcommand():

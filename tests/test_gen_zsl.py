@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -103,15 +104,15 @@ def test_gradient_penalty_graph_is_freed_without_the_cycle_collector(monkeypatch
     # weight arrays alive with it
     rng = np.random.default_rng(11)
     critic = init_discriminator(4, 2, seed=11, hidden=[8])
-    nodes = []  # weak references to the sqrt node's value, held by it alone
-    sqrt = ad.sqrt
+    nodes = []  # weak references to the penalty node's value, held by it alone
+    unit_norm_penalty = ad.unit_norm_penalty
 
-    def recording(x):
-        out = sqrt(x)
+    def recording(g, width):
+        out = unit_norm_penalty(g, width)
         nodes.append(weakref.ref(out.data))
         return out
 
-    monkeypatch.setattr(ad, "sqrt", recording)
+    monkeypatch.setattr(ad, "unit_norm_penalty", recording)
     gc.disable()
     try:
         gradient_penalty(critic, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
@@ -120,6 +121,50 @@ def test_gradient_penalty_graph_is_freed_without_the_cycle_collector(monkeypatch
         assert nodes[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("hidden", [[], [8], [8, 6]])
+def test_gradient_penalty_builds_at_most_10_plus_9_tensors_per_hidden_layer(monkeypatch, hidden):
+    # a count, not a timing: each Tensor is one node's worth of Python
+    # overhead, and the unfused norm tail built 29 + 9 per hidden layer
+    built = []
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(1)
+
+    rng = np.random.default_rng(13)
+    critic = init_discriminator(4, 2, seed=13, hidden=hidden)
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    gradient_penalty(critic, rng.normal(size=(5, 4)), rng.normal(size=(5, 4)),
+                     rng.normal(size=(5, 2)), rng.uniform(size=5))
+    assert 0 < len(built) <= 10 + 9 * len(hidden)
+
+
+@pytest.mark.parametrize("shape", [(3,), (6,), (5, 2), (2, 5)])
+def test_gradient_penalty_refuses_a_beta_of_another_length_before_the_critic_runs(
+    monkeypatch, shape
+):
+    rng = np.random.default_rng(14)
+    critic = init_discriminator(4, 2, seed=14, hidden=[8])
+    runs = []
+    monkeypatch.setattr(Mlp, "run", lambda *args: runs.append(args))
+    with pytest.raises(ShapeError, match=rf"beta of shape {re.escape(str(shape))} .* 5 rows"):
+        gradient_penalty(critic, rng.normal(size=(5, 4)), rng.normal(size=(5, 4)),
+                         rng.normal(size=(5, 2)), rng.uniform(size=shape))
+    assert not runs
+
+
+def test_gradient_penalty_takes_a_scalar_beta_as_one_value_for_every_row():
+    rng = np.random.default_rng(15)
+    critic = init_discriminator(4, 2, seed=15, hidden=[8])
+    z_real, z_fake, e = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    results = [gradient_penalty(critic, z_real, z_fake, e, beta)
+               for beta in (0.3, [0.3], np.full(5, 0.3), np.full((5, 1), 0.3))]
+    for gp, grads in results[1:]:
+        assert gp == results[0][0]
+        assert all(grads[k].tobytes() == results[0][1][k].tobytes() for k in grads)
 
 
 def cls_loss(clf, z, labels):
@@ -563,7 +608,7 @@ def test_penalty_input_gradient_runs_no_weight_gradient_rule():
     critic = init_discriminator(4, 2, seed=31, hidden=[8])
     z_tilde = ad.leaf(rng.normal(size=(5, 4)))
     w = go.leaves(critic.store)
-    score_sum = ad.sum_all(go.mlp_forward(critic, w, z_tilde, ad.constant(rng.normal(size=(5, 2)))))
+    score_sum = go.sum_all(go.mlp_forward(critic, w, z_tilde, ad.constant(rng.normal(size=(5, 2)))))
     called = _parents_whose_rules_run(
         score_sum, lambda: go.grad(score_sum, [z_tilde], create_graph=True)
     )
