@@ -142,9 +142,11 @@ def unit_norm_penalty(g: Tensor, width: int) -> Tensor:
     """Mean over the rows of an (n, k) ``g`` of ``(|g[:, :width]| - 1)**2``
     as one node: the gradient penalty's tail.
 
-    Value and rule run, on arrays, the operations of the chain slice,
+    The value runs, on arrays, the operations of the chain slice,
     square, row sum, sqrt, shift by -1, square, mean, in the chain's
-    order, so the bits are the chain's. The sqrt's denominator is
+    order; the rule is the chain's in closed form, ``x * 2.0`` for its
+    ``x + x`` and ``x`` for its ``(x + x) * 0.5``, so the bits are the
+    chain's wherever the penalty is finite. The sqrt's denominator is
     floored at _TINY, so a zero row keeps a finite adjoint. The rule
     builds a plain constant: there is no second-order rule.
     """
@@ -159,11 +161,10 @@ def unit_norm_penalty(g: Tensor, width: int) -> Tensor:
     def rule(c: Tensor) -> Tensor:
         if _record:
             raise ContractError("unit_norm_penalty has no second-order rule")
-        a = np.full((n, 1), c.data * (1.0 / n))
-        au = a * u + a * u
-        asl = (au * 0.5) / np.maximum(norms, _TINY)
+        a = c.data * (1.0 / n)
+        asl = (a * u) / np.maximum(norms, _TINY)
         out = np.zeros((n, k))
-        out[:, :width] = asl * gs + asl * gs
+        out[:, :width] = asl * gs * 2.0
         return constant(out)
 
     return Tensor((u * u).sum() * (1.0 / n), (g,), (rule,))

@@ -13,15 +13,15 @@ that set it, an input or output path that is missing, of the wrong
 kind or not readable or writable, split class names sharing a
 description file, a bundle file lacking a class of the split, a
 non-finite training loss, an eval or synthesize config that differs
-from the run's training config, a run directory with neither model.bin
-nor model.ckpt, or whose run.cfg is not the one its model.bin was
-written with, an eval or synthesize split whose class table is not the
-trained one or that has classes without stored semantics, a model.bin
-record of another shape than the model's, and eval test features or
-GZSL seen rows of another width than the checkpoint's), 3 malformed
-data files (also a run directory with only a text checkpoint, a
-model.bin of an older format, one missing a record the model needs,
-and one whose records do not match its CRC-32), 4 transport failures.
+from the run's training config, a run directory without model.bin or
+run.cfg, or whose run.cfg is not the one its model.bin was written
+with, an eval or synthesize split whose class table is not the trained
+one or that has classes without stored semantics, a model.bin record
+of another shape than the model's, and eval test features or GZSL seen
+rows of another width than the checkpoint's), 3 malformed data files
+(also a model.bin of an older format, one missing a record the model
+needs, and one whose records do not match its CRC-32), 4 transport
+failures.
 
 `main` builds the parser of the invoked subcommand only. Its usage
 line names every subcommand, so usage lines and errors read as with the
@@ -207,7 +207,7 @@ def _features(split, key: str, m: int | None = None) -> FeatureSet:
 
 def run_train(config: RunConfig) -> Path:
     """Train per the config and write its run directory; returns the
-    text checkpoint's path."""
+    path of its model.bin."""
     _require_directory_path(Path(config.out_dir))
     split = load_split(_require(config.split, "config needs a split manifest"))
     semantics = obtain_bundles(config, split)

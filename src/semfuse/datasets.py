@@ -367,7 +367,7 @@ def load_features(path, split: SplitSpec) -> FeatureSet:
     with path.open("rb") as handle:
         binary = handle.read(4) == _BINARY_MAGIC
         if binary:
-            names, matrix = _read_binary(path, handle)
+            names, matrix, _ = _read_binary(path, handle)
         else:
             handle.seek(0)
             key = _SIDECAR_HEAD + _sha256(handle)
@@ -405,43 +405,32 @@ def _sha256(handle) -> bytes:
     return digest.digest()
 
 
-def _crc32(handle) -> bytes:
-    """The CRC-32 of the rest of ``handle``, as a little-endian uint32."""
-    crc = 0
-    for block in iter(lambda: handle.read(1 << 16), b""):
-        crc = zlib.crc32(block, crc)
-    return struct.pack("<I", crc)
-
-
 def _read_sidecar(sidecar: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
     """Names and matrix from the file ``sidecar`` if it starts with
-    ``key`` and holds well-formed records of the CRC it gives; else
-    None."""
+    ``key`` and holds well-formed records of the CRC it gives, taken as
+    they are read; else None."""
     try:
         with sidecar.open("rb") as handle:
-            head = handle.read(len(key) + 4)
-            if head[: len(key)] != key or _crc32(handle) != head[len(key):]:
+            head, magic = handle.read(len(key) + 4), handle.read(4)
+            if head[: len(key)] != key or magic != _BINARY_MAGIC:
                 return None
-            handle.seek(len(head))
-            if handle.read(4) != _BINARY_MAGIC:
-                return None
-            return _read_binary(sidecar, handle)
+            names, matrix, crc = _read_binary(sidecar, handle, zlib.crc32(magic))
     except (OSError, FormatError):
         return None
+    return (names, matrix) if struct.pack("<I", crc) == head[len(key):] else None
 
 
 def _write_sidecar(sidecar: Path, key: bytes, names: list[str], matrix: np.ndarray) -> None:
-    """Write ``key``, the records' CRC and the records to ``sidecar``
-    whole or not at all. A directory that cannot take it is left as it
-    was: the CSV is then parsed on every load."""
+    """Write ``key``, the records' CRC, taken as they are written, and
+    the records to ``sidecar`` whole or not at all. A directory that
+    cannot take it is left as it was: the CSV is then parsed on every
+    load."""
     try:
-        with written_whole(sidecar, "w+b") as handle:
+        with written_whole(sidecar, "wb") as handle:
             handle.write(key + bytes(4))
-            _write_records(handle, names, matrix)
-            handle.seek(len(key) + 4)
-            crc = _crc32(handle)
+            crc = _write_records(handle, names, matrix)
             handle.seek(len(key))
-            handle.write(crc)
+            handle.write(struct.pack("<I", crc))
     except OSError:
         pass
 
@@ -481,11 +470,13 @@ def _csv_rows(handle):
             yield lineno, line.split(",")
 
 
-def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
+def _read_binary(path: Path, handle, crc: int = 0) -> tuple[list[str], np.ndarray, int]:
     """Names and matrix of the binary records of ``path``, read from
-    ``handle`` past their magic to the end of the file."""
+    ``handle`` past their magic to the end of the file, and the CRC-32
+    of what was read, carried on from ``crc``."""
     size = os.fstat(handle.fileno()).st_size
     header = handle.read(8)
+    crc = zlib.crc32(header, crc)
     if len(header) < 8:
         raise FormatError(f"{path}: bad binary header")
     n, m = struct.unpack("<II", header)
@@ -497,17 +488,20 @@ def _read_binary(path: Path, handle) -> tuple[list[str], np.ndarray]:
     for i in range(n):
         if handle.tell() + 4 > size:
             raise FormatError(f"{path}: truncated at row {i + 1}")
-        (name_len,) = struct.unpack("<I", handle.read(4))
+        length = handle.read(4)
+        (name_len,) = struct.unpack("<I", length)
         if handle.tell() + name_len + 8 * m > size:
             raise FormatError(f"{path}: truncated at row {i + 1}")
+        name = handle.read(name_len)
         try:
-            names.append(handle.read(name_len).decode("utf-8"))
+            names.append(name.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: row {i + 1} name is not UTF-8: {exc}") from None
         handle.readinto(matrix[i])
+        crc = zlib.crc32(matrix[i], zlib.crc32(name, zlib.crc32(length, crc)))
     if handle.tell() != size:
         raise FormatError(f"{path}: {size - handle.tell()} trailing bytes")
-    return names, matrix
+    return names, matrix, crc
 
 
 def write_features_csv(path, names: list[str], matrix: np.ndarray) -> None:
@@ -526,14 +520,21 @@ def write_features_binary(path, names: list[str], matrix: np.ndarray) -> None:
         _write_records(handle, names, matrix)
 
 
-def _write_records(handle, names: list[str], matrix: np.ndarray) -> None:
-    """The binary layout from its magic on, a row at a time."""
+def _write_records(handle, names: list[str], matrix: np.ndarray) -> int:
+    """The binary layout from its magic on, a row at a time; returns the
+    CRC-32 of what it wrote."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    handle.write(_BINARY_MAGIC + struct.pack("<II", *matrix.shape))
+    head = _BINARY_MAGIC + struct.pack("<II", *matrix.shape)
+    handle.write(head)
+    crc = zlib.crc32(head)
     for name, row in zip(names, matrix):
         encoded = name.encode("utf-8")
-        handle.write(struct.pack("<I", len(encoded)) + encoded)
-        handle.write(np.ascontiguousarray(row, dtype="<f8"))
+        record = struct.pack("<I", len(encoded)) + encoded
+        values = np.ascontiguousarray(row, dtype="<f8")
+        handle.write(record)
+        handle.write(values)
+        crc = zlib.crc32(values, zlib.crc32(record, crc))
+    return crc
 
 
 # ---------------------------------------------------------------------------

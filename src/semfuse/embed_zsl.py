@@ -86,8 +86,7 @@ def embed_loss(
     ad.require_finite_loss(loss)
 
     # diff * diff sends one equal share of its adjoint to each factor
-    g_z = np.full(diff.shape, 1.0 / n) * diff
-    g_z = g_z + g_z
+    g_z = diff * (1.0 / n) * 2.0
     g_e = -g_z
     model_grads = {}
     model_grads["W_z"], model_grads["b_z"] = ad.linear_grads(z, g_z)

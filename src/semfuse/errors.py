@@ -57,11 +57,11 @@ def _not_utf8(path) -> FormatError:
 
 @contextmanager
 def written_whole(path, mode: str, **kwargs):
-    """A handle, opened with ``mode`` ("w", "wb" or "w+b") and
-    ``kwargs`` as by `open`, on a new file that becomes ``path`` whole
-    or not at all: created beside it as ``.tmp-<name>.<8 hex digits>``
-    (exclusively, at mode 0o666 less the umask), it replaces ``path``
-    once the block ends and is removed if the block raises."""
+    """A handle, opened with ``mode`` ("w" or "wb") and ``kwargs`` as
+    by `open`, on a new file that becomes ``path`` whole or not at all:
+    created beside it as ``.tmp-<name>.<8 hex digits>`` (exclusively, at
+    mode 0o666 less the umask), it replaces ``path`` once the block ends
+    and is removed if the block raises."""
     path = Path(path)
     tmp = path.with_name(f".tmp-{path.name}.{os.urandom(4).hex()}")
     handle = open(tmp, mode.replace("w", "x"), **kwargs)

@@ -241,16 +241,16 @@ def init_classifier(m: int, class_ids: list[int], seed: int) -> SoftmaxClassifie
 
 
 def _train_softmax(
-    parts: tuple[np.ndarray, ...],
+    parts: tuple[np.ndarray, np.ndarray],
     labels: np.ndarray,
     class_ids: list[int],
     cfg: RunConfig,
 ) -> SoftmaxClassifier:
     """Minibatch Adam on the mean softmax cross-entropy of ``labels``,
     with the ``classifier_lr``, ``classifier_epochs``, ``batch_size``
-    and ``seed`` of ``cfg``. The features are the rows of ``parts`` one
-    after the other; each batch gathers its rows from them, so they are
-    never copied into one array.
+    and ``seed`` of ``cfg``. The features are the rows of the two arrays
+    ``parts`` one after the other, the first possibly empty; each batch
+    gathers its rows from them, so they are never copied into one array.
 
     `ad.softmax_xent_grad` gives each batch's loss and logits adjoint,
     and `ad.linear_grads` carries it to ``W`` and ``b``. A non-finite
@@ -274,15 +274,10 @@ def _train_softmax(
     return clf
 
 
-def _batches(parts: tuple[np.ndarray, ...], order: np.ndarray, size: int):
+def _batches(parts: tuple[np.ndarray, np.ndarray], order: np.ndarray, size: int):
     """Each run of ``size`` rows of ``order`` in turn, with those rows,
-    in that order, of the one or two arrays ``parts`` taken one after
-    the other."""
-    if len(parts) == 1:
-        for start in range(0, order.size, size):
-            rows = order[start : start + size]
-            yield rows, parts[0][rows]
-        return
+    in that order, of the two arrays ``parts`` taken one after the
+    other."""
     first, second = parts
     # planned once for all batches: each row's place in ``second``, and
     # whether it lies in ``first`` instead
@@ -304,7 +299,8 @@ def pretrain_classifier(seen_data: FeatureSet, cfg: RunConfig) -> SoftmaxClassif
     present = sorted(int(c) for c in np.unique(seen_data.labels))
     if len(present) < 2:
         raise ContractError("need at least 2 classes to pretrain the classifier")
-    return _train_softmax((seen_data.features,), seen_data.labels, present, cfg)
+    features = seen_data.features
+    return _train_softmax((features[:0], features), seen_data.labels, present, cfg)
 
 
 def train_final_classifier(
@@ -326,7 +322,7 @@ def train_final_classifier(
         labels = np.concatenate([real_seen.labels, synth_unseen.labels])
         class_ids = sorted(seen_classes | synth_classes)
     else:
-        parts = (synth_unseen.features,)
+        parts = (synth_unseen.features[:0], synth_unseen.features)
         labels = synth_unseen.labels
         class_ids = sorted(synth_classes)
     if len(class_ids) < 2:

@@ -115,7 +115,7 @@ def save_run(cfg: RunConfig, trained: Trained) -> Path:
     ``model.ckpt``, ``run.cfg``, ``train_log.csv`` and last ``model.bin``,
     the binary checkpoint of the ``cfg.method`` and ``fusion`` groups and,
     as ``sem``, the class semantics trained with, bound to the sha256 of
-    ``run.cfg`` and of the trained class table. Returns model.ckpt's path."""
+    ``run.cfg`` and of the trained class table. Returns model.bin's path."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("model.bin", "model.ckpt", "fused_semantics.csv",
@@ -143,7 +143,7 @@ def save_run(cfg: RunConfig, trained: Trained) -> Path:
              _class_table_digest(semantics.ids.tolist(), semantics.names))
     restored = {key: trained.stores[key] for key in (cfg.method, "fusion")}
     ad.write_params_binary(binary, {**restored, "sem": sem}, bound)
-    return ckpt
+    return binary
 
 
 # keys that fix what a run's parameters are and mean
@@ -181,12 +181,7 @@ def load_run(cfg: RunConfig, split: SplitSpec) -> tuple[Trained, int]:
     name and shape against its family's table (`fusion_shapes`,
     `embed_shapes`, `mlp_shapes`); no model is initialized."""
     out_dir = Path(cfg.out_dir)
-    ckpt, binary, run_cfg = out_dir / "model.ckpt", out_dir / "model.bin", out_dir / "run.cfg"
-    if ckpt.exists() and not binary.exists():
-        raise FormatError(
-            f"{ckpt}: a text-only checkpoint without {binary.name}, a format eval and "
-            "synthesize no longer read; retrain the run"
-        )
+    binary, run_cfg = out_dir / "model.bin", out_dir / "run.cfg"
     for what, path in (("checkpoint", binary), ("run config", run_cfg)):
         if not path.exists():
             raise ConfigError(f"{what} not found: {path} (run train first)")

@@ -23,6 +23,7 @@ from semfuse.evaluation import read_report_csv
 from semfuse.fusion import ClassSemantics, read_bundles, write_bundles
 
 import checkpoint_files
+import failing_writes
 from conftest import DESCRIPTION_DIR, REPO_ROOT
 
 
@@ -1136,12 +1137,12 @@ def _eval_copied_run(ours_run, run, out):
                  "--out", str(out)])
 
 
-def test_eval_of_a_text_only_run_exits_3(ours_run, tmp_path, capsys):
+def test_eval_of_a_text_only_run_exits_2_asking_for_train(ours_run, tmp_path, capsys):
     run, out = _copy_run(ours_run, tmp_path)
     (run / "model.bin").unlink()  # as a run trained before the binary records
-    assert _eval_copied_run(ours_run, run, out) == 3
+    assert _eval_copied_run(ours_run, run, out) == 2
     err = capsys.readouterr().err
-    assert f"{run / 'model.ckpt'}: a text-only checkpoint" in err and "retrain" in err
+    assert err == f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
     assert not out.exists()
 
 
@@ -1287,6 +1288,22 @@ def test_a_retrain_that_fails_leaves_no_checkpoint(ours_run, tmp_path, capsys, m
     assert capsys.readouterr().err == (
         f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
     )
+
+
+def test_a_retrain_that_fails_writing_model_bin_is_not_taken_for_an_old_run(
+    ours_run, tmp_path, monkeypatch, capsys
+):
+    run, out = _copy_run(ours_run, tmp_path)
+    hit = failing_writes.inject(monkeypatch, "write", "model.bin")
+    assert main(["train", "--config", str(ours_run), "--out-dir", str(run)]) == 2
+    assert hit and "No space left on device" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert sorted(p.name for p in run.iterdir()) == [
+        "fused_semantics.csv", "model.ckpt", "run.cfg", "train_log.csv"]
+    assert _eval_copied_run(ours_run, run, out) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint not found: {run / 'model.bin'} (run train first)\n"
+    assert not out.exists()
 
 
 # chunks of the text export rendered so far: a counter the test shares
@@ -1526,18 +1543,19 @@ def test_demo_runs_keep_their_bytes(tmp_path, monkeypatch, method):
     )
 
 
-# one child process's demo runs: each family's train, then eval in both
-# modes; argv is the demo directory and the output directory. Prints the
-# child's running_blas() last. At these epochs both GZSL reports sit away
-# from 0 and 100, so one test row predicted otherwise changes their bytes,
-# and under the Haswell kernel the gen run's model.bin has other bits.
+# one child process's demo runs: for each (family, epochs) of the JSON
+# list argv[3], train, then eval in both modes; argv[1:3] are the demo
+# directory and the output directory. Prints the child's running_blas()
+# last. At the default runs' epochs both GZSL reports sit away from 0 and
+# 100, so one test row predicted otherwise changes their bytes, and under
+# the Haswell kernel the gen run's model.bin has other bits.
 DEMO_REPORTS_SCRIPT = """
 import json, sys
 from pathlib import Path
 from semfuse.cli import main
 from test_cli import running_blas
 demo, out = Path(sys.argv[1]), Path(sys.argv[2])
-for method, epochs in (("embed", "3"), ("gen", "8")):
+for method, epochs in json.loads(sys.argv[3]):
     run = out / method
     commands = [["train", "--config", str(demo / "run.cfg"), "--out-dir", str(run),
                  "--method", method, "--epochs", epochs]]
@@ -1550,14 +1568,16 @@ print(json.dumps(running_blas()))
 """
 
 
-def demo_reports(demo: Path, out: Path, blas_env: dict) -> tuple[dict, dict]:
-    """The report CSVs of `DEMO_REPORTS_SCRIPT` run in a child process
-    whose environment adds ``blas_env``, by name, and the child's
-    running_blas()."""
+def demo_reports(demo: Path, out: Path, blas_env: dict,
+                 runs=(("embed", "3"), ("gen", "8"))) -> tuple[dict, dict]:
+    """The report CSVs of `DEMO_REPORTS_SCRIPT` for ``runs`` run in a
+    child process whose environment adds ``blas_env``, by name, and the
+    child's running_blas()."""
     env = {**os.environ, **blas_env,
            "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])}
-    done = subprocess.run([sys.executable, "-c", DEMO_REPORTS_SCRIPT, str(demo), str(out)],
-                          cwd=out.parent, env=env, capture_output=True, text=True, timeout=600)
+    argv = [sys.executable, "-c", DEMO_REPORTS_SCRIPT, str(demo), str(out), json.dumps(runs)]
+    done = subprocess.run(argv, cwd=out.parent, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert done.returncode == 0, done.stderr
     reports = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
     return reports, json.loads(done.stdout.splitlines()[-1])
@@ -1595,6 +1615,38 @@ def test_report_csvs_keep_their_bytes_under_another_blas_kernel_or_thread_count(
     assert {key: child[key] for key in expected} == expected
     assert sorted(default) == [f"{m}_{mode}.csv" for m in ("embed", "gen") for mode in ("gzsl", "zsl")]
     assert reports == default
+
+
+def test_report_csvs_keep_their_bytes_under_one_blas_thread_at_benchmark_width(tmp_path):
+    # gen-wide's widths: at m 384, d 300 and hidden_mult 1 the critic's
+    # input layer is a (64, 684) @ (684, 384) product, which OpenBLAS
+    # splits across threads; the demo's products are too small to split
+    running = running_blas()
+    if running["threads"] is None:
+        pytest.skip("the BLAS does not report its thread count")
+    if running["threads"] == 1:
+        pytest.skip("the BLAS runs one thread by default: there is no other count to compare")
+    demo = tmp_path / "demo"
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "make_demo_data.py"), "--out-dir",
+         str(demo), "--per-class", "10", "--dimension", "300", "--feature-dim", "384"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    # at these settings both reports sit away from 0 and 100: zsl 66.67,
+    # gzsl 100, 66.67 and 80
+    cfg = (demo / "run.cfg").read_text(encoding="utf-8").replace("lr = 0.01\n", "lr = 0.001\n")
+    (demo / "run.cfg").write_text(cfg + "hidden_mult = 1\nbatch_size = 64\n"
+                                  "classifier_epochs = 30\nsynth_per_class = 20\n")
+    runs = [("gen", "4")]
+    default, _ = demo_reports(demo, tmp_path / "default", {}, runs)
+    one, child = demo_reports(demo, tmp_path / "one", {"OPENBLAS_NUM_THREADS": "1"}, runs)
+    assert child["threads"] == 1
+    assert sorted(default) == ["gen_gzsl.csv", "gen_zsl.csv"]
+    assert one == default
+    # the case exercises the contract: the model's bits do change
+    models = [(tmp_path / run / "gen" / "model.bin").read_bytes() for run in ("default", "one")]
+    assert models[0] != models[1]
 
 
 def test_module_entry_point_lists_every_subcommand():

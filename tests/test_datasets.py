@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import struct
 import tracemalloc
@@ -380,6 +381,42 @@ def test_a_sidecar_read_equals_the_parse_bit_for_bit(tmp_path, split, monkeypatc
     assert cached.features.tobytes() == parsed.features.tobytes() == EDGE_MATRIX.tobytes()
     assert cached.labels.tobytes() == parsed.labels.tobytes()
     assert cached.labels.tolist() == [2, 0, 3]
+
+
+class _CountingReader(io.BufferedReader):
+    """A reader of the file ``path`` that adds the bytes it returns to
+    ``count[0]``."""
+
+    def __init__(self, path, count: list):
+        super().__init__(io.FileIO(path))
+        self._count = count
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self._count[0] += len(data)
+        return data
+
+    def readinto(self, buffer):
+        done = super().readinto(buffer)
+        self._count[0] += done
+        return done
+
+
+def test_a_warm_csv_load_reads_its_sidecar_once(tmp_path, split, monkeypatch):
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, ["sofa", "bed", "table"], EDGE_MATRIX)
+    load_features(path, split)
+    sidecar, count, opened = sidecar_of(path), [0], Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if self == sidecar and mode == "rb":
+            return _CountingReader(self, count)
+        return opened(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    cached = loads_without_parsing(monkeypatch, path, split)
+    assert cached.features.tobytes() == EDGE_MATRIX.tobytes()
+    assert count[0] == sidecar.stat().st_size
 
 
 def test_a_csv_edited_in_place_is_parsed_again(tmp_path, split, monkeypatch):

@@ -85,7 +85,7 @@ def test_restored_checkpoint_gives_the_same_reports(method, tmp_path):
     train, test, semantics = small_data()
     cfg = replace(small_config(method), out_dir=tmp_path / "run")
     trained = pipeline.train(cfg, train, semantics)
-    assert pipeline.save_run(cfg, trained) == tmp_path / "run" / "model.ckpt"
+    assert pipeline.save_run(cfg, trained) == tmp_path / "run" / "model.bin"
     restored, m = pipeline.load_run(cfg, train.split)
     assert m == train.m
     for name in ("ids", "e_c", "e_p"):  # the trained semantics, every bit kept
