@@ -21,7 +21,7 @@ of another shape than the model's, and eval test features or GZSL seen
 rows of another width than the checkpoint's), 3 malformed data files
 (also a model.bin of an older format, one missing a record the model
 needs, and one whose records do not match its CRC-32), 4 transport
-failures.
+failures, 141 (128 + SIGPIPE) a stdout whose reader has gone.
 
 `main` builds the parser of the invoked subcommand only. Its usage
 line names every subcommand, so usage lines and errors read as with the
@@ -31,6 +31,7 @@ full parser, which `--help`, no command and an unknown command get.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
@@ -73,6 +74,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_TRANSPORT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 # the run-config keys that command-line flags override, and the flags
@@ -238,11 +240,7 @@ def cmd_fetch_descriptions(args) -> int:
     if cache_dir is None:
         raise ConfigError("no cache directory: pass --cache or set it in the split")
     cache = DescriptionCache(cache_dir)
-    endpoint = None
-    if args.endpoint_url:
-        endpoint = EndpointConfig(
-            url=args.endpoint_url, api_key_env=args.api_key_env, model=args.model
-        )
+    endpoint = EndpointConfig(args.endpoint_url or None, args.api_key_env, args.model)
     names = split.seen + split.unseen
     for name in names:
         state = "cached" if cache.get(name) is not None else "missing"
@@ -489,7 +487,13 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # closed, stdout leaves the interpreter's last flush nothing to do
+        with contextlib.suppress(BrokenPipeError):  # the close fails on the same pipe
+            sys.stdout.close()
+        return EXIT_BROKEN_PIPE
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT

@@ -24,6 +24,8 @@ PROMPT_TEMPLATE = (
 )
 
 _SLUG = re.compile(r"[^a-z0-9]+")
+TEMPERATURE = 0.0  # every completion is asked for greedily
+TIMEOUT_S = 30.0  # seconds one request may take
 
 
 def build_prompt(class_name: str) -> str:
@@ -47,8 +49,6 @@ class EndpointConfig:
     url: str | None = None
     api_key_env: str = "CHAT_API_KEY"
     model: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    timeout: float = 30.0
 
 
 class DescriptionCache:
@@ -75,7 +75,7 @@ class DescriptionCache:
     def write_meta(self, endpoint: EndpointConfig) -> None:
         meta = (
             f"model = {endpoint.model}\n"
-            f"temperature = {endpoint.temperature}\n"
+            f"temperature = {TEMPERATURE}\n"
             f"prompt_hash = {prompt_hash()}\n"
             f"fetched_at = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n"
         )
@@ -89,16 +89,28 @@ def prompt_hash() -> str:
 
 
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> dict:
-    import requests
+    # imported here: at module level urllib.request adds 3 MB to every command's RSS
+    import json
+    import urllib.error
+    import urllib.request
+    from http.client import HTTPException
 
     try:
-        response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"request to {url} failed: {exc}") from exc
-    if response.status_code != 200:
-        raise TransportError(f"{url} answered {response.status_code}: {response.text[:200]}")
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), method="POST")
+        for name, value in {**headers, "Content-Type": "application/json"}.items():
+            request.add_unredirected_header(name, value)  # a redirect carries no key elsewhere
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # an error status, read like any answer
+            response = exc
+        with response:
+            status, body = response.status, response.read()
+    except (OSError, ValueError, HTTPException) as exc:  # ValueError: a URL it cannot use
+        raise TransportError(f"request to {url} failed: {getattr(exc, 'reason', exc)}") from exc
+    if status != 200:
+        raise TransportError(f"{url} answered {status}: {body.decode('utf-8', 'replace')[:200]}")
     try:
-        return response.json()
+        return json.loads(body)
     except ValueError as exc:
         raise ProviderError(f"{url} answered non-JSON content") from exc
 
@@ -131,11 +143,11 @@ def fetch_description(
     payload = {
         "model": endpoint.model,
         "messages": [{"role": "user", "content": build_prompt(class_name)}],
-        "temperature": endpoint.temperature,
+        "temperature": TEMPERATURE,
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     send = transport if transport is not None else _http_post
-    data = send(endpoint.url, headers, payload, endpoint.timeout)
+    data = send(endpoint.url, headers, payload, TIMEOUT_S)
     try:
         text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

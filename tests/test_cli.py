@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import ctypes
 import hashlib
@@ -7,9 +8,12 @@ import json
 import multiprocessing
 import os
 import shutil
+import socket
 import struct
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -67,20 +71,29 @@ def test_fetch_descriptions_offline_miss_exits_4(demo_dir, tmp_path, capsys):
     assert "zeppelin" in capsys.readouterr().err
 
 
-def test_fetch_descriptions_mock_endpoint_populates_cache(tmp_path, monkeypatch, capsys):
-    import json
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
+@contextlib.contextmanager
+def loopback_endpoint(answer):
+    """The URL of a chat endpoint served on 127.0.0.1 by a thread while
+    the block runs. A POST whose Content-Type is not application/json is
+    answered 415; any other with the (status, headers, body bytes) that
+    ``answer`` returns for its JSON body. A GET, as a redirected POST
+    becomes, is answered 405 naming its Authorization header."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            name = body["messages"][0]["content"].split(" object")[0].split("the ")[-1]
-            payload = json.dumps(
-                {"choices": [{"message": {"content": f"A {name} has four legs."}}]}
-            ).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            if self.headers["Content-Type"] != "application/json":
+                self.send(415, {}, b"send JSON")
+            else:
+                self.send(*answer(json.loads(body)))
+
+        def do_GET(self):
+            self.send(405, {}, f"GET, Authorization: {self.headers['Authorization']}".encode())
+
+        def send(self, status, headers, payload):
+            self.send_response(status)
+            for name, value in {**headers, "Content-Length": str(len(payload))}.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(payload)
 
@@ -88,30 +101,109 @@ def test_fetch_descriptions_mock_endpoint_populates_cache(tmp_path, monkeypatch,
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
-        monkeypatch.setenv("CHAT_API_KEY", "k-local")
-        split = tmp_path / "split.cfg"
-        split.write_text(
-            "dataset = mock\nseen = chair, stool\nunseen = bench, table\n"
-            f"descriptions = {tmp_path / 'cache'}\n"
-        )
-        code = main(
-            [
-                "fetch-descriptions",
-                "--split",
-                str(split),
-                "--endpoint-url",
-                f"http://127.0.0.1:{server.server_port}/v1/chat",
-            ]
-        )
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat"
     finally:
         server.shutdown()
         server.server_close()
+
+
+def four_legs(request):
+    """A completion describing the class the prompt names."""
+    name = request["messages"][0]["content"].split(" object")[0].split("the ")[-1]
+    content = f"A {name} has four legs."
+    return 200, {}, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+def mock_split(tmp_path):
+    split = tmp_path / "split.cfg"
+    split.write_text(
+        "dataset = mock\nseen = chair, stool\nunseen = bench, table\n"
+        f"descriptions = {tmp_path / 'cache'}\n"
+    )
+    return split
+
+
+def test_fetch_descriptions_mock_endpoint_populates_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHAT_API_KEY", "k-local")
+    with loopback_endpoint(four_legs) as url:
+        code = main(["fetch-descriptions", "--split", str(mock_split(tmp_path)),
+                     "--endpoint-url", url])
     assert code == 0
     assert "4 fetched, 0 cached" in capsys.readouterr().out
     assert (tmp_path / "cache" / "chair.txt").read_text() == "A chair has four legs."
+
+
+def test_fetch_descriptions_mock_endpoint_needs_no_requests_package(tmp_path):
+    # the child cannot import requests, as where it is not installed
+    script = ("import sys\nsys.modules['requests'] = None\n"
+              "from semfuse.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "CHAT_API_KEY": "k-local", "PYTHONPATH": str(REPO_ROOT / "src")}
+    with loopback_endpoint(four_legs) as url:
+        done = subprocess.run(
+            [sys.executable, "-c", script, "fetch-descriptions", "--split",
+             str(mock_split(tmp_path)), "--endpoint-url", url],
+            env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "4 fetched, 0 cached" in done.stdout
+    assert (tmp_path / "cache" / "table.txt").read_text() == "A table has four legs."
+
+
+@pytest.mark.parametrize(
+    "status,body,message",
+    [(503, b"overloaded, try later", "{url} answered 503: overloaded, try later"),
+     (200, b"<html>not JSON</html>", "{url} answered non-JSON content")],
+    ids=["error-status", "non-json"],
+)
+def test_fetch_descriptions_endpoint_answer_it_cannot_use_exits_4(
+    tmp_path, monkeypatch, capsys, status, body, message
+):
+    monkeypatch.setenv("CHAT_API_KEY", "k-local")
+    with loopback_endpoint(lambda request: (status, {}, body)) as url:
+        code = main(["fetch-descriptions", "--split", str(mock_split(tmp_path)),
+                     "--endpoint-url", url])
+    assert code == 4
+    assert capsys.readouterr().err == f"transport error: {message.format(url=url)}\n"
+    assert not list((tmp_path / "cache").glob("*.txt"))  # nothing cached on failure
+
+
+def test_fetch_descriptions_sends_the_key_to_no_redirect_target(tmp_path, monkeypatch, capsys):
+    # a redirected POST arrives as a GET, which another host may serve
+    monkeypatch.setenv("CHAT_API_KEY", "k-local")
+    with loopback_endpoint(lambda request: (302, {"Location": "/elsewhere"}, b"")) as url:
+        code = main(["fetch-descriptions", "--split", str(mock_split(tmp_path)),
+                     "--endpoint-url", url])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"transport error: {url} answered 405: GET, Authorization: None\n")
+
+
+def closed_port_url():
+    with socket.socket() as probe:  # a port that was free a moment ago
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}/v1/chat"
+
+
+@pytest.mark.parametrize(
+    "make_url,reason",
+    [(closed_port_url, "[Errno 111] Connection refused"),
+     (lambda: "127.0.0.1/v1/chat", "unknown url type: '127.0.0.1/v1/chat'")],
+    ids=["nobody-listens", "no-scheme"],
+)
+def test_fetch_descriptions_from_an_endpoint_it_cannot_reach_exits_4(
+    tmp_path, monkeypatch, capsys, make_url, reason
+):
+    monkeypatch.setenv("CHAT_API_KEY", "k-local")
+    url = make_url()
+    code = main(["fetch-descriptions", "--split", str(mock_split(tmp_path)),
+                 "--endpoint-url", url])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"transport error: request to {url} failed: "), err
+    if sys.platform == "linux":  # the refusal's wording is the platform's
+        assert err.endswith(f" failed: {reason}\n")
 
 
 def test_build_semantics_zeroes_the_unused_side(demo_dir, tmp_path):
@@ -1657,6 +1749,31 @@ def test_module_entry_point_lists_every_subcommand():
     for command in ("fetch-descriptions", "build-semantics", "train", "train-embed",
                     "train-gen", "eval", "synthesize", "compare", "sweep-alpha"):
         assert command in done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_eval_into_a_closed_pipe_exits_141_with_its_report_whole(demo_dir, tmp_path, unbuffered):
+    # unbuffered, the report table's print meets the closed pipe; buffered,
+    # main's flush of stdout does
+    cfg = write_config(tmp_path / "run.cfg", demo_dir, tmp_path / "run", epochs=5)
+    assert main(["train", "--config", str(cfg)]) == 0
+    expected = tmp_path / "expected.csv"
+    assert main(["eval", "--config", str(cfg), "--mode", "gzsl", "--out", str(expected)]) == 0
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so no write of the child is read
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "semfuse", "eval", "--config", str(cfg), "--mode", "gzsl"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141, done.stderr
+    assert "config error" not in done.stderr and "Exception ignored" not in done.stderr
+    assert (tmp_path / "run" / "report_gzsl.csv").read_bytes() == expected.read_bytes()
 
 
 # a representative command line of each subcommand, after its name

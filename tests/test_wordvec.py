@@ -19,7 +19,7 @@ def cat_dog(tmp_path):
 def test_load_two_entries(cat_dog):
     assert cat_dog.dimension == 2
     assert len(cat_dog) == 2
-    assert np.array_equal(cat_dog.get("cat"), [1.0, 0.0])
+    assert np.array_equal(cat_dog.vectors["cat"], [1.0, 0.0])
 
 
 def test_header_line_is_skipped(tmp_path, cat_dog):
@@ -58,15 +58,15 @@ def test_duplicate_tokens_keep_first(tmp_path):
     path.write_text("cat 1.0 0.0\nCAT 9.0 9.0\n")
     table = load_word_vectors(path)
     assert len(table) == 1
-    assert np.array_equal(table.get("cat"), [1.0, 0.0])
+    assert np.array_equal(table.vectors["cat"], [1.0, 0.0])
 
 
 def test_tokens_are_lowercased(tmp_path):
     path = tmp_path / "case.txt"
     path.write_text("Piano 1.0 2.0\n")
     table = load_word_vectors(path)
-    assert "piano" in table
-    assert table.get("PIANO") is not None
+    assert "piano" in table.vectors
+    assert "Piano" not in table.vectors
 
 
 def test_embed_repeated_token_is_the_entry(cat_dog):
@@ -83,7 +83,7 @@ def test_embed_all_oov_raises_naming_text(cat_dog):
 
 
 def test_embed_single_token_exact(cat_dog):
-    assert np.array_equal(embed_text(cat_dog, "dog"), cat_dog.get("dog"))
+    assert np.array_equal(embed_text(cat_dog, "dog"), cat_dog.vectors["dog"])
 
 
 def test_multiword_name_splits_on_punctuation(cat_dog):
@@ -168,7 +168,7 @@ def test_filtered_load_skips_header_and_keeps_first_duplicate(tmp_path):
     path.write_text("3 2\nzebra 5.0 5.0\ncat 1.0 0.0\nCAT 9.0 9.0\ndog 0.0 1.0\n")
     table = load_word_vectors(path, {"cat"})
     assert table.dimension == 2 and sorted(table.vectors) == ["cat"]
-    assert np.array_equal(table.get("cat"), [1.0, 0.0])
+    assert np.array_equal(table.vectors["cat"], [1.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -240,4 +240,4 @@ def test_loaded_values_equal_python_float_parsing(vec_dir, values, digits):
                 load_word_vectors(path, vocabulary)
             continue
         table = load_word_vectors(path, vocabulary)
-        assert table.get("cat").tobytes() == reference.tobytes()
+        assert table.vectors["cat"].tobytes() == reference.tobytes()
